@@ -51,10 +51,6 @@ class CellGraph:
     def n_edges(self) -> int:
         return int(self.adjacency.nnz // 2)
 
-    def neighbors(self, node: int) -> np.ndarray:
-        row = self.adjacency.getrow(node)
-        return row.indices
-
 
 def knn_graph(features, k: int, laplacian_kind: str = "sym_normalized") -> CellGraph:
     """Directed k-nearest-neighbor relation under Euclidean distance

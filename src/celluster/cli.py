@@ -10,81 +10,59 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import sys
-from dataclasses import fields, replace
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import curriculum, ingest, metrics, trainer
-from .cellgraph import knn_graph, save_edge_list
-from .config import ConfigError, RunConfig, parse_config, write_config
-from .model import encode
-from .preprocess import preprocess
-from .trainer import TrainConfig
+from .cellgraph import save_edge_list
+from .config import (
+    CHOICES,
+    RUN_TYPES,
+    TRAIN_TYPES,
+    ConfigError,
+    RunConfig,
+    parse_config,
+    scalar_type,
+    write_config,
+)
+from .trainer import StageError, TrainConfig, stage
 
 
-class StageError(RuntimeError):
-    def __init__(self, stage: str, cause: Exception):
-        self.stage = stage
-        self.cause = cause
-        super().__init__(f"[{stage}] {cause}")
-
-
-def _stage(stage: str, fn, *args, **kwargs):
-    try:
-        return fn(*args, **kwargs)
-    except (FileNotFoundError, IsADirectoryError, PermissionError):
-        raise
-    except Exception as err:
-        raise StageError(stage, err) from err
-
-
-_OVERRIDE_SKIP = {"loss_weights", "zinb_dims"}
-
-
-def _add_train_overrides(parser: argparse.ArgumentParser) -> None:
-    import dataclasses
-
+def _add_run_command(sub, name: str, fn, help_text: str) -> None:
+    """A subcommand that reads a config file, with a flag overriding each
+    scalar TrainConfig field and each run-level switch."""
+    parser = sub.add_parser(name, help=help_text)
+    parser.add_argument("config", help="key=value config file")
     for f in fields(TrainConfig):
-        if f.name in _OVERRIDE_SKIP:
+        kind = scalar_type(TRAIN_TYPES[f.name])
+        if kind is None:  # tuple fields are set in the config file only
             continue
         flag = "--" + f.name.replace("_", "-")
-        if f.default is dataclasses.MISSING:
+        if f.default is MISSING:
             note = f"override {f.name} (required in the config)"
         else:
             note = f"override {f.name} (config default: {f.default})"
-        if f.name in (
-            "n_clusters", "t1", "t2", "k_neighbors", "n_hvg", "latent_dim",
-            "hidden_dim", "cheb_order", "target_update_interval", "seed", "t_hat",
-        ):
-            parser.add_argument(flag, type=int, default=None, help=note)
-        else:
-            parser.add_argument(flag, type=float, default=None, help=note)
+        parser.add_argument(flag, type=kind, default=None, help=note)
     parser.add_argument("--outdir", default=None, help="override output directory")
-    parser.add_argument("--prune-strategy", default=None, choices=curriculum.PRUNE_STRATEGIES)
-    parser.add_argument("--local-mode", default=None, choices=curriculum.LOCAL_MODES)
-    parser.add_argument(
-        "--laplacian-kind", default=None, choices=("combinatorial", "sym_normalized")
-    )
+    for key in ("prune_strategy", "local_mode", "laplacian_kind"):
+        parser.add_argument("--" + key.replace("_", "-"), default=None, choices=CHOICES[key])
+    parser.set_defaults(fn=fn)
 
 
 def _apply_overrides(run_cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    train_updates = {}
-    for f in fields(TrainConfig):
-        if f.name in _OVERRIDE_SKIP:
-            continue
-        value = getattr(args, f.name, None)
-        if value is not None:
-            train_updates[f.name] = value
-    if train_updates:
-        run_cfg.train = replace(run_cfg.train, **train_updates)
-    for name in ("outdir", "prune_strategy", "local_mode", "laplacian_kind"):
-        value = getattr(args, name, None)
-        if value is not None:
-            setattr(run_cfg, name, value)
-    return run_cfg
+    def given(names):
+        return {n: getattr(args, n) for n in names if getattr(args, n, None) is not None}
+
+    try:
+        train = replace(run_cfg.train, **given(TRAIN_TYPES))
+        return replace(run_cfg, train=train, **given(RUN_TYPES))
+    except ValueError as err:
+        raise ConfigError(f"command line: {err}") from None
 
 
 def _load_dataset(run_cfg: RunConfig) -> ingest.ExpressionMatrix:
@@ -92,12 +70,13 @@ def _load_dataset(run_cfg: RunConfig) -> ingest.ExpressionMatrix:
         raise ConfigError("config is missing 'input'")
     if not Path(run_cfg.input).exists():
         raise FileNotFoundError(f"input file not found: {run_cfg.input}")
-    data = _stage("ingest", ingest.load_matrix, run_cfg.input, run_cfg.input_format)
+    with stage("ingest"):
+        data = ingest.load_matrix(run_cfg.input, run_cfg.input_format)
     if run_cfg.labels is not None:
         if not Path(run_cfg.labels).exists():
             raise FileNotFoundError(f"labels file not found: {run_cfg.labels}")
-        labels = _stage("ingest", ingest.load_labels, run_cfg.labels, data.cell_ids)
-        data = ingest.with_labels(data, labels)
+        with stage("ingest"):
+            data = ingest.with_labels(data, ingest.load_labels(run_cfg.labels, data.cell_ids))
     return data
 
 
@@ -142,14 +121,16 @@ def cmd_synth(args) -> int:
         mean_scale=args.mean_scale,
         seed=args.seed,
     )
-    data = _stage("synth", ingest.synthesize, spec)
+    with stage("synth"):
+        data = ingest.synthesize(spec)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     ext = "csv" if args.format == "csv" else "mtx"
     counts_path = outdir / f"counts.{ext}"
     labels_path = outdir / "labels.csv"
-    _stage("write", ingest.save_matrix, data, counts_path, args.format)
-    _stage("write", ingest.save_labels, data, labels_path)
+    with stage("write"):
+        ingest.save_matrix(data, counts_path, args.format)
+        ingest.save_labels(data, labels_path)
     zeros = float(np.mean(data.counts == 0))
     print(
         f"wrote {counts_path} ({data.n_cells} cells x {data.n_genes} genes, "
@@ -158,16 +139,19 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
+def _prepare_run(args) -> tuple[RunConfig, ingest.ExpressionMatrix, Path]:
+    """Resolve the config, load the data and echo the effective config."""
     run_cfg = _apply_overrides(parse_config(args.config), args)
     data = _load_dataset(run_cfg)
     outdir = Path(run_cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     write_config(run_cfg, outdir / "effective_config.txt")
+    return run_cfg, data, outdir
 
-    result = _stage(
-        "train",
-        trainer.run_pipeline,
+
+def cmd_train(args) -> int:
+    run_cfg, data, outdir = _prepare_run(args)
+    result = trainer.run_pipeline(
         data,
         run_cfg.train,
         laplacian_kind=run_cfg.laplacian_kind,
@@ -175,60 +159,42 @@ def cmd_train(args) -> int:
         local_mode=run_cfg.local_mode,
         checkpoint_dir=str(outdir),
     )
-
-    _stage("write", save_edge_list, result.graph, outdir / "graph_edges.txt")
-    _stage(
-        "write",
-        curriculum.write_difficulty_csv,
-        outdir / "difficulty.csv",
-        result.state.report,
-        result.state.prune,
-    )
-    _stage("write", _write_training_log, outdir / "training_log.csv", result.state.loss_history)
-    _stage(
-        "write",
-        _write_labels_csv,
-        outdir / "labels.csv",
-        data.cell_ids,
-        result.labels,
-        result.pruned_mask,
-    )
+    with stage("write"):
+        save_edge_list(result.graph, outdir / "graph_edges.txt")
+        curriculum.write_difficulty_csv(
+            outdir / "difficulty.csv", result.state.report, result.state.prune
+        )
+        _write_training_log(outdir / "training_log.csv", result.state.loss_history)
+        _write_labels_csv(
+            outdir / "labels.csv", data.cell_ids, result.labels, result.pruned_mask
+        )
+    formal_epochs = result.state.epoch
+    pretrain_epochs = len(result.state.loss_history) - formal_epochs
     summary = (
-        f"trained {data.n_cells} cells for {len(result.state.loss_history)} epochs, "
-        f"pruned {int(result.pruned_mask.sum())}"
+        f"trained {data.n_cells} cells for {pretrain_epochs} pretrain + "
+        f"{formal_epochs} formal epochs, pruned {int(result.pruned_mask.sum())}"
     )
     if data.labels is not None:
-        payload = _stage(
-            "evaluate", _write_metrics_json, outdir / "metrics.json", data.labels, result.labels
-        )
+        with stage("evaluate"):
+            payload = _write_metrics_json(outdir / "metrics.json", data.labels, result.labels)
         summary += f", ARI={payload['ari']:.4f} NMI={payload['nmi']:.4f}"
     print(summary)
     return 0
 
 
 def cmd_difficulty(args) -> int:
-    run_cfg = _apply_overrides(parse_config(args.config), args)
-    data = _load_dataset(run_cfg)
-    outdir = Path(run_cfg.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    write_config(run_cfg, outdir / "effective_config.txt")
-
-    cfg = run_cfg.train
-    pre = _stage("preprocess", preprocess, data, cfg.n_hvg)
-    graph = _stage("graph", knn_graph, pre.normalized, cfg.k_neighbors, run_cfg.laplacian_kind)
-    state = _stage("pretrain", trainer.pretrain, pre, graph, cfg)
-    z = encode(pre.normalized, graph, state.params).values
-    report = _stage(
-        "difficulty", curriculum.measure_difficulty, z, graph,
-        beta=cfg.beta, local_mode=run_cfg.local_mode,
+    run_cfg, data, outdir = _prepare_run(args)
+    pretrained = trainer.pretrain_and_score(
+        data, run_cfg.train, laplacian_kind=run_cfg.laplacian_kind, local_mode=run_cfg.local_mode
     )
-    result = _stage(
-        "prune", curriculum.prune, report, cfg.alpha,
-        strategy=run_cfg.prune_strategy, seed=cfg.seed,
+    result = trainer.prune_and_cluster(
+        pretrained, run_cfg.train.alpha, prune_strategy=run_cfg.prune_strategy, cluster=False
     )
+    report, pruned = result.state.report, result.state.prune
     path = outdir / "difficulty.csv"
-    _stage("write", curriculum.write_difficulty_csv, path, report, result)
-    print(f"wrote {path} ({report.n} nodes, {result.dropped.size} marked dropped)")
+    with stage("write"):
+        curriculum.write_difficulty_csv(path, report, pruned)
+    print(f"wrote {path} ({report.n} nodes, {pruned.dropped.size} marked dropped)")
     return 0
 
 
@@ -244,7 +210,8 @@ def cmd_evaluate(args) -> int:
     ids = list(true_by_id)
     true = np.array([true_by_id[i] for i in ids])
     pred = np.array([pred_by_id[i] for i in ids])
-    payload = _stage("evaluate", _write_metrics_json, args.out, true, pred)
+    with stage("evaluate"):
+        payload = _write_metrics_json(args.out, true, pred)
     print(f"ARI={payload['ari']} NMI={payload['nmi']}")
     return 0
 
@@ -261,45 +228,60 @@ def _read_label_csv(path) -> dict[str, int]:
             "evaluate",
             ValueError(f"{path}: expected a cell_id,label or cell_id,predicted header"),
         )
-    return {row[0].strip(): int(row[1]) for row in rows[1:] if row}
+    labels = {}
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        try:
+            labels[row[0].strip()] = int(row[1])
+        except (IndexError, ValueError):
+            raise StageError(
+                "evaluate",
+                ValueError(f"{path}:{lineno}: expected a cell id and an integer label, got {row}"),
+            ) from None
+    return labels
 
 
 def cmd_prune_study(args) -> int:
-    run_cfg = _apply_overrides(parse_config(args.config), args)
-    data = _load_dataset(run_cfg)
+    run_cfg, data, outdir = _prepare_run(args)
     if data.labels is None:
         raise StageError("prune-study", ValueError("prune-study needs ground-truth labels"))
-    outdir = Path(run_cfg.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    write_config(run_cfg, outdir / "effective_config.txt")
 
+    # Pretraining and difficulty depend on the seed only: each seed's prefix
+    # runs once and serves (or fails) all of that seed's grid cells.
+    pretrained: dict[int, trainer.Pretrained | Exception] = {}
     report_path = outdir / "prune_study.csv"
     failures = 0
     with open(report_path, "w", newline="") as fh:
         fh.write("strategy,alpha,seed,ari,nmi\n")
-        for strategy in run_cfg.strategies:
-            for alpha in run_cfg.alphas:
-                for seed in run_cfg.seeds:
-                    cfg = replace(run_cfg.train, alpha=alpha, seed=seed)
-                    try:
-                        result = trainer.run_pipeline(
-                            data,
-                            cfg,
-                            laplacian_kind=run_cfg.laplacian_kind,
-                            prune_strategy=strategy,
-                            local_mode=run_cfg.local_mode,
-                        )
-                        a = metrics.ari(data.labels, result.labels)
-                        n = metrics.nmi(data.labels, result.labels)
-                        fh.write(f"{strategy},{alpha!r},{seed},{a!r},{n!r}\n")
-                        fh.flush()
-                        print(f"{strategy} alpha={alpha} seed={seed}: ARI={a:.4f} NMI={n:.4f}")
-                    except Exception as err:  # keep the remaining grid cells running
-                        failures += 1
-                        print(
-                            f"[prune-study] {strategy} alpha={alpha} seed={seed} failed: {err}",
-                            file=sys.stderr,
-                        )
+        grid = itertools.product(run_cfg.strategies, run_cfg.alphas, run_cfg.seeds)
+        for strategy, alpha, seed in grid:
+            if seed not in pretrained:
+                try:
+                    pretrained[seed] = trainer.pretrain_and_score(
+                        data,
+                        replace(run_cfg.train, seed=seed),
+                        laplacian_kind=run_cfg.laplacian_kind,
+                        local_mode=run_cfg.local_mode,
+                    )
+                except Exception as err:  # reported by every grid cell of this seed
+                    pretrained[seed] = err
+            try:
+                prefix = pretrained[seed]
+                if isinstance(prefix, Exception):
+                    raise prefix
+                result = trainer.prune_and_cluster(prefix, alpha, prune_strategy=strategy)
+                a = metrics.ari(data.labels, result.labels)
+                n = metrics.nmi(data.labels, result.labels)
+                fh.write(f"{strategy},{alpha!r},{seed},{a!r},{n!r}\n")
+                fh.flush()
+                print(f"{strategy} alpha={alpha} seed={seed}: ARI={a:.4f} NMI={n:.4f}")
+            except Exception as err:  # keep the remaining grid cells running
+                failures += 1
+                print(
+                    f"[prune-study] {strategy} alpha={alpha} seed={seed} failed: {err}",
+                    file=sys.stderr,
+                )
     print(f"wrote {report_path}" + (f" ({failures} cells failed)" if failures else ""))
     return 0 if failures == 0 else 1
 
@@ -331,17 +313,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--outdir", default="synth_out", help="output directory")
     p_synth.set_defaults(fn=cmd_synth)
 
-    p_train = sub.add_parser("train", help="run the full training pipeline from a config")
-    p_train.add_argument("config", help="key=value config file")
-    _add_train_overrides(p_train)
-    p_train.set_defaults(fn=cmd_train)
-
-    p_diff = sub.add_parser(
-        "difficulty", help="pretrain, score node difficulty, and write the report CSV"
+    _add_run_command(sub, "train", cmd_train, "run the full training pipeline from a config")
+    _add_run_command(
+        sub, "difficulty", cmd_difficulty,
+        "pretrain, score node difficulty, and write the report CSV",
     )
-    p_diff.add_argument("config", help="key=value config file")
-    _add_train_overrides(p_diff)
-    p_diff.set_defaults(fn=cmd_difficulty)
 
     p_eval = sub.add_parser("evaluate", help="compare predicted labels against ground truth")
     p_eval.add_argument("--true-labels", required=True)
@@ -349,12 +325,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--out", default="metrics.json")
     p_eval.set_defaults(fn=cmd_evaluate)
 
-    p_study = sub.add_parser(
-        "prune-study", help="grid of (strategy, alpha, seed) pipeline runs"
+    _add_run_command(
+        sub, "prune-study", cmd_prune_study, "grid of (strategy, alpha, seed) pipeline runs"
     )
-    p_study.add_argument("config", help="key=value config file")
-    _add_train_overrides(p_study)
-    p_study.set_defaults(fn=cmd_prune_study)
     return parser
 
 

@@ -8,8 +8,9 @@ outputs reloads to an identical run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 from .cellgraph import LAPLACIAN_KINDS
 from .curriculum import LOCAL_MODES, PRUNE_STRATEGIES
@@ -19,6 +20,15 @@ from .trainer import TrainConfig
 
 class ConfigError(ValueError):
     pass
+
+
+# Run-level settings restricted to a fixed set of values.
+CHOICES = {
+    "input_format": FORMATS,
+    "laplacian_kind": LAPLACIAN_KINDS,
+    "prune_strategy": PRUNE_STRATEGIES,
+    "local_mode": LOCAL_MODES,
+}
 
 
 @dataclass
@@ -37,55 +47,53 @@ class RunConfig:
     seeds: list[int] = field(default_factory=lambda: [0])
 
     def __post_init__(self):
-        if self.input_format not in FORMATS:
-            raise ConfigError(f"input_format must be one of {FORMATS}, got {self.input_format!r}")
-        if self.laplacian_kind not in LAPLACIAN_KINDS:
-            raise ConfigError(
-                f"laplacian_kind must be one of {LAPLACIAN_KINDS}, got {self.laplacian_kind!r}"
-            )
-        if self.prune_strategy not in PRUNE_STRATEGIES:
-            raise ConfigError(
-                f"prune_strategy must be one of {PRUNE_STRATEGIES}, got {self.prune_strategy!r}"
-            )
-        if self.local_mode not in LOCAL_MODES:
-            raise ConfigError(f"local_mode must be one of {LOCAL_MODES}, got {self.local_mode!r}")
+        for name, choices in CHOICES.items():
+            if getattr(self, name) not in choices:
+                raise ConfigError(f"{name} must be one of {choices}, got {getattr(self, name)!r}")
         for strategy in self.strategies:
             if strategy not in PRUNE_STRATEGIES:
                 raise ConfigError(f"unknown strategy {strategy!r} in strategies")
 
 
-_TRAIN_FIELDS = {f.name: f for f in fields(TrainConfig)}
-_RUN_FIELDS = {
-    "input": str,
-    "input_format": str,
-    "labels": str,
-    "outdir": str,
-    "laplacian_kind": str,
-    "prune_strategy": str,
-    "local_mode": str,
-}
-_LIST_FIELDS = {"strategies": str, "alphas": float, "seeds": int}
+def _field_types(cls) -> dict[str, object]:
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)}
 
 
-def _parse_train_value(name: str, raw: str):
-    if name in ("loss_weights",):
-        parts = [float(p) for p in raw.split(",")]
-        if len(parts) != 3:
-            raise ConfigError(f"{name} needs 3 comma-separated values, got {raw!r}")
-        return tuple(parts)
-    if name == "zinb_dims":
-        parts = [int(p) for p in raw.split(",")]
-        if len(parts) != 3:
-            raise ConfigError(f"{name} needs 3 comma-separated values, got {raw!r}")
-        return tuple(parts)
-    if name == "t_hat":
-        return None if raw.lower() in ("", "none") else int(raw)
-    if name in (
-        "n_clusters", "t1", "t2", "k_neighbors", "n_hvg", "latent_dim",
-        "hidden_dim", "cheb_order", "target_update_interval", "seed",
-    ):
-        return int(raw)
-    return float(raw)
+# The schema: every config key and the annotation its value parses as.
+TRAIN_TYPES = _field_types(TrainConfig)
+RUN_TYPES = {name: tp for name, tp in _field_types(RunConfig).items() if name != "train"}
+
+
+def scalar_type(tp):
+    """The type one value of annotation `tp` parses as (`int` for
+    `int | None`); None for tuples and lists, which hold several."""
+    if get_origin(tp) in (tuple, list):
+        return None
+    return next(a for a in get_args(tp) or (tp,) if a is not type(None))
+
+
+def _parse_value(tp, raw: str):
+    """Parse one config value against its field annotation: comma-separated
+    for tuples (exact length) and lists, `none` or empty for optionals."""
+    args = get_args(tp)
+    if get_origin(tp) is tuple:
+        parts = raw.split(",")
+        if len(parts) != len(args):
+            raise ValueError(f"needs {len(args)} comma-separated values, got {raw!r}")
+        return tuple(_parse_value(a, p.strip()) for a, p in zip(args, parts))
+    if get_origin(tp) is list:
+        return [_parse_value(args[0], p.strip()) for p in raw.split(",") if p.strip()]
+    if type(None) in args and raw.lower() in ("", "none"):
+        return None
+    return scalar_type(tp)(raw)
+
+
+def _format_value(value) -> str:
+    """Inverse of _parse_value; floats use repr so they reload exactly."""
+    if isinstance(value, (tuple, list)):
+        return ",".join(_format_value(v) for v in value)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def parse_config(path) -> RunConfig:
@@ -99,18 +107,14 @@ def parse_config(path) -> RunConfig:
         if "=" not in stripped:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
+        if key in TRAIN_TYPES:
+            kwargs, tp = train_kwargs, TRAIN_TYPES[key]
+        elif key in RUN_TYPES:
+            kwargs, tp = run_kwargs, RUN_TYPES[key]
+        else:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            if key in _TRAIN_FIELDS:
-                train_kwargs[key] = _parse_train_value(key, raw)
-            elif key in _RUN_FIELDS:
-                run_kwargs[key] = raw
-            elif key in _LIST_FIELDS:
-                cast = _LIST_FIELDS[key]
-                run_kwargs[key] = [cast(p.strip()) for p in raw.split(",") if p.strip()]
-            else:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        except ConfigError:
-            raise
+            kwargs[key] = _parse_value(tp, raw)
         except ValueError as err:
             raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {err}") from None
     if "n_clusters" not in train_kwargs:
@@ -124,22 +128,8 @@ def parse_config(path) -> RunConfig:
 
 def write_config(cfg: RunConfig, path) -> None:
     """Echo the fully resolved configuration, one key per line."""
-    train = cfg.train
-    lines = []
-    for name in _TRAIN_FIELDS:
-        value = getattr(train, name)
-        if name == "t_hat":
-            value = train.effective_t_hat
-        if isinstance(value, tuple):
-            value = ",".join(repr(v) if isinstance(v, float) else str(v) for v in value)
-        elif isinstance(value, float):
-            value = repr(value)
-        lines.append(f"{name}={value}")
-    for name in _RUN_FIELDS:
-        value = getattr(cfg, name)
-        if value is not None:
-            lines.append(f"{name}={value}")
-    lines.append("strategies=" + ",".join(cfg.strategies))
-    lines.append("alphas=" + ",".join(repr(a) for a in cfg.alphas))
-    lines.append("seeds=" + ",".join(str(s) for s in cfg.seeds))
-    Path(path).write_text("\n".join(lines) + "\n")
+    train = replace(cfg.train, t_hat=cfg.train.effective_t_hat)
+    values = [(n, getattr(train, n)) for n in TRAIN_TYPES]
+    values += [(n, getattr(cfg, n)) for n in RUN_TYPES]
+    lines = [f"{name}={_format_value(v)}\n" for name, v in values if v is not None]
+    Path(path).write_text("".join(lines))

@@ -12,7 +12,9 @@ easiest paced subset of kept nodes. Prediction assigns every original cell
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+from contextlib import contextmanager
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -38,6 +40,7 @@ from .losses import (
     target_distribution,
 )
 from .model import (
+    ZINB_HIDDEN_DIMS,
     ModelParams,
     NonFiniteOutputError,
     decode_adjacency,
@@ -50,12 +53,35 @@ from .numerics import AdamState, adam_step
 from .preprocess import PreprocessedData, preprocess
 
 
+CHECKPOINT_EVERY = 100  # epochs between periodic checkpoints within a phase
+
+
 class DegenerateClusterError(RuntimeError):
     pass
 
 
 class NotTrainedError(RuntimeError):
     pass
+
+
+class StageError(RuntimeError):
+    """A pipeline failure tagged with the stage that raised it."""
+
+    def __init__(self, stage: str, cause: Exception):
+        self.stage = stage
+        super().__init__(f"[{stage}] {cause}")
+
+
+@contextmanager
+def stage(name: str):
+    """Re-raise failures inside the block as StageError(name); missing or
+    unreadable paths pass through untagged (the CLI exits 2 on those)."""
+    try:
+        yield
+    except (FileNotFoundError, IsADirectoryError, PermissionError):
+        raise
+    except Exception as err:
+        raise StageError(name, err) from err
 
 
 @dataclass
@@ -74,7 +100,7 @@ class TrainConfig:
     latent_dim: int = 32
     hidden_dim: int = 256
     cheb_order: int = 3
-    zinb_dims: tuple[int, int, int] = (128, 256, 512)
+    zinb_dims: tuple[int, int, int] = ZINB_HIDDEN_DIMS
     target_update_interval: int = 5
     seed: int = 0
     loss_weights: tuple[float, float, float] = (1.0, 1.0, 1.0)
@@ -97,6 +123,8 @@ class TrainConfig:
             raise ValueError("lambda0 must lie in (0, 1]")
         if self.target_update_interval < 1:
             raise ValueError("target_update_interval must be >= 1")
+        if self.t_hat is not None and self.t_hat < 1:
+            raise ValueError("t_hat must be >= 1")
 
     @property
     def effective_t_hat(self) -> int:
@@ -194,37 +222,62 @@ def init_centers(
 # -- shared epoch machinery -----------------------------------------------------------
 
 
-def _apply_gradients(params: ModelParams, adam: AdamState) -> None:
-    named = params.named_parameters()
-    values = [t.values for _, t in named]
-    grads = [
-        t.grad if t.grad is not None else np.zeros_like(t.values) for _, t in named
-    ]
-    updated, _ = adam_step(values, grads, adam)
-    for (_, t), new in zip(named, updated):
-        t.values = new
-        t.grad = None
-
-
-def _epoch_losses(
-    pre_norm: np.ndarray,
-    raw_counts: np.ndarray,
+def _train_step(
+    state: TrainState,
+    features: np.ndarray,
+    counts: np.ndarray,
     graph: CellGraph,
-    params: ModelParams,
-    weights: tuple[float, float, float],
+    cfg: TrainConfig,
+    checkpoint_dir,
     mask=None,
     target: np.ndarray | None = None,
-):
-    z = encode(pre_norm, graph, params)
-    a_rec = decode_adjacency(z)
-    zinb_params = decode_zinb(z, params)
-    rec = loss_rec(graph.adjacency, a_rec, mask=mask)
-    zinb = loss_zinb(raw_counts, zinb_params, mask=mask)
-    cls = None
-    if target is not None:
-        q = soft_assign(z, params.cluster_centers)
-        cls = loss_cls(target, q, mask=mask)
-    return masked_total(rec, zinb, cls, weights)
+) -> None:
+    """One epoch of the current phase: losses, backward, Adam, history and
+    the periodic checkpoint. A non-finite loss raises NonFiniteLossError
+    carrying the state as it was before the step."""
+    epoch = state.epoch
+    try:
+        z = encode(features, graph, state.params)
+        a_rec = decode_adjacency(z)
+        zinb_params = decode_zinb(z, state.params)
+        rec = loss_rec(graph.adjacency, a_rec, mask=mask)
+        zinb = loss_zinb(counts, zinb_params, mask=mask)
+        cls = None
+        if target is not None:
+            q = soft_assign(z, state.params.cluster_centers)
+            cls = loss_cls(target, q, mask=mask)
+        total, breakdown = masked_total(rec, zinb, cls, cfg.loss_weights)
+    except (NonFiniteLossError, NonFiniteOutputError) as err:
+        raise NonFiniteLossError(
+            f"{state.phase} phase diverged at epoch {epoch}: {err}", epoch=epoch, state=state
+        ) from err
+    if not np.isfinite(breakdown.total):
+        raise NonFiniteLossError(
+            f"{state.phase} loss non-finite at epoch {epoch}", epoch=epoch, state=state
+        )
+    total.backward()
+    named = state.params.named_parameters()
+    values = [t.values for _, t in named]
+    grads = [t.grad if t.grad is not None else np.zeros_like(t.values) for _, t in named]
+    updated, _ = adam_step(values, grads, state.adam)
+    for (_, t), new in zip(named, updated):
+        t.values = new  # rebinds, never writes in place
+        t.grad = None
+    state.loss_history.append(breakdown)
+    state.epoch += 1
+    if checkpoint_dir is not None and state.epoch % CHECKPOINT_EVERY == 0:
+        save_state(state, f"{checkpoint_dir}/{state.phase}_epoch{state.epoch}.ckpt")
+
+
+def _init_params(cfg: TrainConfig, n_genes: int) -> ModelParams:
+    return init_params(
+        n_genes=n_genes,
+        latent_dim=cfg.latent_dim,
+        hidden_dim=cfg.hidden_dim,
+        cheb_order=cfg.cheb_order,
+        zinb_dims=cfg.zinb_dims,
+        seed=cfg.seed,
+    )
 
 
 def pretrain(
@@ -234,49 +287,19 @@ def pretrain(
     state: TrainState | None = None,
     epochs: int | None = None,
     checkpoint_dir=None,
-    checkpoint_every: int = 100,
 ) -> TrainState:
     """Full-batch reconstruction + likelihood training for cfg.t1 epochs
     (or resume `state` until `epochs` total)."""
     if state is None:
-        params = init_params(
-            n_genes=pre.n_genes,
-            latent_dim=cfg.latent_dim,
-            hidden_dim=cfg.hidden_dim,
-            cheb_order=cfg.cheb_order,
-            zinb_dims=cfg.zinb_dims,
-            seed=cfg.seed,
-        )
         state = TrainState(
             phase="pretrain",
             epoch=0,
-            params=params,
+            params=_init_params(cfg, pre.n_genes),
             adam=AdamState(learning_rate=cfg.lr_pretrain),
         )
     total_epochs = cfg.t1 if epochs is None else epochs
     while state.epoch < total_epochs:
-        try:
-            total, breakdown = _epoch_losses(
-                pre.normalized, pre.raw.counts, graph, state.params, cfg.loss_weights
-            )
-        except (NonFiniteLossError, NonFiniteOutputError) as err:
-            raise NonFiniteLossError(
-                f"pre-training diverged at epoch {state.epoch}: {err}",
-                epoch=state.epoch,
-                state=state,
-            ) from err
-        if not np.isfinite(breakdown.total):
-            raise NonFiniteLossError(
-                f"pre-training loss non-finite at epoch {state.epoch}",
-                epoch=state.epoch,
-                state=state,
-            )
-        total.backward()
-        _apply_gradients(state.params, state.adam)
-        state.loss_history.append(breakdown)
-        state.epoch += 1
-        if checkpoint_dir is not None and state.epoch % checkpoint_every == 0:
-            save_state(state, f"{checkpoint_dir}/pretrain_epoch{state.epoch}.ckpt")
+        _train_step(state, pre.normalized, pre.raw.counts, graph, cfg, checkpoint_dir)
     if checkpoint_dir is not None:
         save_state(state, f"{checkpoint_dir}/pretrain_final.ckpt")
     return state
@@ -289,7 +312,6 @@ def formal_train(
     cfg: TrainConfig,
     epochs: int | None = None,
     checkpoint_dir=None,
-    checkpoint_every: int = 100,
 ) -> TrainState:
     """Paced self-training phase over the pruned graph.
 
@@ -342,31 +364,10 @@ def formal_train(
             )
         subset = np.sort(easiest_first[:count])
         state.subset_sizes.append(count)
-
-        try:
-            total, breakdown = _epoch_losses(
-                norm_kept,
-                raw_kept,
-                graph_pruned,
-                state.params,
-                cfg.loss_weights,
-                mask=subset,
-                target=state.target,
-            )
-        except (NonFiniteLossError, NonFiniteOutputError) as err:
-            raise NonFiniteLossError(
-                f"formal training diverged at epoch {t}: {err}", epoch=t, state=state
-            ) from err
-        if not np.isfinite(breakdown.total):
-            raise NonFiniteLossError(
-                f"formal loss non-finite at epoch {t}", epoch=t, state=state
-            )
-        total.backward()
-        _apply_gradients(state.params, state.adam)
-        state.loss_history.append(breakdown)
-        state.epoch += 1
-        if checkpoint_dir is not None and state.epoch % checkpoint_every == 0:
-            save_state(state, f"{checkpoint_dir}/formal_epoch{state.epoch}.ckpt")
+        _train_step(
+            state, norm_kept, raw_kept, graph_pruned, cfg, checkpoint_dir,
+            mask=subset, target=state.target,
+        )
     if converged or state.epoch >= cfg.t2:  # partial stepping stays resumable
         state.phase = "done"
         if checkpoint_dir is not None:
@@ -426,19 +427,21 @@ def save_state(state: TrainState, path) -> None:
 
 
 def load_state(path, cfg: TrainConfig, n_genes: int) -> TrainState:
+    """Rebuild a saved state; every `param.*` tensor must have the shape the
+    config and gene count give, or CheckpointFormatError names it."""
     arrays = nm.load_checkpoint(path)
-    params = init_params(
-        n_genes=n_genes,
-        latent_dim=cfg.latent_dim,
-        hidden_dim=cfg.hidden_dim,
-        cheb_order=cfg.cheb_order,
-        zinb_dims=cfg.zinb_dims,
-        seed=cfg.seed,
-    )
+    params = _init_params(cfg, n_genes)
     if "param.cluster_centers" in arrays:
-        params = params.with_centers(arrays["param.cluster_centers"])
-    for name, tensor in params.named_parameters():
-        tensor.values = arrays[f"param.{name}"]
+        params = params.with_centers(np.zeros((cfg.n_clusters, cfg.latent_dim)))
+    expected = {f"param.{name}": tensor for name, tensor in params.named_parameters()}
+    for key in sorted(expected.keys() | {k for k in arrays if k.startswith("param.")}):
+        got = arrays[key].shape if key in arrays else "no such tensor"
+        want = expected[key].shape if key in expected else "no such tensor"
+        if got != want:
+            raise nm.CheckpointFormatError(
+                f"{path}: tensor {key!r}: checkpoint has {got}, config expects {want}"
+            )
+        expected[key].values = arrays[key]
     adam = AdamState(learning_rate=float(arrays["adam.lr"]), step=int(arrays["adam.step"]))
     moments_m, moments_v = [], []
     i = 0
@@ -490,15 +493,76 @@ def load_state(path, cfg: TrainConfig, n_genes: int) -> TrainState:
 
 
 @dataclass
+class Pretrained:
+    """What the stages before pruning produce; none of it depends on alpha
+    or the prune strategy, so one value serves any number of tails."""
+
+    cfg: TrainConfig
+    preprocessed: PreprocessedData
+    graph: CellGraph
+    state: TrainState  # pretrained, with the difficulty report
+    embedding: np.ndarray  # pretrained latent vector of every cell
+
+
+@dataclass
 class PipelineResult:
-    config: TrainConfig
     state: TrainState
     preprocessed: PreprocessedData
     graph: CellGraph
-    graph_pruned: CellGraph
-    kept_sorted: np.ndarray
-    labels: np.ndarray  # every original cell
+    labels: np.ndarray | None  # every original cell; None when clustering was skipped
     pruned_mask: np.ndarray  # True where the cell was pruned before phase 2
+
+
+def pretrain_and_score(
+    data: ExpressionMatrix,
+    cfg: TrainConfig,
+    laplacian_kind: str = "sym_normalized",
+    local_mode: str = "literal",
+    checkpoint_dir=None,
+) -> Pretrained:
+    """Preprocess, build the KNN graph, pretrain, embed and score difficulty.
+    Failures raise StageError tagged with the stage that failed."""
+    with stage("preprocess"):
+        pre = preprocess(data, cfg.n_hvg)
+    with stage("graph"):
+        graph = knn_graph(pre.normalized, cfg.k_neighbors, laplacian_kind)
+    with stage("pretrain"):
+        state = pretrain(pre, graph, cfg, checkpoint_dir=checkpoint_dir)
+    with stage("difficulty"):
+        z = encode(pre.normalized, graph, state.params).values
+        state.report = measure_difficulty(z, graph, beta=cfg.beta, local_mode=local_mode)
+    return Pretrained(cfg, pre, graph, state, z)
+
+
+def prune_and_cluster(
+    pretrained: Pretrained,
+    alpha: float,
+    prune_strategy: str = "hard",
+    checkpoint_dir=None,
+    cluster: bool = True,
+) -> PipelineResult:
+    """Prune `alpha` of the cells by `prune_strategy`, then (unless `cluster`
+    is false) seed the centers, run the paced formal phase and label every
+    cell. Works on its own copy of the pretrained state, so `pretrained` can
+    serve further calls. Failures raise StageError tagged with the stage."""
+    state = copy.deepcopy(pretrained.state)
+    pre, graph = pretrained.preprocessed, pretrained.graph
+    with stage("prune"):
+        cfg = replace(pretrained.cfg, alpha=alpha)
+        state.prune = prune(state.report, cfg.alpha, strategy=prune_strategy, seed=cfg.seed)
+        graph_pruned, kept_sorted = rebuild_after_prune(graph, state.prune)
+    pruned_mask = np.zeros(pre.n_cells, dtype=bool)
+    pruned_mask[state.prune.dropped] = True
+    labels = None
+    if cluster:
+        with stage("centers"):
+            centers = init_centers(pretrained.embedding[kept_sorted], cfg.n_clusters, cfg.seed)
+            state.params = state.params.with_centers(centers)
+        with stage("formal"):
+            state = formal_train(state, pre, graph_pruned, cfg, checkpoint_dir=checkpoint_dir)
+        with stage("predict"):
+            labels = predict(state, pre, graph)
+    return PipelineResult(state, pre, graph, labels, pruned_mask)
 
 
 def run_pipeline(
@@ -509,29 +573,5 @@ def run_pipeline(
     local_mode: str = "literal",
     checkpoint_dir=None,
 ) -> PipelineResult:
-    pre = preprocess(data, cfg.n_hvg)
-    graph = knn_graph(pre.normalized, cfg.k_neighbors, laplacian_kind)
-    state = pretrain(pre, graph, cfg, checkpoint_dir=checkpoint_dir)
-
-    z = encode(pre.normalized, graph, state.params).values
-    state.report = measure_difficulty(z, graph, beta=cfg.beta, local_mode=local_mode)
-    state.prune = prune(state.report, cfg.alpha, strategy=prune_strategy, seed=cfg.seed)
-    graph_pruned, kept_sorted = rebuild_after_prune(graph, state.prune)
-
-    centers = init_centers(z[kept_sorted], cfg.n_clusters, seed=cfg.seed)
-    state.params = state.params.with_centers(centers)
-
-    state = formal_train(state, pre, graph_pruned, cfg, checkpoint_dir=checkpoint_dir)
-    labels = predict(state, pre, graph)
-    pruned_mask = np.zeros(data.n_cells, dtype=bool)
-    pruned_mask[state.prune.dropped] = True
-    return PipelineResult(
-        config=cfg,
-        state=state,
-        preprocessed=pre,
-        graph=graph,
-        graph_pruned=graph_pruned,
-        kept_sorted=kept_sorted,
-        labels=labels,
-        pruned_mask=pruned_mask,
-    )
+    pretrained = pretrain_and_score(data, cfg, laplacian_kind, local_mode, checkpoint_dir)
+    return prune_and_cluster(pretrained, cfg.alpha, prune_strategy, checkpoint_dir)

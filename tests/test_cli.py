@@ -1,11 +1,13 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from celluster import ingest
+from celluster import ingest, metrics, trainer
 from celluster.cli import main
+from celluster.config import parse_config
 
 
 def _run(*argv):
@@ -66,13 +68,14 @@ def test_synth_mtx_roundtrip(tmp_path):
     assert data.counts.shape == (50, 24)
 
 
-def test_train_writes_all_artifacts(tmp_path):
+def test_train_writes_all_artifacts(tmp_path, capsys):
     data_dir = tmp_path / "data"
     assert _run(*_synth_args(data_dir)) == 0
     config = tmp_path / "config.txt"
     run_dir = tmp_path / "run"
     _write_config(config, data_dir, run_dir)
     assert _run("train", config) == 0
+    assert "trained 50 cells for 6 pretrain + " in capsys.readouterr().out
     for name in (
         "effective_config.txt", "training_log.csv", "difficulty.csv",
         "labels.csv", "metrics.json", "graph_edges.txt",
@@ -157,6 +160,85 @@ def test_difficulty_command_writes_report(tmp_path):
     lines = (out / "difficulty.csv").read_text().splitlines()
     assert lines[0] == "node_id,local,global,combined,rank,dropped"
     assert len(lines) == 51
+
+
+def test_difficulty_report_matches_the_one_train_writes(tmp_path):
+    data_dir = tmp_path / "data"
+    assert _run(*_synth_args(data_dir)) == 0
+    config = tmp_path / "config.txt"
+    _write_config(config, data_dir, tmp_path / "unused", alpha=0.2, prune_strategy="random")
+    assert _run("train", config, "--outdir", tmp_path / "train") == 0
+    assert _run("difficulty", config, "--outdir", tmp_path / "diff") == 0
+    assert (tmp_path / "diff" / "difficulty.csv").read_bytes() == (
+        tmp_path / "train" / "difficulty.csv"
+    ).read_bytes()
+
+
+def test_prune_study_rows_equal_separate_pipeline_runs(tmp_path):
+    # the grid shares one pretrained prefix per seed; each cell must still
+    # match a pipeline run of its own, so nothing leaks between cells
+    data_dir = tmp_path / "data"
+    assert _run(*_synth_args(data_dir)) == 0
+    config = tmp_path / "study.txt"
+    out = tmp_path / "study"
+    _write_config(
+        config, data_dir, out, t1=4, t2=4, strategies="hard,easy", alphas="0.06,0.21", seeds="1",
+    )
+    assert _run("prune-study", config) == 0
+    run_cfg = parse_config(config)
+    data = ingest.load_matrix(run_cfg.input, "csv")
+    data = ingest.with_labels(data, ingest.load_labels(run_cfg.labels, data.cell_ids))
+    expected = []
+    for strategy in ("hard", "easy"):
+        for alpha in (0.06, 0.21):
+            cfg = replace(run_cfg.train, alpha=alpha, seed=1)
+            labels = trainer.run_pipeline(data, cfg, prune_strategy=strategy).labels
+            a, n = metrics.ari(data.labels, labels), metrics.nmi(data.labels, labels)
+            expected.append(f"{strategy},{alpha!r},1,{a!r},{n!r}")
+    assert (out / "prune_study.csv").read_text().splitlines()[1:] == expected
+
+
+def test_graph_failure_carries_the_same_tag_from_every_command(tmp_path, capsys):
+    data_dir = tmp_path / "data"
+    assert _run(*_synth_args(data_dir)) == 0
+    config = tmp_path / "config.txt"
+    _write_config(config, data_dir, tmp_path / "out", k_neighbors=60, alphas="0.06,0.11")
+    for command in ("train", "difficulty"):
+        assert _run(command, config) == 1
+        assert "error: [graph] k=60" in capsys.readouterr().err
+    assert _run("prune-study", config) == 1
+    failures = capsys.readouterr().err.splitlines()
+    assert len(failures) == 2
+    assert all("failed: [graph] k=60" in line for line in failures)
+
+
+@pytest.mark.parametrize(
+    "config_extra, flags",
+    [({"t_hat": 0}, ()), ({}, ("--t-hat", "0")), ({}, ("--alpha", "2"))],
+)
+def test_train_rejects_bad_settings_before_training(tmp_path, capsys, config_extra, flags):
+    data_dir = tmp_path / "data"
+    assert _run(*_synth_args(data_dir)) == 0
+    config = tmp_path / "config.txt"
+    run_dir = tmp_path / "run"
+    _write_config(config, data_dir, run_dir, **config_extra)
+    assert _run("train", config, *flags) == 1
+    assert "error: [config]" in capsys.readouterr().err
+    assert not list(run_dir.glob("*.ckpt"))
+
+
+@pytest.mark.parametrize("row", ["c0,abc", "c0"])
+def test_evaluate_rejects_malformed_label_rows(tmp_path, capsys, row):
+    data_dir = tmp_path / "data"
+    assert _run(*_synth_args(data_dir)) == 0
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"cell_id,label\n{row}\n")
+    code = _run(
+        "evaluate", "--true-labels", data_dir / "labels.csv", "--pred-labels", bad,
+        "--out", tmp_path / "m.json",
+    )
+    assert code == 1
+    assert f"error: [evaluate] {bad}:2:" in capsys.readouterr().err
 
 
 def test_evaluate_prints_and_writes_metrics(tmp_path, capsys):

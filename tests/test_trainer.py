@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from celluster.ingest import SynthesisSpec, synthesize
 from celluster.losses import NonFiniteLossError
 from celluster.metrics import ari
 from celluster.model import encode
+from celluster.numerics import CheckpointFormatError
 from celluster.preprocess import preprocess
 from celluster.trainer import TrainConfig
 
@@ -265,6 +268,22 @@ def test_formal_checkpoint_resume_is_bitwise(tmp_path):
     assert [b.as_row() for b in loaded.loss_history] == [
         b.as_row() for b in state.loss_history
     ]
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"hidden_dim": 8}, r"'param\.enc0\.bias': checkpoint has \(16,\), config expects \(8,\)"),
+        ({"cheb_order": 2}, r"'param\.enc0\.theta2': checkpoint has \(20, 16\), config expects no"),
+        ({"cheb_order": 4}, r"'param\.enc0\.theta3': checkpoint has no such tensor, config"),
+    ],
+)
+def test_load_state_rejects_tensors_that_do_not_fit_the_config(tmp_path, change, message):
+    _, pre, graph, cfg = _small_setup(t1=1, hidden_dim=16)
+    path = tmp_path / "pretrain.ckpt"
+    trainer.save_state(trainer.pretrain(pre, graph, cfg), path)
+    with pytest.raises(CheckpointFormatError, match=message):
+        trainer.load_state(path, replace(cfg, **change), n_genes=pre.n_genes)
 
 
 # -- full pipeline ---------------------------------------------------------------------
