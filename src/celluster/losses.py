@@ -4,7 +4,9 @@ Adjacency reconstruction is a squared Frobenius norm (a sum), the count
 likelihood is a mean over entries so the criteria stay on comparable
 scales, and the clustering term is the KL divergence summed over rows.
 Each accepts an optional node subset: rows for the likelihood/KL terms,
-the row x column submatrix for reconstruction.
+the row x column submatrix for reconstruction. Reconstruction and the
+likelihood are single autodiff nodes with closed-form gradients, so the
+tape never holds their n x n or n x g intermediates.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import scipy.sparse as sp
 
 from . import numerics as nm
 from .model import SoftAssignment, ZinbParams
-from .numerics import Tensor
+from .numerics import Tensor, special
 
 
 class NonFiniteLossError(RuntimeError):
@@ -40,67 +42,131 @@ class LossBreakdown:
         return [self.rec, self.zinb, self.cls, self.total]
 
 
-def _dense(adjacency) -> np.ndarray:
-    if sp.issparse(adjacency):
-        return adjacency.toarray()
-    return np.asarray(adjacency, dtype=np.float64)
+REC_ROW_BLOCK = 256  # rows of sigmoid(Z Z^T) that loss_rec holds at once
 
 
-def loss_rec(adjacency, a_rec: Tensor, mask=None) -> Tensor:
-    """Squared Frobenius norm of (A - A_rec), restricted to mask x mask."""
-    a = _dense(adjacency)
-    a_rec = nm.as_tensor(a_rec)
-    if a.shape != a_rec.shape:
+def _node_subset(mask) -> np.ndarray:
+    idx = np.asarray(mask, dtype=np.intp)
+    if np.unique(idx).size != idx.size:
+        raise ValueError("mask lists a node more than once")
+    return idx
+
+
+def loss_rec(adjacency, z, mask=None) -> Tensor:
+    """Squared Frobenius norm of A - sigmoid(Z Z^T), restricted to mask x mask.
+
+    One node with a closed-form gradient. The reconstruction is formed
+    REC_ROW_BLOCK rows at a time against the same rows of `adjacency`
+    (symmetric, dense or scipy sparse), so no n x n array outlives a block;
+    backward keeps only dL/dZ = 4 ((S - A) * S * (1 - S)) Z, which is n x d.
+    """
+    z = nm.as_tensor(z)
+    if z.ndim != 2 or adjacency.shape != (z.shape[0], z.shape[0]):
         raise nm.ShapeMismatchError(
-            f"loss_rec: adjacency {a.shape} vs reconstruction {a_rec.shape}"
+            f"loss_rec: adjacency {adjacency.shape} vs latent {z.shape}"
         )
+    a = adjacency if sp.issparse(adjacency) else np.asarray(adjacency, dtype=np.float64)
+    zv = z.values
     if mask is not None:
-        idx = np.asarray(mask, dtype=np.intp)
-        a = a[np.ix_(idx, idx)]
-        a_rec = nm.index_rows(nm.index_rows(a_rec, idx).T, idx).T
-    diff = nm.as_tensor(a) - a_rec
-    return (diff * diff).sum()
+        idx = _node_subset(mask)
+        a = a[idx][:, idx]
+        zv = zv[idx]
+    total = 0.0
+    dz = np.empty_like(zv) if z.requires_grad else None
+    for start in range(0, zv.shape[0], REC_ROW_BLOCK):
+        rows = slice(start, start + REC_ROW_BLOCK)
+        a_rows = a[rows].toarray() if sp.issparse(a) else a[rows]
+        s = special.sigmoid(zv[rows] @ zv.T)
+        r = s - a_rows
+        if dz is not None:
+            s *= 1.0 - s
+            s *= r
+            dz[rows] = s @ zv
+        r *= r
+        total += float(r.sum())
+    if dz is not None:
+        dz *= 4.0
+        if mask is not None:
+            full = np.zeros_like(z.values)
+            full[idx] = dz
+            dz = full
+
+    def vjp(g):
+        return (g * dz,)
+
+    return nm.closed_form(total, (z,), vjp)
 
 
 def loss_zinb(raw_counts, params: ZinbParams, mask=None) -> Tensor:
     """Mean negative log-likelihood of the zero-inflated negative binomial.
 
-    Computed in log space: the zero branch is logaddexp(log pi,
-    log(1-pi) + theta log(theta/(theta+mu))); the positive branch is the
-    usual log NB pmf plus log(1-pi).
+    One node with a closed-form gradient in pi, mu and theta, computed in
+    log space: a zero count scores logaddexp(log pi, log(1-pi) + log NB(0))
+    with log NB(0) = theta log(theta/(theta+mu)); a positive count scores
+    log(1-pi) plus the log NB pmf. The mask selects rows first; the zero and
+    positive entries are then gathered apart, so log-gamma and digamma only
+    ever see positive counts.
     """
     x = np.asarray(raw_counts, dtype=np.float64)
-    pi, mu, theta = params.pi, params.mu, params.theta
-    if x.shape != pi.shape:
+    pi_t, mu_t, theta_t = (nm.as_tensor(t) for t in (params.pi, params.mu, params.theta))
+    if x.shape != pi_t.shape:
         raise nm.ShapeMismatchError(
-            f"loss_zinb: counts {x.shape} vs parameter matrices {pi.shape}"
+            f"loss_zinb: counts {x.shape} vs parameter matrices {pi_t.shape}"
         )
-    if mask is not None:
-        idx = np.asarray(mask, dtype=np.intp)
-        x = x[idx]
-        pi = nm.index_rows(pi, idx)
-        mu = nm.index_rows(mu, idx)
-        theta = nm.index_rows(theta, idx)
-
-    log_pi = nm.log(pi)
-    log_1m_pi = nm.log(1.0 - pi)
-    log_theta_frac = theta * (nm.log(theta) - nm.log(theta + mu))
-
-    zero_loglik = nm.logaddexp(log_pi, log_1m_pi + log_theta_frac)
-    positive_loglik = (
-        log_1m_pi
-        + nm.log_gamma(x + theta)
-        - nm.log_gamma(nm.Tensor(x + 1.0))
-        - nm.log_gamma(theta)
-        + log_theta_frac
-        + x * (nm.log(mu) - nm.log(theta + mu))
+    rows = slice(None) if mask is None else _node_subset(mask)
+    x, pi, mu, theta = (
+        np.ascontiguousarray(a[rows]).reshape(-1)
+        for a in (x, pi_t.values, mu_t.values, theta_t.values)
     )
-    is_zero = (x == 0).astype(np.float64)
-    loglik = is_zero * zero_loglik + (1.0 - is_zero) * positive_loglik
-    nll = (-1.0 * loglik).mean()
-    if not np.isfinite(nll.values):
+    zero = np.flatnonzero(x == 0)
+    pos = np.flatnonzero(x != 0)
+
+    pi0, mu0, th0 = pi[zero], mu[zero], theta[zero]
+    log_ratio0 = np.log(th0) - np.log(th0 + mu0)  # log(theta / (theta + mu))
+    log_nb0 = th0 * log_ratio0
+    log_nb_mass0 = np.log(1.0 - pi0) + log_nb0
+    loglik0 = np.logaddexp(np.log(pi0), log_nb_mass0)
+
+    xp, pip, mup, thp = x[pos], pi[pos], mu[pos], theta[pos]
+    log_rate = np.log(thp + mup)
+    log_ratio = np.log(thp) - log_rate
+    loglik = (
+        np.log(1.0 - pip)
+        + special.log_gamma(xp + thp)
+        - special.log_gamma(xp + 1.0)
+        - special.log_gamma(thp)
+        + thp * log_ratio
+        + xp * (np.log(mup) - log_rate)
+    )
+    nll = -(loglik0.sum() + loglik.sum()) / x.size
+    if not np.isfinite(nll):
         raise NonFiniteLossError("zero-inflated likelihood is non-finite")
-    return nll
+
+    grads = None
+    if pi_t.requires_grad or mu_t.requires_grad or theta_t.requires_grad:
+        # rows: d loglik / d pi, mu, theta per entry
+        d = np.empty((3, x.size))
+        w_nb = np.exp(log_nb_mass0 - loglik0)  # share of the NB part in P(x = 0)
+        d[0, zero] = -np.expm1(log_nb0) * np.exp(-loglik0)
+        d[1, zero] = -w_nb * th0 / (th0 + mu0)
+        d[2, zero] = w_nb * (log_ratio0 + mu0 / (th0 + mu0))
+        rate = thp + mup
+        d[0, pos] = -1.0 / (1.0 - pip)
+        d[1, pos] = xp / mup - (thp + xp) / rate
+        d[2, pos] = (
+            special.digamma(xp + thp) - special.digamma(thp) + log_ratio + (mup - xp) / rate
+        )
+        d *= -1.0 / x.size  # d nll / d loglik
+        if mask is None:
+            grads = d.reshape(3, *pi_t.shape)
+        else:
+            grads = np.zeros((3, *pi_t.shape))
+            grads[:, rows] = d.reshape(3, rows.size, -1)
+
+    def vjp(g):
+        return [g * grad for grad in grads]
+
+    return nm.closed_form(nll, (pi_t, mu_t, theta_t), vjp)
 
 
 def target_distribution(q) -> np.ndarray:

@@ -167,7 +167,12 @@ def encode(normalized, graph: CellGraph, params: ModelParams) -> Tensor:
 
 
 def decode_adjacency(z: Tensor) -> Tensor:
-    """Entrywise sigmoid of the cell Gram matrix; symmetric by construction."""
+    """Entrywise sigmoid of the cell Gram matrix; symmetric by construction.
+
+    Dense n x n: training never forms it (losses.loss_rec works on row
+    blocks of the same values); it is the reference that loss_rec is
+    tested against.
+    """
     z = nm.as_tensor(z)
     return nm.sigmoid(z @ z.T)
 

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .special import digamma as _digamma_values
-from .special import log_gamma as _log_gamma_values
+from .special import sigmoid as _sigmoid_values
 
 
 class ShapeMismatchError(ValueError):
@@ -94,9 +93,6 @@ class Tensor:
     def sum(self, axis: int | None = None, keepdims: bool = False) -> "Tensor":
         return tensor_sum(self, axis=axis, keepdims=keepdims)
 
-    def mean(self, axis: int | None = None, keepdims: bool = False) -> "Tensor":
-        return tensor_mean(self, axis=axis, keepdims=keepdims)
-
     # -- reverse pass ------------------------------------------------------
 
     def backward(self) -> None:
@@ -160,6 +156,25 @@ def _track(values: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tens
     return out
 
 
+def closed_form(values, parents, vjp) -> Tensor:
+    """One recorded node whose backward is supplied in closed form.
+
+    `vjp(g)` receives the upstream gradient and returns one array per parent
+    (its shape, or broadcastable to it), or None for a parent that gets
+    nothing; it runs only during backward(), and only when some parent
+    requires gradients. Whatever the forward pass kept for it stays alive
+    until the node is released, so keep it small.
+    """
+    parents = tuple(as_tensor(p) for p in parents)
+
+    def bw(g):
+        for parent, grad in zip(parents, vjp(g)):
+            if grad is not None:
+                _accumulate(parent, grad)
+
+    return _track(np.asarray(values, dtype=np.float64), parents, bw)
+
+
 def _check_broadcast(a: Tensor, b: Tensor, op: str) -> None:
     try:
         np.broadcast_shapes(a.values.shape, b.values.shape)
@@ -199,8 +214,10 @@ def mul(a, b) -> Tensor:
     _check_broadcast(a, b, "mul")
 
     def bw(g):
-        _accumulate(a, g * b.values)
-        _accumulate(b, g * a.values)
+        if a.requires_grad:
+            _accumulate(a, g * b.values)
+        if b.requires_grad:
+            _accumulate(b, g * a.values)
 
     return _track(a.values * b.values, (a, b), bw)
 
@@ -210,24 +227,12 @@ def div(a, b) -> Tensor:
     _check_broadcast(a, b, "div")
 
     def bw(g):
-        _accumulate(a, g / b.values)
-        _accumulate(b, -g * a.values / (b.values * b.values))
+        if a.requires_grad:
+            _accumulate(a, g / b.values)
+        if b.requires_grad:
+            _accumulate(b, -g * a.values / (b.values * b.values))
 
     return _track(a.values / b.values, (a, b), bw)
-
-
-def logaddexp(a, b) -> Tensor:
-    """log(exp(a) + exp(b)) computed stably; grads are the softmax weights."""
-    a, b = as_tensor(a), as_tensor(b)
-    _check_broadcast(a, b, "logaddexp")
-    out_values = np.logaddexp(a.values, b.values)
-
-    def bw(g):
-        wa = 1.0 / (1.0 + np.exp(b.values - a.values))
-        _accumulate(a, g * wa)
-        _accumulate(b, g * (1.0 - wa))
-
-    return _track(out_values, (a, b), bw)
 
 
 # -- matrix ops --------------------------------------------------------------
@@ -241,8 +246,10 @@ def matmul(a, b) -> Tensor:
         )
 
     def bw(g):
-        _accumulate(a, g @ b.values.T)
-        _accumulate(b, a.values.T @ g)
+        if a.requires_grad:
+            _accumulate(a, g @ b.values.T)
+        if b.requires_grad:
+            _accumulate(b, a.values.T @ g)
 
     return _track(a.values @ b.values, (a, b), bw)
 
@@ -293,8 +300,7 @@ def index_rows(x, indices) -> Tensor:
 
 def sigmoid(x) -> Tensor:
     x = as_tensor(x)
-    e = np.exp(-np.abs(x.values))  # never overflows
-    out_values = np.where(x.values >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    out_values = _sigmoid_values(x.values)
 
     def bw(g):
         _accumulate(x, g * out_values * (1.0 - out_values))
@@ -324,15 +330,6 @@ def log(x) -> Tensor:
         _accumulate(x, g / x.values)
 
     return _track(np.log(x.values), (x,), bw)
-
-
-def log_gamma(x) -> Tensor:
-    x = as_tensor(x)
-
-    def bw(g):
-        _accumulate(x, g * _digamma_values(x.values))
-
-    return _track(_log_gamma_values(x.values), (x,), bw)
 
 
 def relu(x) -> Tensor:
@@ -368,15 +365,3 @@ def tensor_sum(x, axis: int | None = None, keepdims: bool = False) -> Tensor:
         _accumulate(x, np.broadcast_to(g, x.values.shape))
 
     return _track(x.values.sum(axis=axis, keepdims=keepdims), (x,), bw)
-
-
-def tensor_mean(x, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    x = as_tensor(x)
-    count = x.values.size if axis is None else x.values.shape[axis]
-
-    def bw(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        _accumulate(x, np.broadcast_to(g, x.values.shape) / count)
-
-    return _track(x.values.mean(axis=axis, keepdims=keepdims), (x,), bw)

@@ -6,11 +6,15 @@ Layout:
     end\n
     <little-endian float64 payload, manifest order>
 
-Names may not contain whitespace. Scalars have rank 0.
+Names may not contain whitespace. Scalars have rank 0. A file is written
+whole or not at all: save_checkpoint writes a temporary file next to it,
+syncs it and renames it over the target.
 """
 
 from __future__ import annotations
 
+import os
+from contextlib import suppress
 from pathlib import Path
 
 import numpy as np
@@ -30,10 +34,20 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray]) -> None:
         lines.append(f"{name} {arr.ndim}" + (f" {dims}" if dims else ""))
     lines.append("end")
     header = ("\n".join(lines) + "\n").encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(header)
-        for arr in arrays.values():
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(header)
+            for arr in arrays.values():
+                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:

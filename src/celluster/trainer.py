@@ -43,7 +43,6 @@ from .model import (
     ZINB_HIDDEN_DIMS,
     ModelParams,
     NonFiniteOutputError,
-    decode_adjacency,
     decode_zinb,
     encode,
     init_params,
@@ -238,9 +237,8 @@ def _train_step(
     epoch = state.epoch
     try:
         z = encode(features, graph, state.params)
-        a_rec = decode_adjacency(z)
         zinb_params = decode_zinb(z, state.params)
-        rec = loss_rec(graph.adjacency, a_rec, mask=mask)
+        rec = loss_rec(graph.adjacency, z, mask=mask)
         zinb = loss_zinb(counts, zinb_params, mask=mask)
         cls = None
         if target is not None:

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from celluster import losses
+import scipy.sparse as sp
+
+from celluster import losses, model
 from celluster import numerics as nm
 from celluster.model import ZinbParams
 
@@ -29,30 +31,82 @@ def nb_nll_oracle(x, mu, theta):
 # -- reconstruction ------------------------------------------------------------
 
 
+def _symmetric_adjacency(rng, n, p=0.3):
+    upper = np.triu(rng.random((n, n)) < p, k=1)
+    return (upper | upper.T).astype(float)
+
+
+def _rec_oracle(adjacency, z0, mask=None):
+    """Dense n x n reconstruction on the tape; returns (value, dL/dz)."""
+    a = adjacency.toarray() if sp.issparse(adjacency) else np.asarray(adjacency)
+    z = nm.Tensor(z0, requires_grad=True)
+    if mask is None:
+        diff = nm.Tensor(a) - model.decode_adjacency(z)
+    else:
+        idx = np.asarray(mask)
+        diff = nm.Tensor(a[np.ix_(idx, idx)]) - model.decode_adjacency(nm.index_rows(z, idx))
+    loss = (diff * diff).sum()
+    loss.backward()
+    return loss.item(), z.grad
+
+
 def test_loss_rec_zero_when_equal():
-    a = np.array([[0.0, 1.0], [1.0, 0.0]])
-    assert losses.loss_rec(a, nm.Tensor(a)).item() == 0.0
+    # z = 0 reconstructs every entry as sigmoid(0) = 1/2
+    a = np.full((3, 3), 0.5)
+    assert losses.loss_rec(a, nm.Tensor(np.zeros((3, 2)))).item() == 0.0
 
 
 def test_loss_rec_hand_value():
     a = np.array([[0.0, 1.0], [1.0, 0.0]])
-    a_rec = nm.Tensor(np.full((2, 2), 0.5))
-    assert losses.loss_rec(a, a_rec).item() == pytest.approx(1.0, abs=1e-15)
+    z = nm.Tensor(np.zeros((2, 1)))
+    assert losses.loss_rec(a, z).item() == pytest.approx(1.0, abs=1e-15)
 
 
 def test_loss_rec_single_node_mask():
     a = np.array([[0.2, 1.0], [1.0, 0.7]])
-    a_rec = nm.Tensor(np.array([[0.9, 0.1], [0.3, 0.4]]))
-    got = losses.loss_rec(a, a_rec, mask=[1]).item()
-    assert got == pytest.approx((0.7 - 0.4) ** 2, abs=1e-15)
+    z = nm.Tensor(np.array([[0.9], [0.0]]))  # node 1 reconstructs itself as 1/2
+    got = losses.loss_rec(a, z, mask=[1]).item()
+    assert got == pytest.approx((0.7 - 0.5) ** 2, abs=1e-15)
 
 
 def test_loss_rec_full_mask_equals_unmasked():
     rng = np.random.default_rng(0)
-    a = (rng.random((5, 5)) < 0.4).astype(float)
-    a_rec = nm.Tensor(rng.random((5, 5)))
-    full = losses.loss_rec(a, a_rec, mask=np.arange(5)).item()
-    assert full == losses.loss_rec(a, a_rec).item()
+    a = _symmetric_adjacency(rng, 5, p=0.4)
+    z = nm.Tensor(rng.normal(size=(5, 3)))
+    full = losses.loss_rec(a, z, mask=np.arange(5)).item()
+    assert full == losses.loss_rec(a, z).item()
+
+
+@pytest.mark.parametrize("sparse", [True, False], ids=["sparse", "dense"])
+@pytest.mark.parametrize("mask_kind", ["none", "subset", "single"])
+def test_blocked_loss_rec_matches_dense_oracle(sparse, mask_kind):
+    # 2.4 blocks of nodes, so the last block is ragged; the subset mask
+    # still spans three blocks
+    n = 2 * losses.REC_ROW_BLOCK + 100
+    rng = np.random.default_rng(11)
+    a = _symmetric_adjacency(rng, n, p=0.02)
+    if sparse:
+        a = sp.csr_matrix(a)
+    z0 = rng.normal(scale=0.4, size=(n, 6))
+    mask = {
+        "none": None,
+        "subset": rng.choice(n, size=n - 37, replace=False),  # unsorted
+        "single": [n - 3],
+    }[mask_kind]
+    want, want_grad = _rec_oracle(a, z0, mask)
+    z = nm.Tensor(z0, requires_grad=True)
+    loss = losses.loss_rec(a, z, mask=mask)
+    loss.backward()
+    assert loss.item() == pytest.approx(want, rel=1e-12)
+    assert np.max(np.abs(z.grad - want_grad)) <= 1e-12 * np.max(np.abs(want_grad))
+    if mask is not None:
+        dropped = np.setdiff1d(np.arange(n), mask)
+        assert not np.any(z.grad[dropped])
+
+
+def test_loss_rec_rejects_repeated_mask_nodes():
+    with pytest.raises(ValueError, match="more than once"):
+        losses.loss_rec(np.zeros((3, 3)), nm.Tensor(np.zeros((3, 2))), mask=[0, 2, 2])
 
 
 # -- count likelihood -----------------------------------------------------------
@@ -129,6 +183,81 @@ def test_loss_zinb_gradients_match_finite_differences():
     numeric = nm.finite_difference_gradients(forward, arrays)
     err = nm.max_relative_error([t.grad for t in tensors], numeric)
     assert err < 1e-5, f"max relative error {err}"
+
+
+@pytest.mark.parametrize("branch", ["zero", "positive"])
+def test_loss_zinb_branch_gradients_match_finite_differences(branch):
+    # the zero branch is a logaddexp of the two zero masses, the positive
+    # branch carries the log-gamma terms whose derivative is digamma
+    for seed in range(50):
+        rng = np.random.default_rng(100 + seed)
+        x = rng.integers(1, 9, size=(3, 4)).astype(float)
+        if branch == "zero":
+            x[:] = 0.0
+        arrays = [
+            rng.uniform(0.2, 0.8, size=(3, 4)),
+            rng.uniform(0.3, 5.0, size=(3, 4)),
+            rng.uniform(0.3, 5.0, size=(3, 4)),
+        ]
+
+        for mask in (None, [2, 0]):
+
+            def forward(vals):
+                return losses.loss_zinb(x, _zinb(*vals), mask=mask).item()
+
+            tensors = [nm.Tensor(a, requires_grad=True) for a in arrays]
+            losses.loss_zinb(x, ZinbParams(*tensors), mask=mask).backward()
+            numeric = nm.finite_difference_gradients(forward, arrays)
+            err = nm.max_relative_error([t.grad for t in tensors], numeric)
+            assert err < 1e-5, f"seed {seed}, mask {mask}: max relative error {err}"
+        assert not any(np.any(t.grad[1]) for t in tensors)  # row 1 is outside the mask
+
+
+def test_loss_zinb_matches_full_matrix_gammaln_formula():
+    from scipy.special import gammaln
+
+    rng = np.random.default_rng(12)
+    x = rng.poisson(0.4, size=(60, 40)).astype(float)  # about two thirds zeros
+    assert 0.6 < np.mean(x == 0) < 0.73
+    pi = rng.uniform(0.01, 0.95, size=x.shape)
+    mu = rng.uniform(0.05, 20.0, size=x.shape)
+    theta = rng.uniform(0.05, 20.0, size=x.shape)
+    nb_zero = (theta / (theta + mu)) ** theta
+    zero_ll = np.log(pi + (1.0 - pi) * nb_zero)
+    pos_ll = (
+        np.log(1.0 - pi)
+        + gammaln(x + theta) - gammaln(x + 1.0) - gammaln(theta)
+        + theta * np.log(theta / (theta + mu)) + x * np.log(mu / (theta + mu))
+    )
+    want = -np.mean(np.where(x == 0, zero_ll, pos_ll))
+    got = losses.loss_zinb(x, _zinb(pi, mu, theta)).item()
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_loss_zinb_gradient_is_zero_on_the_clamps():
+    # no hidden layers, so h = z > 0 and the sign of each head column picks
+    # the clamp: gene 0 saturates high, gene 1 low, gene 2 stays inside
+    rng = np.random.default_rng(13)
+    params = model.init_params(n_genes=3, latent_dim=2, zinb_dims=(), seed=0)
+    for head in (params.head_pi, params.head_mu, params.head_theta):
+        head.values = np.array([[900.0, -900.0, 0.3], [900.0, -900.0, -0.2]])
+    z = nm.Tensor(rng.uniform(0.5, 1.5, size=(6, 2)))
+    x = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]] * 3)
+    zinb = model.decode_zinb(z, params)
+    np.testing.assert_array_equal(zinb.pi.values[:, :2], [[model.PI_CLAMP[1], model.PI_CLAMP[0]]] * 6)
+    np.testing.assert_array_equal(zinb.mu.values[:, :2], [model.RATE_CLAMP[::-1]] * 6)
+    np.testing.assert_array_equal(zinb.theta.values[:, :2], [model.RATE_CLAMP[::-1]] * 6)
+    losses.loss_zinb(x, zinb).backward()
+    for head in (params.head_pi, params.head_mu, params.head_theta):
+        assert np.all(np.isfinite(head.grad))
+        assert np.all(head.grad[:, :2] == 0.0)
+        assert np.all(head.grad[:, 2] != 0.0)
+
+
+def test_loss_zinb_non_finite_raises():
+    x = np.array([[0.0, 3.0]])
+    with np.errstate(divide="ignore"), pytest.raises(losses.NonFiniteLossError):
+        losses.loss_zinb(x, _zinb([[0.5, 1.0]], [[1.0, 1.0]], [[1.0, 1.0]], grad=True))
 
 
 # -- target distribution ---------------------------------------------------------
@@ -226,18 +355,16 @@ def test_loss_cls_gradient_reaches_only_q():
 
 def test_loss_rec_gradients_match_finite_differences():
     rng = np.random.default_rng(9)
-    a = (rng.random((4, 4)) < 0.5).astype(float)
-    a = np.triu(a, 1)
-    a = a + a.T
-    rec0 = rng.uniform(0.1, 0.9, size=(4, 4))
+    a = _symmetric_adjacency(rng, 4, p=0.5)
+    z0 = rng.normal(size=(4, 2))
 
     def forward(vals):
         return losses.loss_rec(a, nm.Tensor(vals[0]), mask=[0, 2, 3]).item()
 
-    rec = nm.Tensor(rec0, requires_grad=True)
-    losses.loss_rec(a, rec, mask=[0, 2, 3]).backward()
-    numeric = nm.finite_difference_gradients(forward, [rec0])
-    assert nm.max_relative_error([rec.grad], numeric) < 1e-5
+    z = nm.Tensor(z0, requires_grad=True)
+    losses.loss_rec(a, z, mask=[0, 2, 3]).backward()
+    numeric = nm.finite_difference_gradients(forward, [z0])
+    assert nm.max_relative_error([z.grad], numeric) < 1e-5
 
 
 def test_breakdown_total_is_exact_sum():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from celluster import numerics as nm
+from celluster.numerics import special
 
 
 def _tensor(rng, shape, lo=-1.0, hi=1.0):
@@ -18,14 +19,25 @@ def test_sigmoid_at_zero():
 
 
 def test_log_gamma_at_two_is_zero():
-    assert abs(nm.log_gamma(nm.Tensor(2.0)).item()) < 1e-14
+    assert abs(float(special.log_gamma(2.0))) < 1e-14
 
 
 def test_log_gamma_at_half_is_log_sqrt_pi():
     # Gamma(1/2) = sqrt(pi), so log Gamma(1/2) = 0.5723649429247001
-    assert nm.log_gamma(nm.Tensor(0.5)).item() == pytest.approx(
+    assert float(special.log_gamma(0.5)) == pytest.approx(
         0.5 * math.log(math.pi), abs=1e-12
     )
+
+
+def test_special_functions_match_scipy():
+    from scipy import special as scipy_special
+
+    x = np.concatenate([np.linspace(1e-3, 0.5, 50), np.linspace(0.5, 60.0, 400), [1e4, 1e8]])
+    np.testing.assert_allclose(special.log_gamma(x), scipy_special.gammaln(x), rtol=1e-12, atol=1e-13)
+    # the asymptotic series starts at 6, where its first dropped term is ~1e-11
+    np.testing.assert_allclose(special.digamma(x), scipy_special.digamma(x), rtol=1e-10, atol=1e-11)
+    g = np.array([-800.0, -40.0, -1.0, -1e-300, 0.0, 1e-300, 1.0, 40.0, 800.0])
+    np.testing.assert_allclose(special.sigmoid(g), scipy_special.expit(g), rtol=1e-15, atol=0)
 
 
 def test_forward_ops_match_numpy():
@@ -43,8 +55,6 @@ def test_forward_ops_match_numpy():
     np.testing.assert_allclose(ta.T.values, a.T, rtol=0)
     np.testing.assert_allclose((ta @ tb.T).values, a @ b.T, rtol=0)
     np.testing.assert_allclose(ta.sum(axis=1).values, a.sum(axis=1), rtol=0)
-    np.testing.assert_allclose(ta.mean(axis=0).values, a.mean(axis=0), rtol=0)
-    np.testing.assert_allclose(nm.logaddexp(ta, tb).values, np.logaddexp(a, b), rtol=0)
     np.testing.assert_allclose(nm.index_rows(ta, [2, 0]).values, a[[2, 0]], rtol=0)
 
 
@@ -115,10 +125,8 @@ UNARY_CASES = {
     "sigmoid": (nm.sigmoid, (-2.0, 2.0)),
     "exp": (nm.exp, (-1.0, 1.0)),
     "log": (nm.log, (0.3, 3.0)),
-    "log_gamma": (nm.log_gamma, (0.6, 5.0)),
     "relu": (nm.relu, (0.2, 2.0)),  # stay away from the kink
     "transpose": (nm.transpose, (-1.0, 1.0)),
-    "mean": (nm.tensor_mean, (-1.0, 1.0)),
 }
 
 
@@ -132,14 +140,13 @@ def test_unary_gradients_match_finite_differences(name):
         _fd_check(lambda ts: (op(ts[0]) * w).sum(), [a])
 
 
-@pytest.mark.parametrize("name", ["add", "sub", "mul", "div", "logaddexp", "matmul"])
+@pytest.mark.parametrize("name", ["add", "sub", "mul", "div", "matmul"])
 def test_binary_gradients_match_finite_differences(name):
     ops = {
         "add": nm.add,
         "sub": nm.sub,
         "mul": nm.mul,
         "div": nm.div,
-        "logaddexp": nm.logaddexp,
         "matmul": nm.matmul,
     }
     op = ops[name]
@@ -153,6 +160,21 @@ def test_binary_gradients_match_finite_differences(name):
             b = rng.uniform(0.5, 2.0, size=(3, 4))
         w = rng.uniform(-1, 1, size=op(nm.Tensor(a), nm.Tensor(b)).shape)
         _fd_check(lambda ts: (op(ts[0], ts[1]) * nm.Tensor(w)).sum(), [a, b])
+
+
+@pytest.mark.parametrize("name", ["mul", "div", "matmul"])
+def test_constant_operand_gets_no_gradient(name):
+    op = {"mul": nm.mul, "div": nm.div, "matmul": nm.matmul}[name]
+    rng = np.random.default_rng(3)
+    a = rng.uniform(0.5, 2.0, size=(3, 3))
+    b = rng.uniform(0.5, 2.0, size=(3, 3))
+    both = [nm.Tensor(a, requires_grad=True), nm.Tensor(b, requires_grad=True)]
+    op(*both).sum().backward()
+    for trained in (0, 1):
+        pair = [nm.Tensor(a, requires_grad=trained == 0), nm.Tensor(b, requires_grad=trained == 1)]
+        op(*pair).sum().backward()
+        assert pair[1 - trained].grad is None
+        assert np.array_equal(pair[trained].grad, both[trained].grad)
 
 
 def test_broadcast_gradients_match_finite_differences():
@@ -199,7 +221,7 @@ def test_random_five_op_graphs_match_finite_differences():
         def build(ts):
             h = nm.sigmoid(ts[0] @ ts[1])
             g = nm.log(ts[0] + ts[1])
-            return (h * g + nm.exp(ts[1])).mean()
+            return (h * g + nm.exp(ts[1])).sum()
 
         _fd_check(build, [a, b], tol=1e-6)
 
@@ -265,6 +287,27 @@ def test_checkpoint_roundtrip(tmp_path):
     assert list(loaded) == list(arrays)
     for name in arrays:
         assert np.array_equal(loaded[name], np.asarray(arrays[name], dtype=np.float64))
+
+
+def test_failed_checkpoint_write_keeps_the_previous_file(tmp_path):
+    class FailsOnSecondRead:
+        """Converts once for the manifest, then fails while the payload is written."""
+
+        reads = 0
+
+        def __array__(self, dtype=None, copy=None):
+            self.reads += 1
+            if self.reads > 1:
+                raise OSError("device full")
+            return np.zeros(3)
+
+    path = tmp_path / "state.ckpt"
+    nm.save_checkpoint(path, {"w": np.arange(4.0)})
+    before = path.read_bytes()
+    with pytest.raises(OSError, match="device full"):
+        nm.save_checkpoint(path, {"w": np.ones(4), "v": FailsOnSecondRead()})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["state.ckpt"]
 
 
 def test_checkpoint_rejects_bad_names(tmp_path):

@@ -174,15 +174,14 @@ def test_masked_losses_at_full_fraction_match_unmasked_exactly():
     assert state.prune.dropped.size == 0
 
     from celluster.losses import loss_rec, loss_zinb, masked_total
-    from celluster.model import decode_adjacency, decode_zinb
+    from celluster.model import decode_zinb
 
     z = encode(pre.normalized, graph_pruned, state.params)
-    a_rec = decode_adjacency(z)
     zinb = decode_zinb(z, state.params)
     full_mask = np.arange(pre.n_cells)
     assert (
-        loss_rec(graph_pruned.adjacency, a_rec, mask=full_mask).item()
-        == loss_rec(graph_pruned.adjacency, a_rec).item()
+        loss_rec(graph_pruned.adjacency, z, mask=full_mask).item()
+        == loss_rec(graph_pruned.adjacency, z).item()
     )
     assert (
         loss_zinb(pre.raw.counts, zinb, mask=full_mask).item()
