@@ -19,7 +19,6 @@ from .metrics import ari, nmi
 from .model import (
     ChebLayerParams,
     ModelParams,
-    SoftAssignment,
     ZinbParams,
     chebconv_forward,
     decode_adjacency,
@@ -53,7 +52,6 @@ __all__ = [
     "PipelineResult",
     "PreprocessedData",
     "PruneResult",
-    "SoftAssignment",
     "SynthesisSpec",
     "TrainConfig",
     "TrainState",

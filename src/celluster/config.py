@@ -100,6 +100,7 @@ def parse_config(path) -> RunConfig:
     text = Path(path).read_text()
     train_kwargs: dict = {}
     run_kwargs: dict = {}
+    first_set: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -113,6 +114,11 @@ def parse_config(path) -> RunConfig:
             kwargs, tp = run_kwargs, RUN_TYPES[key]
         else:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in first_set:
+            raise ConfigError(
+                f"{path}:{lineno}: duplicate key {key!r} (first set on line {first_set[key]})"
+            )
+        first_set[key] = lineno
         try:
             kwargs[key] = _parse_value(tp, raw)
         except ValueError as err:

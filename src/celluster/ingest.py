@@ -203,11 +203,13 @@ def _load_mtx(path) -> ExpressionMatrix:
         fields = entry.split()
         if len(fields) != 3:
             raise ParseError(path, lineno, f"expected 'row col value', got {entry!r}")
-        r = _parse_count(fields[0], path, lineno)
-        c = _parse_count(fields[1], path, lineno)
-        v = _parse_count(fields[2], path, lineno)
+        try:
+            r, c = int(fields[0]), int(fields[1])
+        except ValueError:
+            raise ParseError(path, lineno, f"non-integer index in {entry!r}") from None
         if not (1 <= r <= n_rows and 1 <= c <= n_cols):
             raise ParseError(path, lineno, f"index ({r}, {c}) outside {n_rows}x{n_cols}")
+        v = _parse_count(fields[2], path, lineno)
         counts[r - 1, c - 1] += v  # duplicates accumulate
     cell_ids = [f"cell_{i}" for i in range(n_rows)]
     gene_ids = [f"gene_{j}" for j in range(n_cols)]

@@ -3,10 +3,10 @@
 Adjacency reconstruction is a squared Frobenius norm (a sum), the count
 likelihood is a mean over entries so the criteria stay on comparable
 scales, and the clustering term is the KL divergence summed over rows.
-Each accepts an optional node subset: rows for the likelihood/KL terms,
-the row x column submatrix for reconstruction. Reconstruction and the
-likelihood are single autodiff nodes with closed-form gradients, so the
-tape never holds their n x n or n x g intermediates.
+Each covers every node it is given: training on a node subset gathers
+that sub-problem first. Reconstruction and the likelihood are single
+autodiff nodes with closed-form gradients, so the tape never holds their
+n x n or n x g intermediates.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import numerics as nm
-from .model import SoftAssignment, ZinbParams
+from .model import ZinbParams
 from .numerics import Tensor, special
 
 
@@ -45,15 +45,8 @@ class LossBreakdown:
 REC_ROW_BLOCK = 256  # rows of sigmoid(Z Z^T) that loss_rec holds at once
 
 
-def _node_subset(mask) -> np.ndarray:
-    idx = np.asarray(mask, dtype=np.intp)
-    if np.unique(idx).size != idx.size:
-        raise ValueError("mask lists a node more than once")
-    return idx
-
-
-def loss_rec(adjacency, z, mask=None) -> Tensor:
-    """Squared Frobenius norm of A - sigmoid(Z Z^T), restricted to mask x mask.
+def loss_rec(adjacency, z) -> Tensor:
+    """Squared Frobenius norm of A - sigmoid(Z Z^T).
 
     One node with a closed-form gradient. The reconstruction is formed
     REC_ROW_BLOCK rows at a time against the same rows of `adjacency`
@@ -67,10 +60,6 @@ def loss_rec(adjacency, z, mask=None) -> Tensor:
         )
     a = adjacency if sp.issparse(adjacency) else np.asarray(adjacency, dtype=np.float64)
     zv = z.values
-    if mask is not None:
-        idx = _node_subset(mask)
-        a = a[idx][:, idx]
-        zv = zv[idx]
     total = 0.0
     dz = np.empty_like(zv) if z.requires_grad else None
     for start in range(0, zv.shape[0], REC_ROW_BLOCK):
@@ -86,10 +75,6 @@ def loss_rec(adjacency, z, mask=None) -> Tensor:
         total += float(r.sum())
     if dz is not None:
         dz *= 4.0
-        if mask is not None:
-            full = np.zeros_like(z.values)
-            full[idx] = dz
-            dz = full
 
     def vjp(g):
         return (g * dz,)
@@ -97,15 +82,14 @@ def loss_rec(adjacency, z, mask=None) -> Tensor:
     return nm.closed_form(total, (z,), vjp)
 
 
-def loss_zinb(raw_counts, params: ZinbParams, mask=None) -> Tensor:
+def loss_zinb(raw_counts, params: ZinbParams) -> Tensor:
     """Mean negative log-likelihood of the zero-inflated negative binomial.
 
     One node with a closed-form gradient in pi, mu and theta, computed in
     log space: a zero count scores logaddexp(log pi, log(1-pi) + log NB(0))
     with log NB(0) = theta log(theta/(theta+mu)); a positive count scores
-    log(1-pi) plus the log NB pmf. The mask selects rows first; the zero and
-    positive entries are then gathered apart, so log-gamma and digamma only
-    ever see positive counts.
+    log(1-pi) plus the log NB pmf. The zero and positive entries are
+    gathered apart, so log-gamma and digamma only ever see positive counts.
     """
     x = np.asarray(raw_counts, dtype=np.float64)
     pi_t, mu_t, theta_t = (nm.as_tensor(t) for t in (params.pi, params.mu, params.theta))
@@ -113,11 +97,7 @@ def loss_zinb(raw_counts, params: ZinbParams, mask=None) -> Tensor:
         raise nm.ShapeMismatchError(
             f"loss_zinb: counts {x.shape} vs parameter matrices {pi_t.shape}"
         )
-    rows = slice(None) if mask is None else _node_subset(mask)
-    x, pi, mu, theta = (
-        np.ascontiguousarray(a[rows]).reshape(-1)
-        for a in (x, pi_t.values, mu_t.values, theta_t.values)
-    )
+    x, pi, mu, theta = (a.reshape(-1) for a in (x, pi_t.values, mu_t.values, theta_t.values))
     zero = np.flatnonzero(x == 0)
     pos = np.flatnonzero(x != 0)
 
@@ -157,11 +137,7 @@ def loss_zinb(raw_counts, params: ZinbParams, mask=None) -> Tensor:
             special.digamma(xp + thp) - special.digamma(thp) + log_ratio + (mup - xp) / rate
         )
         d *= -1.0 / x.size  # d nll / d loglik
-        if mask is None:
-            grads = d.reshape(3, *pi_t.shape)
-        else:
-            grads = np.zeros((3, *pi_t.shape))
-            grads[:, rows] = d.reshape(3, rows.size, -1)
+        grads = d.reshape(3, *pi_t.shape)
 
     def vjp(g):
         return [g * grad for grad in grads]
@@ -174,22 +150,18 @@ def target_distribution(q) -> np.ndarray:
 
     Pure numpy; no gradient ever flows through the target.
     """
-    q = q.values if isinstance(q, SoftAssignment) else np.asarray(q, dtype=np.float64)
+    q = nm.as_tensor(q).values
     weight = q**2 / q.sum(axis=0)
     return weight / weight.sum(axis=1, keepdims=True)
 
 
-def loss_cls(p, q, mask=None) -> Tensor:
+def loss_cls(p, q) -> Tensor:
     """KL(P || Q) summed over rows, 0*log(0) treated as 0; gradient reaches
     only the soft assignment."""
-    q = q.q if isinstance(q, SoftAssignment) else nm.as_tensor(q)
+    q = nm.as_tensor(q)
     p = np.asarray(p, dtype=np.float64)
     if p.shape != q.shape:
         raise nm.ShapeMismatchError(f"loss_cls: target {p.shape} vs assignment {q.shape}")
-    if mask is not None:
-        idx = np.asarray(mask, dtype=np.intp)
-        p = p[idx]
-        q = nm.index_rows(q, idx)
     with np.errstate(divide="ignore", invalid="ignore"):
         p_log_p = float(np.sum(np.where(p > 0.0, p * np.log(np.where(p > 0.0, p, 1.0)), 0.0)))
     cross = (nm.as_tensor(p) * nm.log(q)).sum()

@@ -81,15 +81,6 @@ class ZinbParams:
     theta: Tensor  # positive
 
 
-@dataclass
-class SoftAssignment:
-    q: Tensor  # (n_cells, n_clusters), rows sum to 1
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.q.values
-
-
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     bound = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=(fan_in, fan_out))
@@ -190,9 +181,9 @@ def decode_zinb(z: Tensor, params: ModelParams) -> ZinbParams:
     return ZinbParams(pi=pi, mu=mu, theta=theta)
 
 
-def soft_assign(z: Tensor, centers: Tensor) -> SoftAssignment:
+def soft_assign(z: Tensor, centers: Tensor) -> Tensor:
     """Student-t kernel (one degree of freedom) against the centers,
-    row-normalized."""
+    row-normalized: (n_cells, n_clusters), rows sum to 1."""
     z = nm.as_tensor(z)
     centers = nm.as_tensor(centers)
     if z.shape[1] != centers.shape[1]:
@@ -204,5 +195,4 @@ def soft_assign(z: Tensor, centers: Tensor) -> SoftAssignment:
     cross = z @ centers.T
     sq_dist = z_sq + c_sq - 2.0 * cross
     kernel = 1.0 / (1.0 + sq_dist)
-    q = kernel / kernel.sum(axis=1, keepdims=True)
-    return SoftAssignment(q=q)
+    return kernel / kernel.sum(axis=1, keepdims=True)

@@ -14,6 +14,7 @@ syncs it and renames it over the target.
 from __future__ import annotations
 
 import os
+import re
 from contextlib import suppress
 from pathlib import Path
 
@@ -50,18 +51,30 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray]) -> None:
         raise
 
 
+_MANIFEST_LINE = re.compile(rb"(\S+)((?: [0-9]+)+)")  # a word, then counts
+
+
+def _manifest_line(path, lineno: int, line: bytes) -> tuple[str, list[int]]:
+    match = _MANIFEST_LINE.fullmatch(line)
+    if match is not None:
+        with suppress(UnicodeDecodeError):
+            return match[1].decode("utf-8"), [int(d) for d in match[2].split()]
+    raise CheckpointFormatError(f"{path}: manifest line {lineno} {line!r} is malformed")
+
+
 def load_checkpoint(path) -> dict[str, np.ndarray]:
     raw = Path(path).read_bytes()
     marker = b"end\n"
     split = raw.find(marker)
     if split < 0:
         raise CheckpointFormatError(f"{path}: manifest has no end marker")
-    header = raw[:split].decode("utf-8").splitlines()
+    lines = raw[:split].splitlines()
+    header = [_manifest_line(path, i, line) for i, line in enumerate(lines, start=1)]
     body = raw[split + len(marker):]
 
-    if not header or not header[0].startswith("tensors "):
-        raise CheckpointFormatError(f"{path}: missing tensor count line")
-    count = int(header[0].split()[1])
+    if not header or header[0][0] != "tensors" or len(header[0][1]) != 1:
+        raise CheckpointFormatError(f"{path}: manifest line 1 is not 'tensors <count>'")
+    count = header[0][1][0]
     if len(header) - 1 != count:
         raise CheckpointFormatError(
             f"{path}: manifest lists {len(header) - 1} tensors, header says {count}"
@@ -69,14 +82,13 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
 
     arrays: dict[str, np.ndarray] = {}
     offset = 0
-    for line in header[1:]:
-        parts = line.split()
-        name, rank = parts[0], int(parts[1])
-        shape = tuple(int(d) for d in parts[2 : 2 + rank])
+    for lineno, (name, (rank, *shape)) in enumerate(header[1:], start=2):
         if len(shape) != rank:
-            raise CheckpointFormatError(f"{path}: bad manifest line {line!r}")
-        n = int(np.prod(shape)) if shape else 1
-        nbytes = n * 8
+            raise CheckpointFormatError(
+                f"{path}: manifest line {lineno} {lines[lineno - 1]!r} has rank {rank} "
+                f"but {len(shape)} dimensions"
+            )
+        nbytes = int(np.prod(shape)) * 8
         if offset + nbytes > len(body):
             raise CheckpointFormatError(f"{path}: payload truncated at tensor {name!r}")
         arrays[name] = np.frombuffer(body[offset : offset + nbytes], dtype="<f8").reshape(shape).copy()

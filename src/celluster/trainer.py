@@ -5,9 +5,10 @@ count likelihood over the full graph. Difficulty is then measured once on
 the pretrained embeddings, the hardest fraction of nodes is pruned and the
 graph rebuilt, and cluster centers are seeded with k-means on the kept
 embeddings. Phase 2 re-initializes Adam at its own learning rate and adds
-the self-training clustering term, with each epoch's losses masked to the
-easiest paced subset of kept nodes. Prediction assigns every original cell
-(pruned ones included, flagged downstream) from the final soft assignment.
+the self-training clustering term; each epoch's step gathers the easiest
+paced subset of kept nodes once and fits all three losses to that
+sub-problem. Prediction assigns every original cell (pruned ones
+included, flagged downstream) from the final soft assignment.
 """
 
 from __future__ import annotations
@@ -228,22 +229,31 @@ def _train_step(
     graph: CellGraph,
     cfg: TrainConfig,
     checkpoint_dir,
-    mask=None,
+    subset: np.ndarray | None = None,
     target: np.ndarray | None = None,
 ) -> None:
     """One epoch of the current phase: losses, backward, Adam, history and
-    the periodic checkpoint. A non-finite loss raises NonFiniteLossError
-    carrying the state as it was before the step."""
+    the periodic checkpoint. The whole graph is encoded; with `subset`
+    (distinct node indices) the latent rows, the adjacency submatrix, the
+    counts and the target are gathered once and the losses see only that
+    sub-problem. A non-finite loss raises NonFiniteLossError carrying the
+    state as it was before the step."""
     epoch = state.epoch
     try:
         z = encode(features, graph, state.params)
+        adjacency = graph.adjacency
+        if subset is not None:
+            z = nm.index_rows(z, subset)
+            adjacency = adjacency[subset][:, subset]
+            counts = counts[subset]
+            if target is not None:
+                target = target[subset]
         zinb_params = decode_zinb(z, state.params)
-        rec = loss_rec(graph.adjacency, z, mask=mask)
-        zinb = loss_zinb(counts, zinb_params, mask=mask)
+        rec = loss_rec(adjacency, z)
+        zinb = loss_zinb(counts, zinb_params)
         cls = None
         if target is not None:
-            q = soft_assign(z, state.params.cluster_centers)
-            cls = loss_cls(target, q, mask=mask)
+            cls = loss_cls(target, soft_assign(z, state.params.cluster_centers))
         total, breakdown = masked_total(rec, zinb, cls, cfg.loss_weights)
     except (NonFiniteLossError, NonFiniteOutputError) as err:
         raise NonFiniteLossError(
@@ -329,8 +339,7 @@ def formal_train(
         state.adam = AdamState(learning_rate=cfg.lr_formal)  # fresh optimizer per phase
 
     kept_sorted = np.sort(state.prune.kept)
-    position = {node: i for i, node in enumerate(kept_sorted)}
-    easiest_first = np.array([position[node] for node in state.prune.kept], dtype=np.intp)
+    easiest_first = np.searchsorted(kept_sorted, state.prune.kept)
     norm_kept = pre.normalized[kept_sorted]
     raw_kept = pre.raw.counts[kept_sorted]
     n_original = state.report.n
@@ -341,8 +350,10 @@ def formal_train(
     while state.epoch < total_epochs:
         t = state.epoch
         if t % cfg.target_update_interval == 0:
-            z = encode(norm_kept, graph_pruned, state.params)
-            q = soft_assign(z, state.params.cluster_centers).values
+            # no name keeps the latent, so its tape is freed before the step
+            q = soft_assign(
+                encode(norm_kept, graph_pruned, state.params), state.params.cluster_centers
+            ).values
             labels_now = q.argmax(axis=1)
             if state.labels_prev is not None:
                 changed = float(np.mean(labels_now != state.labels_prev))
@@ -364,7 +375,7 @@ def formal_train(
         state.subset_sizes.append(count)
         _train_step(
             state, norm_kept, raw_kept, graph_pruned, cfg, checkpoint_dir,
-            mask=subset, target=state.target,
+            subset=subset, target=state.target,
         )
     if converged or state.epoch >= cfg.t2:  # partial stepping stays resumable
         state.phase = "done"

@@ -34,6 +34,14 @@ def test_parse_tuple_fields(tmp_path):
     assert cfg.train.zinb_dims == (16, 32, 64)
 
 
+def test_parse_rejects_duplicate_key(tmp_path):
+    path = tmp_path / "c.txt"
+    path.write_text("n_clusters=2\nt1=5\n# t1=6\n\nt1=7\n")
+    with pytest.raises(ConfigError) as err:
+        parse_config(path)
+    assert str(err.value) == f"{path}:5: duplicate key 't1' (first set on line 2)"
+
+
 def test_parse_rejects_unknown_key(tmp_path):
     path = tmp_path / "c.txt"
     path.write_text("n_clusters=2\nmystery=1\n")

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -64,9 +66,11 @@ def test_mtx_triplet_layout(tmp_path):
 
 def test_mtx_out_of_range_index(tmp_path):
     path = tmp_path / "m.mtx"
-    path.write_text("2 2 1\n3 1 5\n")
-    with pytest.raises(ingest.ParseError):
-        ingest.load_matrix(path, "mtx-triplet")
+    for entry, index in (("3 1 5", "(3, 1)"), ("-1 1 5", "(-1, 1)")):
+        path.write_text(f"2 2 1\n{entry}\n")
+        message = re.escape(f"m.mtx:2: index {index} outside 2x2")
+        with pytest.raises(ingest.ParseError, match=message):
+            ingest.load_matrix(path, "mtx-triplet")
 
 
 @pytest.mark.parametrize("fmt", ingest.FORMATS)

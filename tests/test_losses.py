@@ -36,14 +36,29 @@ def _symmetric_adjacency(rng, n, p=0.3):
     return (upper | upper.T).astype(float)
 
 
-def _rec_oracle(adjacency, z0, mask=None):
+def _rec_on(adjacency, z, subset=None):
+    """loss_rec over subset x subset, gathered the way the train step does."""
+    if subset is None:
+        return losses.loss_rec(adjacency, z)
+    return losses.loss_rec(adjacency[subset][:, subset], nm.index_rows(z, subset))
+
+
+def _zinb_on(x, tensors, subset=None):
+    """loss_zinb over the subset rows, gathered the way the train step does."""
+    if subset is not None:
+        x = x[subset]
+        tensors = [nm.index_rows(t, subset) for t in tensors]
+    return losses.loss_zinb(x, ZinbParams(*tensors))
+
+
+def _rec_oracle(adjacency, z0, subset=None):
     """Dense n x n reconstruction on the tape; returns (value, dL/dz)."""
     a = adjacency.toarray() if sp.issparse(adjacency) else np.asarray(adjacency)
     z = nm.Tensor(z0, requires_grad=True)
-    if mask is None:
+    if subset is None:
         diff = nm.Tensor(a) - model.decode_adjacency(z)
     else:
-        idx = np.asarray(mask)
+        idx = np.asarray(subset)
         diff = nm.Tensor(a[np.ix_(idx, idx)]) - model.decode_adjacency(nm.index_rows(z, idx))
     loss = (diff * diff).sum()
     loss.backward()
@@ -64,23 +79,17 @@ def test_loss_rec_hand_value():
 
 def test_loss_rec_single_node_mask():
     a = np.array([[0.2, 1.0], [1.0, 0.7]])
-    z = nm.Tensor(np.array([[0.9], [0.0]]))  # node 1 reconstructs itself as 1/2
-    got = losses.loss_rec(a, z, mask=[1]).item()
-    assert got == pytest.approx((0.7 - 0.5) ** 2, abs=1e-15)
-
-
-def test_loss_rec_full_mask_equals_unmasked():
-    rng = np.random.default_rng(0)
-    a = _symmetric_adjacency(rng, 5, p=0.4)
-    z = nm.Tensor(rng.normal(size=(5, 3)))
-    full = losses.loss_rec(a, z, mask=np.arange(5)).item()
-    assert full == losses.loss_rec(a, z).item()
+    z = nm.Tensor(np.array([[0.9], [0.0]]), requires_grad=True)  # node 1 reconstructs itself as 1/2
+    loss = _rec_on(a, z, [1])
+    assert loss.item() == pytest.approx((0.7 - 0.5) ** 2, abs=1e-15)
+    loss.backward()
+    assert z.grad[0, 0] == 0.0
 
 
 @pytest.mark.parametrize("sparse", [True, False], ids=["sparse", "dense"])
-@pytest.mark.parametrize("mask_kind", ["none", "subset", "single"])
-def test_blocked_loss_rec_matches_dense_oracle(sparse, mask_kind):
-    # 2.4 blocks of nodes, so the last block is ragged; the subset mask
+@pytest.mark.parametrize("subset_kind", ["none", "subset", "single"])
+def test_blocked_loss_rec_matches_dense_oracle(sparse, subset_kind):
+    # 2.4 blocks of nodes, so the last block is ragged; the gathered subset
     # still spans three blocks
     n = 2 * losses.REC_ROW_BLOCK + 100
     rng = np.random.default_rng(11)
@@ -88,25 +97,20 @@ def test_blocked_loss_rec_matches_dense_oracle(sparse, mask_kind):
     if sparse:
         a = sp.csr_matrix(a)
     z0 = rng.normal(scale=0.4, size=(n, 6))
-    mask = {
+    subset = {
         "none": None,
         "subset": rng.choice(n, size=n - 37, replace=False),  # unsorted
         "single": [n - 3],
-    }[mask_kind]
-    want, want_grad = _rec_oracle(a, z0, mask)
+    }[subset_kind]
+    want, want_grad = _rec_oracle(a, z0, subset)
     z = nm.Tensor(z0, requires_grad=True)
-    loss = losses.loss_rec(a, z, mask=mask)
+    loss = _rec_on(a, z, subset)
     loss.backward()
     assert loss.item() == pytest.approx(want, rel=1e-12)
     assert np.max(np.abs(z.grad - want_grad)) <= 1e-12 * np.max(np.abs(want_grad))
-    if mask is not None:
-        dropped = np.setdiff1d(np.arange(n), mask)
+    if subset is not None:
+        dropped = np.setdiff1d(np.arange(n), subset)
         assert not np.any(z.grad[dropped])
-
-
-def test_loss_rec_rejects_repeated_mask_nodes():
-    with pytest.raises(ValueError, match="more than once"):
-        losses.loss_rec(np.zeros((3, 3)), nm.Tensor(np.zeros((3, 2))), mask=[0, 2, 2])
 
 
 # -- count likelihood -----------------------------------------------------------
@@ -159,11 +163,12 @@ def test_loss_zinb_row_mask_equals_sliced_computation():
     pi = rng.uniform(0.05, 0.9, size=(6, 4))
     mu = rng.uniform(0.5, 5.0, size=(6, 4))
     theta = rng.uniform(0.5, 5.0, size=(6, 4))
-    masked = losses.loss_zinb(x, _zinb(pi, mu, theta), mask=[1, 4]).item()
+    tensors = [nm.Tensor(a, requires_grad=True) for a in (pi, mu, theta)]
+    gathered = _zinb_on(x, tensors, [1, 4])
     sliced = losses.loss_zinb(x[[1, 4]], _zinb(pi[[1, 4]], mu[[1, 4]], theta[[1, 4]])).item()
-    assert masked == sliced
-    full = losses.loss_zinb(x, _zinb(pi, mu, theta), mask=np.arange(6)).item()
-    assert full == losses.loss_zinb(x, _zinb(pi, mu, theta)).item()
+    assert gathered.item() == sliced
+    gathered.backward()
+    assert not any(np.any(t.grad[[0, 2, 3, 5]]) for t in tensors)
 
 
 def test_loss_zinb_gradients_match_finite_differences():
@@ -200,17 +205,17 @@ def test_loss_zinb_branch_gradients_match_finite_differences(branch):
             rng.uniform(0.3, 5.0, size=(3, 4)),
         ]
 
-        for mask in (None, [2, 0]):
+        for subset in (None, [2, 0]):
 
             def forward(vals):
-                return losses.loss_zinb(x, _zinb(*vals), mask=mask).item()
+                return _zinb_on(x, [nm.Tensor(v) for v in vals], subset).item()
 
             tensors = [nm.Tensor(a, requires_grad=True) for a in arrays]
-            losses.loss_zinb(x, ZinbParams(*tensors), mask=mask).backward()
+            _zinb_on(x, tensors, subset).backward()
             numeric = nm.finite_difference_gradients(forward, arrays)
             err = nm.max_relative_error([t.grad for t in tensors], numeric)
-            assert err < 1e-5, f"seed {seed}, mask {mask}: max relative error {err}"
-        assert not any(np.any(t.grad[1]) for t in tensors)  # row 1 is outside the mask
+            assert err < 1e-5, f"seed {seed}, subset {subset}: max relative error {err}"
+        assert not any(np.any(t.grad[1]) for t in tensors)  # row 1 is outside the subset
 
 
 def test_loss_zinb_matches_full_matrix_gammaln_formula():
@@ -278,6 +283,8 @@ def test_target_distribution_hand_case():
     assert p[0, 0] == pytest.approx(0.87273, abs=5e-6)
     assert p[0, 1] == pytest.approx(0.12727, abs=5e-6)
     np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
+    # soft_assign returns a Tensor; the target takes it as it is
+    np.testing.assert_array_equal(losses.target_distribution(nm.Tensor(q)), p)
 
 
 def test_target_distribution_sharpens_when_columns_balanced():
@@ -329,12 +336,12 @@ def test_loss_cls_mask_selects_rows():
     p /= p.sum(axis=1, keepdims=True)
     q = rng.random((5, 3)) + 0.1
     q /= q.sum(axis=1, keepdims=True)
-    masked = losses.loss_cls(p, nm.Tensor(q), mask=[0, 3]).item()
+    q_all = nm.Tensor(q, requires_grad=True)
+    gathered = losses.loss_cls(p[[0, 3]], nm.index_rows(q_all, [0, 3]))
     sliced = losses.loss_cls(p[[0, 3]], nm.Tensor(q[[0, 3]])).item()
-    assert masked == pytest.approx(sliced, abs=1e-15)
-    assert losses.loss_cls(p, nm.Tensor(q), mask=np.arange(5)).item() == pytest.approx(
-        losses.loss_cls(p, nm.Tensor(q)).item(), abs=0
-    )
+    assert gathered.item() == sliced
+    gathered.backward()
+    assert not np.any(q_all.grad[[1, 2, 4]])
 
 
 def test_loss_cls_gradient_reaches_only_q():
@@ -359,12 +366,13 @@ def test_loss_rec_gradients_match_finite_differences():
     z0 = rng.normal(size=(4, 2))
 
     def forward(vals):
-        return losses.loss_rec(a, nm.Tensor(vals[0]), mask=[0, 2, 3]).item()
+        return _rec_on(a, nm.Tensor(vals[0]), [0, 2, 3]).item()
 
     z = nm.Tensor(z0, requires_grad=True)
-    losses.loss_rec(a, z, mask=[0, 2, 3]).backward()
+    _rec_on(a, z, [0, 2, 3]).backward()
     numeric = nm.finite_difference_gradients(forward, [z0])
     assert nm.max_relative_error([z.grad], numeric) < 1e-5
+    assert not np.any(z.grad[1])  # node 1 is outside the subset
 
 
 def test_breakdown_total_is_exact_sum():

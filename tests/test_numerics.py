@@ -322,3 +322,24 @@ def test_checkpoint_rejects_truncated_payload(tmp_path):
     path.write_bytes(raw[:-8])
     with pytest.raises(nm.CheckpointFormatError):
         nm.load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "manifest, lineno",
+    [
+        (b"tensors 1\nw\n", 2),
+        (b"tensors x\nw 1 3\n", 1),
+        (b"tensors 1\nw one 3\n", 2),
+        (b"tensors 1\n\xffw 1 3\n", 2),
+        (b"tensors 1\nw 1 -3\n", 2),
+    ],
+    ids=["no-rank", "non-integer-count", "non-integer-rank", "non-utf8", "negative-dim"],
+)
+def test_checkpoint_rejects_malformed_manifest(tmp_path, manifest, lineno):
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(manifest + b"end\n" + np.arange(3.0).tobytes())
+    with pytest.raises(nm.CheckpointFormatError) as err:
+        nm.load_checkpoint(path)
+    message = str(err.value)
+    assert message.startswith(f"{path}: manifest line {lineno} ")
+    assert repr(manifest.splitlines()[lineno - 1])[2:-1] in message

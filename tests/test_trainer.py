@@ -1,3 +1,4 @@
+import copy
 from dataclasses import replace
 
 import numpy as np
@@ -5,12 +6,12 @@ import pytest
 
 from celluster import trainer
 from celluster.cellgraph import knn_graph
-from celluster.curriculum import measure_difficulty, prune, rebuild_after_prune
+from celluster.curriculum import PruneResult, measure_difficulty, prune, rebuild_after_prune
 from celluster.ingest import SynthesisSpec, synthesize
-from celluster.losses import NonFiniteLossError
+from celluster.losses import NonFiniteLossError, loss_cls, loss_zinb, target_distribution
 from celluster.metrics import ari
-from celluster.model import encode
-from celluster.numerics import CheckpointFormatError
+from celluster.model import decode_zinb, encode, soft_assign
+from celluster.numerics import AdamState, CheckpointFormatError
 from celluster.preprocess import preprocess
 from celluster.trainer import TrainConfig
 
@@ -166,26 +167,66 @@ def test_formal_requires_difficulty_and_centers():
         trainer.formal_train(state, pre, graph, cfg)
 
 
-def test_masked_losses_at_full_fraction_match_unmasked_exactly():
-    # alpha=0, lambda0=1: every epoch trains on all nodes; the masked path
-    # must produce bitwise the same numbers as an unmasked evaluation
-    _, pre, graph, cfg = _small_setup(t1=3, t2=1, alpha=0.0, lambda0=1.0)
-    state, graph_pruned = _to_formal_ready(pre, graph, cfg)
-    assert state.prune.dropped.size == 0
-
-    from celluster.losses import loss_rec, loss_zinb, masked_total
-    from celluster.model import decode_zinb
-
-    z = encode(pre.normalized, graph_pruned, state.params)
-    zinb = decode_zinb(z, state.params)
-    full_mask = np.arange(pre.n_cells)
-    assert (
-        loss_rec(graph_pruned.adjacency, z, mask=full_mask).item()
-        == loss_rec(graph_pruned.adjacency, z).item()
+def _formal_step(state, pre, graph_pruned, cfg, subset):
+    """One formal _train_step on a copy of `state` against the current soft
+    assignment's target; returns the copy and that target."""
+    state = copy.deepcopy(state)
+    kept_sorted = np.sort(state.prune.kept)
+    features, counts = pre.normalized[kept_sorted], pre.raw.counts[kept_sorted]
+    z = encode(features, graph_pruned, state.params)
+    target = target_distribution(soft_assign(z, state.params.cluster_centers).values)
+    state.phase, state.epoch = "formal", 0
+    state.adam = AdamState(learning_rate=cfg.lr_formal)
+    trainer._train_step(
+        state, features, counts, graph_pruned, cfg, None, subset=subset, target=target
     )
-    assert (
-        loss_zinb(pre.raw.counts, zinb, mask=full_mask).item()
-        == loss_zinb(pre.raw.counts, zinb).item()
+    return state, target
+
+
+def test_train_step_subset_of_every_node_equals_no_subset():
+    # gathering every node must change no bit of the losses or the update
+    _, pre, graph, cfg = _small_setup(t1=3, t2=1)
+    state, graph_pruned = _to_formal_ready(pre, graph, cfg)
+    assert state.prune.dropped.size > 0
+    every = np.arange(graph_pruned.n)
+    gathered, _ = _formal_step(state, pre, graph_pruned, cfg, every)
+    whole, _ = _formal_step(state, pre, graph_pruned, cfg, None)
+    assert gathered.loss_history == whole.loss_history
+    assert whole.loss_history[-1].cls > 0.0
+    for (name, a), (_, b) in zip(
+        gathered.params.named_parameters(), whole.params.named_parameters()
+    ):
+        np.testing.assert_array_equal(a.values, b.values, err_msg=name)
+
+
+def test_train_step_single_node_subset_on_an_isolated_node():
+    # pruning every neighbour of cell 0 leaves it isolated in the kept graph;
+    # a one-node subset then sees a 1 x 1 zero adjacency
+    _, pre, graph, cfg = _small_setup(t1=3, t2=1)
+    state = trainer.pretrain(pre, graph, cfg)
+    z_all = encode(pre.normalized, graph, state.params).values
+    state.report = measure_difficulty(z_all, graph, beta=cfg.beta)
+    dropped = graph.adjacency[0].indices
+    kept = state.report.order[~np.isin(state.report.order, dropped)]  # easiest first
+    state.prune = PruneResult(kept=kept, dropped=np.sort(dropped), alpha=cfg.alpha)
+    graph_pruned, kept_sorted = rebuild_after_prune(graph, state.prune)
+    state.params = state.params.with_centers(
+        trainer.init_centers(z_all[kept_sorted], cfg.n_clusters, seed=cfg.seed)
+    )
+    node = int(np.searchsorted(kept_sorted, 0))
+    assert graph_pruned.degrees[node] == 0
+
+    stepped, target = _formal_step(state, pre, graph_pruned, cfg, np.array([node]))
+    z = encode(pre.normalized[kept_sorted], graph_pruned, state.params).values[[node]]
+    rec = (1.0 / (1.0 + np.exp(-float(z[0] @ z[0])))) ** 2  # A = 0: (0 - sigmoid(z.z))^2
+    zinb = loss_zinb(pre.raw.counts[[0]], decode_zinb(z, state.params)).item()
+    cls = loss_cls(target[[node]], soft_assign(z, state.params.cluster_centers)).item()
+    got = stepped.loss_history[-1]
+    assert got.rec == pytest.approx(rec, rel=1e-12)
+    assert got.zinb == pytest.approx(zinb, rel=1e-12)
+    assert got.cls == pytest.approx(cls, rel=1e-12)
+    assert not np.array_equal(
+        stepped.params.cluster_centers.values, state.params.cluster_centers.values
     )
 
 
