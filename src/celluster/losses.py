@@ -168,19 +168,19 @@ def loss_cls(p, q) -> Tensor:
     return p_log_p - cross
 
 
-def masked_total(
-    rec: Tensor | None,
-    zinb: Tensor | None,
+def weighted_total(
+    rec: Tensor,
+    zinb: Tensor,
     cls: Tensor | None,
     weights: tuple[float, float, float] = (1.0, 1.0, 1.0),
 ) -> tuple[Tensor, LossBreakdown]:
     """Weighted objective plus a float breakdown whose total matches the
-    optimized scalar exactly (same additions, same order)."""
+    optimized scalar exactly (same additions, same order); a missing `cls`
+    (pretraining) counts as 0."""
     w_rec, w_zinb, w_cls = weights
-    zero = nm.Tensor(0.0)
-    rec_term = w_rec * rec if rec is not None else zero
-    zinb_term = w_zinb * zinb if zinb is not None else zero
-    cls_term = w_cls * cls if cls is not None else zero
+    rec_term = w_rec * rec
+    zinb_term = w_zinb * zinb
+    cls_term = w_cls * cls if cls is not None else nm.Tensor(0.0)
     total = rec_term + zinb_term + cls_term
     breakdown = LossBreakdown(
         rec=float(rec_term.values), zinb=float(zinb_term.values), cls=float(cls_term.values)

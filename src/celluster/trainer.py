@@ -5,10 +5,10 @@ count likelihood over the full graph. Difficulty is then measured once on
 the pretrained embeddings, the hardest fraction of nodes is pruned and the
 graph rebuilt, and cluster centers are seeded with k-means on the kept
 embeddings. Phase 2 re-initializes Adam at its own learning rate and adds
-the self-training clustering term; each epoch's step gathers the easiest
-paced subset of kept nodes once and fits all three losses to that
-sub-problem. Prediction assigns every original cell (pruned ones
-included, flagged downstream) from the final soft assignment.
+the self-training clustering term; each epoch encodes the kept graph once
+for the target refresh and the step, which fits all three losses to the
+easiest paced subset. Prediction labels every original cell (pruned ones
+included, flagged downstream); the pipeline writes the phase checkpoints.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ from .losses import (
     loss_cls,
     loss_rec,
     loss_zinb,
-    masked_total,
     target_distribution,
+    weighted_total,
 )
 from .model import (
     ZINB_HIDDEN_DIMS,
@@ -51,9 +51,6 @@ from .model import (
 )
 from .numerics import AdamState, adam_step
 from .preprocess import PreprocessedData, preprocess
-
-
-CHECKPOINT_EVERY = 100  # epochs between periodic checkpoints within a phase
 
 
 class DegenerateClusterError(RuntimeError):
@@ -107,8 +104,10 @@ class TrainConfig:
     convergence_tol: float = 1e-3
 
     def __post_init__(self):
-        if self.n_clusters < 1:
-            raise ValueError("n_clusters must be >= 1")
+        for name in ("n_clusters", "latent_dim", "hidden_dim", "cheb_order", "n_hvg",
+                     "k_neighbors", "zinb_dims", "target_update_interval"):
+            if np.min(getattr(self, name)) < 1:
+                raise ValueError(f"{name} must be >= 1")
         for name in ("t1", "t2"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
@@ -121,8 +120,6 @@ class TrainConfig:
             raise ValueError("beta must lie in [0, 1]")
         if not 0.0 < self.lambda0 <= 1.0:
             raise ValueError("lambda0 must lie in (0, 1]")
-        if self.target_update_interval < 1:
-            raise ValueError("target_update_interval must be >= 1")
         if self.t_hat is not None and self.t_hat < 1:
             raise ValueError("t_hat must be >= 1")
 
@@ -162,22 +159,17 @@ def _kmeans_once(x: np.ndarray, k: int, rng: np.random.Generator,
             centers[i] = x[rng.choice(n, p=closest / total)]
         closest = np.minimum(closest, ((x - centers[i]) ** 2).sum(axis=1))
 
-    assignment = np.zeros(n, dtype=np.intp)
     for _ in range(max_iter):
         d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         assignment = d2.argmin(axis=1)
         moved = 0.0
-        degenerate = False
         new_centers = centers.copy()
         for j in range(k):
             members = x[assignment == j]
             if members.shape[0] == 0:
-                degenerate = True
-                break
+                return None
             new_centers[j] = members.mean(axis=0)
             moved = max(moved, float(np.linalg.norm(new_centers[j] - centers[j])))
-        if degenerate:
-            return None
         centers = new_centers
         if moved <= tol:
             break
@@ -224,23 +216,21 @@ def init_centers(
 
 def _train_step(
     state: TrainState,
-    features: np.ndarray,
+    z: nm.Tensor,
     counts: np.ndarray,
     graph: CellGraph,
     cfg: TrainConfig,
-    checkpoint_dir,
     subset: np.ndarray | None = None,
     target: np.ndarray | None = None,
 ) -> None:
-    """One epoch of the current phase: losses, backward, Adam, history and
-    the periodic checkpoint. The whole graph is encoded; with `subset`
-    (distinct node indices) the latent rows, the adjacency submatrix, the
-    counts and the target are gathered once and the losses see only that
-    sub-problem. A non-finite loss raises NonFiniteLossError carrying the
-    state as it was before the step."""
+    """One epoch of the current phase from `z`, the latent of every node of
+    `graph` under the current parameters: losses, backward, Adam and
+    history. With `subset` (distinct node indices) the latent rows, the
+    adjacency submatrix, the counts and the target are gathered once and
+    the losses see only that sub-problem. A non-finite loss raises
+    NonFiniteLossError carrying the state as it was before the step."""
     epoch = state.epoch
     try:
-        z = encode(features, graph, state.params)
         adjacency = graph.adjacency
         if subset is not None:
             z = nm.index_rows(z, subset)
@@ -254,7 +244,7 @@ def _train_step(
         cls = None
         if target is not None:
             cls = loss_cls(target, soft_assign(z, state.params.cluster_centers))
-        total, breakdown = masked_total(rec, zinb, cls, cfg.loss_weights)
+        total, breakdown = weighted_total(rec, zinb, cls, cfg.loss_weights)
     except (NonFiniteLossError, NonFiniteOutputError) as err:
         raise NonFiniteLossError(
             f"{state.phase} phase diverged at epoch {epoch}: {err}", epoch=epoch, state=state
@@ -273,8 +263,6 @@ def _train_step(
         t.grad = None
     state.loss_history.append(breakdown)
     state.epoch += 1
-    if checkpoint_dir is not None and state.epoch % CHECKPOINT_EVERY == 0:
-        save_state(state, f"{checkpoint_dir}/{state.phase}_epoch{state.epoch}.ckpt")
 
 
 def _init_params(cfg: TrainConfig, n_genes: int) -> ModelParams:
@@ -294,10 +282,10 @@ def pretrain(
     cfg: TrainConfig,
     state: TrainState | None = None,
     epochs: int | None = None,
-    checkpoint_dir=None,
 ) -> TrainState:
     """Full-batch reconstruction + likelihood training for cfg.t1 epochs
-    (or resume `state` until `epochs` total)."""
+    (or resume `state` until `epochs` total), one encode per epoch; writes
+    no checkpoint."""
     if state is None:
         state = TrainState(
             phase="pretrain",
@@ -307,9 +295,7 @@ def pretrain(
         )
     total_epochs = cfg.t1 if epochs is None else epochs
     while state.epoch < total_epochs:
-        _train_step(state, pre.normalized, pre.raw.counts, graph, cfg, checkpoint_dir)
-    if checkpoint_dir is not None:
-        save_state(state, f"{checkpoint_dir}/pretrain_final.ckpt")
+        _train_step(state, encode(pre.normalized, graph, state.params), pre.raw.counts, graph, cfg)
     return state
 
 
@@ -319,15 +305,15 @@ def formal_train(
     graph_pruned: CellGraph,
     cfg: TrainConfig,
     epochs: int | None = None,
-    checkpoint_dir=None,
 ) -> TrainState:
     """Paced self-training phase over the pruned graph.
 
-    Per epoch: the pacing fraction (capped at 1 - alpha) of the ORIGINAL
-    node count, floored, selects the easiest kept nodes; the target
-    distribution refreshes every cfg.target_update_interval epochs and
-    training stops early when the assignment churn between consecutive
-    refreshes falls below cfg.convergence_tol.
+    Each epoch encodes the kept graph once. Every cfg.target_update_interval
+    epochs that latent refreshes the target, and the phase ends ("done", no
+    step) once the churn between consecutive refreshes falls below
+    cfg.convergence_tol. The step then trains on the same latent, over the
+    easiest kept nodes: the pacing fraction (capped at 1 - alpha) of the
+    ORIGINAL node count, floored. Writes no checkpoint.
     """
     if state.report is None or state.prune is None:
         raise NotTrainedError("formal training needs difficulty and pruning results")
@@ -346,22 +332,17 @@ def formal_train(
     pacing = PacingConfig(lambda0=cfg.lambda0, t_hat=cfg.effective_t_hat)
 
     total_epochs = cfg.t2 if epochs is None else epochs
-    converged = False
     while state.epoch < total_epochs:
         t = state.epoch
+        z = encode(norm_kept, graph_pruned, state.params)
         if t % cfg.target_update_interval == 0:
-            # no name keeps the latent, so its tape is freed before the step
-            q = soft_assign(
-                encode(norm_kept, graph_pruned, state.params), state.params.cluster_centers
-            ).values
+            q = soft_assign(z.values, state.params.cluster_centers).values
             labels_now = q.argmax(axis=1)
-            if state.labels_prev is not None:
-                changed = float(np.mean(labels_now != state.labels_prev))
-                if changed < cfg.convergence_tol:
-                    state.labels_prev = labels_now
-                    converged = True
-                    break
+            churn = None if state.labels_prev is None else np.mean(labels_now != state.labels_prev)
             state.labels_prev = labels_now
+            if churn is not None and churn < cfg.convergence_tol:
+                state.phase = "done"
+                return state
             state.target = target_distribution(q)
 
         fraction = pacing_fraction(t, pacing, cfg.alpha)
@@ -373,14 +354,10 @@ def formal_train(
             )
         subset = np.sort(easiest_first[:count])
         state.subset_sizes.append(count)
-        _train_step(
-            state, norm_kept, raw_kept, graph_pruned, cfg, checkpoint_dir,
-            subset=subset, target=state.target,
-        )
-    if converged or state.epoch >= cfg.t2:  # partial stepping stays resumable
+        _train_step(state, z, raw_kept, graph_pruned, cfg, subset=subset, target=state.target)
+        del z  # frees this epoch's encoder tape before the next forward
+    if state.epoch >= cfg.t2:  # partial stepping stays resumable
         state.phase = "done"
-        if checkpoint_dir is not None:
-            save_state(state, f"{checkpoint_dir}/formal_final.ckpt")
     return state
 
 
@@ -435,31 +412,47 @@ def save_state(state: TrainState, path) -> None:
     nm.save_checkpoint(path, arrays)
 
 
-def load_state(path, cfg: TrainConfig, n_genes: int) -> TrainState:
-    """Rebuild a saved state; every `param.*` tensor must have the shape the
-    config and gene count give, or CheckpointFormatError names it."""
-    arrays = nm.load_checkpoint(path)
-    params = _init_params(cfg, n_genes)
-    if "param.cluster_centers" in arrays:
-        params = params.with_centers(np.zeros((cfg.n_clusters, cfg.latent_dim)))
-    expected = {f"param.{name}": tensor for name, tensor in params.named_parameters()}
-    for key in sorted(expected.keys() | {k for k in arrays if k.startswith("param.")}):
+def _check_shapes(path, arrays: dict, wanted: dict, prefixes: tuple[str, ...]) -> None:
+    """Each wanted tensor and each stored one under `prefixes` must be on
+    both sides with the same shape."""
+    for key in sorted(wanted.keys() | {k for k in arrays if k.startswith(prefixes)}):
         got = arrays[key].shape if key in arrays else "no such tensor"
-        want = expected[key].shape if key in expected else "no such tensor"
+        want = wanted.get(key, "no such tensor")
         if got != want:
             raise nm.CheckpointFormatError(
                 f"{path}: tensor {key!r}: checkpoint has {got}, config expects {want}"
             )
-        expected[key].values = arrays[key]
+
+
+def load_state(path, cfg: TrainConfig, n_genes: int) -> TrainState:
+    """Rebuild a saved state; CheckpointFormatError names the first tensor
+    that does not fit: a `param.*` shape the config and gene count do not
+    give, Adam moments other than none or an `m`/`v` pair per parameter of
+    its shape, or a phase, epoch or step count that is no index in range."""
+    arrays = nm.load_checkpoint(path)
+    params = _init_params(cfg, n_genes)
+    if "param.cluster_centers" in arrays:
+        params = params.with_centers(np.zeros((cfg.n_clusters, cfg.latent_dim)))
+    named = params.named_parameters()
+    _check_shapes(path, arrays, {f"param.{n}": t.values.shape for n, t in named}, ("param.",))
+    for name, tensor in named:
+        tensor.values = arrays[f"param.{name}"]
+    limits = {"meta.phase": len(_PHASES), "meta.epoch": np.inf, "adam.step": np.inf}
+    _check_shapes(path, arrays, dict.fromkeys([*limits, "adam.lr"], ()), ("meta.",))
+    for key, limit in limits.items():
+        value = arrays[key]
+        if not (0 <= value < limit and value == np.floor(value)):
+            raise nm.CheckpointFormatError(
+                f"{path}: tensor {key!r}: checkpoint has {value.tolist()!r}, "
+                f"expected an integer in [0, {limit})"
+            )
     adam = AdamState(learning_rate=float(arrays["adam.lr"]), step=int(arrays["adam.step"]))
-    moments_m, moments_v = [], []
-    i = 0
-    while f"adam.m{i}" in arrays:
-        moments_m.append(arrays[f"adam.m{i}"])
-        moments_v.append(arrays[f"adam.v{i}"])
-        i += 1
-    adam.first_moment = moments_m
-    adam.second_moment = moments_v
+    moments = ("adam.m", "adam.v")
+    if any(k.startswith(moments) for k in arrays):
+        wanted = {f"{m}{i}": t.values.shape for i, (_, t) in enumerate(named) for m in moments}
+        _check_shapes(path, arrays, wanted, moments)
+        adam.first_moment = [arrays[f"adam.m{i}"] for i in range(len(named))]
+        adam.second_moment = [arrays[f"adam.v{i}"] for i in range(len(named))]
     history = [
         LossBreakdown(rec=float(row[0]), zinb=float(row[1]), cls=float(row[2]))
         for row in arrays.get("history", np.empty((0, 4)))
@@ -536,7 +529,9 @@ def pretrain_and_score(
     with stage("graph"):
         graph = knn_graph(pre.normalized, cfg.k_neighbors, laplacian_kind)
     with stage("pretrain"):
-        state = pretrain(pre, graph, cfg, checkpoint_dir=checkpoint_dir)
+        state = pretrain(pre, graph, cfg)
+        if checkpoint_dir is not None:
+            save_state(state, f"{checkpoint_dir}/pretrain_final.ckpt")
     with stage("difficulty"):
         z = encode(pre.normalized, graph, state.params).values
         state.report = measure_difficulty(z, graph, beta=cfg.beta, local_mode=local_mode)
@@ -568,7 +563,9 @@ def prune_and_cluster(
             centers = init_centers(pretrained.embedding[kept_sorted], cfg.n_clusters, cfg.seed)
             state.params = state.params.with_centers(centers)
         with stage("formal"):
-            state = formal_train(state, pre, graph_pruned, cfg, checkpoint_dir=checkpoint_dir)
+            state = formal_train(state, pre, graph_pruned, cfg)
+            if checkpoint_dir is not None:
+                save_state(state, f"{checkpoint_dir}/formal_final.ckpt")
         with stage("predict"):
             labels = predict(state, pre, graph)
     return PipelineResult(state, pre, graph, labels, pruned_mask)

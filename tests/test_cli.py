@@ -74,14 +74,15 @@ def test_train_writes_all_artifacts(tmp_path, capsys):
     config = tmp_path / "config.txt"
     run_dir = tmp_path / "run"
     _write_config(config, data_dir, run_dir)
-    assert _run("train", config) == 0
-    assert "trained 50 cells for 6 pretrain + " in capsys.readouterr().out
+    assert _run("train", config, "--t1", "100") == 0  # 100 epochs: no periodic checkpoint
+    assert "trained 50 cells for 100 pretrain + " in capsys.readouterr().out
     for name in (
         "effective_config.txt", "training_log.csv", "difficulty.csv",
         "labels.csv", "metrics.json", "graph_edges.txt",
-        "pretrain_final.ckpt", "formal_final.ckpt",
     ):
         assert (run_dir / name).exists(), name
+    checkpoints = sorted(p.name for p in run_dir.glob("*.ckpt"))
+    assert checkpoints == ["formal_final.ckpt", "pretrain_final.ckpt"]
     payload = json.loads((run_dir / "metrics.json").read_text())
     assert set(payload) == {"ari", "nmi", "n_cells", "n_clusters_true", "n_clusters_pred"}
     assert payload["n_cells"] == 50
@@ -214,7 +215,18 @@ def test_graph_failure_carries_the_same_tag_from_every_command(tmp_path, capsys)
 
 @pytest.mark.parametrize(
     "config_extra, flags",
-    [({"t_hat": 0}, ()), ({}, ("--t-hat", "0")), ({}, ("--alpha", "2"))],
+    [
+        ({"t_hat": 0}, ()),
+        ({}, ("--t-hat", "0")),
+        ({}, ("--alpha", "2")),
+        ({"latent_dim": 0}, ()),
+        ({"hidden_dim": 0}, ()),
+        ({"cheb_order": 0}, ()),
+        ({"n_hvg": 0}, ()),
+        ({"k_neighbors": 0}, ()),
+        ({"zinb_dims": "0,4,4"}, ()),
+        ({"zinb_dims": "4,4,0"}, ()),
+    ],
 )
 def test_train_rejects_bad_settings_before_training(tmp_path, capsys, config_extra, flags):
     data_dir = tmp_path / "data"
@@ -227,18 +239,27 @@ def test_train_rejects_bad_settings_before_training(tmp_path, capsys, config_ext
     assert not list(run_dir.glob("*.ckpt"))
 
 
-@pytest.mark.parametrize("row", ["c0,abc", "c0"])
-def test_evaluate_rejects_malformed_label_rows(tmp_path, capsys, row):
+@pytest.mark.parametrize(
+    "rows, line, problem",
+    [
+        pytest.param("c0,abc", 2, "expected a cell id", id="c0,abc"),
+        pytest.param("c0", 2, "expected a cell id", id="c0"),
+        pytest.param(
+            "cell_0,1\ncell_1,0\ncell_0,2", 4, "duplicate cell id 'cell_0'", id="duplicate"
+        ),
+    ],
+)
+def test_evaluate_rejects_malformed_label_rows(tmp_path, capsys, rows, line, problem):
     data_dir = tmp_path / "data"
     assert _run(*_synth_args(data_dir)) == 0
     bad = tmp_path / "bad.csv"
-    bad.write_text(f"cell_id,label\n{row}\n")
+    bad.write_text(f"cell_id,label\n{rows}\n")
     code = _run(
         "evaluate", "--true-labels", data_dir / "labels.csv", "--pred-labels", bad,
         "--out", tmp_path / "m.json",
     )
     assert code == 1
-    assert f"error: [evaluate] {bad}:2:" in capsys.readouterr().err
+    assert f"error: [evaluate] {bad}:{line}: {problem}" in capsys.readouterr().err
 
 
 def test_evaluate_prints_and_writes_metrics(tmp_path, capsys):

@@ -381,7 +381,7 @@ def test_breakdown_total_is_exact_sum():
         rec = nm.Tensor(rng.random())
         zinb = nm.Tensor(rng.random())
         cls = nm.Tensor(rng.random())
-        total, breakdown = losses.masked_total(rec, zinb, cls, weights=(1.0, 0.5, 2.0))
+        total, breakdown = losses.weighted_total(rec, zinb, cls, weights=(1.0, 0.5, 2.0))
         assert breakdown.total == float(total.values)
         assert breakdown.total == breakdown.rec + breakdown.zinb + breakdown.cls
         assert breakdown.cls >= -1e-12

@@ -11,7 +11,12 @@ from celluster.ingest import SynthesisSpec, synthesize
 from celluster.losses import NonFiniteLossError, loss_cls, loss_zinb, target_distribution
 from celluster.metrics import ari
 from celluster.model import decode_zinb, encode, soft_assign
-from celluster.numerics import AdamState, CheckpointFormatError
+from celluster.numerics import (
+    AdamState,
+    CheckpointFormatError,
+    load_checkpoint,
+    save_checkpoint,
+)
 from celluster.preprocess import preprocess
 from celluster.trainer import TrainConfig
 
@@ -160,6 +165,25 @@ def test_formal_subset_sizes_follow_pacing():
     assert sizes == expected
 
 
+@pytest.mark.parametrize("seed, epochs, calls", [(1, 6, 6), (0, 4, 5)])
+def test_formal_train_encodes_the_kept_graph_once_per_epoch(monkeypatch, seed, epochs, calls):
+    # the target refresh reuses the latent the step trains on; seed 0 stops
+    # on zero churn at the epoch-4 refresh, whose forward has no step
+    _, pre, graph, cfg = _small_setup(seed=seed, t2=6, convergence_tol=1e-12)
+    state, graph_pruned = _to_formal_ready(pre, graph, cfg)
+    graphs = []
+
+    def counting_encode(*args):
+        graphs.append(args[1])
+        return encode(*args)
+
+    monkeypatch.setattr(trainer, "encode", counting_encode)
+    trainer.formal_train(state, pre, graph_pruned, cfg)
+    assert state.phase == "done" and state.epoch == epochs
+    assert len(graphs) == calls
+    assert all(g is graph_pruned for g in graphs)
+
+
 def test_formal_requires_difficulty_and_centers():
     _, pre, graph, cfg = _small_setup(t1=2)
     state = trainer.pretrain(pre, graph, cfg)
@@ -172,13 +196,12 @@ def _formal_step(state, pre, graph_pruned, cfg, subset):
     assignment's target; returns the copy and that target."""
     state = copy.deepcopy(state)
     kept_sorted = np.sort(state.prune.kept)
-    features, counts = pre.normalized[kept_sorted], pre.raw.counts[kept_sorted]
-    z = encode(features, graph_pruned, state.params)
+    z = encode(pre.normalized[kept_sorted], graph_pruned, state.params)
     target = target_distribution(soft_assign(z, state.params.cluster_centers).values)
     state.phase, state.epoch = "formal", 0
     state.adam = AdamState(learning_rate=cfg.lr_formal)
     trainer._train_step(
-        state, features, counts, graph_pruned, cfg, None, subset=subset, target=target
+        state, z, pre.raw.counts[kept_sorted], graph_pruned, cfg, subset=subset, target=target
     )
     return state, target
 
@@ -310,20 +333,55 @@ def test_formal_checkpoint_resume_is_bitwise(tmp_path):
     ]
 
 
+_NO_TENSOR = object()
+
+
 @pytest.mark.parametrize(
     "change, message",
     [
         ({"hidden_dim": 8}, r"'param\.enc0\.bias': checkpoint has \(16,\), config expects \(8,\)"),
         ({"cheb_order": 2}, r"'param\.enc0\.theta2': checkpoint has \(20, 16\), config expects no"),
         ({"cheb_order": 4}, r"'param\.enc0\.theta3': checkpoint has no such tensor, config"),
+        ({"meta.phase": -1.0}, r"'meta\.phase': checkpoint has -1\.0, expected an integer in \["),
+        ({"meta.phase": 0.5}, r"'meta\.phase': checkpoint has 0\.5, expected an integer"),
+        ({"meta.phase": 7.0}, r"'meta\.phase': checkpoint has 7\.0, expected an integer"),
+        ({"meta.epoch": _NO_TENSOR}, r"'meta\.epoch': checkpoint has no such tensor"),
+        ({"meta.epoch": -3.0}, r"'meta\.epoch': checkpoint has -3\.0, expected an integer in \["),
+        ({"meta.epoch": np.zeros(2)}, r"'meta\.epoch': checkpoint has \(2,\), config expects"),
+        ({"adam.lr": _NO_TENSOR}, r"'adam\.lr': checkpoint has no such tensor, config expects \("),
+        ({"adam.step": 1.5}, r"'adam\.step': checkpoint has 1\.5, expected an integer"),
+        ({"adam.m3": _NO_TENSOR}, r"'adam\.m3': checkpoint has no such tensor, config expects \(1"),
+        ({"adam.m0": np.zeros(3)}, r"'adam\.m0': checkpoint has \(3,\), config expects \(20, 16"),
+        ({"adam.v99": np.zeros(3)}, r"'adam\.v99': checkpoint has \(3,\), config expects no such"),
     ],
 )
 def test_load_state_rejects_tensors_that_do_not_fit_the_config(tmp_path, change, message):
+    # a key with a dot edits a checkpoint tensor (_NO_TENSOR deletes it);
+    # any other key changes the config the checkpoint is loaded against
     _, pre, graph, cfg = _small_setup(t1=1, hidden_dim=16)
     path = tmp_path / "pretrain.ckpt"
     trainer.save_state(trainer.pretrain(pre, graph, cfg), path)
-    with pytest.raises(CheckpointFormatError, match=message):
-        trainer.load_state(path, replace(cfg, **change), n_genes=pre.n_genes)
+    arrays = load_checkpoint(path)
+    for key, value in change.items():
+        if value is _NO_TENSOR:
+            del arrays[key]
+        elif "." in key:
+            arrays[key] = np.asarray(value, dtype=np.float64)
+    save_checkpoint(path, arrays)
+    cfg = replace(cfg, **{k: v for k, v in change.items() if "." not in k})
+    with pytest.raises(CheckpointFormatError, match=message) as err:
+        trainer.load_state(path, cfg, n_genes=pre.n_genes)
+    assert str(path) in str(err.value)
+
+
+def test_load_state_accepts_a_checkpoint_without_adam_moments(tmp_path):
+    _, pre, graph, cfg = _small_setup(t1=0, hidden_dim=16)
+    path = tmp_path / "pretrain.ckpt"
+    trainer.save_state(trainer.pretrain(pre, graph, cfg), path)
+    assert not any(k.startswith("adam.m") for k in load_checkpoint(path))
+    loaded = trainer.load_state(path, cfg, n_genes=pre.n_genes)
+    assert (loaded.phase, loaded.epoch, loaded.adam.step) == ("pretrain", 0, 0)
+    assert loaded.adam.first_moment == [] and loaded.adam.second_moment == []
 
 
 # -- full pipeline ---------------------------------------------------------------------
