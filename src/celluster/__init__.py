@@ -1,6 +1,6 @@
 """Curriculum-paced graph-convolutional embedding clustering for scRNA-seq counts."""
 
-from .cellgraph import CellGraph, build_operators, knn_graph
+from .cellgraph import CellGraph, knn_graph
 from .curriculum import (
     DifficultyReport,
     PacingConfig,
@@ -57,7 +57,6 @@ __all__ = [
     "TrainState",
     "ZinbParams",
     "ari",
-    "build_operators",
     "chebconv_forward",
     "combine_and_rank",
     "decode_adjacency",

@@ -65,8 +65,15 @@ def knn_graph(features, k: int, laplacian_kind: str = "sym_normalized") -> CellG
     sq_norms = np.einsum("ij,ij->i", x, x)
     d2 = sq_norms[:, None] + sq_norms[None, :] - 2.0 * (x @ x.T)
     np.fill_diagonal(d2, np.inf)
-    # stable argsort: equal distances resolve toward the lower column index
-    nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    # Per row, the candidates are every column within the k-th smallest
+    # distance (ties at it included); sorting them by distance, then column,
+    # keeps the first k of a stable argsort of the whole row: equal
+    # distances resolve toward the lower column index.
+    kth = np.take_along_axis(d2, np.argpartition(d2, k - 1, axis=1)[:, k - 1 : k], axis=1)
+    cand_rows, cand_cols = np.nonzero(d2 <= kth)
+    by_distance = np.lexsort((d2[cand_rows, cand_cols], cand_rows))
+    row_starts = np.searchsorted(cand_rows, np.arange(n))
+    nearest = cand_cols[by_distance][row_starts[:, None] + np.arange(k)]
 
     rows = np.repeat(np.arange(n), k)
     cols = nearest.reshape(-1)
@@ -75,11 +82,6 @@ def knn_graph(features, k: int, laplacian_kind: str = "sym_normalized") -> CellG
     adjacency.setdiag(0.0)
     adjacency.eliminate_zeros()
     return _from_adjacency(adjacency, laplacian_kind)
-
-
-def build_operators(graph: CellGraph, kind: str) -> CellGraph:
-    """Recompute L, lambda_max, and the scaled operator under `kind`."""
-    return _from_adjacency(graph.adjacency, kind)
 
 
 def subgraph(graph: CellGraph, keep) -> CellGraph:

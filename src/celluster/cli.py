@@ -203,8 +203,8 @@ def cmd_evaluate(args) -> int:
         if not Path(path).exists():
             raise FileNotFoundError(f"labels file not found: {path}")
     with stage("evaluate"):
-        true_by_id = _read_label_csv(args.true_labels)
-        pred_by_id = _read_label_csv(args.pred_labels)
+        true_by_id = ingest.read_labels(args.true_labels)
+        pred_by_id = ingest.read_labels(args.pred_labels)
         missing = sorted(set(true_by_id) - set(pred_by_id))
         if missing:
             raise ValueError(f"no prediction for cell id {missing[0]!r}")
@@ -214,32 +214,6 @@ def cmd_evaluate(args) -> int:
         payload = _write_metrics_json(args.out, true, pred)
     print(f"ARI={payload['ari']} NMI={payload['nmi']}")
     return 0
-
-
-def _read_label_csv(path) -> dict[str, int]:
-    """Accepts either 'cell_id,label' sidecars or 'cell_id,predicted,...'
-    outputs; a malformed row or a repeated cell id raises ValueError."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise ValueError(f"{path}: empty labels file")
-    header = [h.strip() for h in rows[0]]
-    if header[:2] not in (["cell_id", "label"], ["cell_id", "predicted"]):
-        raise ValueError(f"{path}: expected a cell_id,label or cell_id,predicted header")
-    labels = {}
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        cid = row[0].strip()
-        if cid in labels:
-            raise ValueError(f"{path}:{lineno}: duplicate cell id {cid!r}")
-        try:
-            labels[cid] = int(row[1])
-        except (IndexError, ValueError):
-            raise ValueError(
-                f"{path}:{lineno}: expected a cell id and an integer label, got {row}"
-            ) from None
-    return labels
 
 
 def cmd_prune_study(args) -> int:

@@ -5,12 +5,14 @@ Two on-disk formats:
                first field the cell id, then integer counts.
   mtx-triplet  "rows cols nnz" header, then 1-indexed "row col value" lines;
                absent entries are zero, duplicate entries accumulate.
-Ground-truth labels travel in a sidecar CSV with header "cell_id,label".
+Ground-truth labels travel in a sidecar CSV with header "cell_id,label";
+the same reader takes the "cell_id,predicted,..." labels a run writes.
 """
 
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -182,6 +184,28 @@ def _load_csv(path) -> ExpressionMatrix:
     return ExpressionMatrix(np.array(counts, dtype=np.int64), cell_ids, gene_ids)
 
 
+def _parse_triplets(entries: list[str], n_rows: int, n_cols: int) -> np.ndarray | None:
+    """The (len(entries), 3) triplets of a well-formed mtx body in one parse,
+    or None for anything the line-by-line parse might reject."""
+    if not entries:
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy < 2 only warns on "1.0"
+            triplets = np.loadtxt(entries, dtype=np.int64, comments=None, ndmin=2)
+    except (ValueError, Warning):
+        return None
+    if triplets.shape != (len(entries), 3):
+        return None
+    rows, cols, values = triplets.T
+    valid = (
+        1 <= rows.min() and rows.max() <= n_rows
+        and 1 <= cols.min() and cols.max() <= n_cols
+        and values.min() >= 0
+    )
+    return triplets if valid else None
+
+
 def _load_mtx(path) -> ExpressionMatrix:
     with open(path) as fh:
         lines = fh.read().splitlines()
@@ -199,18 +223,23 @@ def _load_mtx(path) -> ExpressionMatrix:
     if len(body) - 1 != nnz:
         raise ParseError(path, lineno, f"header promises {nnz} entries, file has {len(body) - 1}")
     counts = np.zeros((n_rows, n_cols), dtype=np.int64)
-    for lineno, entry in body[1:]:
-        fields = entry.split()
-        if len(fields) != 3:
-            raise ParseError(path, lineno, f"expected 'row col value', got {entry!r}")
-        try:
-            r, c = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise ParseError(path, lineno, f"non-integer index in {entry!r}") from None
-        if not (1 <= r <= n_rows and 1 <= c <= n_cols):
-            raise ParseError(path, lineno, f"index ({r}, {c}) outside {n_rows}x{n_cols}")
-        v = _parse_count(fields[2], path, lineno)
-        counts[r - 1, c - 1] += v  # duplicates accumulate
+    triplets = _parse_triplets([entry for _, entry in body[1:]], n_rows, n_cols)
+    if triplets is not None:
+        rows, cols, values = triplets.T
+        np.add.at(counts, (rows - 1, cols - 1), values)  # duplicates accumulate
+    else:
+        for lineno, entry in body[1:]:
+            fields = entry.split()
+            if len(fields) != 3:
+                raise ParseError(path, lineno, f"expected 'row col value', got {entry!r}")
+            try:
+                r, c = int(fields[0]), int(fields[1])
+            except ValueError:
+                raise ParseError(path, lineno, f"non-integer index in {entry!r}") from None
+            if not (1 <= r <= n_rows and 1 <= c <= n_cols):
+                raise ParseError(path, lineno, f"index ({r}, {c}) outside {n_rows}x{n_cols}")
+            v = _parse_count(fields[2], path, lineno)
+            counts[r - 1, c - 1] += v  # duplicates accumulate
     cell_ids = [f"cell_{i}" for i in range(n_rows)]
     gene_ids = [f"gene_{j}" for j in range(n_cols)]
     return ExpressionMatrix(counts, cell_ids, gene_ids)
@@ -226,24 +255,34 @@ def save_labels(data: ExpressionMatrix, path) -> None:
             writer.writerow([cid, int(lab)])
 
 
-def load_labels(path, cell_ids: list[str]) -> np.ndarray:
+def read_labels(path) -> dict[str, int]:
+    """Cell id -> integer label from a 'cell_id,label' sidecar or a
+    'cell_id,predicted,...' prediction file; every row has the header's
+    field count, and no cell id repeats."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    if not rows or [f.strip() for f in rows[0]] != ["cell_id", "label"]:
-        raise ParseError(path, 1, "expected header 'cell_id,label'")
+    header = [f.strip() for f in rows[0]] if rows else []
+    if header[:2] not in (["cell_id", "label"], ["cell_id", "predicted"]):
+        raise ParseError(path, 1, "expected a cell_id,label or cell_id,predicted header")
     by_id: dict[str, int] = {}
     for lineno, row in enumerate(rows[1:], start=2):
         if not row:
             continue
-        if len(row) != 2:
-            raise ParseError(path, lineno, f"expected 2 fields, got {len(row)}")
         cid = row[0].strip()
         if cid in by_id:
             raise DuplicateIdError(f"{path}:{lineno}: duplicate cell id {cid!r}")
         try:
-            by_id[cid] = int(row[1])
+            label = int(row[1]) if len(row) == len(header) else None
         except ValueError:
-            raise ParseError(path, lineno, f"non-integer label {row[1]!r}") from None
+            label = None
+        if label is None:
+            raise ParseError(path, lineno, f"expected a cell id and an integer label, got {row}")
+        by_id[cid] = label
+    return by_id
+
+
+def load_labels(path, cell_ids: list[str]) -> np.ndarray:
+    by_id = read_labels(path)
     missing = [cid for cid in cell_ids if cid not in by_id]
     if missing:
         raise LabelError(f"{path}: no label for cell id {missing[0]!r}")
@@ -265,11 +304,6 @@ def restrict_genes(data: ExpressionMatrix, indices) -> ExpressionMatrix:
 
 
 # -- synthesis ------------------------------------------------------------------
-
-
-def zinb_zero_probability(pi: float, mu, theta: float):
-    """P(count = 0) under the zero-inflated negative binomial."""
-    return pi + (1.0 - pi) * (theta / (theta + np.asarray(mu))) ** theta
 
 
 def synthesize(spec: SynthesisSpec) -> ExpressionMatrix:

@@ -412,6 +412,17 @@ def save_state(state: TrainState, path) -> None:
     nm.save_checkpoint(path, arrays)
 
 
+def _check_integers(path, arrays: dict, key: str, limit: float) -> None:
+    """Every entry of tensor `key` must be an integer in [0, limit)."""
+    values = arrays[key]
+    bad = ~((0 <= values) & (values < limit) & (values == np.floor(values)))
+    if bad.any():
+        raise nm.CheckpointFormatError(
+            f"{path}: tensor {key!r}: checkpoint has {values[bad][0].tolist()!r}, "
+            f"expected an integer in [0, {limit})"
+        )
+
+
 def _check_shapes(path, arrays: dict, wanted: dict, prefixes: tuple[str, ...]) -> None:
     """Each wanted tensor and each stored one under `prefixes` must be on
     both sides with the same shape."""
@@ -428,7 +439,10 @@ def load_state(path, cfg: TrainConfig, n_genes: int) -> TrainState:
     """Rebuild a saved state; CheckpointFormatError names the first tensor
     that does not fit: a `param.*` shape the config and gene count do not
     give, Adam moments other than none or an `m`/`v` pair per parameter of
-    its shape, or a phase, epoch or step count that is no index in range."""
+    its shape, a phase, epoch or step count that is no index in range,
+    kept and dropped nodes that do not split the report's nodes, a target
+    or previous labels without one row per kept node (and a target column
+    or label per cluster), or subset sizes that are no counts."""
     arrays = nm.load_checkpoint(path)
     params = _init_params(cfg, n_genes)
     if "param.cluster_centers" in arrays:
@@ -440,12 +454,7 @@ def load_state(path, cfg: TrainConfig, n_genes: int) -> TrainState:
     limits = {"meta.phase": len(_PHASES), "meta.epoch": np.inf, "adam.step": np.inf}
     _check_shapes(path, arrays, dict.fromkeys([*limits, "adam.lr"], ()), ("meta.",))
     for key, limit in limits.items():
-        value = arrays[key]
-        if not (0 <= value < limit and value == np.floor(value)):
-            raise nm.CheckpointFormatError(
-                f"{path}: tensor {key!r}: checkpoint has {value.tolist()!r}, "
-                f"expected an integer in [0, {limit})"
-            )
+        _check_integers(path, arrays, key, limit)
     adam = AdamState(learning_rate=float(arrays["adam.lr"]), step=int(arrays["adam.step"]))
     moments = ("adam.m", "adam.v")
     if any(k.startswith(moments) for k in arrays):
@@ -466,13 +475,34 @@ def load_state(path, cfg: TrainConfig, n_genes: int) -> TrainState:
             order=arrays["report.order"].astype(np.intp),
             beta=float(arrays["report.beta"]),
         )
-    prune_result = None
+    prune_result, n_kept = None, 0
     if "prune.kept" in arrays:
+        n, n_kept = (0 if report is None else report.n), arrays["prune.kept"].size
+        wanted = {"prune.kept": (n_kept,), "prune.dropped": (n - n_kept,), "prune.alpha": ()}
+        _check_shapes(path, arrays, wanted, ("prune.",))
+        for key in ("prune.kept", "prune.dropped"):
+            _check_integers(path, arrays, key, n)
         prune_result = PruneResult(
             kept=arrays["prune.kept"].astype(np.intp),
             dropped=arrays["prune.dropped"].astype(np.intp),
             alpha=float(arrays["prune.alpha"]),
         )
+        times = np.bincount(np.concatenate([prune_result.kept, prune_result.dropped]), minlength=n)
+        if (times != 1).any():
+            node = int(np.flatnonzero(times != 1)[0])
+            raise nm.CheckpointFormatError(
+                f"{path}: tensors 'prune.kept' and 'prune.dropped' hold node {node} "
+                f"{times[node]} times, expected once"
+            )
+    run_shapes = {
+        "target": (n_kept, cfg.n_clusters),
+        "labels_prev": (n_kept,),
+        "subset_sizes": (arrays.get("subset_sizes", np.empty(0)).size,),
+    }
+    _check_shapes(path, arrays, {k: s for k, s in run_shapes.items() if k in arrays}, ())
+    for key, limit in (("labels_prev", cfg.n_clusters), ("subset_sizes", np.inf)):
+        if key in arrays:
+            _check_integers(path, arrays, key, limit)
     return TrainState(
         phase=_PHASES[int(arrays["meta.phase"])],
         epoch=int(arrays["meta.epoch"]),

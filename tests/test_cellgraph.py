@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from celluster import cellgraph
 
@@ -40,6 +42,41 @@ def test_knn_duplicate_points_tie_break_to_lower_index():
     # 0 -> 1, 1 -> 0, 2 -> 0; OR gives edges {0,1}, {0,2}
     expected = np.array([[0, 1, 1], [1, 0, 0], [1, 0, 0]], dtype=float)
     np.testing.assert_array_equal(adj, expected)
+
+
+def _stable_argsort_knn(x, k):
+    """The kNN adjacency from a stable argsort of every full distance row."""
+    n = x.shape[0]
+    sq_norms = np.einsum("ij,ij->i", x, x)
+    d2 = sq_norms[:, None] + sq_norms[None, :] - 2.0 * (x @ x.T)
+    np.fill_diagonal(d2, np.inf)
+    nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    directed = np.zeros((n, n))
+    directed[np.repeat(np.arange(n), k), nearest.reshape(-1)] = 1.0
+    return np.maximum(directed, directed.T)
+
+
+@st.composite
+def _tied_points(draw):
+    """Points on a small integer grid, some rows repeated, and a k that is
+    often n - 1: distances tie everywhere, also at the k-th neighbor."""
+    n = draw(st.integers(2, 24))
+    dim = draw(st.integers(1, 3))
+    grid = draw(st.lists(st.integers(0, 2), min_size=n * dim, max_size=n * dim))
+    x = np.array(grid, dtype=float).reshape(n, dim)
+    copies = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=4))
+    for src, dst in copies:
+        x[dst] = x[src]
+    k = draw(st.one_of(st.just(n - 1), st.integers(1, n - 1)))
+    return x, k
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tied_points())
+def test_knn_matches_stable_argsort_oracle_on_ties(points):
+    x, k = points
+    graph = cellgraph.knn_graph(x, k)
+    np.testing.assert_array_equal(graph.adjacency.toarray(), _stable_argsort_knn(x, k))
 
 
 def test_knn_k_out_of_range():
@@ -129,12 +166,12 @@ def test_power_iteration_matches_dense_eigensolver():
         assert graph.lambda_max == pytest.approx(dense_top, rel=1e-4)
 
 
-def test_build_operators_switches_kind():
+def test_from_adjacency_switches_kind():
     rng = np.random.default_rng(6)
     x = rng.normal(size=(10, 2))
     graph = cellgraph.knn_graph(x, k=2)
     assert graph.laplacian_kind == "sym_normalized"
-    comb = cellgraph.build_operators(graph, "combinatorial")
+    comb = cellgraph._from_adjacency(graph.adjacency, "combinatorial")
     assert comb.laplacian_kind == "combinatorial"
     np.testing.assert_array_equal(comb.adjacency.toarray(), graph.adjacency.toarray())
     expected_l = np.diag(comb.degrees) - comb.adjacency.toarray()

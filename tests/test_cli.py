@@ -277,6 +277,22 @@ def test_evaluate_prints_and_writes_metrics(tmp_path, capsys):
     assert payload["ari"] == 1.0 and payload["nmi"] == 1.0
 
 
+def test_evaluate_reads_the_labels_a_run_writes(tmp_path, capsys):
+    data_dir = tmp_path / "data"
+    assert _run(*_synth_args(data_dir)) == 0
+    rows = (data_dir / "labels.csv").read_text().splitlines()[1:]
+    pred = tmp_path / "pred.csv"
+    swapped = [f"{cid},{1 - int(lab)},0" for cid, lab in (r.split(",") for r in rows)]
+    pred.write_text("cell_id,predicted,pruned_flag\n" + "\n".join(swapped) + "\n")
+    args = ("evaluate", "--true-labels", data_dir / "labels.csv", "--pred-labels", pred)
+    assert _run(*args, "--out", tmp_path / "m.json") == 0
+    assert "ARI=1.0" in capsys.readouterr().out
+
+    pred.write_text("cell_id,predicted,pruned_flag\n" + swapped[0].rsplit(",", 1)[0] + "\n")
+    assert _run(*args, "--out", tmp_path / "m.json") == 1
+    assert f"error: [evaluate] {pred}:2: expected a cell id" in capsys.readouterr().err
+
+
 def test_prune_study_single_cell_grid(tmp_path):
     data_dir = tmp_path / "data"
     assert _run(*_synth_args(data_dir)) == 0

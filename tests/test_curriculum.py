@@ -122,6 +122,53 @@ def test_global_difficulty_matches_brute_force_removal_oracle():
         np.testing.assert_array_equal(got, expected)
 
 
+def _ring_with_leaves(n, rng):
+    """A ring with random chords over n - 10 nodes, plus 10 leaves whose one
+    neighbor sits near a row-block edge: removing that neighbor isolates it."""
+    core = n - 10
+    adj = np.zeros((n, n))
+    ring = np.arange(core)
+    adj[ring, (ring + 1) % core] = 1.0
+    chords = rng.integers(0, core, size=(3 * core, 2))
+    adj[chords[:, 0], chords[:, 1]] = 1.0
+    hubs = [0, 1, 255, 256, 257, 300, 511, 512, 513, core - 1]
+    adj[np.arange(core, n), hubs] = 1.0
+    adj = np.maximum(adj, adj.T)
+    np.fill_diagonal(adj, 0.0)
+    return adj
+
+
+def _star(n, center):
+    adj = np.zeros((n, n))
+    adj[center, :] = adj[:, center] = 1.0
+    adj[center, center] = 0.0
+    return adj
+
+
+@pytest.mark.parametrize("shape", ["ring_with_leaves", "star", "with_isolated_node"])
+def test_global_difficulty_row_blocks_match_brute_force_removal(shape):
+    # 600 nodes are three row blocks, the last one ragged
+    n = 600
+    assert curriculum.GLOBAL_ROW_BLOCK * 2 < n < curriculum.GLOBAL_ROW_BLOCK * 3
+    rng = np.random.default_rng(3)
+    if shape == "star":
+        adj = _star(n, center=300)  # removing the center leaves no edge
+    else:
+        adj = _ring_with_leaves(n, rng)
+        if shape == "with_isolated_node":
+            adj[400, :] = adj[:, 400] = 0.0
+    graph = _graph_from_dense(adj)
+    adjacency = graph.adjacency
+    base = curriculum.graph_entropy(graph)
+    variation = np.empty(n)
+    for v in range(n):
+        keep = np.delete(np.arange(n), v)
+        sub_degrees = np.asarray(adjacency[keep][:, keep].sum(axis=1)).reshape(-1)
+        variation[v] = base - curriculum._degree_entropy(sub_degrees)
+    expected = 1.0 - variation / variation.sum()
+    np.testing.assert_array_equal(curriculum.global_difficulty(graph), expected)
+
+
 # -- combination and ranking -----------------------------------------------------------
 
 

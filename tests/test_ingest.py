@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from celluster import ingest
 
@@ -73,6 +75,61 @@ def test_mtx_out_of_range_index(tmp_path):
             ingest.load_matrix(path, "mtx-triplet")
 
 
+@st.composite
+def _mtx_files(draw):
+    """A valid mtx-triplet text: repeated entries, zero and large counts,
+    blank lines, tabs and runs of blanks between and around the fields."""
+    n_rows, n_cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    entry = st.tuples(
+        st.integers(1, n_rows), st.integers(1, n_cols),
+        st.one_of(st.integers(0, 9), st.integers(0, 2**40)),
+    )
+    entries = draw(st.lists(entry, max_size=30))
+    gap = st.sampled_from([" ", "  ", "\t", " \t "])
+    lines = [f"{n_rows} {n_cols} {len(entries)}"]
+    for r, c, v in entries:
+        edge = draw(st.sampled_from(["", " ", "\t"]))
+        lines.append(f"{edge}{r}{draw(gap)}{c}{draw(gap)}{v}{edge}")
+        lines += [""] * draw(st.integers(0, 1))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mtx_files())
+def test_mtx_one_pass_parse_equals_the_line_loop(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("mtx") / "m.mtx"
+    path.write_text(text)
+    entries = [ln.strip() for ln in text.splitlines()[1:] if ln.strip()]
+    n_rows, n_cols, _ = map(int, text.split("\n", 1)[0].split())
+    if entries:  # the one-pass parse takes every valid file with entries
+        assert ingest._parse_triplets(entries, n_rows, n_cols) is not None
+    fast = ingest.load_matrix(path, "mtx-triplet").counts
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ingest, "_parse_triplets", lambda *args: None)
+        loop = ingest.load_matrix(path, "mtx-triplet").counts
+    np.testing.assert_array_equal(fast, loop)
+
+
+@pytest.mark.parametrize(
+    "body, error, message",
+    [
+        # 6 tokens, a multiple of 3, on a 2-field and a 4-field line
+        ("1 1\n1 2 3 4", ingest.ParseError, "m.mtx:2: expected 'row col value', got '1 1'"),
+        ("1 1\n2 2", ingest.ParseError, "m.mtx:2: expected 'row col value', got '1 1'"),
+        ("1 1 3\n1 2 1.0", ingest.ParseError, "m.mtx:3: expected an integer count, got '1.0'"),
+        ("1 1 3\n# 1 2", ingest.ParseError, "m.mtx:3: non-integer index in '# 1 2'"),
+        ("1 1 3\n1 3 2", ingest.ParseError, "m.mtx:3: index (1, 3) outside 2x2"),
+        ("1 1 3\n2 2 -4", ingest.NegativeCountError, "m.mtx:3: negative count -4"),
+    ],
+)
+def test_mtx_malformed_body_names_the_line_loop_line(tmp_path, body, error, message):
+    path = tmp_path / "m.mtx"
+    path.write_text(f"2 2 2\n{body}\n")
+    with pytest.raises(error) as err:
+        ingest.load_matrix(path, "mtx-triplet")
+    assert str(err.value) == f"{tmp_path}/{message}"
+
+
 @pytest.mark.parametrize("fmt", ingest.FORMATS)
 def test_save_load_roundtrip(tmp_path, fmt):
     rng = np.random.default_rng(42)
@@ -115,6 +172,11 @@ def test_restrict_genes_keeps_ids_aligned():
 # -- synthesize -----------------------------------------------------------------
 
 
+def _zinb_zero_probability(pi: float, mu, theta: float):
+    """P(count = 0) under the zero-inflated negative binomial."""
+    return pi + (1.0 - pi) * (theta / (theta + np.asarray(mu))) ** theta
+
+
 def test_synthesize_is_deterministic_per_seed():
     spec = ingest.SynthesisSpec(n_cells=30, n_genes=8, n_clusters=3, seed=7)
     a = ingest.synthesize(spec)
@@ -140,7 +202,7 @@ def test_synthesize_high_dropout_is_mostly_zero():
     assert em.counts.size >= 10_000
     frac_zero = np.mean(em.counts == 0)
     assert frac_zero >= 0.95
-    floor = ingest.zinb_zero_probability(spec.dropout_rate, 5.0, spec.dispersion)
+    floor = _zinb_zero_probability(spec.dropout_rate, 5.0, spec.dispersion)
     assert floor >= 0.95  # the closed form itself predicts this regime
 
 

@@ -1,5 +1,5 @@
 import copy
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -353,22 +353,44 @@ _NO_TENSOR = object()
         ({"adam.m3": _NO_TENSOR}, r"'adam\.m3': checkpoint has no such tensor, config expects \(1"),
         ({"adam.m0": np.zeros(3)}, r"'adam\.m0': checkpoint has \(3,\), config expects \(20, 16"),
         ({"adam.v99": np.zeros(3)}, r"'adam\.v99': checkpoint has \(3,\), config expects no such"),
+        # the rest edit a formal checkpoint: 40 report nodes, 36 kept, 2 clusters
+        ({"prune.kept": lambda t: t + 0.5}, r"'prune\.kept': checkpoint has \d+\.5, expected an int"),
+        ({"prune.kept": lambda t: t + 40}, r"'prune\.kept': checkpoint has \d+\.0, expected an int"),
+        ({"prune.dropped": lambda t: t[1:]}, r"'prune\.dropped': checkpoint has \(3,\), config exp"),
+        ({"prune.kept": lambda t: np.r_[t[1:], t[1]]}, r"'prune\.dropped' hold node \d+ [02] times"),
+        ({"prune.alpha": _NO_TENSOR}, r"'prune\.alpha': checkpoint has no such tensor"),
+        ({"target": lambda t: t[:3]}, r"'target': checkpoint has \(3, 2\), config expects \(36, 2\)"),
+        ({"target": lambda t: t[:, :1]}, r"'target': checkpoint has \(36, 1\), config expects \(36,"),
+        ({"labels_prev": lambda t: t[1:]}, r"'labels_prev': checkpoint has \(35,\), config expects"),
+        ({"labels_prev": lambda t: t + 2}, r"'labels_prev': checkpoint has [23]\.0, expected an in"),
+        ({"subset_sizes": lambda t: -t}, r"'subset_sizes': checkpoint has -\d+\.0, expected an in"),
+        ({"subset_sizes": lambda t: t + 0.25}, r"'subset_sizes': checkpoint has \d+\.25, expected"),
     ],
 )
 def test_load_state_rejects_tensors_that_do_not_fit_the_config(tmp_path, change, message):
-    # a key with a dot edits a checkpoint tensor (_NO_TENSOR deletes it);
-    # any other key changes the config the checkpoint is loaded against
+    # a TrainConfig field changes the config the checkpoint is loaded
+    # against; any other key edits a checkpoint tensor: _NO_TENSOR deletes
+    # it, a function maps it, a value replaces it. A run tensor's key makes
+    # the checkpoint a formal one, two epochs in.
     _, pre, graph, cfg = _small_setup(t1=1, hidden_dim=16)
-    path = tmp_path / "pretrain.ckpt"
-    trainer.save_state(trainer.pretrain(pre, graph, cfg), path)
+    config_keys = {f.name for f in fields(TrainConfig)}
+    run_tensor = ("prune.", "target", "labels_prev", "subset_sizes")
+    state = trainer.pretrain(pre, graph, cfg)
+    if any(key.startswith(run_tensor) for key in change):
+        state, graph_pruned = _to_formal_ready(pre, graph, cfg)
+        trainer.formal_train(state, pre, graph_pruned, cfg, epochs=2)
+    path = tmp_path / "state.ckpt"
+    trainer.save_state(state, path)
     arrays = load_checkpoint(path)
     for key, value in change.items():
         if value is _NO_TENSOR:
             del arrays[key]
-        elif "." in key:
+        elif callable(value):
+            arrays[key] = value(arrays[key])
+        elif key not in config_keys:
             arrays[key] = np.asarray(value, dtype=np.float64)
     save_checkpoint(path, arrays)
-    cfg = replace(cfg, **{k: v for k, v in change.items() if "." not in k})
+    cfg = replace(cfg, **{k: v for k, v in change.items() if k in config_keys})
     with pytest.raises(CheckpointFormatError, match=message) as err:
         trainer.load_state(path, cfg, n_genes=pre.n_genes)
     assert str(path) in str(err.value)
