@@ -12,6 +12,7 @@ the same reader takes the "cell_id,predicted,..." labels a run writes.
 from __future__ import annotations
 
 import csv
+import itertools
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -209,26 +210,31 @@ def _parse_triplets(entries: list[str], n_rows: int, n_cols: int) -> np.ndarray 
 def _load_mtx(path) -> ExpressionMatrix:
     with open(path) as fh:
         lines = fh.read().splitlines()
-    body = [(i + 1, ln.strip()) for i, ln in enumerate(lines) if ln.strip()]
-    if not body:
+    head_line = next((i for i, ln in enumerate(lines, start=1) if ln.strip()), None)
+    if head_line is None:
         raise ParseError(path, 1, "empty file")
-    lineno, head = body[0]
+    head = lines[head_line - 1].strip()
     parts = head.split()
     if len(parts) != 3:
-        raise ParseError(path, lineno, f"header must be 'rows cols nnz', got {head!r}")
+        raise ParseError(path, head_line, f"header must be 'rows cols nnz', got {head!r}")
     try:
         n_rows, n_cols, nnz = (int(p) for p in parts)
     except ValueError:
-        raise ParseError(path, lineno, f"non-integer header field in {head!r}") from None
-    if len(body) - 1 != nnz:
-        raise ParseError(path, lineno, f"header promises {nnz} entries, file has {len(body) - 1}")
+        raise ParseError(path, head_line, f"non-integer header field in {head!r}") from None
+    entries = [e for e in map(str.strip, itertools.islice(lines, head_line, None)) if e]
+    if len(entries) != nnz:
+        raise ParseError(path, head_line, f"header promises {nnz} entries, file has {len(entries)}")
     counts = np.zeros((n_rows, n_cols), dtype=np.int64)
-    triplets = _parse_triplets([entry for _, entry in body[1:]], n_rows, n_cols)
+    triplets = _parse_triplets(entries, n_rows, n_cols)
     if triplets is not None:
         rows, cols, values = triplets.T
         np.add.at(counts, (rows - 1, cols - 1), values)  # duplicates accumulate
     else:
-        for lineno, entry in body[1:]:
+        # only this rare path numbers the lines, to name the one it rejects
+        body = map(str.strip, itertools.islice(lines, head_line, None))
+        for lineno, entry in enumerate(body, start=head_line + 1):
+            if not entry:
+                continue
             fields = entry.split()
             if len(fields) != 3:
                 raise ParseError(path, lineno, f"expected 'row col value', got {entry!r}")

@@ -89,8 +89,12 @@ def loss_zinb(raw_counts, params: ZinbParams) -> Tensor:
     log space: a zero count scores logaddexp(log pi, log(1-pi) + log NB(0))
     with log NB(0) = theta log(theta/(theta+mu)); a positive count scores
     log(1-pi) plus the log NB pmf. The zero and positive entries are
-    gathered apart, so log-gamma and digamma only ever see positive counts.
+    gathered apart, so the gamma-function terms only ever see positive counts.
     """
+    # Imported here, not at module top: scipy.special adds 50-70 ms to
+    # `import celluster.cli`, which every command that does not train pays.
+    from scipy.special import digamma, gammaln
+
     x = np.asarray(raw_counts, dtype=np.float64)
     pi_t, mu_t, theta_t = (nm.as_tensor(t) for t in (params.pi, params.mu, params.theta))
     if x.shape != pi_t.shape:
@@ -112,9 +116,9 @@ def loss_zinb(raw_counts, params: ZinbParams) -> Tensor:
     log_ratio = np.log(thp) - log_rate
     loglik = (
         np.log(1.0 - pip)
-        + special.log_gamma(xp + thp)
-        - special.log_gamma(xp + 1.0)
-        - special.log_gamma(thp)
+        + gammaln(xp + thp)
+        - gammaln(xp + 1.0)
+        - gammaln(thp)
         + thp * log_ratio
         + xp * (np.log(mup) - log_rate)
     )
@@ -133,9 +137,7 @@ def loss_zinb(raw_counts, params: ZinbParams) -> Tensor:
         rate = thp + mup
         d[0, pos] = -1.0 / (1.0 - pip)
         d[1, pos] = xp / mup - (thp + xp) / rate
-        d[2, pos] = (
-            special.digamma(xp + thp) - special.digamma(thp) + log_ratio + (mup - xp) / rate
-        )
+        d[2, pos] = digamma(xp + thp) - digamma(thp) + log_ratio + (mup - xp) / rate
         d *= -1.0 / x.size  # d nll / d loglik
         grads = d.reshape(3, *pi_t.shape)
 

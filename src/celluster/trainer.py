@@ -112,8 +112,10 @@ class TrainConfig:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
         for name in ("lr_pretrain", "lr_formal", "convergence_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < np.inf:  # also false for nan
+                raise ValueError(f"{name} must be positive and finite")
+        if not all(0.0 <= w < np.inf for w in self.loss_weights):
+            raise ValueError("loss_weights must be non-negative and finite")
         if not 0.0 <= self.alpha < 1.0:
             raise ValueError("alpha must lie in [0, 1)")
         if not 0.0 <= self.beta <= 1.0:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -226,6 +229,11 @@ def test_graph_failure_carries_the_same_tag_from_every_command(tmp_path, capsys)
         ({"k_neighbors": 0}, ()),
         ({"zinb_dims": "0,4,4"}, ()),
         ({"zinb_dims": "4,4,0"}, ()),
+        ({"lr_pretrain": "nan"}, ()),
+        ({"convergence_tol": "nan"}, ()),
+        ({}, ("--lr-formal", "inf")),
+        ({"loss_weights": "nan,1,1"}, ()),
+        ({"loss_weights": "-1,1,1"}, ()),
     ],
 )
 def test_train_rejects_bad_settings_before_training(tmp_path, capsys, config_extra, flags):
@@ -341,3 +349,16 @@ def test_train_help_enumerates_defaults(capsys):
     text = capsys.readouterr().out
     for flag in ("--alpha", "--lambda0", "--k-neighbors", "--n-hvg", "--prune-strategy"):
         assert flag in text
+
+
+def test_importing_the_cli_leaves_scipy_special_unloaded():
+    # scipy.special is imported by the likelihood when it first runs, so
+    # commands that do not train never pay for it.
+    env = dict(os.environ)
+    src = str(Path(trainer.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = "import sys, celluster.cli; print('scipy.special' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"

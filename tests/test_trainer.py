@@ -3,10 +3,18 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from celluster import trainer
-from celluster.cellgraph import knn_graph
-from celluster.curriculum import PruneResult, measure_difficulty, prune, rebuild_after_prune
+from celluster.cellgraph import LAPLACIAN_KINDS, knn_graph, subgraph
+from celluster.curriculum import (
+    PRUNE_STRATEGIES,
+    PruneResult,
+    measure_difficulty,
+    prune,
+    rebuild_after_prune,
+)
 from celluster.ingest import SynthesisSpec, synthesize
 from celluster.losses import NonFiniteLossError, loss_cls, loss_zinb, target_distribution
 from celluster.metrics import ari
@@ -477,3 +485,91 @@ def test_nonfinite_loss_reports_epoch_and_carries_state():
     assert err.value.epoch == 2
     assert err.value.state is state
     assert len(err.value.state.loss_history) == 2  # intact up to the failure
+
+
+# -- pruning edge cases (property tests) ------------------------------------------------
+
+_TINY_SPEC = SynthesisSpec(
+    n_cells=24, n_genes=10, n_clusters=2, dropout_rate=0.2, dispersion=2.0, mean_scale=3.0,
+    seed=7,
+)
+
+
+def _tiny_config(**overrides):
+    keys = dict(
+        n_clusters=2, t1=2, t2=4, n_hvg=10, k_neighbors=2, latent_dim=4, hidden_dim=8,
+        zinb_dims=(8, 8, 8), target_update_interval=2,
+    )
+    keys.update(overrides)
+    return TrainConfig(**keys)
+
+
+@pytest.fixture(scope="module")
+def tiny_pretrained():
+    # prune_and_cluster works on a copy of the state, so one value serves every example
+    return trainer.pretrain_and_score(synthesize(_TINY_SPEC), _tiny_config())
+
+
+def _assert_trained(result, n_clusters):
+    history = np.array([row.as_row() for row in result.state.loss_history])
+    assert np.isfinite(history).all()
+    assert result.state.phase == "done" and result.state.subset_sizes
+    assert result.labels.shape == (result.preprocessed.n_cells,)
+    assert 0 <= result.labels.min() and result.labels.max() < n_clusters
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_pruning_that_isolates_a_node_keeps_finite_operators_and_trains(tiny_pretrained, data):
+    graph = tiny_pretrained.graph
+    node = data.draw(st.integers(0, graph.n - 1), label="isolated node")
+    linked = set(graph.adjacency[node].indices) | {node}
+    others = [u for u in range(graph.n) if u not in linked]
+    kept = np.sort([node, *data.draw(st.lists(st.sampled_from(others), min_size=1, unique=True))])
+    isolated = int(np.searchsorted(kept, node))
+    for kind in LAPLACIAN_KINDS:
+        sub = subgraph(replace(graph, laplacian_kind=kind), kept)
+        assert sub.degrees[isolated] == 0
+        assert np.isfinite(sub.lambda_max) and np.isfinite(sub.scaled_laplacian.data).all()
+
+    order = tiny_pretrained.state.report.order
+    in_kept = np.isin(order, kept)
+    result = PruneResult(order[in_kept], order[~in_kept], alpha=1.0 - kept.size / graph.n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trainer, "prune", lambda *args, **kwargs: result)
+        _assert_trained(trainer.prune_and_cluster(tiny_pretrained, result.alpha), n_clusters=2)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    alpha=st.floats(0.0, 0.95),
+    extra=st.integers(1, 4),
+    strategy=st.sampled_from(PRUNE_STRATEGIES),
+)
+def test_more_clusters_than_kept_nodes_fails_tagged_centers(alpha, extra, strategy):
+    kept = _TINY_SPEC.n_cells - int(np.floor(alpha * _TINY_SPEC.n_cells))
+    cfg = _tiny_config(n_clusters=kept + extra, alpha=alpha)
+    with pytest.raises(trainer.StageError) as err:
+        trainer.run_pipeline(synthesize(_TINY_SPEC), cfg, prune_strategy=strategy)
+    assert err.value.stage == "centers"
+    assert str(err.value) == f"[centers] {kept + extra} clusters for {kept} points"
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    zero_genes=st.lists(st.integers(0, _TINY_SPEC.n_genes - 1), min_size=1, max_size=4,
+                        unique=True),
+    hvg_drop=st.integers(0, 3),
+    seed=st.integers(0, 3),
+)
+def test_all_zero_genes_kept_by_hvg_train_with_finite_losses(zero_genes, hvg_drop, seed):
+    data = synthesize(replace(_TINY_SPEC, seed=_TINY_SPEC.seed + seed))
+    counts = data.counts.copy()
+    counts[:, zero_genes] = 0
+    assume(counts.sum(axis=1).min() > 0)  # an all-zero cell is a different error
+    # more genes selected than have counts, so at least one all-zero gene is kept
+    n_hvg = max(_TINY_SPEC.n_genes - hvg_drop, _TINY_SPEC.n_genes - len(zero_genes) + 1)
+    cfg = _tiny_config(n_hvg=n_hvg, seed=seed)
+    result = trainer.run_pipeline(replace(data, counts=counts), cfg)
+    assert not result.preprocessed.raw.counts.sum(axis=0).all()
+    _assert_trained(result, n_clusters=2)
