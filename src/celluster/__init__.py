@@ -19,8 +19,8 @@ from .metrics import ari, nmi
 from .model import (
     ChebLayerParams,
     ModelParams,
-    ZinbParams,
     chebconv_forward,
+    chebyshev_basis,
     decode_adjacency,
     decode_zinb,
     encode,
@@ -55,9 +55,9 @@ __all__ = [
     "SynthesisSpec",
     "TrainConfig",
     "TrainState",
-    "ZinbParams",
     "ari",
     "chebconv_forward",
+    "chebyshev_basis",
     "combine_and_rank",
     "decode_adjacency",
     "decode_zinb",

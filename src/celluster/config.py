@@ -53,6 +53,8 @@ class RunConfig:
         for strategy in self.strategies:
             if strategy not in PRUNE_STRATEGIES:
                 raise ConfigError(f"unknown strategy {strategy!r} in strategies")
+        if min(self.seeds, default=0) < 0:
+            raise ConfigError(f"seeds must be >= 0, got {min(self.seeds)}")
 
 
 def _field_types(cls) -> dict[str, object]:

@@ -4,9 +4,10 @@ Adjacency reconstruction is a squared Frobenius norm (a sum), the count
 likelihood is a mean over entries so the criteria stay on comparable
 scales, and the clustering term is the KL divergence summed over rows.
 Each covers every node it is given: training on a node subset gathers
-that sub-problem first. Reconstruction and the likelihood are single
-autodiff nodes with closed-form gradients, so the tape never holds their
-n x n or n x g intermediates.
+that sub-problem first. Reconstruction and the likelihood (with the
+count heads' activations) are single autodiff nodes with closed-form
+gradients: the tape never holds their n x n intermediates, and of the
+likelihood's n x g ones only what its backward reads.
 """
 
 from __future__ import annotations
@@ -17,8 +18,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import numerics as nm
-from .model import ZinbParams
 from .numerics import Tensor, special
+
+PI_CLAMP = (1e-10, 1.0 - 1e-10)  # where loss_zinb holds sigmoid(pi logit)
+RATE_CLAMP = (1e-10, 1e10)  # ... and exp(log mu), exp(log theta)
 
 
 class NonFiniteLossError(RuntimeError):
@@ -82,36 +85,53 @@ def loss_rec(adjacency, z) -> Tensor:
     return nm.closed_form(total, (z,), vjp)
 
 
-def loss_zinb(raw_counts, params: ZinbParams) -> Tensor:
+def loss_zinb(raw_counts, heads) -> Tensor:
     """Mean negative log-likelihood of the zero-inflated negative binomial.
 
-    One node with a closed-form gradient in pi, mu and theta, computed in
+    `heads` are decode_zinb's three pre-activations (logit pi, log mu,
+    log theta). One node with a closed-form gradient in them, computed in
     log space: a zero count scores logaddexp(log pi, log(1-pi) + log NB(0))
     with log NB(0) = theta log(theta/(theta+mu)); a positive count scores
     log(1-pi) plus the log NB pmf. The zero and positive entries are
-    gathered apart, so the gamma-function terms only ever see positive counts.
+    gathered apart and only they are activated: pi = clip(sigmoid, PI_CLAMP),
+    mu and theta = clip(exp, RATE_CLAMP), so the gamma-function terms only
+    ever see positive counts and no activated n x g array is formed. The
+    gradient chain is the one the separate sigmoid/exp/clip ops would
+    give, so it is exactly 0 wherever a clamp binds. What backward needs
+    stays on the node: per gathered entry the three log-likelihood
+    derivatives and the three unclamped activations.
     """
     # Imported here, not at module top: scipy.special adds 50-70 ms to
     # `import celluster.cli`, which every command that does not train pays.
     from scipy.special import digamma, gammaln
 
     x = np.asarray(raw_counts, dtype=np.float64)
-    pi_t, mu_t, theta_t = (nm.as_tensor(t) for t in (params.pi, params.mu, params.theta))
-    if x.shape != pi_t.shape:
+    heads = tuple(nm.as_tensor(t) for t in heads)
+    if len(heads) != 3 or any(t.shape != x.shape for t in heads):
         raise nm.ShapeMismatchError(
-            f"loss_zinb: counts {x.shape} vs parameter matrices {pi_t.shape}"
+            f"loss_zinb: counts {x.shape} vs heads {[t.shape for t in heads]}"
         )
-    x, pi, mu, theta = (a.reshape(-1) for a in (x, pi_t.values, mu_t.values, theta_t.values))
-    zero = np.flatnonzero(x == 0)
+    x = x.reshape(-1)
+    zero = np.flatnonzero(x == 0)  # indices: much faster to gather by than masks
     pos = np.flatnonzero(x != 0)
 
-    pi0, mu0, th0 = pi[zero], mu[zero], theta[zero]
+    def activate(entries):
+        a_pi, a_mu, a_theta = (t.values.reshape(-1)[entries] for t in heads)
+        s = special.sigmoid(a_pi)
+        with np.errstate(over="ignore"):  # overflow lands on the clamp
+            e_mu, e_theta = np.exp(a_mu), np.exp(a_theta)
+        unclamped = (s, e_mu, e_theta)
+        clamped = (np.clip(s, *PI_CLAMP), np.clip(e_mu, *RATE_CLAMP), np.clip(e_theta, *RATE_CLAMP))
+        return unclamped, clamped
+
+    act0, (pi0, mu0, th0) = activate(zero)
     log_ratio0 = np.log(th0) - np.log(th0 + mu0)  # log(theta / (theta + mu))
     log_nb0 = th0 * log_ratio0
     log_nb_mass0 = np.log(1.0 - pi0) + log_nb0
     loglik0 = np.logaddexp(np.log(pi0), log_nb_mass0)
 
-    xp, pip, mup, thp = x[pos], pi[pos], mu[pos], theta[pos]
+    xp = x[pos]
+    actp, (pip, mup, thp) = activate(pos)
     log_rate = np.log(thp + mup)
     log_ratio = np.log(thp) - log_rate
     loglik = (
@@ -125,26 +145,45 @@ def loss_zinb(raw_counts, params: ZinbParams) -> Tensor:
     nll = -(loglik0.sum() + loglik.sum()) / x.size
     if not np.isfinite(nll):
         raise NonFiniteLossError("zero-inflated likelihood is non-finite")
+    if not any(t.requires_grad for t in heads):
+        return nm.Tensor(nll)
 
-    grads = None
-    if pi_t.requires_grad or mu_t.requires_grad or theta_t.requires_grad:
-        # rows: d loglik / d pi, mu, theta per entry
-        d = np.empty((3, x.size))
-        w_nb = np.exp(log_nb_mass0 - loglik0)  # share of the NB part in P(x = 0)
-        d[0, zero] = -np.expm1(log_nb0) * np.exp(-loglik0)
-        d[1, zero] = -w_nb * th0 / (th0 + mu0)
-        d[2, zero] = w_nb * (log_ratio0 + mu0 / (th0 + mu0))
-        rate = thp + mup
-        d[0, pos] = -1.0 / (1.0 - pip)
-        d[1, pos] = xp / mup - (thp + xp) / rate
-        d[2, pos] = digamma(xp + thp) - digamma(thp) + log_ratio + (mup - xp) / rate
-        d *= -1.0 / x.size  # d nll / d loglik
-        grads = d.reshape(3, *pi_t.shape)
+    # d nll / d (pi, mu, theta) per gathered entry: d loglik times -1/size
+    scale = -1.0 / x.size
+    w_nb = np.exp(log_nb_mass0 - loglik0)  # share of the NB part in P(x = 0)
+    rate = thp + mup
+    branches = (
+        (zero, act0, (
+            -np.expm1(log_nb0) * np.exp(-loglik0),
+            -w_nb * th0 / (th0 + mu0),
+            w_nb * (log_ratio0 + mu0 / (th0 + mu0)),
+        )),
+        (pos, actp, (
+            -1.0 / (1.0 - pip),
+            xp / mup - (thp + xp) / rate,
+            digamma(xp + thp) - digamma(thp) + log_ratio + (mup - xp) / rate,
+        )),
+    )
+    for _, _, d in branches:
+        for dk in d:
+            dk *= scale
+
+    size, shape = x.size, heads[0].shape
 
     def vjp(g):
-        return [g * grad for grad in grads]
+        out = [np.empty(size) for _ in heads]
+        for entries, (s, e_mu, e_theta), (d_pi, d_mu, d_theta) in branches:
+            # clip passes g only inside its bounds; then sigmoid' = s (1 - s)
+            gk = g * d_pi * ((s > PI_CLAMP[0]) & (s < PI_CLAMP[1]))
+            out[0][entries] = gk * s * (1.0 - s)
+            for o, dk, e in ((out[1], d_mu, e_mu), (out[2], d_theta, e_theta)):
+                gk = g * dk * ((e > RATE_CLAMP[0]) & (e < RATE_CLAMP[1]))
+                # exp' = exp; a zero g stays 0 where exp overflowed (0 * inf)
+                with np.errstate(invalid="ignore"):
+                    o[entries] = np.where(gk == 0.0, 0.0, gk * e)
+        return [o.reshape(shape) for o in out]
 
-    return nm.closed_form(nll, (pi_t, mu_t, theta_t), vjp)
+    return nm.closed_form(nll, heads, vjp)
 
 
 def target_distribution(q) -> np.ndarray:

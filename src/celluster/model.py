@@ -2,10 +2,12 @@
 
 Encoder: stacked Chebyshev graph convolutions (recursion Z1 = X, Z2 = Lhat X,
 Zk = 2 Lhat Z_{k-1} - Z_{k-2}; output sum_k Zk Theta_k + bias), relu between
-hidden layers, linear final layer. Decoders: inner-product adjacency
-(sigmoid of the cell Gram matrix), a fully connected count head producing
-dropout/mean/dispersion matrices, and a Student-t soft assignment against
-trainable cluster centers.
+hidden layers, linear final layer. The first layer's input is constant, so
+its recursion (the Chebyshev basis) is built once per graph and passed in.
+Decoders: inner-product adjacency (sigmoid of the cell Gram matrix), a fully
+connected count head producing the dropout/mean/dispersion pre-activations
+(their activations live in losses.loss_zinb), and a Student-t soft
+assignment against trainable cluster centers.
 """
 
 from __future__ import annotations
@@ -19,10 +21,6 @@ from .cellgraph import CellGraph
 from .numerics import Tensor
 
 ZINB_HIDDEN_DIMS = (128, 256, 512)
-
-PI_CLAMP = (1e-10, 1.0 - 1e-10)
-RATE_CLAMP = (1e-10, 1e10)
-
 
 class NonFiniteOutputError(RuntimeError):
     pass
@@ -72,13 +70,6 @@ class ModelParams:
 
     def with_centers(self, centers: np.ndarray) -> "ModelParams":
         return replace(self, cluster_centers=Tensor(centers, requires_grad=True))
-
-
-@dataclass
-class ZinbParams:
-    pi: Tensor  # (n_cells, n_genes) in (0, 1)
-    mu: Tensor  # positive
-    theta: Tensor  # positive
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -146,14 +137,44 @@ def chebconv_forward(x: Tensor, graph: CellGraph, layer: ChebLayerParams) -> Ten
     return out + layer.bias
 
 
-def encode(normalized, graph: CellGraph, params: ModelParams) -> Tensor:
-    """Stacked convolutions, relu between hidden layers, linear final layer."""
-    h = nm.as_tensor(normalized)
-    last = len(params.encoder_layers) - 1
-    for i, layer in enumerate(params.encoder_layers):
-        h = chebconv_forward(h, graph, layer)
-        if i != last:
-            h = nm.relu(h)
+def chebyshev_basis(x, graph: CellGraph, order: int) -> list[np.ndarray]:
+    """[x, Lhat x, 2 Lhat (Lhat x) - x, ...]: the first `order` terms of the
+    Chebyshev recursion on a constant input, the same arrays that
+    chebconv_forward forms from it. Build it once per graph and input."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[0] != graph.n:
+        raise nm.ShapeMismatchError(
+            f"chebyshev_basis: input of shape {x.shape} for a graph of {graph.n} nodes"
+        )
+    lhat = graph.scaled_laplacian
+    basis = [x]
+    if order >= 2:
+        basis.append(np.asarray(lhat @ x))
+    for _ in range(2, order):
+        basis.append(2.0 * np.asarray(lhat @ basis[-1]) - basis[-2])
+    return basis
+
+
+def encode(basis: list[np.ndarray], graph: CellGraph, params: ModelParams) -> Tensor:
+    """Stacked convolutions, relu between hidden layers, linear final layer.
+
+    `basis` is chebyshev_basis(x, graph, order) of the input x: the first
+    layer only weights and sums it, and the tape holds no recursion for it.
+    """
+    first, *rest = params.encoder_layers
+    want = (graph.n, first.theta[0].shape[0])
+    shapes = {np.shape(z) for z in basis}
+    if len(basis) != first.order or shapes != {want}:
+        raise nm.ShapeMismatchError(
+            f"encode: basis of {len(basis)} terms shaped {sorted(shapes)} "
+            f"vs {first.order} terms of shape {want}"
+        )
+    h = nm.matmul(basis[0], first.theta[0])
+    for z, theta in zip(basis[1:], first.theta[1:]):
+        h = h + nm.matmul(z, theta)
+    h = h + first.bias
+    for layer in rest:
+        h = chebconv_forward(nm.relu(h), graph, layer)
     return h
 
 
@@ -168,17 +189,20 @@ def decode_adjacency(z: Tensor) -> Tensor:
     return nm.sigmoid(z @ z.T)
 
 
-def decode_zinb(z: Tensor, params: ModelParams) -> ZinbParams:
+def decode_zinb(z: Tensor, params: ModelParams) -> tuple[Tensor, Tensor, Tensor]:
+    """The dropout, mean and dispersion heads as pre-activations: the logit
+    of pi and the logs of mu and theta, each (n_cells, n_genes).
+    losses.loss_zinb applies the clamped sigmoid and exps itself, so the
+    tape records no activation here. A NaN raises NonFiniteOutputError
+    naming its head; infinities are left for the clamps."""
     h = nm.as_tensor(z)
     for w, b in params.zinb_fc:
         h = nm.relu(h @ w + b)
-    pi = nm.clip(nm.sigmoid(h @ params.head_pi), *PI_CLAMP)
-    mu = nm.clip(nm.exp(h @ params.head_mu), *RATE_CLAMP)  # overflow lands on the clamp
-    theta = nm.clip(nm.exp(h @ params.head_theta), *RATE_CLAMP)
-    for name, t in (("pi", pi), ("mu", mu), ("theta", theta)):
-        if not np.all(np.isfinite(t.values)):
+    heads = (h @ params.head_pi, h @ params.head_mu, h @ params.head_theta)
+    for name, t in zip(("pi", "mu", "theta"), heads):
+        if np.isnan(t.values).any():
             raise NonFiniteOutputError(f"non-finite values in the {name} head")
-    return ZinbParams(pi=pi, mu=mu, theta=theta)
+    return heads
 
 
 def soft_assign(z: Tensor, centers: Tensor) -> Tensor:

@@ -4,7 +4,11 @@ A Tensor wraps an ndarray; operations record a tape closure whenever any
 input requires gradients, and Tensor.backward() on a scalar walks the tape
 in reverse topological order. Gradients of a call are fresh: backward()
 clears every grad reachable from the root before accumulating, so shared
-subexpressions still sum both contributions within the call.
+subexpressions still sum both contributions within the call. An interior
+node (one with a recorded backward) releases its gradient as soon as it
+has passed it on, so the reverse pass never holds more than the frontier;
+leaves keep theirs. The tape itself (values, closures, parents) stays, so
+backward() can run again on the same root.
 """
 
 from __future__ import annotations
@@ -119,8 +123,10 @@ class Tensor:
             node.grad = None
         self.grad = np.ones((), dtype=np.float64)
         for node in reversed(topo):
-            if node._backward_fn is not None and node.grad is not None:
-                node._backward_fn(node.grad)
+            if node._backward_fn is not None:
+                if node.grad is not None:
+                    node._backward_fn(node.grad)
+                node.grad = None
 
 
 def as_tensor(value) -> Tensor:
@@ -308,21 +314,6 @@ def sigmoid(x) -> Tensor:
     return _track(out_values, (x,), bw)
 
 
-def exp(x) -> Tensor:
-    x = as_tensor(x)
-    with np.errstate(over="ignore"):
-        out_values = np.exp(x.values)
-
-    def bw(g):
-        # a zero upstream grad kills the contribution even where exp overflowed
-        # (0 * inf would otherwise poison the graph with NaN)
-        with np.errstate(invalid="ignore"):
-            contrib = np.where(g == 0.0, 0.0, g * out_values)
-        _accumulate(x, contrib)
-
-    return _track(out_values, (x,), bw)
-
-
 def log(x) -> Tensor:
     x = as_tensor(x)
 
@@ -340,17 +331,6 @@ def relu(x) -> Tensor:
         _accumulate(x, g * (x.values > 0.0))
 
     return _track(out_values, (x,), bw)
-
-
-def clip(x, low: float, high: float) -> Tensor:
-    """Clamp values to [low, high]; gradient passes only in the interior."""
-    x = as_tensor(x)
-    inside = (x.values > low) & (x.values < high)
-
-    def bw(g):
-        _accumulate(x, g * inside)
-
-    return _track(np.clip(x.values, low, high), (x,), bw)
 
 
 # -- reductions ---------------------------------------------------------------

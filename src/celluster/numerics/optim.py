@@ -29,7 +29,15 @@ class AdamState:
 def adam_step(
     params: list[np.ndarray], grads: list[np.ndarray], state: AdamState
 ) -> tuple[list[np.ndarray], AdamState]:
-    """One bias-corrected Adam update. Mutates moments in `state`, returns new arrays."""
+    """One bias-corrected Adam update; returns fresh parameter arrays.
+
+    The moments in `state` are updated in place with `out=` ufuncs, and the
+    temporaries share one scratch buffer sized to the largest parameter;
+    the new parameters are computed in their own output arrays, so neither
+    the inputs nor the state is aliased by what comes back. Every entry
+    sees the same operations in the same order as the textbook form
+    p - lr * (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps).
+    """
     if len(params) != len(grads):
         raise ShapeMismatchError(
             f"adam_step: {len(params)} params vs {len(grads)} grads"
@@ -49,13 +57,21 @@ def adam_step(
     correction1 = 1.0 - b1**t
     correction2 = 1.0 - b2**t
 
+    scratch = np.empty(max((p.size for p in params), default=0))
     updated = []
-    for i, (p, g) in enumerate(zip(params, grads)):
-        m = b1 * state.first_moment[i] + (1.0 - b1) * g
-        v = b2 * state.second_moment[i] + (1.0 - b2) * (g * g)
-        state.first_moment[i] = m
-        state.second_moment[i] = v
-        m_hat = m / correction1
-        v_hat = v / correction2
-        updated.append(p - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon))
+    for p, g, m, v in zip(params, grads, state.first_moment, state.second_moment):
+        tmp = scratch[: p.size].reshape(p.shape)
+        m *= b1  # m = b1 m + (1 - b1) g
+        m += np.multiply(g, 1.0 - b1, out=tmp)
+        v *= b2  # v = b2 v + (1 - b2) g^2
+        np.multiply(g, g, out=tmp)
+        tmp *= 1.0 - b2
+        v += tmp
+        np.divide(v, correction2, out=tmp)  # sqrt(v_hat) + eps
+        np.sqrt(tmp, out=tmp)
+        tmp += state.epsilon
+        new = np.divide(m, correction1)  # lr * m_hat / (sqrt(v_hat) + eps)
+        new *= state.learning_rate
+        new /= tmp
+        updated.append(np.subtract(p, new, out=new))
     return updated, state

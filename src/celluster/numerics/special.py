@@ -1,9 +1,9 @@
 """The logistic function on float64 arrays.
 
-It is the one formula shared by the autodiff sigmoid op and the fused
-reconstruction criterion. It stays here rather than using
-scipy.special.expit because it is faster on loss_rec's row blocks and
-costs nothing to import.
+It is the one formula shared by the autodiff sigmoid op, the fused
+reconstruction criterion and the likelihood's dropout head. It stays here
+rather than using scipy.special.expit because it is faster on loss_rec's
+row blocks and costs nothing to import.
 """
 
 from __future__ import annotations

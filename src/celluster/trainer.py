@@ -44,6 +44,7 @@ from .model import (
     ZINB_HIDDEN_DIMS,
     ModelParams,
     NonFiniteOutputError,
+    chebyshev_basis,
     decode_zinb,
     encode,
     init_params,
@@ -108,7 +109,7 @@ class TrainConfig:
                      "k_neighbors", "zinb_dims", "target_update_interval"):
             if np.min(getattr(self, name)) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        for name in ("t1", "t2"):
+        for name in ("t1", "t2", "seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
         for name in ("lr_pretrain", "lr_formal", "convergence_tol"):
@@ -240,9 +241,9 @@ def _train_step(
             counts = counts[subset]
             if target is not None:
                 target = target[subset]
-        zinb_params = decode_zinb(z, state.params)
+        heads = decode_zinb(z, state.params)
         rec = loss_rec(adjacency, z)
-        zinb = loss_zinb(counts, zinb_params)
+        zinb = loss_zinb(counts, heads)
         cls = None
         if target is not None:
             cls = loss_cls(target, soft_assign(z, state.params.cluster_centers))
@@ -284,10 +285,14 @@ def pretrain(
     cfg: TrainConfig,
     state: TrainState | None = None,
     epochs: int | None = None,
+    basis: list[np.ndarray] | None = None,
 ) -> TrainState:
     """Full-batch reconstruction + likelihood training for cfg.t1 epochs
-    (or resume `state` until `epochs` total), one encode per epoch; writes
-    no checkpoint."""
+    (or resume `state` until `epochs` total), one encode per epoch from
+    `basis`, the Chebyshev basis of pre.normalized on `graph` (built here
+    when not given); writes no checkpoint."""
+    if basis is None:
+        basis = chebyshev_basis(pre.normalized, graph, cfg.cheb_order)
     if state is None:
         state = TrainState(
             phase="pretrain",
@@ -297,7 +302,7 @@ def pretrain(
         )
     total_epochs = cfg.t1 if epochs is None else epochs
     while state.epoch < total_epochs:
-        _train_step(state, encode(pre.normalized, graph, state.params), pre.raw.counts, graph, cfg)
+        _train_step(state, encode(basis, graph, state.params), pre.raw.counts, graph, cfg)
     return state
 
 
@@ -328,7 +333,7 @@ def formal_train(
 
     kept_sorted = np.sort(state.prune.kept)
     easiest_first = np.searchsorted(kept_sorted, state.prune.kept)
-    norm_kept = pre.normalized[kept_sorted]
+    basis = chebyshev_basis(pre.normalized[kept_sorted], graph_pruned, cfg.cheb_order)
     raw_kept = pre.raw.counts[kept_sorted]
     n_original = state.report.n
     pacing = PacingConfig(lambda0=cfg.lambda0, t_hat=cfg.effective_t_hat)
@@ -336,7 +341,7 @@ def formal_train(
     total_epochs = cfg.t2 if epochs is None else epochs
     while state.epoch < total_epochs:
         t = state.epoch
-        z = encode(norm_kept, graph_pruned, state.params)
+        z = encode(basis, graph_pruned, state.params)
         if t % cfg.target_update_interval == 0:
             q = soft_assign(z.values, state.params.cluster_centers).values
             labels_now = q.argmax(axis=1)
@@ -370,7 +375,8 @@ def predict(state: TrainState, pre: PreprocessedData, graph: CellGraph) -> np.nd
         raise NotTrainedError(f"predict called in phase {state.phase!r}")
     if state.params.cluster_centers is None:
         raise NotTrainedError("no cluster centers; was formal training run?")
-    z = encode(pre.normalized, graph, state.params)
+    basis = chebyshev_basis(pre.normalized, graph, state.params.encoder_layers[0].order)
+    z = encode(basis, graph, state.params)
     q = soft_assign(z, state.params.cluster_centers).values
     return q.argmax(axis=1).astype(np.int64)
 
@@ -534,7 +540,7 @@ class Pretrained:
     cfg: TrainConfig
     preprocessed: PreprocessedData
     graph: CellGraph
-    state: TrainState  # pretrained, with the difficulty report
+    state: TrainState  # pretrained, with the difficulty report; no Adam moments
     embedding: np.ndarray  # pretrained latent vector of every cell
 
 
@@ -561,11 +567,14 @@ def pretrain_and_score(
     with stage("graph"):
         graph = knn_graph(pre.normalized, cfg.k_neighbors, laplacian_kind)
     with stage("pretrain"):
-        state = pretrain(pre, graph, cfg)
+        basis = chebyshev_basis(pre.normalized, graph, cfg.cheb_order)
+        state = pretrain(pre, graph, cfg, basis=basis)
         if checkpoint_dir is not None:
             save_state(state, f"{checkpoint_dir}/pretrain_final.ckpt")
+        # every tail starts a fresh optimizer, so the moments are dead weight
+        state.adam.first_moment, state.adam.second_moment = [], []
     with stage("difficulty"):
-        z = encode(pre.normalized, graph, state.params).values
+        z = encode(basis, graph, state.params).values
         state.report = measure_difficulty(z, graph, beta=cfg.beta, local_mode=local_mode)
     return Pretrained(cfg, pre, graph, state, z)
 

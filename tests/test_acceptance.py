@@ -17,7 +17,6 @@ from celluster import numerics as nm
 from celluster.cellgraph import _from_adjacency
 from celluster.cli import main as cli_main
 from celluster.ingest import SynthesisSpec, synthesize
-from celluster.model import ZinbParams
 from celluster.trainer import TrainConfig
 from gradcheck import finite_difference_gradients, max_relative_error
 
@@ -51,12 +50,10 @@ def test_criterion_1_gradient_correctness():
 
     unary = {
         "sigmoid": (nm.sigmoid, (-2.0, 2.0)),
-        "exp": (nm.exp, (-1.0, 1.0)),
         "log": (nm.log, (0.3, 3.0)),
         "relu": (nm.relu, (0.2, 2.0)),
         "transpose": (nm.transpose, (-1.0, 1.0)),
         "sum": (nm.tensor_sum, (-1.0, 1.0)),
-        "clip": (lambda t: nm.clip(t, 0.25, 1.75), (0.3, 1.7)),
         "index_rows": (lambda t: nm.index_rows(t, [1, 0, 1]), (-1.0, 1.0)),
     }
     for name, (op, (lo, hi)) in unary.items():
@@ -94,7 +91,8 @@ def test_criterion_1_gradient_correctness():
     worst["const_matmul"] = max(errs)
 
     # the three losses; the likelihood also on all-zero counts (its logaddexp
-    # branch) and on all-positive counts (its log-gamma branch) alone
+    # branch) and on all-positive counts (its log-gamma branch) alone, in its
+    # pre-activations (logit pi, log mu, log theta)
     zinb_counts = {
         "loss_zinb": lambda rng: rng.integers(0, 8, size=(2, 3)),
         "loss_zinb_zero_counts": lambda rng: np.zeros((2, 3)),
@@ -115,8 +113,8 @@ def test_criterion_1_gradient_correctness():
             th0 = rng.uniform(0.8, 4.0, size=(2, 3))
             errs[name].append(
                 _fd_max_err(
-                    lambda ts: losses.loss_zinb(x, ZinbParams(ts[0], ts[1], ts[2])),
-                    [pi0, mu0, th0],
+                    lambda ts: losses.loss_zinb(x, ts),
+                    [np.log(pi0 / (1.0 - pi0)), np.log(mu0), np.log(th0)],
                 )
             )
 
@@ -172,14 +170,15 @@ def test_criterion_2_chebconv_dense_oracle():
 
 
 def test_criterion_3_zinb_pointwise():
-    def zinb(pi, mu, th):
-        return ZinbParams(nm.Tensor([[pi]]), nm.Tensor([[mu]]), nm.Tensor([[th]]))
+    # fed as pre-activations: logit 0.5 = 0, log 1 = 0, logit 0.2 = log 0.25
+    def zinb(pi_logit, log_mu, log_th):
+        return [nm.Tensor([[pi_logit]]), nm.Tensor([[log_mu]]), nm.Tensor([[log_th]])]
 
-    zero_case = losses.loss_zinb(np.array([[0.0]]), zinb(0.5, 1.0, 1.0)).item()
+    zero_case = losses.loss_zinb(np.array([[0.0]]), zinb(0.0, 0.0, 0.0)).item()
     assert abs(zero_case - 0.28768) < 1e-5
     assert abs(zero_case - (-math.log(0.75))) < 1e-6
 
-    one_case = losses.loss_zinb(np.array([[1.0]]), zinb(0.2, 1.0, 1.0)).item()
+    one_case = losses.loss_zinb(np.array([[1.0]]), zinb(math.log(0.25), 0.0, 0.0)).item()
     assert abs(one_case - 1.60944) < 1e-5
     assert abs(one_case - (-math.log(0.2))) < 1e-6
 
@@ -190,9 +189,8 @@ def test_criterion_3_zinb_pointwise():
     x = rng.integers(0, 15, size=(5, 6)).astype(float)
     mu = rng.uniform(0.4, 9.0, size=(5, 6))
     th = rng.uniform(0.4, 5.0, size=(5, 6))
-    got = losses.loss_zinb(
-        x, ZinbParams(nm.Tensor(np.full((5, 6), 1e-10)), nm.Tensor(mu), nm.Tensor(th))
-    ).item()
+    floored = np.full((5, 6), -1000.0)  # sigmoid underflows: pi is held at its 1e-10 floor
+    got = losses.loss_zinb(x, [nm.Tensor(floored), nm.Tensor(np.log(mu)), nm.Tensor(np.log(th))]).item()
     nb = -(
         gammaln(x + th) - gammaln(x + 1.0) - gammaln(th)
         + th * np.log(th / (th + mu)) + x * np.log(mu / (th + mu))

@@ -202,6 +202,17 @@ def test_prune_study_rows_equal_separate_pipeline_runs(tmp_path):
     assert (out / "prune_study.csv").read_text().splitlines()[1:] == expected
 
 
+def test_prune_study_rejects_a_negative_seed_before_any_stage(tmp_path, capsys):
+    data_dir = tmp_path / "data"
+    assert _run(*_synth_args(data_dir)) == 0
+    config = tmp_path / "study.txt"
+    out = tmp_path / "study"
+    _write_config(config, data_dir, out, seeds="1,-2")
+    assert _run("prune-study", config) == 1
+    assert "error: [config]" in capsys.readouterr().err
+    assert not (out / "prune_study.csv").exists()
+
+
 def test_graph_failure_carries_the_same_tag_from_every_command(tmp_path, capsys):
     data_dir = tmp_path / "data"
     assert _run(*_synth_args(data_dir)) == 0
@@ -234,6 +245,8 @@ def test_graph_failure_carries_the_same_tag_from_every_command(tmp_path, capsys)
         ({}, ("--lr-formal", "inf")),
         ({"loss_weights": "nan,1,1"}, ()),
         ({"loss_weights": "-1,1,1"}, ()),
+        ({"seed": -1}, ()),
+        ({}, ("--seed", "-1")),
     ],
 )
 def test_train_rejects_bad_settings_before_training(tmp_path, capsys, config_extra, flags):

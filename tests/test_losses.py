@@ -7,16 +7,18 @@ import scipy.sparse as sp
 
 from celluster import losses, model
 from celluster import numerics as nm
-from celluster.model import ZinbParams
 from gradcheck import finite_difference_gradients, max_relative_error
 
 
+def _pre(pi, mu, theta):
+    """The head pre-activations (logit pi, log mu, log theta) of the given
+    activations."""
+    pi = np.asarray(pi, dtype=float)
+    return [np.log(pi) - np.log1p(-pi), np.log(mu), np.log(theta)]
+
+
 def _zinb(pi, mu, theta, grad=False):
-    return ZinbParams(
-        pi=nm.Tensor(pi, requires_grad=grad),
-        mu=nm.Tensor(mu, requires_grad=grad),
-        theta=nm.Tensor(theta, requires_grad=grad),
-    )
+    return [nm.Tensor(a, requires_grad=grad) for a in _pre(pi, mu, theta)]
 
 
 def nb_nll_oracle(x, mu, theta):
@@ -49,7 +51,7 @@ def _zinb_on(x, tensors, subset=None):
     if subset is not None:
         x = x[subset]
         tensors = [nm.index_rows(t, subset) for t in tensors]
-    return losses.loss_zinb(x, ZinbParams(*tensors))
+    return losses.loss_zinb(x, tensors)
 
 
 def _rec_oracle(adjacency, z0, subset=None):
@@ -146,27 +148,36 @@ def test_loss_zinb_vanishing_dropout_matches_nb_oracle():
     assert got == pytest.approx(want, abs=1e-8)
 
 
-def test_loss_zinb_forced_zero_dropout_equals_nb_oracle_tight():
+def test_loss_zinb_dropout_below_the_floor_equals_clamped_oracle_tight():
+    # a pi logit far below the floor holds pi at PI_CLAMP[0] exactly, so the
+    # likelihood is the NB one plus the floor's two terms, coded apart here
     rng = np.random.default_rng(2)
     x = rng.integers(0, 20, size=(4, 7)).astype(float)
     mu = rng.uniform(0.2, 10.0, size=(4, 7))
     theta = rng.uniform(0.3, 5.0, size=(4, 7))
-    pi = np.full((4, 7), 1e-300)  # below the clamp floor on purpose: log(1-pi) = 0
-    got = losses.loss_zinb(x, _zinb(pi, mu, theta)).item()
-    # at pi ~ 0 the zero branch reduces to the NB zero mass too
-    want = float(np.mean(nb_nll_oracle(x, mu, theta)))
-    assert got == pytest.approx(want, abs=1e-9)
+    heads = [nm.Tensor(np.full((4, 7), -800.0)), *_zinb(0.5, mu, theta)[1:]]
+    got = losses.loss_zinb(x, heads).item()
+    floor = losses.PI_CLAMP[0]
+    nb_zero = (theta / (theta + mu)) ** theta
+    want = np.where(
+        x == 0,
+        -np.log(floor + (1.0 - floor) * nb_zero),
+        nb_nll_oracle(x, mu, theta) - np.log1p(-floor),
+    )
+    assert got == pytest.approx(float(np.mean(want)), rel=1e-12)
 
 
 def test_loss_zinb_row_mask_equals_sliced_computation():
     rng = np.random.default_rng(3)
     x = rng.integers(0, 6, size=(6, 4)).astype(float)
-    pi = rng.uniform(0.05, 0.9, size=(6, 4))
-    mu = rng.uniform(0.5, 5.0, size=(6, 4))
-    theta = rng.uniform(0.5, 5.0, size=(6, 4))
-    tensors = [nm.Tensor(a, requires_grad=True) for a in (pi, mu, theta)]
+    arrays = _pre(
+        rng.uniform(0.05, 0.9, size=(6, 4)),
+        rng.uniform(0.5, 5.0, size=(6, 4)),
+        rng.uniform(0.5, 5.0, size=(6, 4)),
+    )
+    tensors = [nm.Tensor(a, requires_grad=True) for a in arrays]
     gathered = _zinb_on(x, tensors, [1, 4])
-    sliced = losses.loss_zinb(x[[1, 4]], _zinb(pi[[1, 4]], mu[[1, 4]], theta[[1, 4]])).item()
+    sliced = losses.loss_zinb(x[[1, 4]], [nm.Tensor(a[[1, 4]]) for a in arrays]).item()
     assert gathered.item() == sliced
     gathered.backward()
     assert not any(np.any(t.grad[[0, 2, 3, 5]]) for t in tensors)
@@ -175,17 +186,17 @@ def test_loss_zinb_row_mask_equals_sliced_computation():
 def test_loss_zinb_gradients_match_finite_differences():
     rng = np.random.default_rng(4)
     x = rng.integers(0, 8, size=(3, 4)).astype(float)
-    arrays = [
+    arrays = _pre(  # gradients are taken in the pre-activations
         rng.uniform(0.2, 0.8, size=(3, 4)),  # pi
         rng.uniform(0.8, 4.0, size=(3, 4)),  # mu
         rng.uniform(0.8, 4.0, size=(3, 4)),  # theta
-    ]
+    )
 
     def forward(vals):
-        return losses.loss_zinb(x, _zinb(*vals)).item()
+        return losses.loss_zinb(x, [nm.Tensor(v) for v in vals]).item()
 
     tensors = [nm.Tensor(a, requires_grad=True) for a in arrays]
-    losses.loss_zinb(x, ZinbParams(*tensors)).backward()
+    losses.loss_zinb(x, tensors).backward()
     numeric = finite_difference_gradients(forward, arrays)
     err = max_relative_error([t.grad for t in tensors], numeric)
     assert err < 1e-5, f"max relative error {err}"
@@ -200,11 +211,11 @@ def test_loss_zinb_branch_gradients_match_finite_differences(branch):
         x = rng.integers(1, 9, size=(3, 4)).astype(float)
         if branch == "zero":
             x[:] = 0.0
-        arrays = [
+        arrays = _pre(
             rng.uniform(0.2, 0.8, size=(3, 4)),
             rng.uniform(0.3, 5.0, size=(3, 4)),
             rng.uniform(0.3, 5.0, size=(3, 4)),
-        ]
+        )
 
         for subset in (None, [2, 0]):
 
@@ -249,21 +260,38 @@ def test_loss_zinb_gradient_is_zero_on_the_clamps():
         head.values = np.array([[900.0, -900.0, 0.3], [900.0, -900.0, -0.2]])
     z = nm.Tensor(rng.uniform(0.5, 1.5, size=(6, 2)))
     x = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]] * 3)
-    zinb = model.decode_zinb(z, params)
-    np.testing.assert_array_equal(zinb.pi.values[:, :2], [[model.PI_CLAMP[1], model.PI_CLAMP[0]]] * 6)
-    np.testing.assert_array_equal(zinb.mu.values[:, :2], [model.RATE_CLAMP[::-1]] * 6)
-    np.testing.assert_array_equal(zinb.theta.values[:, :2], [model.RATE_CLAMP[::-1]] * 6)
-    losses.loss_zinb(x, zinb).backward()
+    heads = model.decode_zinb(z, params)
+    for pre in heads:  # far past both clamps: sigmoid and exp saturate there
+        assert np.all(pre.values[:, 0] >= 900.0) and np.all(pre.values[:, 1] <= -900.0)
+    losses.loss_zinb(x, heads).backward()
     for head in (params.head_pi, params.head_mu, params.head_theta):
         assert np.all(np.isfinite(head.grad))
         assert np.all(head.grad[:, :2] == 0.0)
         assert np.all(head.grad[:, 2] != 0.0)
 
 
+@pytest.mark.parametrize("count", [0.0, 2.0], ids=["zero", "positive"])
+def test_loss_zinb_gradient_is_zero_where_a_clamp_binds_on_a_slope(count):
+    # at +-30 every activation is past its clamp but still has slope
+    # (sigmoid' ~ 9e-14, exp' = exp), so only the clamp makes the gradient 0;
+    # column 2 stays inside every clamp
+    pre = np.array([[-30.0, 30.0, 0.4]] * 2)
+    heads = [nm.Tensor(pre, requires_grad=True) for _ in range(3)]
+    losses.loss_zinb(np.full((2, 3), count), heads).backward()
+    for head in heads:
+        assert np.all(head.grad[:, :2] == 0.0)
+        assert np.all(head.grad[:, 2] != 0.0)
+
+
 def test_loss_zinb_non_finite_raises():
+    # the clamps keep every finite or infinite pre-activation finite; NaN is not
     x = np.array([[0.0, 3.0]])
-    with np.errstate(divide="ignore"), pytest.raises(losses.NonFiniteLossError):
-        losses.loss_zinb(x, _zinb([[0.5, 1.0]], [[1.0, 1.0]], [[1.0, 1.0]], grad=True))
+    heads = _zinb([[0.5, 0.5]], [[1.0, np.nan]], [[1.0, 1.0]], grad=True)
+    with np.errstate(invalid="ignore"), pytest.raises(losses.NonFiniteLossError):
+        losses.loss_zinb(x, heads)
+    infinite = [nm.Tensor([[np.inf, -np.inf]]), nm.Tensor([[np.inf, -np.inf]]),
+                nm.Tensor([[-np.inf, np.inf]])]
+    assert np.isfinite(losses.loss_zinb(x, infinite).item())
 
 
 # -- target distribution ---------------------------------------------------------

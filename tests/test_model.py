@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from celluster import model
+from celluster import losses, model
 from celluster import numerics as nm
 from celluster.cellgraph import _from_adjacency
 from gradcheck import finite_difference_gradients, max_relative_error
@@ -81,11 +81,68 @@ def test_chebconv_shape_mismatch():
         model.chebconv_forward(nm.Tensor(np.zeros((6, 7))), graph, layer)
 
 
+def _chained_chebconv(x, graph, params):
+    """The encoder written as chained chebconv_forward calls: the oracle
+    that encode on a prebuilt basis must reproduce bit for bit."""
+    h = nm.Tensor(x)
+    for i, layer in enumerate(params.encoder_layers):
+        h = model.chebconv_forward(h, graph, layer)
+        if i != len(params.encoder_layers) - 1:
+            h = nm.relu(h)
+    return h
+
+
+@pytest.mark.parametrize("kind", ["sym_normalized", "combinatorial"])
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+def test_encode_on_the_basis_equals_chained_chebconv_bit_for_bit(order, kind):
+    for seed in range(5):
+        rng = np.random.default_rng(50 * order + seed)
+        n = int(rng.integers(4, 15))
+        upper = np.triu(rng.random((n, n)) < 0.4, k=1)
+        upper[0, :] = False  # node 0 is isolated
+        adj = (upper | upper.T).astype(float)
+        graph = _from_adjacency(sp.csr_matrix(adj), kind)
+        assert graph.degrees[0] == 0
+        params = model.init_params(n_genes=6, latent_dim=3, hidden_dim=5, cheb_order=order, seed=seed)
+        x = rng.normal(size=(n, 6))
+        want = _chained_chebconv(x, graph, params)
+        weights = rng.normal(size=want.shape)
+        (want * nm.Tensor(weights)).sum().backward()
+        want_grads = [t.grad for _, t in params.named_parameters()]
+        basis = model.chebyshev_basis(x, graph, order)
+        assert len(basis) == order and np.array_equal(basis[0], x)
+        got = model.encode(basis, graph, params)
+        assert np.array_equal(got.values, want.values)
+        (got * nm.Tensor(weights)).sum().backward()
+        for (name, t), grad in zip(params.named_parameters(), want_grads):
+            assert np.array_equal(t.grad, grad), name
+
+
+def test_encode_rejects_a_basis_that_does_not_fit():
+    rng = np.random.default_rng(9)
+    graph = _random_graph(rng, 6)
+    params = model.init_params(n_genes=4, latent_dim=2, hidden_dim=3, cheb_order=3, seed=0)
+    x = rng.normal(size=(6, 4))
+    with pytest.raises(nm.ShapeMismatchError):
+        model.encode(model.chebyshev_basis(x, graph, 2), graph, params)  # too few terms
+    with pytest.raises(nm.ShapeMismatchError):
+        model.encode(model.chebyshev_basis(x[:, :3], graph, 3), graph, params)  # too narrow
+    with pytest.raises(nm.ShapeMismatchError):
+        model.chebyshev_basis(x[:5], graph, 3)  # one row short of the graph
+
+
+def test_decode_zinb_nan_names_the_head():
+    params = model.init_params(n_genes=4, latent_dim=3, seed=0)
+    params.head_theta.values[1, 2] = np.nan
+    with pytest.raises(model.NonFiniteOutputError, match="theta head"):
+        model.decode_zinb(nm.Tensor(np.ones((2, 3))), params)
+
+
 def test_encode_zero_input_zero_bias_gives_zero_embedding():
     rng = np.random.default_rng(3)
     graph = _random_graph(rng, 8)
     params = model.init_params(n_genes=10, latent_dim=4, hidden_dim=6, seed=0)
-    z = model.encode(np.zeros((8, 10)), graph, params)
+    z = model.encode(model.chebyshev_basis(np.zeros((8, 10)), graph, 3), graph, params)
     np.testing.assert_array_equal(z.values, np.zeros((8, 4)))
 
 
@@ -94,8 +151,8 @@ def test_encode_is_deterministic():
     graph = _random_graph(rng, 8)
     params = model.init_params(n_genes=10, latent_dim=4, hidden_dim=6, seed=1)
     x = rng.normal(size=(8, 10))
-    za = model.encode(x, graph, params)
-    zb = model.encode(x, graph, params)
+    za = model.encode(model.chebyshev_basis(x, graph, 3), graph, params)
+    zb = model.encode(model.chebyshev_basis(x, graph, 3), graph, params)
     assert np.array_equal(za.values, zb.values)
 
 
@@ -110,17 +167,18 @@ def test_full_forward_is_node_permutation_equivariant():
     adj_p = graph.adjacency.toarray()[np.ix_(perm, perm)]
     graph_p = _from_adjacency(sp.csr_matrix(adj_p), graph.laplacian_kind)
 
-    z = model.encode(x, graph, params)
-    z_p = model.encode(x[perm], graph_p, params)
+    z = model.encode(model.chebyshev_basis(x, graph, 3), graph, params)
+    z_p = model.encode(model.chebyshev_basis(x[perm], graph_p, 3), graph_p, params)
     np.testing.assert_allclose(z_p.values, z.values[perm], atol=1e-9)
 
     a_rec = model.decode_adjacency(z).values
     a_rec_p = model.decode_adjacency(z_p).values
     np.testing.assert_allclose(a_rec_p, a_rec[np.ix_(perm, perm)], atol=1e-9)
 
-    zinb = model.decode_zinb(z, params)
-    zinb_p = model.decode_zinb(z_p, params)
-    np.testing.assert_allclose(zinb_p.mu.values, zinb.mu.values[perm], atol=1e-9)
+    heads = model.decode_zinb(z, params)
+    heads_p = model.decode_zinb(z_p, params)
+    for pre, pre_p in zip(heads, heads_p):
+        np.testing.assert_allclose(pre_p.values, pre.values[perm], atol=1e-9)
 
 
 def test_decode_adjacency_orthogonal_rows_give_half():
@@ -147,10 +205,9 @@ def test_decode_zinb_all_zero_weights():
     params = model.init_params(n_genes=6, latent_dim=4, seed=0)
     for _, t in params.named_parameters():
         t.values = np.zeros_like(t.values)
-    zinb = model.decode_zinb(nm.Tensor(np.random.default_rng(0).normal(size=(3, 4))), params)
-    np.testing.assert_allclose(zinb.pi.values, 0.5, atol=0)
-    np.testing.assert_allclose(zinb.mu.values, 1.0, atol=0)
-    np.testing.assert_allclose(zinb.theta.values, 1.0, atol=0)
+    heads = model.decode_zinb(nm.Tensor(np.random.default_rng(0).normal(size=(3, 4))), params)
+    for pre in heads:  # pi = sigmoid(0) = 1/2, mu = theta = exp(0) = 1
+        np.testing.assert_array_equal(pre.values, np.zeros((3, 6)))
 
 
 def test_decode_zinb_ranges_hold_for_random_weights():
@@ -160,10 +217,10 @@ def test_decode_zinb_ranges_hold_for_random_weights():
         for _, t in params.named_parameters():
             t.values = rng.uniform(-1.0, 1.0, size=t.values.shape)
         z = nm.Tensor(rng.uniform(-5, 5, size=(4, 3)))
-        zinb = model.decode_zinb(z, params)
-        assert np.all(zinb.pi.values > 0) and np.all(zinb.pi.values < 1)
-        assert np.all(zinb.mu.values > 0) and np.all(np.isfinite(zinb.mu.values))
-        assert np.all(zinb.theta.values > 0) and np.all(np.isfinite(zinb.theta.values))
+        heads = model.decode_zinb(z, params)
+        assert all(pre.shape == (4, 5) and np.all(np.isfinite(pre.values)) for pre in heads)
+        counts = rng.integers(0, 5, size=(4, 5))
+        assert np.isfinite(losses.loss_zinb(counts, heads).item())
 
 
 def test_decode_zinb_gradients_match_finite_differences():
@@ -172,18 +229,18 @@ def test_decode_zinb_gradients_match_finite_differences():
     z0 = rng.normal(size=(3, 3)) * 0.5
     w = rng.normal(size=(3, 4))
 
-    for head in ("pi", "mu", "theta"):
+    for head, name in enumerate(("pi", "mu", "theta")):
 
         def forward(arrays):
-            zinb = model.decode_zinb(nm.Tensor(arrays[0]), params)
-            return float((getattr(zinb, head).values * w).sum())
+            heads = model.decode_zinb(nm.Tensor(arrays[0]), params)
+            return float((heads[head].values * w).sum())
 
         z = nm.Tensor(z0, requires_grad=True)
-        zinb = model.decode_zinb(z, params)
-        (getattr(zinb, head) * nm.Tensor(w)).sum().backward()
+        heads = model.decode_zinb(z, params)
+        (heads[head] * nm.Tensor(w)).sum().backward()
         numeric = finite_difference_gradients(forward, [z0])
         err = max_relative_error([z.grad], numeric)
-        assert err < 1e-5, f"{head} head: max relative error {err}"
+        assert err < 1e-5, f"{name} head: max relative error {err}"
 
 
 def test_soft_assign_equidistant_centers():

@@ -33,7 +33,6 @@ def test_forward_ops_match_numpy():
     np.testing.assert_allclose((ta - tb).values, a - b, rtol=0)
     np.testing.assert_allclose((ta * tb).values, a * b, rtol=0)
     np.testing.assert_allclose((ta / tb).values, a / b, rtol=0)
-    np.testing.assert_allclose(nm.exp(ta).values, np.exp(a), rtol=0)
     np.testing.assert_allclose(nm.log(ta).values, np.log(a), rtol=0)
     np.testing.assert_allclose(nm.relu(nm.Tensor(a - 1.0)).values, np.maximum(a - 1.0, 0), rtol=0)
     np.testing.assert_allclose(ta.T.values, a.T, rtol=0)
@@ -88,6 +87,38 @@ def test_repeated_backward_gives_fresh_grads():
     assert float(x.grad) == first
 
 
+def _tape(root):
+    """Every node reachable from `root`, root included."""
+    nodes, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in nodes:
+            nodes[id(node)] = node
+            stack.extend(node._parents)
+    return list(nodes.values())
+
+
+def test_backward_releases_interior_grads_and_keeps_leaf_grads():
+    # y = sum(sigmoid(a @ b) * (a @ b) + a @ b): a @ b feeds three consumers
+    rng = np.random.default_rng(12)
+    a0, b0 = rng.normal(size=(3, 4)), rng.normal(size=(4, 2))
+    a, b = nm.Tensor(a0, requires_grad=True), nm.Tensor(b0, requires_grad=True)
+    ab = a @ b
+    y = (nm.sigmoid(ab) * ab + ab).sum()
+    y.backward()
+    interior = [t for t in _tape(y) if t._backward_fn is not None]
+    assert len(interior) == 5  # matmul, sigmoid, mul, add, sum
+    assert all(t.grad is None for t in interior)
+    s = 1.0 / (1.0 + np.exp(-(a0 @ b0)))
+    d_ab = s * (1.0 - s) * (a0 @ b0) + s + 1.0  # oracle, coded apart from the tape
+    np.testing.assert_allclose(a.grad, d_ab @ b0.T, rtol=1e-13)
+    np.testing.assert_allclose(b.grad, a0.T @ d_ab, rtol=1e-13)
+    first = [a.grad.copy(), b.grad.copy()]
+    y.backward()  # the tape survives: a second pass gives the same leaf grads
+    assert all(t.grad is None for t in interior)
+    assert np.array_equal(a.grad, first[0]) and np.array_equal(b.grad, first[1])
+
+
 # -- finite-difference oracle -------------------------------------------------
 
 
@@ -107,7 +138,6 @@ def _fd_check(build, arrays, tol=1e-5, h=1e-5):
 
 UNARY_CASES = {
     "sigmoid": (nm.sigmoid, (-2.0, 2.0)),
-    "exp": (nm.exp, (-1.0, 1.0)),
     "log": (nm.log, (0.3, 3.0)),
     "relu": (nm.relu, (0.2, 2.0)),  # stay away from the kink
     "transpose": (nm.transpose, (-1.0, 1.0)),
@@ -189,12 +219,6 @@ def test_const_matmul_gradient_dense_and_sparse():
     _fd_check(lambda ts: nm.const_matmul(op_sparse, ts[0]).sum(), [x])
 
 
-def test_clip_gradient_is_zero_outside_range():
-    x = nm.Tensor(np.array([-1.0, 0.3, 2.0]), requires_grad=True)
-    nm.clip(x, 0.0, 1.0).sum().backward()
-    np.testing.assert_array_equal(x.grad, np.array([0.0, 1.0, 0.0]))
-
-
 def test_random_five_op_graphs_match_finite_differences():
     # composition of >= 5 recorded ops, checked against the FD oracle
     for seed in range(50):
@@ -205,7 +229,7 @@ def test_random_five_op_graphs_match_finite_differences():
         def build(ts):
             h = nm.sigmoid(ts[0] @ ts[1])
             g = nm.log(ts[0] + ts[1])
-            return (h * g + nm.exp(ts[1])).sum()
+            return (h * g + nm.relu(ts[1])).sum()
 
         _fd_check(build, [a, b], tol=1e-6)
 
@@ -247,6 +271,45 @@ def test_adam_trajectories_are_bitwise_identical():
 
     for left, right in zip(run(), run()):
         assert np.array_equal(left, right)
+
+
+def test_adam_step_equals_textbook_formula_bit_for_bit():
+    rng = np.random.default_rng(9)
+    shapes = [(7, 3), (3,), (1, 1), (2, 5, 4), (11,)]
+    lr, b1, b2, eps = 3e-3, 0.9, 0.999, 1e-8
+    params = [rng.normal(size=s) for s in shapes]
+    want = [p.copy() for p in params]
+    m = [np.zeros(s) for s in shapes]
+    v = [np.zeros(s) for s in shapes]
+    state = nm.AdamState(learning_rate=lr, beta1=b1, beta2=b2, epsilon=eps)
+    for t in range(1, 6):
+        grads = [rng.normal(size=s) for s in shapes]
+        old = params
+        before = [g.copy() for g in grads], [p.copy() for p in old]
+        params, state = nm.adam_step(old, grads, state)
+        for i, g in enumerate(grads):  # the textbook form, one fresh array per step
+            m[i] = b1 * m[i] + (1.0 - b1) * g
+            v[i] = b2 * v[i] + (1.0 - b2) * (g * g)
+            m_hat = m[i] / (1.0 - b1**t)
+            v_hat = v[i] / (1.0 - b2**t)
+            want[i] = want[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
+        assert state.step == t
+        for i in range(len(shapes)):
+            assert np.array_equal(params[i], want[i])
+            assert np.array_equal(state.first_moment[i], m[i])
+            assert np.array_equal(state.second_moment[i], v[i])
+            assert np.array_equal(grads[i], before[0][i])  # the inputs are not written
+            assert np.array_equal(old[i], before[1][i])
+    # what comes back shares memory with neither the inputs nor the state
+    grads = [rng.normal(size=s) for s in shapes]
+    old = list(params)
+    params, state = nm.adam_step(params, grads, state)
+    for new in params:
+        for other in (*old, *grads, *state.first_moment, *state.second_moment):
+            assert not np.shares_memory(new, other)
+    for moment in (*state.first_moment, *state.second_moment):
+        for other in (*old, *grads):
+            assert not np.shares_memory(moment, other)
 
 
 def test_adam_shape_mismatch_is_reported():

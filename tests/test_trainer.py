@@ -18,7 +18,7 @@ from celluster.curriculum import (
 from celluster.ingest import SynthesisSpec, synthesize
 from celluster.losses import NonFiniteLossError, loss_cls, loss_zinb, target_distribution
 from celluster.metrics import ari
-from celluster.model import decode_zinb, encode, soft_assign
+from celluster.model import chebyshev_basis, decode_zinb, encode, soft_assign
 from celluster.numerics import (
     AdamState,
     CheckpointFormatError,
@@ -27,6 +27,11 @@ from celluster.numerics import (
 )
 from celluster.preprocess import preprocess
 from celluster.trainer import TrainConfig
+
+
+def _encode(x, graph, params):
+    """encode on the Chebyshev basis of `x`, built the way the trainer does."""
+    return encode(chebyshev_basis(x, graph, params.encoder_layers[0].order), graph, params)
 
 
 def _small_setup(seed=0, n_cells=40, n_genes=20, n_clusters=2, **cfg_kwargs):
@@ -139,7 +144,7 @@ def test_init_centers_rejects_too_many_clusters():
 
 def _to_formal_ready(pre, graph, cfg):
     state = trainer.pretrain(pre, graph, cfg)
-    z = encode(pre.normalized, graph, state.params).values
+    z = _encode(pre.normalized, graph, state.params).values
     state.report = measure_difficulty(z, graph, beta=cfg.beta)
     state.prune = prune(state.report, cfg.alpha, strategy="hard", seed=cfg.seed)
     graph_pruned, kept_sorted = rebuild_after_prune(graph, state.prune)
@@ -204,7 +209,7 @@ def _formal_step(state, pre, graph_pruned, cfg, subset):
     assignment's target; returns the copy and that target."""
     state = copy.deepcopy(state)
     kept_sorted = np.sort(state.prune.kept)
-    z = encode(pre.normalized[kept_sorted], graph_pruned, state.params)
+    z = _encode(pre.normalized[kept_sorted], graph_pruned, state.params)
     target = target_distribution(soft_assign(z, state.params.cluster_centers).values)
     state.phase, state.epoch = "formal", 0
     state.adam = AdamState(learning_rate=cfg.lr_formal)
@@ -235,7 +240,7 @@ def test_train_step_single_node_subset_on_an_isolated_node():
     # a one-node subset then sees a 1 x 1 zero adjacency
     _, pre, graph, cfg = _small_setup(t1=3, t2=1)
     state = trainer.pretrain(pre, graph, cfg)
-    z_all = encode(pre.normalized, graph, state.params).values
+    z_all = _encode(pre.normalized, graph, state.params).values
     state.report = measure_difficulty(z_all, graph, beta=cfg.beta)
     dropped = graph.adjacency[0].indices
     kept = state.report.order[~np.isin(state.report.order, dropped)]  # easiest first
@@ -248,7 +253,7 @@ def test_train_step_single_node_subset_on_an_isolated_node():
     assert graph_pruned.degrees[node] == 0
 
     stepped, target = _formal_step(state, pre, graph_pruned, cfg, np.array([node]))
-    z = encode(pre.normalized[kept_sorted], graph_pruned, state.params).values[[node]]
+    z = _encode(pre.normalized[kept_sorted], graph_pruned, state.params).values[[node]]
     rec = (1.0 / (1.0 + np.exp(-float(z[0] @ z[0])))) ** 2  # A = 0: (0 - sigmoid(z.z))^2
     zinb = loss_zinb(pre.raw.counts[[0]], decode_zinb(z, state.params)).item()
     cls = loss_cls(target[[node]], soft_assign(z, state.params.cluster_centers)).item()
@@ -456,6 +461,33 @@ def test_pipeline_is_bit_reproducible():
     np.testing.assert_array_equal(a.state.report.combined, b.state.report.combined)
 
 
+def test_pretrained_state_drops_its_adam_moments_once_checkpointed(tmp_path):
+    # every tail starts a fresh optimizer: the checkpoint keeps the moments,
+    # the state that serves the tails does not, and no tail changes for it
+    data = synthesize(
+        SynthesisSpec(n_cells=50, n_genes=25, n_clusters=2, seed=9, mean_scale=3.0)
+    )
+    cfg = TrainConfig(
+        n_clusters=2, t1=6, t2=4, n_hvg=25, k_neighbors=5, seed=3,
+        target_update_interval=2,
+    )
+    pretrained = trainer.pretrain_and_score(data, cfg, checkpoint_dir=tmp_path)
+    assert pretrained.state.adam.first_moment == [] == pretrained.state.adam.second_moment
+    assert pretrained.state.adam.step == cfg.t1
+    kept = trainer.load_state(tmp_path / "pretrain_final.ckpt", cfg, n_genes=25)
+    n_params = len(kept.params.named_parameters())
+    assert len(kept.adam.first_moment) == len(kept.adam.second_moment) == n_params
+    kept.report = pretrained.state.report
+    with_moments = replace(pretrained, state=kept)
+    for alpha in (0.1, 0.3):
+        a = trainer.prune_and_cluster(pretrained, alpha)
+        b = trainer.prune_and_cluster(with_moments, alpha)
+        assert np.array_equal(a.labels, b.labels)
+        assert [x.as_row() for x in a.state.loss_history] == [
+            y.as_row() for y in b.state.loss_history
+        ]
+
+
 def test_pipeline_predicts_kmeans_consistent_labels():
     # the final hard labels should agree with k-means re-run on the final
     # embedding up to a modest ARI slack
@@ -470,7 +502,7 @@ def test_pipeline_predicts_kmeans_consistent_labels():
         target_update_interval=2,
     )
     result = trainer.run_pipeline(data, cfg)
-    z = encode(result.preprocessed.normalized, result.graph, result.state.params).values
+    z = _encode(result.preprocessed.normalized, result.graph, result.state.params).values
     km_centers = trainer.init_centers(z, 3, seed=11)
     km_labels = ((z[:, None, :] - km_centers[None]) ** 2).sum(axis=2).argmin(axis=1)
     assert ari(km_labels, result.labels) >= 0.95
