@@ -55,6 +55,17 @@ class RunConfig:
                 raise ConfigError(f"unknown strategy {strategy!r} in strategies")
         if min(self.seeds, default=0) < 0:
             raise ConfigError(f"seeds must be >= 0, got {min(self.seeds)}")
+        for alpha in self.alphas:
+            if not 0.0 <= alpha < 1.0:  # NaN fails too
+                raise ConfigError(f"alphas must lie in [0, 1), got {alpha!r}")
+        for key in ("strategies", "alphas", "seeds"):
+            entries = getattr(self, key)
+            for i, value in enumerate(entries):
+                if value in entries[:i]:
+                    raise ConfigError(
+                        f"duplicate entry {value!r} in {key!r} "
+                        f"(first given as entry {entries.index(value) + 1})"
+                    )
 
 
 def _field_types(cls) -> dict[str, object]:

@@ -85,6 +85,14 @@ def loss_rec(adjacency, z) -> Tensor:
     return nm.closed_form(total, (z,), vjp)
 
 
+def _clamp(a: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """`a` itself when every entry lies in (lo, hi), else a clamped copy
+    (the same values np.clip gives; a NaN stays NaN)."""
+    if a.size == 0 or (lo < a.min() and a.max() < hi):
+        return a
+    return np.minimum(np.maximum(a, lo), hi)
+
+
 def loss_zinb(raw_counts, heads) -> Tensor:
     """Mean negative log-likelihood of the zero-inflated negative binomial.
 
@@ -97,9 +105,13 @@ def loss_zinb(raw_counts, heads) -> Tensor:
     mu and theta = clip(exp, RATE_CLAMP), so the gamma-function terms only
     ever see positive counts and no activated n x g array is formed. The
     gradient chain is the one the separate sigmoid/exp/clip ops would
-    give, so it is exactly 0 wherever a clamp binds. What backward needs
-    stays on the node: per gathered entry the three log-likelihood
-    derivatives and the three unclamped activations.
+    give, so it is exactly 0 wherever a clamp binds. The exps are taken in
+    place on the gathered copies, and a clamp copies an activation only
+    when some entry lies outside its open interval; otherwise the clamped
+    and unclamped activation are one array. What backward needs stays on
+    the node: per gathered entry the three log-likelihood derivatives and
+    the three unclamped activations (the gradient masks come from those),
+    never the heads themselves.
     """
     # Imported here, not at module top: scipy.special adds 50-70 ms to
     # `import celluster.cli`, which every command that does not train pays.
@@ -116,12 +128,13 @@ def loss_zinb(raw_counts, heads) -> Tensor:
     pos = np.flatnonzero(x != 0)
 
     def activate(entries):
-        a_pi, a_mu, a_theta = (t.values.reshape(-1)[entries] for t in heads)
+        a_pi, e_mu, e_theta = (t.values.reshape(-1)[entries] for t in heads)
         s = special.sigmoid(a_pi)
         with np.errstate(over="ignore"):  # overflow lands on the clamp
-            e_mu, e_theta = np.exp(a_mu), np.exp(a_theta)
+            np.exp(e_mu, out=e_mu)
+            np.exp(e_theta, out=e_theta)
         unclamped = (s, e_mu, e_theta)
-        clamped = (np.clip(s, *PI_CLAMP), np.clip(e_mu, *RATE_CLAMP), np.clip(e_theta, *RATE_CLAMP))
+        clamped = (_clamp(s, *PI_CLAMP), _clamp(e_mu, *RATE_CLAMP), _clamp(e_theta, *RATE_CLAMP))
         return unclamped, clamped
 
     act0, (pi0, mu0, th0) = activate(zero)
@@ -171,7 +184,7 @@ def loss_zinb(raw_counts, heads) -> Tensor:
     size, shape = x.size, heads[0].shape
 
     def vjp(g):
-        out = [np.empty(size) for _ in heads]
+        out = [np.empty(size) for _ in range(3)]
         for entries, (s, e_mu, e_theta), (d_pi, d_mu, d_theta) in branches:
             # clip passes g only inside its bounds; then sigmoid' = s (1 - s)
             gk = g * d_pi * ((s > PI_CLAMP[0]) & (s < PI_CLAMP[1]))

@@ -1,14 +1,19 @@
 """Reverse-mode automatic differentiation over float64 numpy arrays.
 
-A Tensor wraps an ndarray; operations record a tape closure whenever any
-input requires gradients, and Tensor.backward() on a scalar walks the tape
-in reverse topological order. Gradients of a call are fresh: backward()
+A Tensor pairs an ndarray with a tape node. The node is what backward
+reads: requires_grad, the shape, the gradient, the parent nodes and the
+backward closure; it holds no values. Each op's closure captures exactly
+the arrays its own formula reads (matmul, mul and div their operands, log
+its input, sigmoid and relu their outputs, the shape-only ops nothing), so
+an interior Tensor's values are freed as soon as the forward code drops
+its last reference to it. Tensor.backward() on a scalar walks the nodes in
+reverse topological order. Gradients of a call are fresh: backward()
 clears every grad reachable from the root before accumulating, so shared
 subexpressions still sum both contributions within the call. An interior
 node (one with a recorded backward) releases its gradient as soon as it
 has passed it on, so the reverse pass never holds more than the frontier;
-leaves keep theirs. The tape itself (values, closures, parents) stays, so
-backward() can run again on the same root.
+leaves keep theirs. The tape itself (nodes, closures) stays, so backward()
+can run again on the same root.
 """
 
 from __future__ import annotations
@@ -26,18 +31,49 @@ class NonScalarBackwardError(ValueError):
     """backward() was called on a tensor whose shape is not ()."""
 
 
+class Node:
+    """A Tensor's entry on the tape. `shape` is the Tensor's shape when the
+    node was made (gradients are summed down to it); `parents` and
+    `backward_fn` are set on an op's output when some input requires grad."""
+
+    __slots__ = ("requires_grad", "shape", "grad", "parents", "backward_fn")
+
+    def __init__(self, shape: tuple[int, ...], requires_grad: bool):
+        self.requires_grad = requires_grad
+        self.shape = shape
+        self.grad: np.ndarray | None = None
+        self.parents: tuple[Node, ...] = ()
+        self.backward_fn = None
+
+
 class Tensor:
-    __slots__ = ("values", "requires_grad", "grad", "_parents", "_backward_fn")
+    """Values plus a tape node. `values` may be rebound (to an array of the
+    same shape) at any time: the tape never reads them."""
+
+    __slots__ = ("values", "node")
 
     # numpy must defer to the reflected operators instead of coercing
     __array_ufunc__ = None
 
     def __init__(self, values, requires_grad: bool = False):
         self.values = np.asarray(values, dtype=np.float64)
-        self.requires_grad = bool(requires_grad)
-        self.grad: np.ndarray | None = None
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward_fn = None
+        self.node = Node(self.values.shape, bool(requires_grad))
+
+    @property
+    def requires_grad(self) -> bool:
+        return self.node.requires_grad
+
+    @requires_grad.setter
+    def requires_grad(self, flag: bool) -> None:
+        self.node.requires_grad = bool(flag)
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return self.node.grad
+
+    @grad.setter
+    def grad(self, grad: np.ndarray | None) -> None:
+        self.node.grad = grad
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -104,9 +140,10 @@ class Tensor:
             raise NonScalarBackwardError(
                 f"backward() requires a scalar tensor, got shape {self.values.shape}"
             )
-        topo: list[Tensor] = []
+        root = self.node
+        topo: list[Node] = []
         seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[Node, bool]] = [(root, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -116,16 +153,16 @@ class Tensor:
                 continue
             seen.add(id(node))
             stack.append((node, True))
-            for parent in node._parents:
+            for parent in node.parents:
                 if id(parent) not in seen:
                     stack.append((parent, False))
         for node in topo:
             node.grad = None
-        self.grad = np.ones((), dtype=np.float64)
+        root.grad = np.ones((), dtype=np.float64)
         for node in reversed(topo):
-            if node._backward_fn is not None:
+            if node.backward_fn is not None:
                 if node.grad is not None:
-                    node._backward_fn(node.grad)
+                    node.backward_fn(node.grad)
                 node.grad = None
 
 
@@ -147,18 +184,20 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
-def _accumulate(t: Tensor, grad: np.ndarray) -> None:
-    if not t.requires_grad:
+def _accumulate(node: Node, grad: np.ndarray) -> None:
+    if not node.requires_grad:
         return
-    grad = _unbroadcast(grad, t.values.shape)
-    t.grad = grad if t.grad is None else t.grad + grad
+    grad = _unbroadcast(grad, node.shape)
+    node.grad = grad if node.grad is None else node.grad + grad
 
 
-def _track(values: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
-    out = Tensor(values, requires_grad=any(p.requires_grad for p in parents))
-    if out.requires_grad:
-        out._parents = parents
-        out._backward_fn = backward_fn
+def _track(values: np.ndarray, parents: tuple[Node, ...], backward_fn) -> Tensor:
+    out = Tensor(values)
+    if any(p.requires_grad for p in parents):
+        node = out.node
+        node.requires_grad = True
+        node.parents = parents
+        node.backward_fn = backward_fn
     return out
 
 
@@ -168,17 +207,18 @@ def closed_form(values, parents, vjp) -> Tensor:
     `vjp(g)` receives the upstream gradient and returns one array per parent
     (its shape, or broadcastable to it), or None for a parent that gets
     nothing; it runs only during backward(), and only when some parent
-    requires gradients. Whatever the forward pass kept for it stays alive
-    until the node is released, so keep it small.
+    requires gradients. Whatever `vjp` closes over stays alive until the
+    node is released, so keep it small, and close over no parent Tensor:
+    that would keep its values alive too.
     """
-    parents = tuple(as_tensor(p) for p in parents)
+    nodes = tuple(as_tensor(p).node for p in parents)
 
     def bw(g):
-        for parent, grad in zip(parents, vjp(g)):
+        for node, grad in zip(nodes, vjp(g)):
             if grad is not None:
-                _accumulate(parent, grad)
+                _accumulate(node, grad)
 
-    return _track(np.asarray(values, dtype=np.float64), parents, bw)
+    return _track(np.asarray(values, dtype=np.float64), nodes, bw)
 
 
 def _check_broadcast(a: Tensor, b: Tensor, op: str) -> None:
@@ -191,54 +231,61 @@ def _check_broadcast(a: Tensor, b: Tensor, op: str) -> None:
 
 
 # -- elementwise binaries ---------------------------------------------------
+# Each backward closure names nodes and the arrays it reads, never a Tensor.
 
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _check_broadcast(a, b, "add")
+    na, nb = a.node, b.node
 
     def bw(g):
-        _accumulate(a, g)
-        _accumulate(b, g)
+        _accumulate(na, g)
+        _accumulate(nb, g)
 
-    return _track(a.values + b.values, (a, b), bw)
+    return _track(a.values + b.values, (na, nb), bw)
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _check_broadcast(a, b, "sub")
+    na, nb = a.node, b.node
 
     def bw(g):
-        _accumulate(a, g)
-        _accumulate(b, -g)
+        _accumulate(na, g)
+        _accumulate(nb, -g)
 
-    return _track(a.values - b.values, (a, b), bw)
+    return _track(a.values - b.values, (na, nb), bw)
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _check_broadcast(a, b, "mul")
+    na, nb = a.node, b.node
+    av, bv = a.values, b.values
 
     def bw(g):
-        if a.requires_grad:
-            _accumulate(a, g * b.values)
-        if b.requires_grad:
-            _accumulate(b, g * a.values)
+        if na.requires_grad:
+            _accumulate(na, g * bv)
+        if nb.requires_grad:
+            _accumulate(nb, g * av)
 
-    return _track(a.values * b.values, (a, b), bw)
+    return _track(av * bv, (na, nb), bw)
 
 
 def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _check_broadcast(a, b, "div")
+    na, nb = a.node, b.node
+    av, bv = a.values, b.values
 
     def bw(g):
-        if a.requires_grad:
-            _accumulate(a, g / b.values)
-        if b.requires_grad:
-            _accumulate(b, -g * a.values / (b.values * b.values))
+        if na.requires_grad:
+            _accumulate(na, g / bv)
+        if nb.requires_grad:
+            _accumulate(nb, -g * av / (bv * bv))
 
-    return _track(a.values / b.values, (a, b), bw)
+    return _track(av / bv, (na, nb), bw)
 
 
 # -- matrix ops --------------------------------------------------------------
@@ -250,14 +297,16 @@ def matmul(a, b) -> Tensor:
         raise ShapeMismatchError(
             f"matmul: shapes {a.values.shape} and {b.values.shape} are incompatible"
         )
+    na, nb = a.node, b.node
+    av, bv = a.values, b.values
 
     def bw(g):
-        if a.requires_grad:
-            _accumulate(a, g @ b.values.T)
-        if b.requires_grad:
-            _accumulate(b, a.values.T @ g)
+        if na.requires_grad:
+            _accumulate(na, g @ bv.T)
+        if nb.requires_grad:
+            _accumulate(nb, av.T @ g)
 
-    return _track(a.values @ b.values, (a, b), bw)
+    return _track(av @ bv, (na, nb), bw)
 
 
 def const_matmul(operator, x: Tensor) -> Tensor:
@@ -272,33 +321,36 @@ def const_matmul(operator, x: Tensor) -> Tensor:
         )
     values = operator @ x.values
     op_t = operator.T
+    nx = x.node
 
     def bw(g):
-        _accumulate(x, np.asarray(op_t @ g))
+        _accumulate(nx, np.asarray(op_t @ g))
 
-    return _track(np.asarray(values), (x,), bw)
+    return _track(np.asarray(values), (nx,), bw)
 
 
 def transpose(x) -> Tensor:
     x = as_tensor(x)
+    nx = x.node
 
     def bw(g):
-        _accumulate(x, g.T)
+        _accumulate(nx, g.T)
 
-    return _track(x.values.T, (x,), bw)
+    return _track(x.values.T, (nx,), bw)
 
 
 def index_rows(x, indices) -> Tensor:
     """Gather rows; the backward pass scatter-adds into the source rows."""
     x = as_tensor(x)
     idx = np.asarray(indices, dtype=np.intp)
+    nx = x.node
 
     def bw(g):
-        full = np.zeros_like(x.values)
+        full = np.zeros(nx.shape)
         np.add.at(full, idx, g)
-        _accumulate(x, full)
+        _accumulate(nx, full)
 
-    return _track(x.values[idx], (x,), bw)
+    return _track(x.values[idx], (nx,), bw)
 
 
 # -- elementwise unaries ------------------------------------------------------
@@ -307,30 +359,34 @@ def index_rows(x, indices) -> Tensor:
 def sigmoid(x) -> Tensor:
     x = as_tensor(x)
     out_values = _sigmoid_values(x.values)
+    nx = x.node
 
     def bw(g):
-        _accumulate(x, g * out_values * (1.0 - out_values))
+        _accumulate(nx, g * out_values * (1.0 - out_values))
 
-    return _track(out_values, (x,), bw)
+    return _track(out_values, (nx,), bw)
 
 
 def log(x) -> Tensor:
     x = as_tensor(x)
+    xv, nx = x.values, x.node
 
     def bw(g):
-        _accumulate(x, g / x.values)
+        _accumulate(nx, g / xv)
 
-    return _track(np.log(x.values), (x,), bw)
+    return _track(np.log(xv), (nx,), bw)
 
 
 def relu(x) -> Tensor:
     x = as_tensor(x)
     out_values = np.maximum(x.values, 0.0)
+    nx = x.node
 
     def bw(g):
-        _accumulate(x, g * (x.values > 0.0))
+        # out > 0 exactly where x > 0 (NaN included), so the input can go
+        _accumulate(nx, g * (out_values > 0.0))
 
-    return _track(out_values, (x,), bw)
+    return _track(out_values, (nx,), bw)
 
 
 # -- reductions ---------------------------------------------------------------
@@ -338,10 +394,11 @@ def relu(x) -> Tensor:
 
 def tensor_sum(x, axis: int | None = None, keepdims: bool = False) -> Tensor:
     x = as_tensor(x)
+    nx = x.node
 
     def bw(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        _accumulate(x, np.broadcast_to(g, x.values.shape))
+        _accumulate(nx, np.broadcast_to(g, nx.shape))
 
-    return _track(x.values.sum(axis=axis, keepdims=keepdims), (x,), bw)
+    return _track(x.values.sum(axis=axis, keepdims=keepdims), (nx,), bw)

@@ -244,6 +244,7 @@ def _train_step(
         heads = decode_zinb(z, state.params)
         rec = loss_rec(adjacency, z)
         zinb = loss_zinb(counts, heads)
+        del heads  # the tape keeps no head values: free the three n x g arrays now
         cls = None
         if target is not None:
             cls = loss_cls(target, soft_assign(z, state.params.cluster_centers))

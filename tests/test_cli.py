@@ -213,6 +213,33 @@ def test_prune_study_rejects_a_negative_seed_before_any_stage(tmp_path, capsys):
     assert not (out / "prune_study.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "grid, problem",
+    [
+        ({"alphas": "0.11,1.5"}, "alphas must lie in [0, 1), got 1.5"),
+        ({"alphas": "-0.05,0.11"}, "alphas must lie in [0, 1), got -0.05"),
+        ({"alphas": "0.11,nan"}, "alphas must lie in [0, 1), got nan"),
+        ({"seeds": "0,1,1"}, "duplicate entry 1 in 'seeds' (first given as entry 2)"),
+        ({"alphas": "0.11,0.21,0.110"}, "duplicate entry 0.11 in 'alphas' (first given as entry 1)"),
+        (
+            {"strategies": "hard,easy,hard"},
+            "duplicate entry 'hard' in 'strategies' (first given as entry 1)",
+        ),
+    ],
+    ids=["alpha-above", "alpha-below", "alpha-nan", "dup-seed", "dup-alpha", "dup-strategy"],
+)
+def test_prune_study_rejects_a_bad_grid_before_any_stage(tmp_path, capsys, grid, problem):
+    data_dir = tmp_path / "data"
+    assert _run(*_synth_args(data_dir)) == 0
+    config = tmp_path / "study.txt"
+    out = tmp_path / "study"
+    _write_config(config, data_dir, out, **grid)
+    assert _run("prune-study", config) == 1
+    err = capsys.readouterr().err
+    assert "error: [config]" in err and problem in err
+    assert not (out / "prune_study.csv").exists()
+
+
 def test_graph_failure_carries_the_same_tag_from_every_command(tmp_path, capsys):
     data_dir = tmp_path / "data"
     assert _run(*_synth_args(data_dir)) == 0

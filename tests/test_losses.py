@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -230,15 +231,10 @@ def test_loss_zinb_branch_gradients_match_finite_differences(branch):
         assert not any(np.any(t.grad[1]) for t in tensors)  # row 1 is outside the subset
 
 
-def test_loss_zinb_matches_full_matrix_gammaln_formula():
+def _full_matrix_nll(x, pi, mu, theta):
+    """The mean ZINB NLL over whole matrices, both branches scored everywhere."""
     from scipy.special import gammaln
 
-    rng = np.random.default_rng(12)
-    x = rng.poisson(0.4, size=(60, 40)).astype(float)  # about two thirds zeros
-    assert 0.6 < np.mean(x == 0) < 0.73
-    pi = rng.uniform(0.01, 0.95, size=x.shape)
-    mu = rng.uniform(0.05, 20.0, size=x.shape)
-    theta = rng.uniform(0.05, 20.0, size=x.shape)
     nb_zero = (theta / (theta + mu)) ** theta
     zero_ll = np.log(pi + (1.0 - pi) * nb_zero)
     pos_ll = (
@@ -246,9 +242,67 @@ def test_loss_zinb_matches_full_matrix_gammaln_formula():
         + gammaln(x + theta) - gammaln(x + 1.0) - gammaln(theta)
         + theta * np.log(theta / (theta + mu)) + x * np.log(mu / (theta + mu))
     )
-    want = -np.mean(np.where(x == 0, zero_ll, pos_ll))
+    return -np.mean(np.where(x == 0, zero_ll, pos_ll))
+
+
+def test_loss_zinb_matches_full_matrix_gammaln_formula():
+    rng = np.random.default_rng(12)
+    x = rng.poisson(0.4, size=(60, 40)).astype(float)  # about two thirds zeros
+    assert 0.6 < np.mean(x == 0) < 0.73
+    pi = rng.uniform(0.01, 0.95, size=x.shape)
+    mu = rng.uniform(0.05, 20.0, size=x.shape)
+    theta = rng.uniform(0.05, 20.0, size=x.shape)
     got = losses.loss_zinb(x, _zinb(pi, mu, theta)).item()
-    assert got == pytest.approx(want, rel=1e-12)
+    assert got == pytest.approx(_full_matrix_nll(x, pi, mu, theta), rel=1e-12)
+
+
+@pytest.mark.parametrize("count", [0.0, 3.0], ids=["all-zero", "all-positive"])
+def test_loss_zinb_with_an_empty_branch_matches_the_full_matrix_formula(count):
+    # one branch gathers no entry; its activations and clamps see empty arrays
+    rng = np.random.default_rng(15)
+    x = np.full((5, 4), count)
+    pi = rng.uniform(0.05, 0.9, size=x.shape)
+    mu = rng.uniform(0.2, 8.0, size=x.shape)
+    theta = rng.uniform(0.2, 8.0, size=x.shape)
+    arrays = _pre(pi, mu, theta)
+    tensors = [nm.Tensor(a, requires_grad=True) for a in arrays]
+    loss = losses.loss_zinb(x, tensors)
+    assert loss.item() == pytest.approx(_full_matrix_nll(x, pi, mu, theta), rel=1e-12)
+    loss.backward()
+
+    def forward(vals):
+        return losses.loss_zinb(x, [nm.Tensor(v) for v in vals]).item()
+
+    numeric = finite_difference_gradients(forward, arrays)
+    assert max_relative_error([t.grad for t in tensors], numeric) < 1e-5
+
+
+def test_loss_zinb_frees_the_heads_once_the_caller_drops_them():
+    # the node keeps gathered activations and derivatives, never the heads
+    rng = np.random.default_rng(16)
+    params = model.init_params(n_genes=6, latent_dim=3, zinb_dims=(5, 4), seed=2)
+    z0 = rng.normal(size=(7, 3))
+    x = rng.poisson(1.0, size=(7, 6)).astype(float)
+
+    def gradients(keep_heads):
+        z = nm.Tensor(z0, requires_grad=True)
+        heads = model.decode_zinb(z, params)
+        alive = [weakref.ref(t.values) for t in heads]
+        loss = losses.loss_zinb(x, heads)
+        if not keep_heads:
+            del heads
+            assert all(ref() is None for ref in alive)
+        loss.backward()
+        named = [z] + [t for _, t in params.named_parameters()]
+        grads = [None if t.grad is None else t.grad.copy() for t in named]
+        for t in named:
+            t.grad = None
+        return grads
+
+    kept, dropped = gradients(keep_heads=True), gradients(keep_heads=False)
+    assert sum(g is not None for g in kept) == 1 + 2 * 2 + 3  # z, two fc layers, three heads
+    for want, got in zip(kept, dropped):
+        assert (want is None and got is None) or np.array_equal(want, got)
 
 
 def test_loss_zinb_gradient_is_zero_on_the_clamps():

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -129,6 +131,43 @@ def test_encode_rejects_a_basis_that_does_not_fit():
         model.encode(model.chebyshev_basis(x[:, :3], graph, 3), graph, params)  # too narrow
     with pytest.raises(nm.ShapeMismatchError):
         model.chebyshev_basis(x[:5], graph, 3)  # one row short of the graph
+
+
+def test_encode_frees_the_first_layer_products(monkeypatch):
+    # basis[k] @ theta_k only feeds a sum, so nothing keeps its values once
+    # encode returns; the gradients match a run that keeps them alive
+    rng = np.random.default_rng(17)
+    graph = _random_graph(rng, 9)
+    x = rng.normal(size=(9, 5))
+    params = model.init_params(n_genes=5, latent_dim=3, hidden_dim=4, seed=4)
+    basis = model.chebyshev_basis(x, graph, 3)
+    w = nm.Tensor(rng.normal(size=(9, 3)))
+    matmul = nm.matmul
+
+    def gradients(keep_products):
+        products = []
+
+        def recording_matmul(a, b):  # encode's first layer calls nm.matmul
+            out = matmul(a, b)
+            products.append(out if keep_products else weakref.ref(out.values))
+            return out
+
+        monkeypatch.setattr(nm, "matmul", recording_matmul)
+        z = model.encode(basis, graph, params)
+        monkeypatch.setattr(nm, "matmul", matmul)
+        assert len(products) == 3
+        if not keep_products:
+            assert all(ref() is None for ref in products)
+        (z * w).sum().backward()
+        named = [t for name, t in params.named_parameters() if name.startswith("enc")]
+        grads = [t.grad.copy() for t in named]
+        for t in named:
+            t.grad = None
+        return grads
+
+    kept, dropped = gradients(keep_products=True), gradients(keep_products=False)
+    for want, got in zip(kept, dropped):
+        assert np.array_equal(want, got)
 
 
 def test_decode_zinb_nan_names_the_head():

@@ -88,13 +88,13 @@ def test_repeated_backward_gives_fresh_grads():
 
 
 def _tape(root):
-    """Every node reachable from `root`, root included."""
-    nodes, stack = {}, [root]
+    """Every tape node reachable from the Tensor `root`, its own included."""
+    nodes, stack = {}, [root.node]
     while stack:
         node = stack.pop()
         if id(node) not in nodes:
             nodes[id(node)] = node
-            stack.extend(node._parents)
+            stack.extend(node.parents)
     return list(nodes.values())
 
 
@@ -106,17 +106,57 @@ def test_backward_releases_interior_grads_and_keeps_leaf_grads():
     ab = a @ b
     y = (nm.sigmoid(ab) * ab + ab).sum()
     y.backward()
-    interior = [t for t in _tape(y) if t._backward_fn is not None]
+    interior = [node for node in _tape(y) if node.backward_fn is not None]
     assert len(interior) == 5  # matmul, sigmoid, mul, add, sum
-    assert all(t.grad is None for t in interior)
+    assert all(node.grad is None for node in interior)
     s = 1.0 / (1.0 + np.exp(-(a0 @ b0)))
     d_ab = s * (1.0 - s) * (a0 @ b0) + s + 1.0  # oracle, coded apart from the tape
     np.testing.assert_allclose(a.grad, d_ab @ b0.T, rtol=1e-13)
     np.testing.assert_allclose(b.grad, a0.T @ d_ab, rtol=1e-13)
     first = [a.grad.copy(), b.grad.copy()]
     y.backward()  # the tape survives: a second pass gives the same leaf grads
-    assert all(t.grad is None for t in interior)
+    assert all(node.grad is None for node in interior)
     assert np.array_equal(a.grad, first[0]) and np.array_equal(b.grad, first[1])
+
+
+def _closed_form_square(t):
+    values = t.values
+    return nm.closed_form(values * values, (t,), lambda g: (2.0 * g * values,))
+
+
+REBIND_CASES = {  # op over square leaves, and how many leaves it takes
+    "add": (nm.add, 2),
+    "sub": (nm.sub, 2),
+    "mul": (nm.mul, 2),
+    "div": (nm.div, 2),
+    "matmul": (nm.matmul, 2),
+    "const_matmul": (lambda t: nm.const_matmul(np.arange(9.0).reshape(3, 3), t), 1),
+    "transpose": (nm.transpose, 1),
+    "index_rows": (lambda t: nm.index_rows(t, [2, 0, 2]), 1),
+    "sigmoid": (nm.sigmoid, 1),
+    "log": (nm.log, 1),
+    "relu": (nm.relu, 1),
+    "tensor_sum": (lambda t: nm.tensor_sum(t, axis=1, keepdims=True), 1),
+    "closed_form": (_closed_form_square, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REBIND_CASES))
+def test_rebinding_leaf_values_before_backward_leaves_gradients_unchanged(name):
+    # every closure holds its own arrays: backward never reads a Tensor's values
+    op, arity = REBIND_CASES[name]
+    rng = np.random.default_rng(14)
+    arrays = [rng.uniform(0.5, 2.0, size=(3, 3)) for _ in range(arity)]
+    w = nm.Tensor(rng.uniform(-1.0, 1.0, size=(3, 3)))
+    kept = [nm.Tensor(a, requires_grad=True) for a in arrays]
+    (op(*kept) * w).sum().backward()
+    moved = [nm.Tensor(a.copy(), requires_grad=True) for a in arrays]
+    loss = (op(*moved) * w).sum()
+    for t in moved:
+        t.values = -7.0 * t.values
+    loss.backward()
+    for k, m in zip(kept, moved):
+        assert np.array_equal(m.grad, k.grad)
 
 
 # -- finite-difference oracle -------------------------------------------------
