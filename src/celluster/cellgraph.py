@@ -121,20 +121,18 @@ def _from_adjacency(adjacency: sp.csr_matrix, kind: str) -> CellGraph:
     )
 
 
-def _power_iteration_lambda_max(
-    matrix, tol: float = _POWER_TOL, max_iter: int = _POWER_MAX_ITER
-) -> float:
+def _power_iteration_lambda_max(matrix) -> float:
     """Largest eigenvalue of a symmetric PSD operator by power iteration.
 
     Converges on the iterate vector, not the eigenvalue: once the vector is
-    stable to `tol`, the Rayleigh quotient is accurate to ~tol^2, which keeps
-    the scaled operator's spectrum inside [-1, 1].
+    stable to `_POWER_TOL`, the Rayleigh quotient is accurate to its square,
+    which keeps the scaled operator's spectrum inside [-1, 1].
     """
     n = matrix.shape[0]
     rng = np.random.default_rng(0)  # fixed start keeps graphs reproducible
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
-    for _ in range(max_iter):
+    for _ in range(_POWER_MAX_ITER):
         w = matrix @ v
         norm = np.linalg.norm(w)
         if norm == 0.0:
@@ -142,7 +140,7 @@ def _power_iteration_lambda_max(
         w /= norm
         delta = float(np.linalg.norm(w - v))
         v = w
-        if delta <= tol:
+        if delta <= _POWER_TOL:
             return float(v @ (matrix @ v))
     # Vector drift can outlast the cap on slow spectral gaps while the
     # Rayleigh quotient (quadratically accurate) is long settled; accept it
@@ -152,7 +150,7 @@ def _power_iteration_lambda_max(
     residual = float(np.linalg.norm(matrix @ v - estimate * v))
     if residual <= 1e-2 * max(1.0, abs(estimate)):
         return estimate
-    raise PowerIterationError(residual=residual, iterations=max_iter)
+    raise PowerIterationError(residual=residual, iterations=_POWER_MAX_ITER)
 
 
 def save_edge_list(graph: CellGraph, path) -> None:

@@ -21,7 +21,6 @@ import numpy as np
 from . import curriculum, ingest, metrics, trainer
 from .cellgraph import save_edge_list
 from .config import (
-    CHOICES,
     RUN_TYPES,
     TRAIN_TYPES,
     ConfigError,
@@ -30,12 +29,12 @@ from .config import (
     scalar_type,
     write_config,
 )
-from .trainer import StageError, TrainConfig, stage
+from .trainer import CHOICES, StageError, TrainConfig, stage
 
 
 def _add_run_command(sub, name: str, fn, help_text: str) -> None:
     """A subcommand that reads a config file, with a flag overriding each
-    scalar TrainConfig field and each run-level switch."""
+    scalar TrainConfig field and the output directory."""
     parser = sub.add_parser(name, help=help_text)
     parser.add_argument("config", help="key=value config file")
     for f in fields(TrainConfig):
@@ -47,10 +46,8 @@ def _add_run_command(sub, name: str, fn, help_text: str) -> None:
             note = f"override {f.name} (required in the config)"
         else:
             note = f"override {f.name} (config default: {f.default})"
-        parser.add_argument(flag, type=kind, default=None, help=note)
+        parser.add_argument(flag, type=kind, default=None, choices=CHOICES.get(f.name), help=note)
     parser.add_argument("--outdir", default=None, help="override output directory")
-    for key in ("prune_strategy", "local_mode", "laplacian_kind"):
-        parser.add_argument("--" + key.replace("_", "-"), default=None, choices=CHOICES[key])
     parser.set_defaults(fn=fn)
 
 
@@ -151,14 +148,7 @@ def _prepare_run(args) -> tuple[RunConfig, ingest.ExpressionMatrix, Path]:
 
 def cmd_train(args) -> int:
     run_cfg, data, outdir = _prepare_run(args)
-    result = trainer.run_pipeline(
-        data,
-        run_cfg.train,
-        laplacian_kind=run_cfg.laplacian_kind,
-        prune_strategy=run_cfg.prune_strategy,
-        local_mode=run_cfg.local_mode,
-        checkpoint_dir=str(outdir),
-    )
+    result = trainer.run_pipeline(data, run_cfg.train, checkpoint_dir=str(outdir))
     with stage("write"):
         save_edge_list(result.graph, outdir / "graph_edges.txt")
         curriculum.write_difficulty_csv(
@@ -184,12 +174,7 @@ def cmd_train(args) -> int:
 
 def cmd_difficulty(args) -> int:
     run_cfg, data, outdir = _prepare_run(args)
-    pretrained = trainer.pretrain_and_score(
-        data, run_cfg.train, laplacian_kind=run_cfg.laplacian_kind, local_mode=run_cfg.local_mode
-    )
-    result = trainer.prune_and_cluster(
-        pretrained, run_cfg.train.alpha, prune_strategy=run_cfg.prune_strategy, cluster=False
-    )
+    result = trainer.run_pipeline(data, run_cfg.train, cluster=False)
     report, pruned = result.state.report, result.state.prune
     path = outdir / "difficulty.csv"
     with stage("write"):
@@ -233,10 +218,7 @@ def cmd_prune_study(args) -> int:
             if seed not in pretrained:
                 try:
                     pretrained[seed] = trainer.pretrain_and_score(
-                        data,
-                        replace(run_cfg.train, seed=seed),
-                        laplacian_kind=run_cfg.laplacian_kind,
-                        local_mode=run_cfg.local_mode,
+                        data, replace(run_cfg.train, seed=seed)
                     )
                 except Exception as err:  # reported by every grid cell of this seed
                     pretrained[seed] = err
@@ -244,7 +226,7 @@ def cmd_prune_study(args) -> int:
                 prefix = pretrained[seed]
                 if isinstance(prefix, Exception):
                     raise prefix
-                result = trainer.prune_and_cluster(prefix, alpha, prune_strategy=strategy)
+                result = trainer.prune_and_cluster(prefix, alpha, strategy)
                 a = metrics.ari(data.labels, result.labels)
                 n = metrics.nmi(data.labels, result.labels)
                 fh.write(f"{strategy},{alpha!r},{seed},{a!r},{n!r}\n")

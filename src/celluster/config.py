@@ -1,8 +1,9 @@
 """Flat key=value run configuration.
 
 One `key=value` per line, `#` starts a comment, keys match TrainConfig
-field names plus run-level settings (paths, formats, strategy switches,
-and the prune-study grid). The effective config written next to a run's
+field names (every training setting, the graph, difficulty and pruning
+switches included) plus run-level settings (paths, the input format and
+the prune-study grid). The effective config written next to a run's
 outputs reloads to an identical run.
 """
 
@@ -12,23 +13,13 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
-from .cellgraph import LAPLACIAN_KINDS
-from .curriculum import LOCAL_MODES, PRUNE_STRATEGIES
+from .curriculum import PRUNE_STRATEGIES
 from .ingest import FORMATS
 from .trainer import TrainConfig
 
 
 class ConfigError(ValueError):
     pass
-
-
-# Run-level settings restricted to a fixed set of values.
-CHOICES = {
-    "input_format": FORMATS,
-    "laplacian_kind": LAPLACIAN_KINDS,
-    "prune_strategy": PRUNE_STRATEGIES,
-    "local_mode": LOCAL_MODES,
-}
 
 
 @dataclass
@@ -38,22 +29,21 @@ class RunConfig:
     input_format: str = "csv"
     labels: str | None = None
     outdir: str = "out"
-    laplacian_kind: str = "sym_normalized"
-    prune_strategy: str = "hard"
-    local_mode: str = "literal"
     # prune-study grid
     strategies: list[str] = field(default_factory=lambda: ["hard"])
     alphas: list[float] = field(default_factory=lambda: [0.11])
     seeds: list[int] = field(default_factory=lambda: [0])
 
     def __post_init__(self):
-        for name, choices in CHOICES.items():
-            if getattr(self, name) not in choices:
-                raise ConfigError(f"{name} must be one of {choices}, got {getattr(self, name)!r}")
+        if self.input_format not in FORMATS:
+            raise ConfigError(f"input_format must be one of {FORMATS}, got {self.input_format!r}")
+        for key in ("strategies", "alphas", "seeds"):
+            if not getattr(self, key):
+                raise ConfigError(f"{key!r} must list at least one entry")
         for strategy in self.strategies:
             if strategy not in PRUNE_STRATEGIES:
                 raise ConfigError(f"unknown strategy {strategy!r} in strategies")
-        if min(self.seeds, default=0) < 0:
+        if min(self.seeds) < 0:
             raise ConfigError(f"seeds must be >= 0, got {min(self.seeds)}")
         for alpha in self.alphas:
             if not 0.0 <= alpha < 1.0:  # NaN fails too

@@ -1,17 +1,19 @@
 """Node difficulty scoring, pruning, and the pacing schedule.
 
 Difficulty combines two views: locally, the summed cosine similarity of a
-node's embedding to its neighbors'; globally, one minus the node's share of
-total entropy variation, where a node's variation is the drop in
-degree-distribution entropy when it and its edges are removed, scored for a
-block of nodes at a time without rebuilding any subgraph (bit-identical to
-the rebuild). Low-variation nodes contribute little structure and count as
-hard. Components are min-max normalized before the beta-weighted
-combination, since their raw scales are incommensurate.
+node's embedding to its neighbors', one dot product per edge; globally, one
+minus the node's share of total entropy variation, where a node's variation
+is the drop in degree-distribution entropy when it and its edges are
+removed, scored for a block of nodes at a time without rebuilding any
+subgraph (bit-identical to the rebuild). Low-variation nodes contribute
+little structure and count as hard. Components are min-max normalized
+before the beta-weighted combination, since their raw scales are
+incommensurate.
 
 Note the local measurer's polarity: summing similarities literally scores
 homogeneous neighborhoods as *harder*. That is the formula as given and the
-default; `local_mode="dissimilarity"` sums 1 - S instead for callers who
+default; the `local_mode="dissimilarity"` setting (a TrainConfig field)
+sums 1 - S instead, the degree minus the similarity sum, for callers who
 want boundary nodes scored hard.
 """
 
@@ -61,7 +63,8 @@ class PacingConfig:
 
 
 def local_difficulty(z, graph: CellGraph, mode: str = "literal") -> np.ndarray:
-    """Per node, the summed cosine similarity to its neighbors' embeddings.
+    """Per node, the summed cosine similarity to its neighbors' embeddings
+    (`mode="dissimilarity"`: the degree minus that sum), in O(nnz * d).
 
     Isolated nodes score 0; zero-norm embedding rows contribute similarity 0.
     """
@@ -74,11 +77,8 @@ def local_difficulty(z, graph: CellGraph, mode: str = "literal") -> np.ndarray:
     safe = np.where(norms > 0, norms, 1.0)
     unit = z / safe[:, None]
     unit[norms == 0] = 0.0  # zero-norm rows contribute S = 0
-    sims = graph.adjacency.multiply(unit @ unit.T)
-    if mode == "literal":
-        return np.asarray(sims.sum(axis=1)).reshape(-1)
-    dissim = np.asarray((graph.adjacency - sims).sum(axis=1)).reshape(-1)
-    return dissim
+    literal = np.einsum("ij,ij->i", unit, graph.adjacency @ unit)
+    return literal if mode == "literal" else graph.degrees - literal
 
 
 def graph_entropy(graph: CellGraph) -> float:

@@ -8,22 +8,17 @@ import numpy as np
 
 from .autodiff import ShapeMismatchError
 
+BETA1 = 0.9  # first-moment decay
+BETA2 = 0.999  # second-moment decay
+EPSILON = 1e-8
+
 
 @dataclass
 class AdamState:
     learning_rate: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     step: int = 0
     first_moment: list[np.ndarray] = field(default_factory=list)
     second_moment: list[np.ndarray] = field(default_factory=list)
-
-    def __post_init__(self):
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError("beta1 and beta2 must lie in [0, 1)")
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
 
 
 def adam_step(
@@ -53,7 +48,7 @@ def adam_step(
 
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = BETA1, BETA2
     correction1 = 1.0 - b1**t
     correction2 = 1.0 - b2**t
 
@@ -69,7 +64,7 @@ def adam_step(
         v += tmp
         np.divide(v, correction2, out=tmp)  # sqrt(v_hat) + eps
         np.sqrt(tmp, out=tmp)
-        tmp += state.epsilon
+        tmp += EPSILON
         new = np.divide(m, correction1)  # lr * m_hat / (sqrt(v_hat) + eps)
         new *= state.learning_rate
         new /= tmp

@@ -20,8 +20,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import numerics as nm
-from .cellgraph import CellGraph, knn_graph
+from .cellgraph import LAPLACIAN_KINDS, CellGraph, knn_graph
 from .curriculum import (
+    LOCAL_MODES,
+    PRUNE_STRATEGIES,
     DifficultyReport,
     PacingConfig,
     PruneResult,
@@ -82,6 +84,14 @@ def stage(name: str):
         raise StageError(name, err) from err
 
 
+# TrainConfig fields restricted to a fixed set of values.
+CHOICES = {
+    "laplacian_kind": LAPLACIAN_KINDS,
+    "local_mode": LOCAL_MODES,
+    "prune_strategy": PRUNE_STRATEGIES,
+}
+
+
 @dataclass
 class TrainConfig:
     n_clusters: int
@@ -90,9 +100,12 @@ class TrainConfig:
     lr_pretrain: float = 5e-4
     lr_formal: float = 1e-4
     k_neighbors: int = 20
+    laplacian_kind: str = "sym_normalized"
     alpha: float = 0.11
+    prune_strategy: str = "hard"
     n_hvg: int = 500
     beta: float = 0.5
+    local_mode: str = "literal"
     lambda0: float = 0.25
     t_hat: int | None = None  # defaults to max(1, t2 // 2)
     latent_dim: int = 32
@@ -105,6 +118,10 @@ class TrainConfig:
     convergence_tol: float = 1e-3
 
     def __post_init__(self):
+        for name, choices in CHOICES.items():
+            value = getattr(self, name)
+            if value not in choices:
+                raise ValueError(f"{name} must be one of {choices}, got {value!r}")
         for name in ("n_clusters", "latent_dim", "hidden_dim", "cheb_order", "n_hvg",
                      "k_neighbors", "zinb_dims", "target_update_interval"):
             if np.min(getattr(self, name)) < 1:
@@ -147,9 +164,13 @@ class TrainState:
 
 # -- k-means -----------------------------------------------------------------------
 
+_KMEANS_RESTARTS = 20  # k-means++ seedings; the lowest inertia wins
+_KMEANS_RESEED_ATTEMPTS = 10  # re-seedings of a run that ends with an empty cluster
+_KMEANS_MAX_ITER = 300
+_KMEANS_TOL = 1e-6  # largest center move that counts as converged
 
-def _kmeans_once(x: np.ndarray, k: int, rng: np.random.Generator,
-                 max_iter: int = 300, tol: float = 1e-6):
+
+def _kmeans_once(x: np.ndarray, k: int, rng: np.random.Generator):
     n = x.shape[0]
     centers = np.empty((k, x.shape[1]))
     centers[0] = x[rng.integers(n)]
@@ -162,7 +183,7 @@ def _kmeans_once(x: np.ndarray, k: int, rng: np.random.Generator,
             centers[i] = x[rng.choice(n, p=closest / total)]
         closest = np.minimum(closest, ((x - centers[i]) ** 2).sum(axis=1))
 
-    for _ in range(max_iter):
+    for _ in range(_KMEANS_MAX_ITER):
         d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         assignment = d2.argmin(axis=1)
         moved = 0.0
@@ -174,7 +195,7 @@ def _kmeans_once(x: np.ndarray, k: int, rng: np.random.Generator,
             new_centers[j] = members.mean(axis=0)
             moved = max(moved, float(np.linalg.norm(new_centers[j] - centers[j])))
         centers = new_centers
-        if moved <= tol:
+        if moved <= _KMEANS_TOL:
             break
     d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
     assignment = d2.argmin(axis=1)
@@ -184,12 +205,10 @@ def _kmeans_once(x: np.ndarray, k: int, rng: np.random.Generator,
     return centers, inertia
 
 
-def init_centers(
-    z: np.ndarray, n_clusters: int, seed: int = 0,
-    restarts: int = 20, reseed_attempts: int = 10,
-) -> np.ndarray:
-    """k-means++ over `restarts` seedings; a run that converges with an empty
-    cluster is re-seeded up to `reseed_attempts` times before erroring."""
+def init_centers(z: np.ndarray, n_clusters: int, seed: int = 0) -> np.ndarray:
+    """k-means++ over `_KMEANS_RESTARTS` seedings; a run that converges with
+    an empty cluster is re-seeded up to `_KMEANS_RESEED_ATTEMPTS` times
+    before erroring."""
     x = np.asarray(z, dtype=np.float64)
     if n_clusters > x.shape[0]:
         raise DegenerateClusterError(
@@ -198,15 +217,16 @@ def init_centers(
     rng = np.random.default_rng(seed)
     best = None
     best_inertia = np.inf
-    for _ in range(restarts):
+    for _ in range(_KMEANS_RESTARTS):
         outcome = None
-        for _ in range(reseed_attempts):
+        for _ in range(_KMEANS_RESEED_ATTEMPTS):
             outcome = _kmeans_once(x, n_clusters, rng)
             if outcome is not None:
                 break
         if outcome is None:
             raise DegenerateClusterError(
-                f"k-means produced an empty cluster in {reseed_attempts} consecutive seedings"
+                f"k-means produced an empty cluster in {_KMEANS_RESEED_ATTEMPTS} "
+                "consecutive seedings"
             )
         centers, inertia = outcome
         if inertia < best_inertia:
@@ -432,6 +452,16 @@ def _check_integers(path, arrays: dict, key: str, limit: float) -> None:
         )
 
 
+def _check_once(path, tensors: str, nodes: np.ndarray, n: int) -> None:
+    """`nodes`, integers in [0, n), must hold each of 0..n-1 exactly once."""
+    times = np.bincount(nodes, minlength=n)
+    if (times != 1).any():
+        node = int(np.flatnonzero(times != 1)[0])
+        raise nm.CheckpointFormatError(
+            f"{path}: {tensors} node {node} {times[node]} times, expected once"
+        )
+
+
 def _check_shapes(path, arrays: dict, wanted: dict, prefixes: tuple[str, ...]) -> None:
     """Each wanted tensor and each stored one under `prefixes` must be on
     both sides with the same shape."""
@@ -448,10 +478,12 @@ def load_state(path, cfg: TrainConfig, n_genes: int) -> TrainState:
     """Rebuild a saved state; CheckpointFormatError names the first tensor
     that does not fit: a `param.*` shape the config and gene count do not
     give, Adam moments other than none or an `m`/`v` pair per parameter of
-    its shape, a phase, epoch or step count that is no index in range,
-    kept and dropped nodes that do not split the report's nodes, a target
-    or previous labels without one row per kept node (and a target column
-    or label per cluster), or subset sizes that are no counts."""
+    its shape, a phase, epoch or step count that is no index in range, a
+    history that is not four columns, a difficulty report other than four
+    (n,) vectors whose order is a permutation of the nodes plus a scalar
+    beta, kept and dropped nodes that do not split the report's nodes, a
+    target or previous labels without one row per kept node (and a target
+    column or label per cluster), or subset sizes that are no counts."""
     arrays = nm.load_checkpoint(path)
     params = _init_params(cfg, n_genes)
     if "param.cluster_centers" in arrays:
@@ -471,12 +503,12 @@ def load_state(path, cfg: TrainConfig, n_genes: int) -> TrainState:
         _check_shapes(path, arrays, wanted, moments)
         adam.first_moment = [arrays[f"adam.m{i}"] for i in range(len(named))]
         adam.second_moment = [arrays[f"adam.v{i}"] for i in range(len(named))]
-    history = [
-        LossBreakdown(rec=float(row[0]), zinb=float(row[1]), cls=float(row[2]))
-        for row in arrays.get("history", np.empty((0, 4)))
-    ]
     report = None
-    if "report.local" in arrays:
+    if any(k.startswith("report.") for k in arrays):
+        n = arrays.get("report.local", arrays.get("report.order", np.empty(0))).size
+        wanted = {f"report.{k}": (n,) for k in ("local", "global", "combined", "order")}
+        _check_shapes(path, arrays, {**wanted, "report.beta": ()}, ("report.",))
+        _check_integers(path, arrays, "report.order", n)
         report = DifficultyReport(
             local=arrays["report.local"],
             global_=arrays["report.global"],
@@ -484,6 +516,7 @@ def load_state(path, cfg: TrainConfig, n_genes: int) -> TrainState:
             order=arrays["report.order"].astype(np.intp),
             beta=float(arrays["report.beta"]),
         )
+        _check_once(path, "tensor 'report.order' holds", report.order, n)
     prune_result, n_kept = None, 0
     if "prune.kept" in arrays:
         n, n_kept = (0 if report is None else report.n), arrays["prune.kept"].size
@@ -496,14 +529,13 @@ def load_state(path, cfg: TrainConfig, n_genes: int) -> TrainState:
             dropped=arrays["prune.dropped"].astype(np.intp),
             alpha=float(arrays["prune.alpha"]),
         )
-        times = np.bincount(np.concatenate([prune_result.kept, prune_result.dropped]), minlength=n)
-        if (times != 1).any():
-            node = int(np.flatnonzero(times != 1)[0])
-            raise nm.CheckpointFormatError(
-                f"{path}: tensors 'prune.kept' and 'prune.dropped' hold node {node} "
-                f"{times[node]} times, expected once"
-            )
+        _check_once(
+            path, "tensors 'prune.kept' and 'prune.dropped' hold",
+            np.concatenate([prune_result.kept, prune_result.dropped]), n,
+        )
+    history = arrays.get("history", np.empty((0, 4)))
     run_shapes = {
+        "history": (*history.shape[:1], 4),
         "target": (n_kept, cfg.n_clusters),
         "labels_prev": (n_kept,),
         "subset_sizes": (arrays.get("subset_sizes", np.empty(0)).size,),
@@ -517,7 +549,10 @@ def load_state(path, cfg: TrainConfig, n_genes: int) -> TrainState:
         epoch=int(arrays["meta.epoch"]),
         params=params,
         adam=adam,
-        loss_history=history,
+        loss_history=[
+            LossBreakdown(rec=float(row[0]), zinb=float(row[1]), cls=float(row[2]))
+            for row in history
+        ],
         report=report,
         prune=prune_result,
         target=arrays.get("target"),
@@ -555,18 +590,14 @@ class PipelineResult:
 
 
 def pretrain_and_score(
-    data: ExpressionMatrix,
-    cfg: TrainConfig,
-    laplacian_kind: str = "sym_normalized",
-    local_mode: str = "literal",
-    checkpoint_dir=None,
+    data: ExpressionMatrix, cfg: TrainConfig, checkpoint_dir=None
 ) -> Pretrained:
     """Preprocess, build the KNN graph, pretrain, embed and score difficulty.
     Failures raise StageError tagged with the stage that failed."""
     with stage("preprocess"):
         pre = preprocess(data, cfg.n_hvg)
     with stage("graph"):
-        graph = knn_graph(pre.normalized, cfg.k_neighbors, laplacian_kind)
+        graph = knn_graph(pre.normalized, cfg.k_neighbors, cfg.laplacian_kind)
     with stage("pretrain"):
         basis = chebyshev_basis(pre.normalized, graph, cfg.cheb_order)
         state = pretrain(pre, graph, cfg, basis=basis)
@@ -576,26 +607,27 @@ def pretrain_and_score(
         state.adam.first_moment, state.adam.second_moment = [], []
     with stage("difficulty"):
         z = encode(basis, graph, state.params).values
-        state.report = measure_difficulty(z, graph, beta=cfg.beta, local_mode=local_mode)
+        state.report = measure_difficulty(z, graph, beta=cfg.beta, local_mode=cfg.local_mode)
     return Pretrained(cfg, pre, graph, state, z)
 
 
 def prune_and_cluster(
     pretrained: Pretrained,
     alpha: float,
-    prune_strategy: str = "hard",
+    prune_strategy: str,
     checkpoint_dir=None,
     cluster: bool = True,
 ) -> PipelineResult:
-    """Prune `alpha` of the cells by `prune_strategy`, then (unless `cluster`
-    is false) seed the centers, run the paced formal phase and label every
+    """Prune `alpha` of the cells by `prune_strategy` (the two grid-cell
+    axes, replaced into the pretrained config), then (unless `cluster` is
+    false) seed the centers, run the paced formal phase and label every
     cell. Works on its own copy of the pretrained state, so `pretrained` can
     serve further calls. Failures raise StageError tagged with the stage."""
     state = copy.deepcopy(pretrained.state)
     pre, graph = pretrained.preprocessed, pretrained.graph
     with stage("prune"):
-        cfg = replace(pretrained.cfg, alpha=alpha)
-        state.prune = prune(state.report, cfg.alpha, strategy=prune_strategy, seed=cfg.seed)
+        cfg = replace(pretrained.cfg, alpha=alpha, prune_strategy=prune_strategy)
+        state.prune = prune(state.report, cfg.alpha, strategy=cfg.prune_strategy, seed=cfg.seed)
         graph_pruned, kept_sorted = rebuild_after_prune(graph, state.prune)
     pruned_mask = np.zeros(pre.n_cells, dtype=bool)
     pruned_mask[state.prune.dropped] = True
@@ -614,12 +646,7 @@ def prune_and_cluster(
 
 
 def run_pipeline(
-    data: ExpressionMatrix,
-    cfg: TrainConfig,
-    laplacian_kind: str = "sym_normalized",
-    prune_strategy: str = "hard",
-    local_mode: str = "literal",
-    checkpoint_dir=None,
+    data: ExpressionMatrix, cfg: TrainConfig, checkpoint_dir=None, cluster: bool = True
 ) -> PipelineResult:
-    pretrained = pretrain_and_score(data, cfg, laplacian_kind, local_mode, checkpoint_dir)
-    return prune_and_cluster(pretrained, cfg.alpha, prune_strategy, checkpoint_dir)
+    pretrained = pretrain_and_score(data, cfg, checkpoint_dir)
+    return prune_and_cluster(pretrained, cfg.alpha, cfg.prune_strategy, checkpoint_dir, cluster)

@@ -275,10 +275,10 @@ def _bench_run(arm: str, seed: int):
     overrides = dict(alpha=0.0, lambda0=1.0) if arm == "off" else {}
     strategy = arm if arm in ("hard", "random", "easy") else "hard"
     cfg = TrainConfig(
-        n_clusters=3, t1=200, t2=100, n_hvg=200, seed=seed, **overrides
+        n_clusters=3, t1=200, t2=100, n_hvg=200, seed=seed, prune_strategy=strategy, **overrides
     )
     start = time.time()
-    result = trainer.run_pipeline(data, cfg, prune_strategy=strategy)
+    result = trainer.run_pipeline(data, cfg)
     elapsed = time.time() - start
     scores = (
         metrics.ari(data.labels, result.labels),

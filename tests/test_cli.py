@@ -170,7 +170,10 @@ def test_difficulty_report_matches_the_one_train_writes(tmp_path):
     data_dir = tmp_path / "data"
     assert _run(*_synth_args(data_dir)) == 0
     config = tmp_path / "config.txt"
-    _write_config(config, data_dir, tmp_path / "unused", alpha=0.2, prune_strategy="random")
+    _write_config(
+        config, data_dir, tmp_path / "unused", alpha=0.2, prune_strategy="random",
+        laplacian_kind="combinatorial", local_mode="dissimilarity",
+    )
     assert _run("train", config, "--outdir", tmp_path / "train") == 0
     assert _run("difficulty", config, "--outdir", tmp_path / "diff") == 0
     assert (tmp_path / "diff" / "difficulty.csv").read_bytes() == (
@@ -195,8 +198,8 @@ def test_prune_study_rows_equal_separate_pipeline_runs(tmp_path):
     expected = []
     for strategy in ("hard", "easy"):
         for alpha in (0.06, 0.21):
-            cfg = replace(run_cfg.train, alpha=alpha, seed=1)
-            labels = trainer.run_pipeline(data, cfg, prune_strategy=strategy).labels
+            cfg = replace(run_cfg.train, alpha=alpha, seed=1, prune_strategy=strategy)
+            labels = trainer.run_pipeline(data, cfg).labels
             a, n = metrics.ari(data.labels, labels), metrics.nmi(data.labels, labels)
             expected.append(f"{strategy},{alpha!r},1,{a!r},{n!r}")
     assert (out / "prune_study.csv").read_text().splitlines()[1:] == expected
@@ -225,8 +228,14 @@ def test_prune_study_rejects_a_negative_seed_before_any_stage(tmp_path, capsys):
             {"strategies": "hard,easy,hard"},
             "duplicate entry 'hard' in 'strategies' (first given as entry 1)",
         ),
+        ({"seeds": ""}, "'seeds' must list at least one entry"),
+        ({"alphas": ""}, "'alphas' must list at least one entry"),
+        ({"strategies": ""}, "'strategies' must list at least one entry"),
     ],
-    ids=["alpha-above", "alpha-below", "alpha-nan", "dup-seed", "dup-alpha", "dup-strategy"],
+    ids=[
+        "alpha-above", "alpha-below", "alpha-nan", "dup-seed", "dup-alpha", "dup-strategy",
+        "empty-seeds", "empty-alphas", "empty-strategies",
+    ],
 )
 def test_prune_study_rejects_a_bad_grid_before_any_stage(tmp_path, capsys, grid, problem):
     data_dir = tmp_path / "data"
@@ -274,6 +283,7 @@ def test_graph_failure_carries_the_same_tag_from_every_command(tmp_path, capsys)
         ({"loss_weights": "-1,1,1"}, ()),
         ({"seed": -1}, ()),
         ({}, ("--seed", "-1")),
+        ({"local_mode": "inverse"}, ()),
     ],
 )
 def test_train_rejects_bad_settings_before_training(tmp_path, capsys, config_extra, flags):
@@ -389,6 +399,14 @@ def test_train_help_enumerates_defaults(capsys):
     text = capsys.readouterr().out
     for flag in ("--alpha", "--lambda0", "--k-neighbors", "--n-hvg", "--prune-strategy"):
         assert flag in text
+
+
+def test_switch_flags_accept_only_their_choices(tmp_path, capsys):
+    for flag in ("--laplacian-kind", "--local-mode", "--prune-strategy"):
+        with pytest.raises(SystemExit) as exc:
+            _run("train", tmp_path / "config.txt", flag, "gently")
+        assert exc.value.code == 2
+        assert "invalid choice: 'gently'" in capsys.readouterr().err
 
 
 def test_importing_the_cli_leaves_scipy_special_unloaded():

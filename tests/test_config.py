@@ -1,7 +1,7 @@
 import pytest
 
 from celluster.config import ConfigError, RunConfig, parse_config, write_config
-from celluster.trainer import TrainConfig
+from celluster.trainer import CHOICES, TrainConfig
 
 
 def test_parse_minimal_config(tmp_path):
@@ -16,7 +16,7 @@ def test_parse_minimal_config(tmp_path):
     assert cfg.train.k_neighbors == 20
     assert cfg.train.alpha == 0.11
     assert cfg.train.n_hvg == 500
-    assert cfg.laplacian_kind == "sym_normalized"
+    assert cfg.train.laplacian_kind == "sym_normalized"
 
 
 def test_parse_comments_and_blanks(tmp_path):
@@ -70,13 +70,21 @@ def test_parse_rejects_bad_choice(tmp_path):
         parse_config(path)
 
 
+@pytest.mark.parametrize("name", sorted(CHOICES))
+def test_train_config_rejects_a_switch_outside_its_choices(name):
+    with pytest.raises(ValueError, match=f"{name} must be one of .*, got 'dense'"):
+        TrainConfig(n_clusters=2, **{name: "dense"})
+
+
 def test_write_then_parse_reproduces_settings(tmp_path):
     cfg = RunConfig(
-        train=TrainConfig(n_clusters=3, t1=42, alpha=0.07, loss_weights=(1.0, 2.0, 0.25)),
+        train=TrainConfig(
+            n_clusters=3, t1=42, alpha=0.07, loss_weights=(1.0, 2.0, 0.25),
+            prune_strategy="random",
+        ),
         input="data/counts.csv",
         labels="data/labels.csv",
         outdir="out",
-        prune_strategy="random",
         strategies=["hard", "easy"],
         alphas=[0.06, 0.11],
         seeds=[0, 1, 2],
@@ -88,7 +96,7 @@ def test_write_then_parse_reproduces_settings(tmp_path):
     assert back.train.alpha == 0.07
     assert back.train.loss_weights == (1.0, 2.0, 0.25)
     assert back.train.t_hat == cfg.train.effective_t_hat  # echoed resolved
-    assert back.prune_strategy == "random"
+    assert back.train.prune_strategy == "random"
     assert back.strategies == ["hard", "easy"]
     assert back.alphas == [0.06, 0.11]
     assert back.seeds == [0, 1, 2]

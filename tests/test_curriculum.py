@@ -55,6 +55,24 @@ def test_local_difficulty_isolated_and_zero_norm_rows():
     assert local[1] == 0.0
 
 
+def test_local_difficulty_matches_the_dense_similarity_matrix():
+    # the per-edge form against A * (U U^T) summed by rows, on a graph with
+    # an isolated node (0) and a zero-norm embedding row (3)
+    rng = np.random.default_rng(4)
+    adj = np.triu(rng.random((12, 12)) < 0.4, k=1).astype(float)
+    adj = adj + adj.T
+    adj[0, :] = adj[:, 0] = 0.0
+    graph = _graph_from_dense(adj)
+    z = rng.normal(size=(12, 5))
+    z[3] = 0.0
+    unit = z / np.maximum(np.linalg.norm(z, axis=1), 1e-300)[:, None]
+    sims = adj * (unit @ unit.T)
+    for mode, want in (("literal", sims.sum(axis=1)), ("dissimilarity", (adj - sims).sum(axis=1))):
+        got = curriculum.local_difficulty(z, graph, mode=mode)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    assert graph.degrees[0] == 0 and graph.degrees[3] > 0
+
+
 def test_local_difficulty_dissimilarity_mode_flips_polarity():
     graph = _path3()
     z = np.tile([1.0, 2.0], (3, 1))

@@ -378,6 +378,13 @@ _NO_TENSOR = object()
         ({"labels_prev": lambda t: t + 2}, r"'labels_prev': checkpoint has [23]\.0, expected an in"),
         ({"subset_sizes": lambda t: -t}, r"'subset_sizes': checkpoint has -\d+\.0, expected an in"),
         ({"subset_sizes": lambda t: t + 0.25}, r"'subset_sizes': checkpoint has \d+\.25, expected"),
+        ({"report.global": _NO_TENSOR}, r"'report\.global': checkpoint has no such tensor, config"),
+        ({"report.order": lambda t: t[1:]}, r"'report\.order': checkpoint has \(39,\), config exp"),
+        ({"report.order": lambda t: 0 * t}, r"'report\.order' holds node 0 40 times, expected once"),
+        ({"report.order": lambda t: t + 0.5}, r"'report\.order': checkpoint has \d+\.5, expected"),
+        ({"report.beta": np.zeros(1)}, r"'report\.beta': checkpoint has \(1,\), config expects \(\)"),
+        ({"report.foo": np.zeros(3)}, r"'report\.foo': checkpoint has \(3,\), config expects no su"),
+        ({"history": lambda t: t[:, :2]}, r"'history': checkpoint has \(1, 2\), config expects \(1,"),
     ],
 )
 def test_load_state_rejects_tensors_that_do_not_fit_the_config(tmp_path, change, message):
@@ -387,7 +394,7 @@ def test_load_state_rejects_tensors_that_do_not_fit_the_config(tmp_path, change,
     # the checkpoint a formal one, two epochs in.
     _, pre, graph, cfg = _small_setup(t1=1, hidden_dim=16)
     config_keys = {f.name for f in fields(TrainConfig)}
-    run_tensor = ("prune.", "target", "labels_prev", "subset_sizes")
+    run_tensor = ("report.", "prune.", "target", "labels_prev", "subset_sizes")
     state = trainer.pretrain(pre, graph, cfg)
     if any(key.startswith(run_tensor) for key in change):
         state, graph_pruned = _to_formal_ready(pre, graph, cfg)
@@ -480,8 +487,8 @@ def test_pretrained_state_drops_its_adam_moments_once_checkpointed(tmp_path):
     kept.report = pretrained.state.report
     with_moments = replace(pretrained, state=kept)
     for alpha in (0.1, 0.3):
-        a = trainer.prune_and_cluster(pretrained, alpha)
-        b = trainer.prune_and_cluster(with_moments, alpha)
+        a = trainer.prune_and_cluster(pretrained, alpha, "hard")
+        b = trainer.prune_and_cluster(with_moments, alpha, "hard")
         assert np.array_equal(a.labels, b.labels)
         assert [x.as_row() for x in a.state.loss_history] == [
             y.as_row() for y in b.state.loss_history
@@ -569,7 +576,8 @@ def test_pruning_that_isolates_a_node_keeps_finite_operators_and_trains(tiny_pre
     result = PruneResult(order[in_kept], order[~in_kept], alpha=1.0 - kept.size / graph.n)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(trainer, "prune", lambda *args, **kwargs: result)
-        _assert_trained(trainer.prune_and_cluster(tiny_pretrained, result.alpha), n_clusters=2)
+        pruned = trainer.prune_and_cluster(tiny_pretrained, result.alpha, "hard")
+        _assert_trained(pruned, n_clusters=2)
 
 
 @settings(max_examples=25, deadline=None)
@@ -580,9 +588,9 @@ def test_pruning_that_isolates_a_node_keeps_finite_operators_and_trains(tiny_pre
 )
 def test_more_clusters_than_kept_nodes_fails_tagged_centers(alpha, extra, strategy):
     kept = _TINY_SPEC.n_cells - int(np.floor(alpha * _TINY_SPEC.n_cells))
-    cfg = _tiny_config(n_clusters=kept + extra, alpha=alpha)
+    cfg = _tiny_config(n_clusters=kept + extra, alpha=alpha, prune_strategy=strategy)
     with pytest.raises(trainer.StageError) as err:
-        trainer.run_pipeline(synthesize(_TINY_SPEC), cfg, prune_strategy=strategy)
+        trainer.run_pipeline(synthesize(_TINY_SPEC), cfg)
     assert err.value.stage == "centers"
     assert str(err.value) == f"[centers] {kept + extra} clusters for {kept} points"
 
