@@ -174,7 +174,9 @@ def cmd_train(args) -> int:
 
 def cmd_difficulty(args) -> int:
     run_cfg, data, outdir = _prepare_run(args)
-    result = trainer.run_pipeline(data, run_cfg.train, cluster=False)
+    cfg = run_cfg.train
+    pretrained = trainer.pretrain_and_score(data, cfg)
+    result = trainer.prune_and_cluster(pretrained, cfg.alpha, cfg.prune_strategy, cluster=False)
     report, pruned = result.state.report, result.state.prune
     path = outdir / "difficulty.csv"
     with stage("write"):

@@ -645,8 +645,6 @@ def prune_and_cluster(
     return PipelineResult(state, pre, graph, labels, pruned_mask)
 
 
-def run_pipeline(
-    data: ExpressionMatrix, cfg: TrainConfig, checkpoint_dir=None, cluster: bool = True
-) -> PipelineResult:
+def run_pipeline(data: ExpressionMatrix, cfg: TrainConfig, checkpoint_dir=None) -> PipelineResult:
     pretrained = pretrain_and_score(data, cfg, checkpoint_dir)
-    return prune_and_cluster(pretrained, cfg.alpha, cfg.prune_strategy, checkpoint_dir, cluster)
+    return prune_and_cluster(pretrained, cfg.alpha, cfg.prune_strategy, checkpoint_dir)
