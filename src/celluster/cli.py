@@ -3,7 +3,7 @@
 Subcommands: synth, train, difficulty, evaluate, prune-study. Train-family
 commands read a key=value config file; most settings can be overridden from
 the command line. Failures exit nonzero with a stage-tagged message, code 2
-when a referenced input path is missing.
+when a referenced path is missing or unusable.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .config import (
     scalar_type,
     write_config,
 )
-from .trainer import CHOICES, StageError, TrainConfig, stage
+from .trainer import CHOICES, PATH_ERRORS, StageError, TrainConfig, stage
 
 
 def _add_run_command(sub, name: str, fn, help_text: str) -> None:
@@ -175,9 +175,9 @@ def cmd_train(args) -> int:
 def cmd_difficulty(args) -> int:
     run_cfg, data, outdir = _prepare_run(args)
     cfg = run_cfg.train
-    pretrained = trainer.pretrain_and_score(data, cfg)
-    result = trainer.prune_and_cluster(pretrained, cfg.alpha, cfg.prune_strategy, cluster=False)
-    report, pruned = result.state.report, result.state.prune
+    report = trainer.pretrain_and_score(data, cfg).state.report
+    with stage("prune"):
+        pruned = curriculum.prune(report, cfg.alpha, strategy=cfg.prune_strategy, seed=cfg.seed)
     path = outdir / "difficulty.csv"
     with stage("write"):
         curriculum.write_difficulty_csv(path, report, pruned)
@@ -228,7 +228,8 @@ def cmd_prune_study(args) -> int:
                 prefix = pretrained[seed]
                 if isinstance(prefix, Exception):
                     raise prefix
-                result = trainer.prune_and_cluster(prefix, alpha, strategy)
+                cell_cfg = replace(prefix.cfg, alpha=alpha, prune_strategy=strategy)
+                result = trainer.prune_and_cluster(replace(prefix, cfg=cell_cfg))
                 a = metrics.ari(data.labels, result.labels)
                 n = metrics.nmi(data.labels, result.labels)
                 fh.write(f"{strategy},{alpha!r},{seed},{a!r},{n!r}\n")
@@ -294,7 +295,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as err:
+    except PATH_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except StageError as err:

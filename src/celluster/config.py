@@ -1,9 +1,9 @@
 """Flat key=value run configuration.
 
-One `key=value` per line, `#` starts a comment, keys match TrainConfig
-field names (every training setting, the graph, difficulty and pruning
-switches included) plus run-level settings (paths, the input format and
-the prune-study grid). The effective config written next to a run's
+UTF-8 text, one `key=value` per line, `#` starts a comment, keys match
+TrainConfig field names (every training setting, the graph, difficulty and
+pruning switches included) plus run-level settings (paths, the input
+format and the prune-study grid). The effective config written next to a run's
 outputs reloads to an identical run.
 """
 
@@ -100,7 +100,13 @@ def _format_value(value) -> str:
 
 
 def parse_config(path) -> RunConfig:
-    text = Path(path).read_text()
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise ConfigError(
+            f"{path}: not UTF-8 text: byte {raw[err.start]:#04x} at offset {err.start}"
+        ) from None
     train_kwargs: dict = {}
     run_kwargs: dict = {}
     first_set: dict[str, int] = {}
@@ -141,4 +147,4 @@ def write_config(cfg: RunConfig, path) -> None:
     values = [(n, getattr(train, n)) for n in TRAIN_TYPES]
     values += [(n, getattr(cfg, n)) for n in RUN_TYPES]
     lines = [f"{name}={_format_value(v)}\n" for name, v in values if v is not None]
-    Path(path).write_text("".join(lines))
+    Path(path).write_text("".join(lines), encoding="utf-8")

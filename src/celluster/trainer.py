@@ -8,14 +8,16 @@ embeddings. Phase 2 re-initializes Adam at its own learning rate and adds
 the self-training clustering term; each epoch encodes the kept graph once
 for the target refresh and the step, which fits all three losses to the
 easiest paced subset. Prediction labels every original cell (pruned ones
-included, flagged downstream); the pipeline writes the phase checkpoints.
+included, flagged downstream). The stages run straight through: each phase
+starts fresh, and the pipeline writes each phase's final state as a
+checkpoint that nothing loads back.
 """
 
 from __future__ import annotations
 
 import copy
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -72,13 +74,20 @@ class StageError(RuntimeError):
         super().__init__(f"[{stage}] {cause}")
 
 
+# A referenced path that is missing or unusable: these pass through stage()
+# untagged, and the CLI exits 2 on them.
+PATH_ERRORS = (
+    FileNotFoundError, FileExistsError, IsADirectoryError, NotADirectoryError, PermissionError
+)
+
+
 @contextmanager
 def stage(name: str):
-    """Re-raise failures inside the block as StageError(name); missing or
-    unreadable paths pass through untagged (the CLI exits 2 on those)."""
+    """Re-raise failures inside the block as StageError(name), except
+    PATH_ERRORS, which pass through untagged."""
     try:
         yield
-    except (FileNotFoundError, IsADirectoryError, PermissionError):
+    except PATH_ERRORS:
         raise
     except Exception as err:
         raise StageError(name, err) from err
@@ -289,40 +298,30 @@ def _train_step(
     state.epoch += 1
 
 
-def _init_params(cfg: TrainConfig, n_genes: int) -> ModelParams:
-    return init_params(
-        n_genes=n_genes,
+def pretrain(
+    pre: PreprocessedData,
+    graph: CellGraph,
+    cfg: TrainConfig,
+    basis: list[np.ndarray] | None = None,
+) -> TrainState:
+    """Full-batch reconstruction + likelihood training from fresh parameters
+    for cfg.t1 epochs, one encode per epoch from `basis`, the Chebyshev
+    basis of pre.normalized on `graph` (built here when not given); writes
+    no checkpoint."""
+    if basis is None:
+        basis = chebyshev_basis(pre.normalized, graph, cfg.cheb_order)
+    params = init_params(
+        n_genes=pre.n_genes,
         latent_dim=cfg.latent_dim,
         hidden_dim=cfg.hidden_dim,
         cheb_order=cfg.cheb_order,
         zinb_dims=cfg.zinb_dims,
         seed=cfg.seed,
     )
-
-
-def pretrain(
-    pre: PreprocessedData,
-    graph: CellGraph,
-    cfg: TrainConfig,
-    state: TrainState | None = None,
-    epochs: int | None = None,
-    basis: list[np.ndarray] | None = None,
-) -> TrainState:
-    """Full-batch reconstruction + likelihood training for cfg.t1 epochs
-    (or resume `state` until `epochs` total), one encode per epoch from
-    `basis`, the Chebyshev basis of pre.normalized on `graph` (built here
-    when not given); writes no checkpoint."""
-    if basis is None:
-        basis = chebyshev_basis(pre.normalized, graph, cfg.cheb_order)
-    if state is None:
-        state = TrainState(
-            phase="pretrain",
-            epoch=0,
-            params=_init_params(cfg, pre.n_genes),
-            adam=AdamState(learning_rate=cfg.lr_pretrain),
-        )
-    total_epochs = cfg.t1 if epochs is None else epochs
-    while state.epoch < total_epochs:
+    state = TrainState(
+        phase="pretrain", epoch=0, params=params, adam=AdamState(learning_rate=cfg.lr_pretrain)
+    )
+    while state.epoch < cfg.t1:
         _train_step(state, encode(basis, graph, state.params), pre.raw.counts, graph, cfg)
     return state
 
@@ -332,13 +331,14 @@ def formal_train(
     pre: PreprocessedData,
     graph_pruned: CellGraph,
     cfg: TrainConfig,
-    epochs: int | None = None,
 ) -> TrainState:
-    """Paced self-training phase over the pruned graph.
+    """Paced self-training phase over the pruned graph, from a fresh
+    optimizer at cfg.lr_formal for up to cfg.t2 epochs; leaves `state` in
+    phase "done".
 
     Each epoch encodes the kept graph once. Every cfg.target_update_interval
-    epochs that latent refreshes the target, and the phase ends ("done", no
-    step) once the churn between consecutive refreshes falls below
+    epochs that latent refreshes the target, and the phase ends (no step)
+    once the churn between consecutive refreshes falls below
     cfg.convergence_tol. The step then trains on the same latent, over the
     easiest kept nodes: the pacing fraction (capped at 1 - alpha) of the
     ORIGINAL node count, floored. Writes no checkpoint.
@@ -347,10 +347,9 @@ def formal_train(
         raise NotTrainedError("formal training needs difficulty and pruning results")
     if state.params.cluster_centers is None:
         raise NotTrainedError("formal training needs initialized cluster centers")
-    if state.phase == "pretrain":
-        state.phase = "formal"
-        state.epoch = 0
-        state.adam = AdamState(learning_rate=cfg.lr_formal)  # fresh optimizer per phase
+    state.phase = "formal"
+    state.epoch = 0
+    state.adam = AdamState(learning_rate=cfg.lr_formal)  # fresh optimizer per phase
 
     kept_sorted = np.sort(state.prune.kept)
     easiest_first = np.searchsorted(kept_sorted, state.prune.kept)
@@ -359,8 +358,7 @@ def formal_train(
     n_original = state.report.n
     pacing = PacingConfig(lambda0=cfg.lambda0, t_hat=cfg.effective_t_hat)
 
-    total_epochs = cfg.t2 if epochs is None else epochs
-    while state.epoch < total_epochs:
+    while state.epoch < cfg.t2:
         t = state.epoch
         z = encode(basis, graph_pruned, state.params)
         if t % cfg.target_update_interval == 0:
@@ -369,8 +367,7 @@ def formal_train(
             churn = None if state.labels_prev is None else np.mean(labels_now != state.labels_prev)
             state.labels_prev = labels_now
             if churn is not None and churn < cfg.convergence_tol:
-                state.phase = "done"
-                return state
+                break
             state.target = target_distribution(q)
 
         fraction = pacing_fraction(t, pacing, cfg.alpha)
@@ -384,8 +381,7 @@ def formal_train(
         state.subset_sizes.append(count)
         _train_step(state, z, raw_kept, graph_pruned, cfg, subset=subset, target=state.target)
         del z  # frees this epoch's encoder tape before the next forward
-    if state.epoch >= cfg.t2:  # partial stepping stays resumable
-        state.phase = "done"
+    state.phase = "done"
     return state
 
 
@@ -402,13 +398,15 @@ def predict(state: TrainState, pre: PreprocessedData, graph: CellGraph) -> np.nd
     return q.argmax(axis=1).astype(np.int64)
 
 
-# -- state persistence -----------------------------------------------------------------
+# -- phase checkpoints -----------------------------------------------------------------
 
 
 _PHASES = ("pretrain", "formal", "done")
 
 
 def save_state(state: TrainState, path) -> None:
+    """Write `state` atomically as named float64 tensors; no command reads
+    it back (nm.load_checkpoint parses the format)."""
     arrays: dict[str, np.ndarray] = {
         "meta.phase": np.array(float(_PHASES.index(state.phase))),
         "meta.epoch": np.array(float(state.epoch)),
@@ -441,137 +439,14 @@ def save_state(state: TrainState, path) -> None:
     nm.save_checkpoint(path, arrays)
 
 
-def _check_integers(path, arrays: dict, key: str, limit: float) -> None:
-    """Every entry of tensor `key` must be an integer in [0, limit)."""
-    values = arrays[key]
-    bad = ~((0 <= values) & (values < limit) & (values == np.floor(values)))
-    if bad.any():
-        raise nm.CheckpointFormatError(
-            f"{path}: tensor {key!r}: checkpoint has {values[bad][0].tolist()!r}, "
-            f"expected an integer in [0, {limit})"
-        )
-
-
-def _check_once(path, tensors: str, nodes: np.ndarray, n: int) -> None:
-    """`nodes`, integers in [0, n), must hold each of 0..n-1 exactly once."""
-    times = np.bincount(nodes, minlength=n)
-    if (times != 1).any():
-        node = int(np.flatnonzero(times != 1)[0])
-        raise nm.CheckpointFormatError(
-            f"{path}: {tensors} node {node} {times[node]} times, expected once"
-        )
-
-
-def _check_shapes(path, arrays: dict, wanted: dict, prefixes: tuple[str, ...]) -> None:
-    """Each wanted tensor and each stored one under `prefixes` must be on
-    both sides with the same shape."""
-    for key in sorted(wanted.keys() | {k for k in arrays if k.startswith(prefixes)}):
-        got = arrays[key].shape if key in arrays else "no such tensor"
-        want = wanted.get(key, "no such tensor")
-        if got != want:
-            raise nm.CheckpointFormatError(
-                f"{path}: tensor {key!r}: checkpoint has {got}, config expects {want}"
-            )
-
-
-def load_state(path, cfg: TrainConfig, n_genes: int) -> TrainState:
-    """Rebuild a saved state; CheckpointFormatError names the first tensor
-    that does not fit: a `param.*` shape the config and gene count do not
-    give, Adam moments other than none or an `m`/`v` pair per parameter of
-    its shape, a phase, epoch or step count that is no index in range, a
-    history that is not four columns, a difficulty report other than four
-    (n,) vectors whose order is a permutation of the nodes plus a scalar
-    beta, kept and dropped nodes that do not split the report's nodes, a
-    target or previous labels without one row per kept node (and a target
-    column or label per cluster), or subset sizes that are no counts."""
-    arrays = nm.load_checkpoint(path)
-    params = _init_params(cfg, n_genes)
-    if "param.cluster_centers" in arrays:
-        params = params.with_centers(np.zeros((cfg.n_clusters, cfg.latent_dim)))
-    named = params.named_parameters()
-    _check_shapes(path, arrays, {f"param.{n}": t.values.shape for n, t in named}, ("param.",))
-    for name, tensor in named:
-        tensor.values = arrays[f"param.{name}"]
-    limits = {"meta.phase": len(_PHASES), "meta.epoch": np.inf, "adam.step": np.inf}
-    _check_shapes(path, arrays, dict.fromkeys([*limits, "adam.lr"], ()), ("meta.",))
-    for key, limit in limits.items():
-        _check_integers(path, arrays, key, limit)
-    adam = AdamState(learning_rate=float(arrays["adam.lr"]), step=int(arrays["adam.step"]))
-    moments = ("adam.m", "adam.v")
-    if any(k.startswith(moments) for k in arrays):
-        wanted = {f"{m}{i}": t.values.shape for i, (_, t) in enumerate(named) for m in moments}
-        _check_shapes(path, arrays, wanted, moments)
-        adam.first_moment = [arrays[f"adam.m{i}"] for i in range(len(named))]
-        adam.second_moment = [arrays[f"adam.v{i}"] for i in range(len(named))]
-    report = None
-    if any(k.startswith("report.") for k in arrays):
-        n = arrays.get("report.local", arrays.get("report.order", np.empty(0))).size
-        wanted = {f"report.{k}": (n,) for k in ("local", "global", "combined", "order")}
-        _check_shapes(path, arrays, {**wanted, "report.beta": ()}, ("report.",))
-        _check_integers(path, arrays, "report.order", n)
-        report = DifficultyReport(
-            local=arrays["report.local"],
-            global_=arrays["report.global"],
-            combined=arrays["report.combined"],
-            order=arrays["report.order"].astype(np.intp),
-            beta=float(arrays["report.beta"]),
-        )
-        _check_once(path, "tensor 'report.order' holds", report.order, n)
-    prune_result, n_kept = None, 0
-    if "prune.kept" in arrays:
-        n, n_kept = (0 if report is None else report.n), arrays["prune.kept"].size
-        wanted = {"prune.kept": (n_kept,), "prune.dropped": (n - n_kept,), "prune.alpha": ()}
-        _check_shapes(path, arrays, wanted, ("prune.",))
-        for key in ("prune.kept", "prune.dropped"):
-            _check_integers(path, arrays, key, n)
-        prune_result = PruneResult(
-            kept=arrays["prune.kept"].astype(np.intp),
-            dropped=arrays["prune.dropped"].astype(np.intp),
-            alpha=float(arrays["prune.alpha"]),
-        )
-        _check_once(
-            path, "tensors 'prune.kept' and 'prune.dropped' hold",
-            np.concatenate([prune_result.kept, prune_result.dropped]), n,
-        )
-    history = arrays.get("history", np.empty((0, 4)))
-    run_shapes = {
-        "history": (*history.shape[:1], 4),
-        "target": (n_kept, cfg.n_clusters),
-        "labels_prev": (n_kept,),
-        "subset_sizes": (arrays.get("subset_sizes", np.empty(0)).size,),
-    }
-    _check_shapes(path, arrays, {k: s for k, s in run_shapes.items() if k in arrays}, ())
-    for key, limit in (("labels_prev", cfg.n_clusters), ("subset_sizes", np.inf)):
-        if key in arrays:
-            _check_integers(path, arrays, key, limit)
-    return TrainState(
-        phase=_PHASES[int(arrays["meta.phase"])],
-        epoch=int(arrays["meta.epoch"]),
-        params=params,
-        adam=adam,
-        loss_history=[
-            LossBreakdown(rec=float(row[0]), zinb=float(row[1]), cls=float(row[2]))
-            for row in history
-        ],
-        report=report,
-        prune=prune_result,
-        target=arrays.get("target"),
-        labels_prev=(
-            arrays["labels_prev"].astype(np.int64) if "labels_prev" in arrays else None
-        ),
-        subset_sizes=(
-            arrays["subset_sizes"].astype(int).tolist() if "subset_sizes" in arrays else []
-        ),
-    )
-
-
 # -- end-to-end pipeline ------------------------------------------------------------------
 
 
 @dataclass
 class Pretrained:
-    """What the stages before pruning produce; none of it depends on alpha
-    or the prune strategy, so one value serves any number of tails."""
+    """What the stages before pruning produce. None of it depends on
+    cfg.alpha or cfg.prune_strategy, so one value serves any number of
+    tails, each given a copy whose cfg carries its grid cell's pair."""
 
     cfg: TrainConfig
     preprocessed: PreprocessedData
@@ -585,7 +460,7 @@ class PipelineResult:
     state: TrainState
     preprocessed: PreprocessedData
     graph: CellGraph
-    labels: np.ndarray | None  # every original cell; None when clustering was skipped
+    labels: np.ndarray  # every original cell
     pruned_mask: np.ndarray  # True where the cell was pruned before phase 2
 
 
@@ -611,40 +486,30 @@ def pretrain_and_score(
     return Pretrained(cfg, pre, graph, state, z)
 
 
-def prune_and_cluster(
-    pretrained: Pretrained,
-    alpha: float,
-    prune_strategy: str,
-    checkpoint_dir=None,
-    cluster: bool = True,
-) -> PipelineResult:
-    """Prune `alpha` of the cells by `prune_strategy` (the two grid-cell
-    axes, replaced into the pretrained config), then (unless `cluster` is
-    false) seed the centers, run the paced formal phase and label every
-    cell. Works on its own copy of the pretrained state, so `pretrained` can
-    serve further calls. Failures raise StageError tagged with the stage."""
+def prune_and_cluster(pretrained: Pretrained, checkpoint_dir=None) -> PipelineResult:
+    """Prune cfg.alpha of the cells by cfg.prune_strategy (both read from
+    pretrained.cfg), seed the centers, run the paced formal phase and label
+    every cell. Works on its own copy of the pretrained state, so
+    `pretrained` can serve further calls. Failures raise StageError tagged
+    with the stage."""
+    cfg, pre, graph = pretrained.cfg, pretrained.preprocessed, pretrained.graph
     state = copy.deepcopy(pretrained.state)
-    pre, graph = pretrained.preprocessed, pretrained.graph
     with stage("prune"):
-        cfg = replace(pretrained.cfg, alpha=alpha, prune_strategy=prune_strategy)
         state.prune = prune(state.report, cfg.alpha, strategy=cfg.prune_strategy, seed=cfg.seed)
         graph_pruned, kept_sorted = rebuild_after_prune(graph, state.prune)
     pruned_mask = np.zeros(pre.n_cells, dtype=bool)
     pruned_mask[state.prune.dropped] = True
-    labels = None
-    if cluster:
-        with stage("centers"):
-            centers = init_centers(pretrained.embedding[kept_sorted], cfg.n_clusters, cfg.seed)
-            state.params = state.params.with_centers(centers)
-        with stage("formal"):
-            state = formal_train(state, pre, graph_pruned, cfg)
-            if checkpoint_dir is not None:
-                save_state(state, f"{checkpoint_dir}/formal_final.ckpt")
-        with stage("predict"):
-            labels = predict(state, pre, graph)
+    with stage("centers"):
+        centers = init_centers(pretrained.embedding[kept_sorted], cfg.n_clusters, cfg.seed)
+        state.params = state.params.with_centers(centers)
+    with stage("formal"):
+        state = formal_train(state, pre, graph_pruned, cfg)
+        if checkpoint_dir is not None:
+            save_state(state, f"{checkpoint_dir}/formal_final.ckpt")
+    with stage("predict"):
+        labels = predict(state, pre, graph)
     return PipelineResult(state, pre, graph, labels, pruned_mask)
 
 
 def run_pipeline(data: ExpressionMatrix, cfg: TrainConfig, checkpoint_dir=None) -> PipelineResult:
-    pretrained = pretrain_and_score(data, cfg, checkpoint_dir)
-    return prune_and_cluster(pretrained, cfg.alpha, cfg.prune_strategy, checkpoint_dir)
+    return prune_and_cluster(pretrain_and_score(data, cfg, checkpoint_dir), checkpoint_dir)

@@ -297,6 +297,30 @@ def test_train_rejects_bad_settings_before_training(tmp_path, capsys, config_ext
     assert not list(run_dir.glob("*.ckpt"))
 
 
+def test_config_that_is_not_utf8_fails_as_config(tmp_path, capsys):
+    config = tmp_path / "config.txt"
+    config.write_bytes(b"n_clusters=3\n# caf\xe9\n")
+    assert _run("train", config) == 1
+    assert f"error: [config] {config}: not UTF-8 text" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["synth", "train", "difficulty", "prune-study"])
+def test_an_outdir_that_is_no_directory_exits_two(tmp_path, capsys, command):
+    data_dir = tmp_path / "data"
+    assert _run(*_synth_args(data_dir)) == 0
+    config = tmp_path / "config.txt"
+    _write_config(config, data_dir, tmp_path / "unused")
+    args = _synth_args(data_dir)[:-2] if command == "synth" else [command, config]
+    capsys.readouterr()
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    for outdir in (blocker, blocker / "below"):  # FileExistsError, NotADirectoryError
+        assert _run(*args, "--outdir", outdir) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(outdir) in err
+        assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "rows, line, problem",
     [

@@ -70,6 +70,14 @@ def test_parse_rejects_bad_choice(tmp_path):
         parse_config(path)
 
 
+def test_parse_rejects_text_that_is_not_utf8(tmp_path):
+    path = tmp_path / "c.txt"
+    path.write_bytes(b"n_clusters=3\n# caf\xe9\n")
+    with pytest.raises(ConfigError) as err:
+        parse_config(path)
+    assert str(err.value) == f"{path}: not UTF-8 text: byte 0xe9 at offset 18"
+
+
 @pytest.mark.parametrize("name", sorted(CHOICES))
 def test_train_config_rejects_a_switch_outside_its_choices(name):
     with pytest.raises(ValueError, match=f"{name} must be one of .*, got 'dense'"):

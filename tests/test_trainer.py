@@ -1,5 +1,5 @@
 import copy
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,12 +19,7 @@ from celluster.ingest import SynthesisSpec, synthesize
 from celluster.losses import NonFiniteLossError, loss_cls, loss_zinb, target_distribution
 from celluster.metrics import ari
 from celluster.model import chebyshev_basis, decode_zinb, encode, soft_assign
-from celluster.numerics import (
-    AdamState,
-    CheckpointFormatError,
-    load_checkpoint,
-    save_checkpoint,
-)
+from celluster.numerics import AdamState, load_checkpoint
 from celluster.preprocess import preprocess
 from celluster.trainer import TrainConfig
 
@@ -303,129 +298,6 @@ def test_predict_before_training_errors():
         trainer.predict(state, pre, graph)
 
 
-# -- checkpoint resume ---------------------------------------------------------------
-
-
-def test_pretrain_checkpoint_resume_is_bitwise(tmp_path):
-    _, pre, graph, cfg = _small_setup(t1=10)
-    straight = trainer.pretrain(pre, graph, cfg)
-
-    half = trainer.pretrain(pre, graph, cfg, epochs=5)
-    path = tmp_path / "halfway.ckpt"
-    trainer.save_state(half, path)
-    resumed = trainer.load_state(path, cfg, n_genes=pre.n_genes)
-    trainer.pretrain(pre, graph, cfg, state=resumed, epochs=10)
-
-    assert [b.as_row() for b in resumed.loss_history] == [
-        b.as_row() for b in straight.loss_history
-    ]
-    for (name_a, a), (_, b) in zip(
-        resumed.params.named_parameters(), straight.params.named_parameters()
-    ):
-        assert np.array_equal(a.values, b.values), name_a
-
-
-def test_formal_checkpoint_resume_is_bitwise(tmp_path):
-    _, pre, graph, cfg = _small_setup(t1=4, t2=6, convergence_tol=1e-12)
-    state, graph_pruned = _to_formal_ready(pre, graph, cfg)
-
-    import copy
-
-    fork = copy.deepcopy(state)
-    trainer.formal_train(state, pre, graph_pruned, cfg)
-
-    trainer.formal_train(fork, pre, graph_pruned, cfg, epochs=3)
-    assert fork.phase == "formal"  # partial stepping stays resumable
-    path = tmp_path / "formal.ckpt"
-    trainer.save_state(fork, path)
-    loaded = trainer.load_state(path, cfg, n_genes=pre.n_genes)
-    trainer.formal_train(loaded, pre, graph_pruned, cfg)
-
-    assert [b.as_row() for b in loaded.loss_history] == [
-        b.as_row() for b in state.loss_history
-    ]
-
-
-_NO_TENSOR = object()
-
-
-@pytest.mark.parametrize(
-    "change, message",
-    [
-        ({"hidden_dim": 8}, r"'param\.enc0\.bias': checkpoint has \(16,\), config expects \(8,\)"),
-        ({"cheb_order": 2}, r"'param\.enc0\.theta2': checkpoint has \(20, 16\), config expects no"),
-        ({"cheb_order": 4}, r"'param\.enc0\.theta3': checkpoint has no such tensor, config"),
-        ({"meta.phase": -1.0}, r"'meta\.phase': checkpoint has -1\.0, expected an integer in \["),
-        ({"meta.phase": 0.5}, r"'meta\.phase': checkpoint has 0\.5, expected an integer"),
-        ({"meta.phase": 7.0}, r"'meta\.phase': checkpoint has 7\.0, expected an integer"),
-        ({"meta.epoch": _NO_TENSOR}, r"'meta\.epoch': checkpoint has no such tensor"),
-        ({"meta.epoch": -3.0}, r"'meta\.epoch': checkpoint has -3\.0, expected an integer in \["),
-        ({"meta.epoch": np.zeros(2)}, r"'meta\.epoch': checkpoint has \(2,\), config expects"),
-        ({"adam.lr": _NO_TENSOR}, r"'adam\.lr': checkpoint has no such tensor, config expects \("),
-        ({"adam.step": 1.5}, r"'adam\.step': checkpoint has 1\.5, expected an integer"),
-        ({"adam.m3": _NO_TENSOR}, r"'adam\.m3': checkpoint has no such tensor, config expects \(1"),
-        ({"adam.m0": np.zeros(3)}, r"'adam\.m0': checkpoint has \(3,\), config expects \(20, 16"),
-        ({"adam.v99": np.zeros(3)}, r"'adam\.v99': checkpoint has \(3,\), config expects no such"),
-        # the rest edit a formal checkpoint: 40 report nodes, 36 kept, 2 clusters
-        ({"prune.kept": lambda t: t + 0.5}, r"'prune\.kept': checkpoint has \d+\.5, expected an int"),
-        ({"prune.kept": lambda t: t + 40}, r"'prune\.kept': checkpoint has \d+\.0, expected an int"),
-        ({"prune.dropped": lambda t: t[1:]}, r"'prune\.dropped': checkpoint has \(3,\), config exp"),
-        ({"prune.kept": lambda t: np.r_[t[1:], t[1]]}, r"'prune\.dropped' hold node \d+ [02] times"),
-        ({"prune.alpha": _NO_TENSOR}, r"'prune\.alpha': checkpoint has no such tensor"),
-        ({"target": lambda t: t[:3]}, r"'target': checkpoint has \(3, 2\), config expects \(36, 2\)"),
-        ({"target": lambda t: t[:, :1]}, r"'target': checkpoint has \(36, 1\), config expects \(36,"),
-        ({"labels_prev": lambda t: t[1:]}, r"'labels_prev': checkpoint has \(35,\), config expects"),
-        ({"labels_prev": lambda t: t + 2}, r"'labels_prev': checkpoint has [23]\.0, expected an in"),
-        ({"subset_sizes": lambda t: -t}, r"'subset_sizes': checkpoint has -\d+\.0, expected an in"),
-        ({"subset_sizes": lambda t: t + 0.25}, r"'subset_sizes': checkpoint has \d+\.25, expected"),
-        ({"report.global": _NO_TENSOR}, r"'report\.global': checkpoint has no such tensor, config"),
-        ({"report.order": lambda t: t[1:]}, r"'report\.order': checkpoint has \(39,\), config exp"),
-        ({"report.order": lambda t: 0 * t}, r"'report\.order' holds node 0 40 times, expected once"),
-        ({"report.order": lambda t: t + 0.5}, r"'report\.order': checkpoint has \d+\.5, expected"),
-        ({"report.beta": np.zeros(1)}, r"'report\.beta': checkpoint has \(1,\), config expects \(\)"),
-        ({"report.foo": np.zeros(3)}, r"'report\.foo': checkpoint has \(3,\), config expects no su"),
-        ({"history": lambda t: t[:, :2]}, r"'history': checkpoint has \(1, 2\), config expects \(1,"),
-    ],
-)
-def test_load_state_rejects_tensors_that_do_not_fit_the_config(tmp_path, change, message):
-    # a TrainConfig field changes the config the checkpoint is loaded
-    # against; any other key edits a checkpoint tensor: _NO_TENSOR deletes
-    # it, a function maps it, a value replaces it. A run tensor's key makes
-    # the checkpoint a formal one, two epochs in.
-    _, pre, graph, cfg = _small_setup(t1=1, hidden_dim=16)
-    config_keys = {f.name for f in fields(TrainConfig)}
-    run_tensor = ("report.", "prune.", "target", "labels_prev", "subset_sizes")
-    state = trainer.pretrain(pre, graph, cfg)
-    if any(key.startswith(run_tensor) for key in change):
-        state, graph_pruned = _to_formal_ready(pre, graph, cfg)
-        trainer.formal_train(state, pre, graph_pruned, cfg, epochs=2)
-    path = tmp_path / "state.ckpt"
-    trainer.save_state(state, path)
-    arrays = load_checkpoint(path)
-    for key, value in change.items():
-        if value is _NO_TENSOR:
-            del arrays[key]
-        elif callable(value):
-            arrays[key] = value(arrays[key])
-        elif key not in config_keys:
-            arrays[key] = np.asarray(value, dtype=np.float64)
-    save_checkpoint(path, arrays)
-    cfg = replace(cfg, **{k: v for k, v in change.items() if k in config_keys})
-    with pytest.raises(CheckpointFormatError, match=message) as err:
-        trainer.load_state(path, cfg, n_genes=pre.n_genes)
-    assert str(path) in str(err.value)
-
-
-def test_load_state_accepts_a_checkpoint_without_adam_moments(tmp_path):
-    _, pre, graph, cfg = _small_setup(t1=0, hidden_dim=16)
-    path = tmp_path / "pretrain.ckpt"
-    trainer.save_state(trainer.pretrain(pre, graph, cfg), path)
-    assert not any(k.startswith("adam.m") for k in load_checkpoint(path))
-    loaded = trainer.load_state(path, cfg, n_genes=pre.n_genes)
-    assert (loaded.phase, loaded.epoch, loaded.adam.step) == ("pretrain", 0, 0)
-    assert loaded.adam.first_moment == [] and loaded.adam.second_moment == []
-
-
 # -- full pipeline ---------------------------------------------------------------------
 
 
@@ -481,18 +353,50 @@ def test_pretrained_state_drops_its_adam_moments_once_checkpointed(tmp_path):
     pretrained = trainer.pretrain_and_score(data, cfg, checkpoint_dir=tmp_path)
     assert pretrained.state.adam.first_moment == [] == pretrained.state.adam.second_moment
     assert pretrained.state.adam.step == cfg.t1
-    kept = trainer.load_state(tmp_path / "pretrain_final.ckpt", cfg, n_genes=25)
-    n_params = len(kept.params.named_parameters())
-    assert len(kept.adam.first_moment) == len(kept.adam.second_moment) == n_params
-    kept.report = pretrained.state.report
-    with_moments = replace(pretrained, state=kept)
+    arrays = load_checkpoint(tmp_path / "pretrain_final.ckpt")
+    state = copy.deepcopy(pretrained.state)
+    n_params = len(state.params.named_parameters())
+    state.adam.first_moment = [arrays[f"adam.m{i}"] for i in range(n_params)]
+    state.adam.second_moment = [arrays[f"adam.v{i}"] for i in range(n_params)]
+    with_moments = replace(pretrained, state=state)
     for alpha in (0.1, 0.3):
-        a = trainer.prune_and_cluster(pretrained, alpha, "hard")
-        b = trainer.prune_and_cluster(with_moments, alpha, "hard")
+        cell_cfg = replace(cfg, alpha=alpha)
+        a = trainer.prune_and_cluster(replace(pretrained, cfg=cell_cfg))
+        b = trainer.prune_and_cluster(replace(with_moments, cfg=cell_cfg))
         assert np.array_equal(a.labels, b.labels)
         assert [x.as_row() for x in a.state.loss_history] == [
             y.as_row() for y in b.state.loss_history
         ]
+
+
+def test_pipeline_checkpoints_hold_each_phase_final_state(tmp_path):
+    data = synthesize(
+        SynthesisSpec(n_cells=50, n_genes=25, n_clusters=2, seed=9, mean_scale=3.0)
+    )
+    cfg = TrainConfig(
+        n_clusters=2, t1=6, t2=4, n_hvg=25, k_neighbors=5, seed=3,
+        target_update_interval=2,
+    )
+    result = trainer.run_pipeline(data, cfg, checkpoint_dir=tmp_path)
+
+    pretrained = load_checkpoint(tmp_path / "pretrain_final.ckpt")
+    assert (pretrained["meta.phase"], pretrained["meta.epoch"]) == (0.0, cfg.t1)
+    params = [k for k in pretrained if k.startswith("param.")]
+    assert "param.cluster_centers" not in params
+    moments = sorted(k for k in pretrained if k.startswith(("adam.m", "adam.v")))
+    assert moments == sorted(f"adam.{m}{i}" for i in range(len(params)) for m in "mv")
+    for i, key in enumerate(params):
+        assert pretrained[f"adam.m{i}"].shape == pretrained[f"adam.v{i}"].shape
+        assert pretrained[f"adam.m{i}"].shape == pretrained[key].shape, key
+
+    formal = load_checkpoint(tmp_path / "formal_final.ckpt")
+    assert formal["meta.phase"] == 2.0
+    named = result.state.params.named_parameters()
+    assert [k for k in formal if k.startswith("param.")] == [f"param.{n}" for n, _ in named]
+    for name, tensor in named:
+        assert np.array_equal(formal[f"param.{name}"], tensor.values), name
+    dropped = np.sort(formal["prune.dropped"])
+    np.testing.assert_array_equal(dropped, np.flatnonzero(result.pruned_mask))
 
 
 def test_pipeline_predicts_kmeans_consistent_labels():
@@ -515,14 +419,22 @@ def test_pipeline_predicts_kmeans_consistent_labels():
     assert ari(km_labels, result.labels) >= 0.95
 
 
-def test_nonfinite_loss_reports_epoch_and_carries_state():
+def test_nonfinite_loss_reports_epoch_and_carries_state(monkeypatch):
     _, pre, graph, cfg = _small_setup(t1=5)
-    state = trainer.pretrain(pre, graph, cfg, epochs=2)
-    state.params.encoder_layers[0].theta[0].values[0, 0] = np.nan  # poison
+    calls = []
+
+    def poisoned_encode(*args):
+        z = encode(*args)
+        calls.append(None)
+        if len(calls) == 3:  # epoch 2's latent
+            z.values = np.full_like(z.values, np.nan)
+        return z
+
+    monkeypatch.setattr(trainer, "encode", poisoned_encode)
     with pytest.raises(NonFiniteLossError) as err:
-        trainer.pretrain(pre, graph, cfg, state=state, epochs=5)
+        trainer.pretrain(pre, graph, cfg)
     assert err.value.epoch == 2
-    assert err.value.state is state
+    assert (err.value.state.phase, err.value.state.epoch) == ("pretrain", 2)
     assert len(err.value.state.loss_history) == 2  # intact up to the failure
 
 
@@ -576,7 +488,8 @@ def test_pruning_that_isolates_a_node_keeps_finite_operators_and_trains(tiny_pre
     result = PruneResult(order[in_kept], order[~in_kept], alpha=1.0 - kept.size / graph.n)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(trainer, "prune", lambda *args, **kwargs: result)
-        pruned = trainer.prune_and_cluster(tiny_pretrained, result.alpha, "hard")
+        cfg = replace(tiny_pretrained.cfg, alpha=result.alpha)
+        pruned = trainer.prune_and_cluster(replace(tiny_pretrained, cfg=cfg))
         _assert_trained(pruned, n_clusters=2)
 
 
