@@ -10,13 +10,20 @@ from celluster import trainer
 from celluster.cellgraph import LAPLACIAN_KINDS, knn_graph, subgraph
 from celluster.curriculum import (
     PRUNE_STRATEGIES,
+    DifficultyReport,
     PruneResult,
     measure_difficulty,
     prune,
     rebuild_after_prune,
 )
 from celluster.ingest import SynthesisSpec, synthesize
-from celluster.losses import NonFiniteLossError, loss_cls, loss_zinb, target_distribution
+from celluster.losses import (
+    LossBreakdown,
+    NonFiniteLossError,
+    loss_cls,
+    loss_zinb,
+    target_distribution,
+)
 from celluster.metrics import ari
 from celluster.model import chebyshev_basis, decode_zinb, encode, soft_assign
 from celluster.numerics import AdamState, load_checkpoint
@@ -296,6 +303,92 @@ def test_predict_before_training_errors():
     state = trainer.pretrain(pre, graph, cfg)
     with pytest.raises(trainer.NotTrainedError):
         trainer.predict(state, pre, graph)
+
+
+# -- checkpoint resume ---------------------------------------------------------------
+
+
+def _rebuilt_from(path, like):
+    """A state read back from the checkpoint at `path`: `like` lends only the
+    parameter layout, every value comes from the file."""
+    arrays = load_checkpoint(path)
+    state = copy.deepcopy(like)
+    named = state.params.named_parameters()
+    for name, tensor in named:
+        tensor.values = arrays[f"param.{name}"]
+    state.phase = trainer._PHASES[int(arrays["meta.phase"])]
+    state.epoch = int(arrays["meta.epoch"])
+    state.adam = AdamState(learning_rate=float(arrays["adam.lr"]), step=int(arrays["adam.step"]))
+    n_moments = sum(k.startswith("adam.m") for k in arrays)
+    state.adam.first_moment = [arrays[f"adam.m{i}"] for i in range(n_moments)]
+    state.adam.second_moment = [arrays[f"adam.v{i}"] for i in range(n_moments)]
+    state.loss_history = [
+        LossBreakdown(rec=row[0], zinb=row[1], cls=row[2])
+        for row in arrays.get("history", np.empty((0, 4)))
+    ]
+    state.report = None
+    if "report.order" in arrays:
+        state.report = DifficultyReport(
+            local=arrays["report.local"],
+            global_=arrays["report.global"],
+            combined=arrays["report.combined"],
+            order=arrays["report.order"].astype(np.intp),
+            beta=float(arrays["report.beta"]),
+        )
+    state.prune = None
+    if "prune.kept" in arrays:
+        state.prune = PruneResult(
+            kept=arrays["prune.kept"].astype(np.intp),
+            dropped=arrays["prune.dropped"].astype(np.intp),
+            alpha=float(arrays["prune.alpha"]),
+        )
+    state.target = arrays.get("target")
+    state.labels_prev = arrays["labels_prev"].astype(np.int64) if "labels_prev" in arrays else None
+    state.subset_sizes = arrays.get("subset_sizes", np.empty(0)).astype(int).tolist()
+    return state
+
+
+def _assert_same_run(a, b):
+    assert [x.as_row() for x in a.loss_history] == [y.as_row() for y in b.loss_history]
+    assert (a.phase, a.epoch, a.adam.step) == (b.phase, b.epoch, b.adam.step)
+    for (name, x), (_, y) in zip(a.params.named_parameters(), b.params.named_parameters()):
+        assert np.array_equal(x.values, y.values), name
+
+
+def test_pretrain_checkpoint_resume_is_bitwise(tmp_path):
+    # a checkpoint written halfway through pretraining holds all the optimizer
+    # needs: five more epochs from the file end where ten straight ones do
+    _, pre, graph, cfg = _small_setup(t1=10)
+    straight = trainer.pretrain(pre, graph, cfg)
+
+    half = trainer.pretrain(pre, graph, replace(cfg, t1=5))
+    path = tmp_path / "halfway.ckpt"
+    trainer.save_state(half, path)
+    resumed = _rebuilt_from(path, like=half)
+    assert resumed.adam.first_moment  # the moments came back from the file
+    basis = chebyshev_basis(pre.normalized, graph, cfg.cheb_order)
+    while resumed.epoch < cfg.t1:
+        z = encode(basis, graph, resumed.params)
+        trainer._train_step(resumed, z, pre.raw.counts, graph, cfg)
+
+    _assert_same_run(resumed, straight)
+
+
+def test_formal_checkpoint_resume_is_bitwise(tmp_path):
+    # a checkpoint of a state ready for the formal phase (centers, difficulty
+    # report and pruning included) trains to the same end as the state itself
+    _, pre, graph, cfg = _small_setup(t1=4, t2=6, convergence_tol=1e-12)
+    state, graph_pruned = _to_formal_ready(pre, graph, cfg)
+    path = tmp_path / "formal_ready.ckpt"
+    trainer.save_state(state, path)
+    loaded = _rebuilt_from(path, like=state)
+
+    trainer.formal_train(state, pre, graph_pruned, cfg)
+    trainer.formal_train(loaded, pre, graph_pruned, cfg)
+
+    _assert_same_run(loaded, state)
+    assert loaded.subset_sizes == state.subset_sizes
+    np.testing.assert_array_equal(loaded.labels_prev, state.labels_prev)
 
 
 # -- full pipeline ---------------------------------------------------------------------
