@@ -107,6 +107,9 @@ def parse_config(path) -> RunConfig:
         raise ConfigError(
             f"{path}: not UTF-8 text: byte {raw[err.start]:#04x} at offset {err.start}"
         ) from None
+    # Drop a byte-order mark by hand: "utf-8-sig" would report a bad byte
+    # at an offset that skips the mark, naming the wrong byte.
+    text = text.removeprefix("\ufeff")
     train_kwargs: dict = {}
     run_kwargs: dict = {}
     first_set: dict[str, int] = {}

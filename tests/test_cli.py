@@ -304,6 +304,18 @@ def test_config_that_is_not_utf8_fails_as_config(tmp_path, capsys):
     assert f"error: [config] {config}: not UTF-8 text" in capsys.readouterr().err
 
 
+def test_train_reads_a_config_that_starts_with_a_byte_order_mark(tmp_path, capsys):
+    data_dir = tmp_path / "data"
+    assert _run(*_synth_args(data_dir)) == 0
+    config = tmp_path / "config.txt"
+    run_dir = tmp_path / "run"
+    _write_config(config, data_dir, run_dir)
+    config.write_bytes(b"\xef\xbb\xbf" + config.read_bytes())
+    assert _run("train", config) == 0
+    assert "error" not in capsys.readouterr().err
+    assert (run_dir / "labels.csv").is_file()
+
+
 @pytest.mark.parametrize("command", ["synth", "train", "difficulty", "prune-study"])
 def test_an_outdir_that_is_no_directory_exits_two(tmp_path, capsys, command):
     data_dir = tmp_path / "data"

@@ -78,6 +78,22 @@ def test_parse_rejects_text_that_is_not_utf8(tmp_path):
     assert str(err.value) == f"{path}: not UTF-8 text: byte 0xe9 at offset 18"
 
 
+def test_parse_accepts_a_byte_order_mark(tmp_path):
+    text = b"n_clusters=3\nt1=7\nprune_strategy=easy\n"
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_bytes(text)
+    marked.write_bytes(b"\xef\xbb\xbf" + text)
+    assert parse_config(marked) == parse_config(plain)
+
+
+def test_parse_names_the_raw_offset_of_a_bad_byte_after_a_byte_order_mark(tmp_path):
+    path = tmp_path / "c.txt"
+    path.write_bytes(b"\xef\xbb\xbfn_clusters=3\n# caf\xe9\n")
+    with pytest.raises(ConfigError) as err:
+        parse_config(path)
+    assert str(err.value) == f"{path}: not UTF-8 text: byte 0xe9 at offset 21"
+
+
 @pytest.mark.parametrize("name", sorted(CHOICES))
 def test_train_config_rejects_a_switch_outside_its_choices(name):
     with pytest.raises(ValueError, match=f"{name} must be one of .*, got 'dense'"):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -278,7 +279,7 @@ def test_loss_zinb_with_an_empty_branch_matches_the_full_matrix_formula(count):
 
 
 def test_loss_zinb_frees_the_heads_once_the_caller_drops_them():
-    # the node keeps gathered activations and derivatives, never the heads
+    # the node keeps only its three gradients in the heads, never the heads
     rng = np.random.default_rng(16)
     params = model.init_params(n_genes=6, latent_dim=3, zinb_dims=(5, 4), seed=2)
     z0 = rng.normal(size=(7, 3))
@@ -303,6 +304,44 @@ def test_loss_zinb_frees_the_heads_once_the_caller_drops_them():
     assert sum(g is not None for g in kept) == 1 + 2 * 2 + 3  # z, two fc layers, three heads
     for want, got in zip(kept, dropped):
         assert (want is None and got is None) or np.array_equal(want, got)
+
+
+@pytest.mark.parametrize("subset", [None, [12, 0, 2, 3, 4, 5, 9]], ids=["all", "subset"])
+def test_loss_zinb_is_bitwise_the_same_for_any_block_size(monkeypatch, subset):
+    # 7 entries make 2-row blocks of this 3-gene matrix: rows 2-3 are all
+    # zero, rows 4-5 all positive, and the last block holds a single row
+    # (also in the subset, which keeps those pairs together)
+    rng = np.random.default_rng(21)
+    x = rng.poisson(1.5, size=(13, 3)).astype(float)
+    x[2:4] = 0.0
+    x[4:6] = rng.integers(1, 5, size=(2, 3))
+    pre = rng.normal(scale=3.0, size=(3, 13, 3))
+    pre[:, 7, 0], pre[:, 8, 1] = 40.0, -40.0  # past the clamps
+    results = []
+    for entries in (7, 1 << 30):
+        monkeypatch.setattr(losses, "ZINB_BLOCK_ENTRIES", entries)
+        heads = [nm.Tensor(a, requires_grad=True) for a in pre]
+        loss = _zinb_on(x, heads, subset)
+        loss.backward()
+        results.append([loss.values] + [t.grad for t in heads])
+    for blocked, whole in zip(*results):
+        assert np.array_equal(blocked, whole)
+
+
+def test_loss_zinb_holds_few_count_sized_arrays_through_backward():
+    # the three head gradients plus the per-entry log-likelihoods are
+    # count-sized; every other intermediate lives for one row block
+    rng = np.random.default_rng(22)
+    shape = (3000, 500)
+    x = np.where(rng.random(shape) < 2 / 3, 0.0, rng.poisson(3.0, shape) + 1.0)
+    heads = [nm.Tensor(rng.normal(size=shape), requires_grad=True) for _ in range(3)]
+    tracemalloc.start()
+    try:
+        losses.loss_zinb(x, heads).backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * x.nbytes
 
 
 def test_loss_zinb_gradient_is_zero_on_the_clamps():
