@@ -117,6 +117,8 @@ class SynthesisSpec:
             raise IngestError("n_clusters must be >= 1")
         if self.n_cells < self.n_clusters:
             raise IngestError("need at least one cell per cluster")
+        if self.n_genes < 1:
+            raise IngestError("n_genes must be >= 1")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise IngestError("dropout_rate must lie in [0, 1)")
         if self.dispersion <= 0.0 or self.mean_scale <= 0.0:
@@ -221,6 +223,8 @@ def _load_mtx(path) -> ExpressionMatrix:
         n_rows, n_cols, nnz = (int(p) for p in parts)
     except ValueError:
         raise ParseError(path, head_line, f"non-integer header field in {head!r}") from None
+    if n_rows < 0 or n_cols < 0:
+        raise ParseError(path, head_line, f"negative dimension in header {head!r}")
     entries = [e for e in map(str.strip, itertools.islice(lines, head_line, None)) if e]
     if len(entries) != nnz:
         raise ParseError(path, head_line, f"header promises {nnz} entries, file has {len(entries)}")

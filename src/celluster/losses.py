@@ -4,12 +4,14 @@ Adjacency reconstruction is a squared Frobenius norm (a sum), the count
 likelihood is a mean over entries so the criteria stay on comparable
 scales, and the clustering term is the KL divergence summed over rows.
 Each covers every node it is given: training on a node subset gathers
-that sub-problem first. Reconstruction and the likelihood (with the
-count heads' activations) are single autodiff nodes with closed-form
-gradients, each formed in row blocks (REC_ROW_BLOCK rows, and
-ZINB_BLOCK_ENTRIES count entries): the tape never holds their n x n
+that sub-problem first. Each criterion is a single autodiff node with a
+closed-form gradient: reconstruction and the likelihood (with the count
+heads' activations) are formed in row blocks (REC_ROW_BLOCK rows, and
+ZINB_BLOCK_ENTRIES count entries), so the tape never holds their n x n
 intermediates, and of the likelihood's n x g ones only the three
-gradients in the heads.
+gradients in the heads. The clustering term takes the latent and the
+centers, forms the Student-t assignment itself and keeps only the two
+gradients in them.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import numerics as nm
+from .model import student_t_kernel
 from .numerics import Tensor, special
 
 PI_CLAMP = (1e-10, 1.0 - 1e-10)  # where loss_zinb holds sigmoid(pi logit)
@@ -227,27 +230,48 @@ def loss_zinb(raw_counts, heads) -> Tensor:
     return nm.closed_form(nll, heads, vjp)
 
 
-def target_distribution(q) -> np.ndarray:
+def target_distribution(q: np.ndarray) -> np.ndarray:
     """Sharpened self-training target: p_ij propto q_ij^2 / column mass.
 
     Pure numpy; no gradient ever flows through the target.
     """
-    q = nm.as_tensor(q).values
     weight = q**2 / q.sum(axis=0)
     return weight / weight.sum(axis=1, keepdims=True)
 
 
-def loss_cls(p, q) -> Tensor:
-    """KL(P || Q) summed over rows, 0*log(0) treated as 0; gradient reaches
-    only the soft assignment."""
-    q = nm.as_tensor(q)
-    p = np.asarray(p, dtype=np.float64)
-    if p.shape != q.shape:
-        raise nm.ShapeMismatchError(f"loss_cls: target {p.shape} vs assignment {q.shape}")
+def loss_cls(target, z, centers) -> Tensor:
+    """KL(P || Q) summed over rows, 0*log(0) treated as 0, where Q is the
+    soft assignment of the latent `z` against `centers` (model.soft_assign).
+
+    One node with DEC's closed-form gradient (Xie et al., 2016, eqs. 4-5):
+    with K the Student-t kernel, r_i = sum_j p_ij and G = 2 K * (P - r Q),
+    dL/dz = rowsum(G) z - G C and dL/dC = colsum(G) C - G^T z. Keeping r
+    makes it exact for any non-negative target; the trainer's rows sum to
+    1. Backward keeps only the two gradients (n x d and K x d); no gradient
+    reaches the target.
+    """
+    z, centers = nm.as_tensor(z), nm.as_tensor(centers)
+    p = np.asarray(target, dtype=np.float64)
+    zv, cv = z.values, centers.values
+    kernel = student_t_kernel(zv, cv)
+    if p.shape != kernel.shape:
+        raise nm.ShapeMismatchError(f"loss_cls: target {p.shape} vs assignment {kernel.shape}")
+    q = kernel / kernel.sum(axis=1, keepdims=True)
     with np.errstate(divide="ignore", invalid="ignore"):
         p_log_p = float(np.sum(np.where(p > 0.0, p * np.log(np.where(p > 0.0, p, 1.0)), 0.0)))
-    cross = (nm.as_tensor(p) * nm.log(q)).sum()
-    return p_log_p - cross
+    value = p_log_p - (p * np.log(q)).sum()
+    grads = None
+    if z.requires_grad or centers.requires_grad:
+        g = 2.0 * kernel * (p - p.sum(axis=1, keepdims=True) * q)
+        grads = (
+            g.sum(axis=1, keepdims=True) * zv - g @ cv,
+            g.sum(axis=0)[:, None] * cv - g.T @ zv,
+        )
+
+    def vjp(u):
+        return tuple(u * d for d in grads)
+
+    return nm.closed_form(value, (z, centers), vjp)
 
 
 def weighted_total(

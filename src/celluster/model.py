@@ -7,7 +7,9 @@ its recursion (the Chebyshev basis) is built once per graph and passed in.
 Decoders: inner-product adjacency (sigmoid of the cell Gram matrix), a fully
 connected count head producing the dropout/mean/dispersion pre-activations
 (their activations live in losses.loss_zinb), and a Student-t soft
-assignment against trainable cluster centers.
+assignment against the cluster centers, in plain numpy: the tape records
+the encoder and the count head, and the clustering criterion
+(losses.loss_cls) differentiates the assignment in closed form.
 """
 
 from __future__ import annotations
@@ -205,18 +207,22 @@ def decode_zinb(z: Tensor, params: ModelParams) -> tuple[Tensor, Tensor, Tensor]
     return heads
 
 
-def soft_assign(z: Tensor, centers: Tensor) -> Tensor:
-    """Student-t kernel (one degree of freedom) against the centers,
-    row-normalized: (n_cells, n_clusters), rows sum to 1."""
-    z = nm.as_tensor(z)
-    centers = nm.as_tensor(centers)
+def student_t_kernel(z: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Student-t kernel (one degree of freedom) of every latent row against
+    every center, unnormalized: 1 / (1 + ||z_i - mu_j||^2), (n_cells, n_clusters)."""
     if z.shape[1] != centers.shape[1]:
         raise nm.ShapeMismatchError(
-            f"soft_assign: latent dim {z.shape[1]} vs center dim {centers.shape[1]}"
+            f"student_t_kernel: latent dim {z.shape[1]} vs center dim {centers.shape[1]}"
         )
     z_sq = (z * z).sum(axis=1, keepdims=True)  # (n, 1)
     c_sq = (centers * centers).sum(axis=1, keepdims=True).T  # (1, K)
-    cross = z @ centers.T
-    sq_dist = z_sq + c_sq - 2.0 * cross
-    kernel = 1.0 / (1.0 + sq_dist)
+    sq_dist = z_sq + c_sq - 2.0 * (z @ centers.T)
+    return 1.0 / (1.0 + sq_dist)
+
+
+def soft_assign(z: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """The Student-t kernel against the centers, row-normalized:
+    (n_cells, n_clusters), rows sum to 1. Plain arrays in and out; the
+    clustering criterion (losses.loss_cls) forms the same values itself."""
+    kernel = student_t_kernel(z, centers)
     return kernel / kernel.sum(axis=1, keepdims=True)

@@ -3,18 +3,21 @@
 A Tensor pairs an ndarray with a tape node. The node is what backward
 reads: requires_grad, the shape, the gradient, the parent nodes and the
 backward closure; it holds no values. Each op's closure captures exactly
-the arrays its own formula reads (matmul, mul and div their operands, log
-its input, sigmoid and relu their outputs, the shape-only ops nothing), so
-an interior Tensor's values are freed as soon as the forward code drops
-its last reference to it. Tensor.backward() on a scalar walks the nodes in
-reverse topological order. Gradients of a call are fresh: backward()
-clears every grad reachable from the root before accumulating, so shared
-subexpressions still sum both contributions within the call. An interior
-node (one with a recorded backward) releases its gradient as soon as it
-has passed it on, so the reverse pass never holds more than the frontier;
-leaves keep theirs. The tape itself (nodes, closures) stays, so backward()
-can run again on the same root.
-"""
+the arrays its own formula reads (matmul and mul their operands, sigmoid
+and relu their outputs, the shape-only ops nothing), so an interior
+Tensor's values are freed as soon as the forward code drops its last
+reference to it. The ops are what the model records: the encoder, the
+count head's MLP and the subset gather, plus sigmoid, transpose and sum
+for the dense adjacency decoder. Each training criterion is one
+closed_form node with its gradient written out. Tensor.backward() on a
+scalar walks the nodes in reverse topological order. Gradients of a call
+are fresh: backward() clears every grad reachable from the root before
+accumulating, so shared subexpressions still sum both contributions
+within the call. An interior node (one with a recorded backward)
+releases its gradient as soon as it has passed it on, so the reverse
+pass never holds more than the frontier; leaves keep theirs. The tape
+itself (nodes, closures) stays, so backward() can run again on the same
+root."""
 
 from __future__ import annotations
 
@@ -99,29 +102,14 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(other, self)
-
     def __sub__(self, other):
         return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
 
     def __mul__(self, other):
         return mul(self, other)
 
     def __rmul__(self, other):
         return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -273,21 +261,6 @@ def mul(a, b) -> Tensor:
     return _track(av * bv, (na, nb), bw)
 
 
-def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    _check_broadcast(a, b, "div")
-    na, nb = a.node, b.node
-    av, bv = a.values, b.values
-
-    def bw(g):
-        if na.requires_grad:
-            _accumulate(na, g / bv)
-        if nb.requires_grad:
-            _accumulate(nb, -g * av / (bv * bv))
-
-    return _track(av / bv, (na, nb), bw)
-
-
 # -- matrix ops --------------------------------------------------------------
 
 
@@ -365,16 +338,6 @@ def sigmoid(x) -> Tensor:
         _accumulate(nx, g * out_values * (1.0 - out_values))
 
     return _track(out_values, (nx,), bw)
-
-
-def log(x) -> Tensor:
-    x = as_tensor(x)
-    xv, nx = x.values, x.node
-
-    def bw(g):
-        _accumulate(nx, g / xv)
-
-    return _track(np.log(xv), (nx,), bw)
 
 
 def relu(x) -> Tensor:

@@ -276,7 +276,7 @@ def _train_step(
         del heads  # the tape keeps no head values: free the three n x g arrays now
         cls = None
         if target is not None:
-            cls = loss_cls(target, soft_assign(z, state.params.cluster_centers))
+            cls = loss_cls(target, z, state.params.cluster_centers)
         total, breakdown = weighted_total(rec, zinb, cls, cfg.loss_weights)
     except (NonFiniteLossError, NonFiniteOutputError) as err:
         raise NonFiniteLossError(
@@ -362,7 +362,7 @@ def formal_train(
         t = state.epoch
         z = encode(basis, graph_pruned, state.params)
         if t % cfg.target_update_interval == 0:
-            q = soft_assign(z.values, state.params.cluster_centers).values
+            q = soft_assign(z.values, state.params.cluster_centers.values)
             labels_now = q.argmax(axis=1)
             churn = None if state.labels_prev is None else np.mean(labels_now != state.labels_prev)
             state.labels_prev = labels_now
@@ -394,7 +394,7 @@ def predict(state: TrainState, pre: PreprocessedData, graph: CellGraph) -> np.nd
         raise NotTrainedError("no cluster centers; was formal training run?")
     basis = chebyshev_basis(pre.normalized, graph, state.params.encoder_layers[0].order)
     z = encode(basis, graph, state.params)
-    q = soft_assign(z, state.params.cluster_centers).values
+    q = soft_assign(z.values, state.params.cluster_centers.values)
     return q.argmax(axis=1).astype(np.int64)
 
 

@@ -50,7 +50,6 @@ def test_criterion_1_gradient_correctness():
 
     unary = {
         "sigmoid": (nm.sigmoid, (-2.0, 2.0)),
-        "log": (nm.log, (0.3, 3.0)),
         "relu": (nm.relu, (0.2, 2.0)),
         "transpose": (nm.transpose, (-1.0, 1.0)),
         "sum": (nm.tensor_sum, (-1.0, 1.0)),
@@ -66,7 +65,7 @@ def test_criterion_1_gradient_correctness():
         worst[name] = max(errs)
 
     binary = {
-        "add": nm.add, "sub": nm.sub, "mul": nm.mul, "div": nm.div, "matmul": nm.matmul,
+        "add": nm.add, "sub": nm.sub, "mul": nm.mul, "matmul": nm.matmul,
     }
     for name, op in binary.items():
         errs = []
@@ -120,9 +119,9 @@ def test_criterion_1_gradient_correctness():
 
         p = rng.random((3, 3)) + 0.1
         p /= p.sum(axis=1, keepdims=True)
-        q0 = rng.random((3, 3)) + 0.1
-        q0 /= q0.sum(axis=1, keepdims=True)
-        errs["loss_cls"].append(_fd_max_err(lambda ts: losses.loss_cls(p, ts[0]), [q0]))
+        z0 = rng.uniform(-1.0, 1.0, size=(3, 2))
+        c0 = rng.uniform(-1.0, 1.0, size=(3, 2))
+        errs["loss_cls"].append(_fd_max_err(lambda ts: losses.loss_cls(p, *ts), [z0, c0]))
     worst.update({name: max(values) for name, values in errs.items()})
 
     elapsed = time.time() - start

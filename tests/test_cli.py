@@ -64,6 +64,14 @@ def test_synth_respects_requested_shape(tmp_path):
     assert data.counts.shape == (30, 11)
 
 
+@pytest.mark.parametrize("genes", [0, -3])
+def test_synth_rejects_a_matrix_without_genes(tmp_path, capsys, genes):
+    out = tmp_path / "data"
+    assert _run(*_synth_args(out, genes=genes)) == 1
+    assert "error: [config] n_genes must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_synth_mtx_roundtrip(tmp_path):
     out = tmp_path / "mtx"
     assert _run(*_synth_args(out, fmt="mtx-triplet")) == 0

@@ -75,6 +75,15 @@ def test_mtx_out_of_range_index(tmp_path):
             ingest.load_matrix(path, "mtx-triplet")
 
 
+def test_mtx_negative_header_dimension(tmp_path):
+    path = tmp_path / "m.mtx"
+    for head in ("-1 2 0", "2 -1 0"):
+        path.write_text(f"\n{head}\n")
+        message = re.escape(f"m.mtx:2: negative dimension in header '{head}'")
+        with pytest.raises(ingest.ParseError, match=message):
+            ingest.load_matrix(path, "mtx-triplet")
+
+
 @st.composite
 def _mtx_files(draw):
     """A valid mtx-triplet text: repeated entries, zero and large counts,

@@ -405,8 +405,6 @@ def test_target_distribution_hand_case():
     assert p[0, 0] == pytest.approx(0.87273, abs=5e-6)
     assert p[0, 1] == pytest.approx(0.12727, abs=5e-6)
     np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
-    # soft_assign returns a Tensor; the target takes it as it is
-    np.testing.assert_array_equal(losses.target_distribution(nm.Tensor(q)), p)
 
 
 def test_target_distribution_sharpens_when_columns_balanced():
@@ -427,12 +425,26 @@ def test_target_distribution_sharpens_when_columns_balanced():
 
 
 def test_loss_cls_zero_when_equal():
-    q = np.array([[0.3, 0.7], [0.6, 0.4]])
-    assert losses.loss_cls(q, nm.Tensor(q)).item() == pytest.approx(0.0, abs=1e-12)
+    # z on the first center, squared distance 1 from the second: q = (2/3, 1/3)
+    z = np.array([[0.0, 0.0]])
+    centers = np.array([[0.0, 0.0], [1.0, 0.0]])
+    p = np.array([[2.0 / 3.0, 1.0 / 3.0]])
+    assert losses.loss_cls(p, z, centers).item() == pytest.approx(0.0, abs=1e-12)
+
+
+def test_loss_cls_is_exactly_zero_at_its_own_assignment():
+    # the target is the node's own assignment, formed by the same expressions
+    rng = np.random.default_rng(10)
+    for _ in range(20):
+        z, centers = rng.normal(size=(6, 3)), rng.normal(size=(4, 3))
+        assert losses.loss_cls(model.soft_assign(z, centers), z, centers).item() == 0.0
 
 
 def test_loss_cls_hand_value_log_two():
-    got = losses.loss_cls(np.array([[1.0, 0.0]]), nm.Tensor(np.array([[0.5, 0.5]]))).item()
+    # z midway between the two centers: q = (1/2, 1/2)
+    z = np.array([[0.0, 0.0]])
+    centers = np.array([[1.0, 0.0], [-1.0, 0.0]])
+    got = losses.loss_cls(np.array([[1.0, 0.0]]), z, centers).item()
     assert got == pytest.approx(math.log(2.0), abs=1e-12)
 
 
@@ -441,45 +453,66 @@ def test_loss_cls_nonnegative_and_zero_iff_equal():
     for _ in range(100):
         p = rng.random((4, 3)) + 1e-3
         p /= p.sum(axis=1, keepdims=True)
-        q = rng.random((4, 3)) + 1e-3
-        q /= q.sum(axis=1, keepdims=True)
-        val = losses.loss_cls(p, nm.Tensor(q)).item()
+        z, centers = rng.normal(size=(4, 2)), rng.normal(size=(3, 2))
+        val = losses.loss_cls(p, z, centers).item()
         assert val >= -1e-12
         if val < 1e-12:
-            np.testing.assert_allclose(p, q, atol=1e-5)
-    p = rng.random((4, 3)) + 1e-3
-    p /= p.sum(axis=1, keepdims=True)
-    assert losses.loss_cls(p, nm.Tensor(p)).item() < 1e-12
+            np.testing.assert_allclose(p, model.soft_assign(z, centers), atol=1e-5)
+    z, centers = rng.normal(size=(4, 2)), rng.normal(size=(3, 2))
+    assert losses.loss_cls(model.soft_assign(z, centers), z, centers).item() < 1e-12
 
 
 def test_loss_cls_mask_selects_rows():
     rng = np.random.default_rng(7)
     p = rng.random((5, 3)) + 0.1
     p /= p.sum(axis=1, keepdims=True)
-    q = rng.random((5, 3)) + 0.1
-    q /= q.sum(axis=1, keepdims=True)
-    q_all = nm.Tensor(q, requires_grad=True)
-    gathered = losses.loss_cls(p[[0, 3]], nm.index_rows(q_all, [0, 3]))
-    sliced = losses.loss_cls(p[[0, 3]], nm.Tensor(q[[0, 3]])).item()
+    z0, c0 = rng.normal(size=(5, 2)), rng.normal(size=(3, 2))
+    z_all = nm.Tensor(z0, requires_grad=True)
+    centers = nm.Tensor(c0, requires_grad=True)
+    gathered = losses.loss_cls(p[[0, 3]], nm.index_rows(z_all, [0, 3]), centers)
+    sliced = losses.loss_cls(p[[0, 3]], z0[[0, 3]], c0).item()
     assert gathered.item() == sliced
     gathered.backward()
-    assert not np.any(q_all.grad[[1, 2, 4]])
+    assert not np.any(z_all.grad[[1, 2, 4]])
+    assert np.all(z_all.grad[[0, 3]] != 0.0) and np.all(centers.grad != 0.0)
 
 
 def test_loss_cls_gradient_reaches_only_q():
+    # q is a function of the latent and the centers; the target is a constant
     rng = np.random.default_rng(8)
     p = rng.random((3, 3)) + 0.1
     p /= p.sum(axis=1, keepdims=True)
-    q0 = rng.random((3, 3)) + 0.1
-    q0 /= q0.sum(axis=1, keepdims=True)
+    arrays = [rng.normal(size=(3, 2)), rng.normal(size=(3, 2))]
 
     def forward(vals):
-        return losses.loss_cls(p, nm.Tensor(vals[0])).item()
+        return losses.loss_cls(p, *vals).item()
 
-    q = nm.Tensor(q0, requires_grad=True)
-    losses.loss_cls(p, q).backward()
-    numeric = finite_difference_gradients(forward, [q0])
-    assert max_relative_error([q.grad], numeric) < 1e-5
+    tensors = [nm.Tensor(a, requires_grad=True) for a in arrays]
+    losses.loss_cls(p, *tensors).backward()
+    numeric = finite_difference_gradients(forward, arrays)
+    assert max_relative_error([t.grad for t in tensors], numeric) < 1e-5
+
+
+@pytest.mark.parametrize("rows_sum_to_one", [True, False])
+def test_loss_cls_gradients_match_dec_broadcast(rows_sum_to_one):
+    # dL/dz_i = 2 sum_j k_ij (p_ij - r_i q_ij)(z_i - mu_j) = -dL/dmu_j summed
+    # over i, with r_i = sum_j p_ij, formed as a literal (n, K, d) broadcast
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        z0, c0 = rng.normal(size=(7, 3)), rng.normal(size=(4, 3))
+        p = rng.random((7, 4))
+        if rows_sum_to_one:
+            p /= p.sum(axis=1, keepdims=True)
+        diff = z0[:, None, :] - c0[None, :, :]  # (n, K, d)
+        k = 1.0 / (1.0 + (diff**2).sum(axis=2))
+        q = k / k.sum(axis=1, keepdims=True)
+        coeff = 2.0 * k * (p - p.sum(axis=1, keepdims=True) * q)
+        want_z = (coeff[:, :, None] * diff).sum(axis=1)
+        want_c = -(coeff[:, :, None] * diff).sum(axis=0)
+        z, centers = nm.Tensor(z0, requires_grad=True), nm.Tensor(c0, requires_grad=True)
+        losses.loss_cls(p, z, centers).backward()
+        for got, want in ((z.grad, want_z), (centers.grad, want_c)):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_loss_rec_gradients_match_finite_differences():

@@ -32,8 +32,6 @@ def test_forward_ops_match_numpy():
     np.testing.assert_allclose((ta + tb).values, a + b, rtol=0)
     np.testing.assert_allclose((ta - tb).values, a - b, rtol=0)
     np.testing.assert_allclose((ta * tb).values, a * b, rtol=0)
-    np.testing.assert_allclose((ta / tb).values, a / b, rtol=0)
-    np.testing.assert_allclose(nm.log(ta).values, np.log(a), rtol=0)
     np.testing.assert_allclose(nm.relu(nm.Tensor(a - 1.0)).values, np.maximum(a - 1.0, 0), rtol=0)
     np.testing.assert_allclose(ta.T.values, a.T, rtol=0)
     np.testing.assert_allclose((ta @ tb.T).values, a @ b.T, rtol=0)
@@ -128,13 +126,11 @@ REBIND_CASES = {  # op over square leaves, and how many leaves it takes
     "add": (nm.add, 2),
     "sub": (nm.sub, 2),
     "mul": (nm.mul, 2),
-    "div": (nm.div, 2),
     "matmul": (nm.matmul, 2),
     "const_matmul": (lambda t: nm.const_matmul(np.arange(9.0).reshape(3, 3), t), 1),
     "transpose": (nm.transpose, 1),
     "index_rows": (lambda t: nm.index_rows(t, [2, 0, 2]), 1),
     "sigmoid": (nm.sigmoid, 1),
-    "log": (nm.log, 1),
     "relu": (nm.relu, 1),
     "tensor_sum": (lambda t: nm.tensor_sum(t, axis=1, keepdims=True), 1),
     "closed_form": (_closed_form_square, 1),
@@ -178,7 +174,6 @@ def _fd_check(build, arrays, tol=1e-5, h=1e-5):
 
 UNARY_CASES = {
     "sigmoid": (nm.sigmoid, (-2.0, 2.0)),
-    "log": (nm.log, (0.3, 3.0)),
     "relu": (nm.relu, (0.2, 2.0)),  # stay away from the kink
     "transpose": (nm.transpose, (-1.0, 1.0)),
 }
@@ -194,13 +189,12 @@ def test_unary_gradients_match_finite_differences(name):
         _fd_check(lambda ts: (op(ts[0]) * w).sum(), [a])
 
 
-@pytest.mark.parametrize("name", ["add", "sub", "mul", "div", "matmul"])
+@pytest.mark.parametrize("name", ["add", "sub", "mul", "matmul"])
 def test_binary_gradients_match_finite_differences(name):
     ops = {
         "add": nm.add,
         "sub": nm.sub,
         "mul": nm.mul,
-        "div": nm.div,
         "matmul": nm.matmul,
     }
     op = ops[name]
@@ -216,9 +210,9 @@ def test_binary_gradients_match_finite_differences(name):
         _fd_check(lambda ts: (op(ts[0], ts[1]) * nm.Tensor(w)).sum(), [a, b])
 
 
-@pytest.mark.parametrize("name", ["mul", "div", "matmul"])
+@pytest.mark.parametrize("name", ["mul", "matmul"])
 def test_constant_operand_gets_no_gradient(name):
-    op = {"mul": nm.mul, "div": nm.div, "matmul": nm.matmul}[name]
+    op = {"mul": nm.mul, "matmul": nm.matmul}[name]
     rng = np.random.default_rng(3)
     a = rng.uniform(0.5, 2.0, size=(3, 3))
     b = rng.uniform(0.5, 2.0, size=(3, 3))
@@ -238,7 +232,7 @@ def test_broadcast_gradients_match_finite_differences():
         row = rng.uniform(0.5, 2.0, size=(3,))
         col = rng.uniform(0.5, 2.0, size=(4, 1))
         _fd_check(lambda ts: ((ts[0] + ts[1]) * ts[2]).sum(), [a, row, col])
-        _fd_check(lambda ts: (ts[0] / ts[2] * ts[1]).sum(), [a, row, col])
+        _fd_check(lambda ts: ((ts[0] - ts[2]) * ts[1]).sum(), [a, row, col])
 
 
 def test_index_rows_gradient_with_duplicate_rows():
@@ -268,7 +262,7 @@ def test_random_five_op_graphs_match_finite_differences():
 
         def build(ts):
             h = nm.sigmoid(ts[0] @ ts[1])
-            g = nm.log(ts[0] + ts[1])
+            g = nm.sigmoid(ts[0] - ts[1])
             return (h * g + nm.relu(ts[1])).sum()
 
         _fd_check(build, [a, b], tol=1e-6)

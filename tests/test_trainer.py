@@ -212,7 +212,7 @@ def _formal_step(state, pre, graph_pruned, cfg, subset):
     state = copy.deepcopy(state)
     kept_sorted = np.sort(state.prune.kept)
     z = _encode(pre.normalized[kept_sorted], graph_pruned, state.params)
-    target = target_distribution(soft_assign(z, state.params.cluster_centers).values)
+    target = target_distribution(soft_assign(z.values, state.params.cluster_centers.values))
     state.phase, state.epoch = "formal", 0
     state.adam = AdamState(learning_rate=cfg.lr_formal)
     trainer._train_step(
@@ -258,7 +258,7 @@ def test_train_step_single_node_subset_on_an_isolated_node():
     z = _encode(pre.normalized[kept_sorted], graph_pruned, state.params).values[[node]]
     rec = (1.0 / (1.0 + np.exp(-float(z[0] @ z[0])))) ** 2  # A = 0: (0 - sigmoid(z.z))^2
     zinb = loss_zinb(pre.raw.counts[[0]], decode_zinb(z, state.params)).item()
-    cls = loss_cls(target[[node]], soft_assign(z, state.params.cluster_centers)).item()
+    cls = loss_cls(target[[node]], z, state.params.cluster_centers).item()
     got = stepped.loss_history[-1]
     assert got.rec == pytest.approx(rec, rel=1e-12)
     assert got.zinb == pytest.approx(zinb, rel=1e-12)
