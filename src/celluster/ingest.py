@@ -121,8 +121,9 @@ class SynthesisSpec:
             raise IngestError("n_genes must be >= 1")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise IngestError("dropout_rate must lie in [0, 1)")
-        if self.dispersion <= 0.0 or self.mean_scale <= 0.0:
-            raise IngestError("dispersion and mean_scale must be positive")
+        for name in ("dispersion", "mean_scale"):
+            if not 0.0 < getattr(self, name) < np.inf:  # NaN fails both comparisons
+                raise IngestError(f"{name} must be positive and finite")
 
 
 # -- file I/O ------------------------------------------------------------------

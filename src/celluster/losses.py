@@ -5,12 +5,13 @@ likelihood is a mean over entries so the criteria stay on comparable
 scales, and the clustering term is the KL divergence summed over rows.
 Each covers every node it is given: training on a node subset gathers
 that sub-problem first. Each criterion is a single autodiff node with a
-closed-form gradient: reconstruction and the likelihood (with the count
-heads' activations) are formed in row blocks (REC_ROW_BLOCK rows, and
-ZINB_BLOCK_ENTRIES count entries), so the tape never holds their n x n
-intermediates, and of the likelihood's n x g ones only the three
-gradients in the heads. The clustering term takes the latent and the
-centers, forms the Student-t assignment itself and keeps only the two
+closed-form gradient: reconstruction and the likelihood are formed in row
+blocks (REC_ROW_BLOCK rows, and ZINB_BLOCK_ENTRIES count entries), so the
+tape never holds their n x n or n x g intermediates. The likelihood forms
+the count heads itself from the decoder's last hidden layer, block by
+block, with their activations, and keeps only the gradients in that layer
+and in the three head weights. The clustering term takes the latent and
+the centers, forms the Student-t assignment itself and keeps only the two
 gradients in them.
 """
 
@@ -22,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import numerics as nm
-from .model import student_t_kernel
+from .model import CountHeads, NonFiniteOutputError, student_t_kernel
 from .numerics import Tensor, special
 
 PI_CLAMP = (1e-10, 1.0 - 1e-10)  # where loss_zinb holds sigmoid(pi logit)
@@ -114,120 +115,174 @@ def _activate(heads, entries):
     return unclamped, clamped
 
 
-def loss_zinb(raw_counts, heads) -> Tensor:
-    """Mean negative log-likelihood of the zero-inflated negative binomial.
-
-    `heads` are decode_zinb's three pre-activations (logit pi, log mu,
-    log theta). One node with a closed-form gradient in them, computed in
-    log space: a zero count scores logaddexp(log pi, log(1-pi) + log NB(0))
-    with log NB(0) = theta log(theta/(theta+mu)); a positive count scores
-    log(1-pi) plus the log NB pmf. The matrix is worked through in blocks
-    of whole rows, about ZINB_BLOCK_ENTRIES entries each, so no per-entry
-    intermediate outlives its block. Within a block the zero and positive
-    entries are gathered apart and only they are activated: pi =
-    clip(sigmoid, PI_CLAMP), mu and theta = clip(exp, RATE_CLAMP), so the
-    gamma-function terms only ever see positive counts. The gradient chain
-    is the one the separate sigmoid/exp/clip ops would give, so it is
-    exactly 0 wherever a clamp binds. Each block's log-likelihood values
-    land in flat order in one array per branch, so the mean adds the same
-    values in the same order whatever the block size. The node keeps only
-    the three gradients with respect to the heads, taken at upstream
-    gradient 1 (their n x g arrays, filled block by block), never the
-    heads, activations or derivatives.
-    """
+def _score_block(x, heads, scale, want_grad):
+    """The likelihood kernel on one block: `x` its counts and `heads` its
+    three pre-activations, flat float64 arrays of one length. Returns the
+    log-likelihoods of the zero counts and of the positive counts, each in
+    flat order, and, with `want_grad`, the three per-entry gradients of
+    `scale` times the log-likelihood in the pre-activations."""
     # Imported here, not at module top: scipy.special adds 50-70 ms to
     # `import celluster.cli`, which every command that does not train pays.
     from scipy.special import digamma, gammaln
 
-    x = np.asarray(raw_counts, dtype=np.float64)
-    heads = tuple(nm.as_tensor(t) for t in heads)
-    if len(heads) != 3 or any(t.shape != x.shape for t in heads):
-        raise nm.ShapeMismatchError(
-            f"loss_zinb: counts {x.shape} vs heads {[t.shape for t in heads]}"
-        )
-    shape, size = x.shape, x.size
-    row = max(1, shape[-1]) if shape else 1
-    step = max(1, ZINB_BLOCK_ENTRIES // row) * row
-    x = x.reshape(-1)
-    flat = tuple(t.values.reshape(-1) for t in heads)
-    n_pos = np.count_nonzero(x)
-    loglik0, loglik = np.empty(size - n_pos), np.empty(n_pos)  # zero / positive counts
-    grads = (
-        tuple(np.empty(size) for _ in range(3))
-        if any(t.requires_grad for t in heads) else None
+    zero = np.flatnonzero(x == 0)  # indices: much faster to gather by than masks
+    pos = np.flatnonzero(x != 0)
+
+    act0, (pi0, mu0, th0) = _activate(heads, zero)
+    log_ratio0 = np.log(th0) - np.log(th0 + mu0)  # log(theta / (theta + mu))
+    log_nb0 = th0 * log_ratio0
+    log_nb_mass0 = np.log(1.0 - pi0) + log_nb0
+    ll0 = np.logaddexp(np.log(pi0), log_nb_mass0)
+
+    xp = x[pos]
+    actp, (pip, mup, thp) = _activate(heads, pos)
+    log_rate = np.log(thp + mup)
+    log_ratio = np.log(thp) - log_rate
+    llp = (
+        np.log(1.0 - pip)
+        + gammaln(xp + thp)
+        - gammaln(xp + 1.0)
+        - gammaln(thp)
+        + thp * log_ratio
+        + xp * (np.log(mup) - log_rate)
     )
-    at0 = atp = 0  # where the block's values go in loglik0 / loglik
-    for start in range(0, size, step):
-        block = slice(start, start + step)
-        xb = x[block]
-        zero = np.flatnonzero(xb == 0)  # indices: much faster to gather by than masks
-        pos = np.flatnonzero(xb != 0)
-        hb = tuple(h[block] for h in flat)
+    if not want_grad:
+        return ll0, llp, None
 
-        act0, (pi0, mu0, th0) = _activate(hb, zero)
-        log_ratio0 = np.log(th0) - np.log(th0 + mu0)  # log(theta / (theta + mu))
-        log_nb0 = th0 * log_ratio0
-        log_nb_mass0 = np.log(1.0 - pi0) + log_nb0
-        ll0 = loglik0[at0:at0 + zero.size]
-        np.logaddexp(np.log(pi0), log_nb_mass0, out=ll0)
-        at0 += zero.size
+    # d nll / d (pi, mu, theta) per gathered entry: d loglik times scale
+    w_nb = np.exp(log_nb_mass0 - ll0)  # share of the NB part in P(x = 0)
+    rate = thp + mup
+    grads = tuple(np.empty(x.size) for _ in range(3))
+    for entries, (s, e_mu, e_theta), derivs in (
+        (zero, act0, (
+            -np.expm1(log_nb0) * np.exp(-ll0),
+            -w_nb * th0 / (th0 + mu0),
+            w_nb * (log_ratio0 + mu0 / (th0 + mu0)),
+        )),
+        (pos, actp, (
+            -1.0 / (1.0 - pip),
+            xp / mup - (thp + xp) / rate,
+            digamma(xp + thp) - digamma(thp) + log_ratio + (mup - xp) / rate,
+        )),
+    ):
+        d_pi, d_mu, d_theta = (dk * scale for dk in derivs)
+        # clip passes a gradient only inside its bounds; then sigmoid' = s (1 - s)
+        gk = d_pi * ((s > PI_CLAMP[0]) & (s < PI_CLAMP[1]))
+        grads[0][entries] = gk * s * (1.0 - s)
+        for o, dk, e in ((grads[1], d_mu, e_mu), (grads[2], d_theta, e_theta)):
+            gk = dk * ((e > RATE_CLAMP[0]) & (e < RATE_CLAMP[1]))
+            # exp' = exp; a zero gradient stays 0 where exp overflowed (0 * inf)
+            with np.errstate(invalid="ignore"):
+                o[entries] = np.where(gk == 0.0, 0.0, gk * e)
+    return ll0, llp, grads
 
-        xp = xb[pos]
-        actp, (pip, mup, thp) = _activate(hb, pos)
-        log_rate = np.log(thp + mup)
-        log_ratio = np.log(thp) - log_rate
-        llp = loglik[atp:atp + pos.size]
-        llp[...] = (
-            np.log(1.0 - pip)
-            + gammaln(xp + thp)
-            - gammaln(xp + 1.0)
-            - gammaln(thp)
-            + thp * log_ratio
-            + xp * (np.log(mup) - log_rate)
-        )
-        atp += pos.size
-        if grads is None:
+
+def loss_zinb(raw_counts, heads) -> Tensor:
+    """Mean negative log-likelihood of the zero-inflated negative binomial.
+
+    `heads` is decode_zinb's CountHeads (the training path), or the three
+    heads multiplied out: the pre-activations logit pi, log mu and log
+    theta, each shaped like the counts (the dense reference). One node with
+    a closed-form gradient, computed in log space: a zero count scores
+    logaddexp(log pi, log(1-pi) + log NB(0)) with log NB(0) = theta
+    log(theta/(theta+mu)); a positive count scores log(1-pi) plus the log NB
+    pmf. The matrix is worked through in blocks of whole rows, about
+    ZINB_BLOCK_ENTRIES entries each, and one kernel scores every block:
+    within a block the zero and positive entries are gathered apart and
+    only they are activated: pi = clip(sigmoid, PI_CLAMP), mu and theta =
+    clip(exp, RATE_CLAMP), so the gamma-function terms only ever see
+    positive counts. The gradient chain is the one the separate
+    sigmoid/exp/clip ops would give, so it is exactly 0 wherever a clamp
+    binds. All gradients are taken at upstream gradient 1 during the
+    forward pass.
+
+    From CountHeads, each block multiplies its rows of the hidden layer H by
+    the three head weights (a NaN raises NonFiniteOutputError naming its
+    head), converts its counts to float64, and folds its per-entry
+    gradients G_k into dW_k += H_b^T G_k and dH_b = sum_k G_k W_k^T. The
+    node keeps only dH (n x 512) and the three dW (512 x g); no count-sized
+    array outlives its block, and the mean adds the blocks' sums. From dense
+    heads, the node keeps the three n x g head gradients, and each block's
+    log-likelihoods land in flat order in one array per branch, so the mean
+    adds the same values in the same order whatever the block size. The two
+    agree bitwise when the matrix is one block.
+    """
+    counts = np.asarray(raw_counts)
+    factored = isinstance(heads, CountHeads)
+    if factored:
+        parents = (heads.hidden, *heads.weights)
+        hidden, weights = heads.hidden.values, [w.values for w in heads.weights]
+        head_shapes = [(hidden.shape[0], w.shape[1]) for w in weights]
+    else:
+        parents = tuple(nm.as_tensor(t) for t in heads)
+        head_shapes = [t.shape for t in parents]
+    if counts.ndim != 2 or len(head_shapes) != 3 or any(s != counts.shape for s in head_shapes):
+        raise nm.ShapeMismatchError(f"loss_zinb: counts {counts.shape} vs heads {head_shapes}")
+    n, g = counts.shape
+    step = max(1, ZINB_BLOCK_ENTRIES // max(1, g))  # rows per block
+    scale = -1.0 / counts.size
+    want_grad = any(t.requires_grad for t in parents)
+    if factored:
+        sum0 = sump = 0.0  # over the zero / positive counts
+        if want_grad:
+            d_hidden, d_weights = np.empty_like(hidden), [None, None, None]
+    else:
+        n_pos = np.count_nonzero(counts)
+        loglik0, loglik = np.empty(counts.size - n_pos), np.empty(n_pos)
+        at0 = atp = 0  # where the block's values go in loglik0 / loglik
+        if want_grad:
+            grads = tuple(np.empty(counts.shape) for _ in range(3))
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        if factored:
+            h_b = hidden[rows]
+            blocks = [h_b @ w for w in weights]
+            for name, b in zip(("pi", "mu", "theta"), blocks):
+                if np.isnan(b).any():
+                    raise NonFiniteOutputError(f"non-finite values in the {name} head")
+        else:
+            blocks = [t.values[rows] for t in parents]
+        x = np.asarray(counts[rows], dtype=np.float64).reshape(-1)
+        ll0, llp, g_b = _score_block(x, [b.reshape(-1) for b in blocks], scale, want_grad)
+        if factored:
+            sum0 += ll0.sum()
+            sump += llp.sum()
+        else:
+            loglik0[at0:at0 + ll0.size] = ll0
+            loglik[atp:atp + llp.size] = llp
+            at0, atp = at0 + ll0.size, atp + llp.size
+        if not want_grad:
             continue
+        g_b = [gk.reshape(blocks[0].shape) for gk in g_b]
+        if factored:
+            # dH in the order the tape sums the heads' gradients into H; in
+            # place, since fresh sums and zero-filled dW made the criterion
+            # 5-14% slower at 80-300 cells
+            d_h = np.matmul(g_b[0], weights[0].T, out=d_hidden[rows])
+            d_h += g_b[1] @ weights[1].T
+            d_h += g_b[2] @ weights[2].T
+            for k, gk in enumerate(g_b):
+                if start == 0:
+                    d_weights[k] = h_b.T @ gk
+                else:
+                    d_weights[k] += h_b.T @ gk
+        else:
+            for o, gk in zip(grads, g_b):
+                o[rows] = gk
 
-        # d nll / d (pi, mu, theta) per gathered entry: d loglik times -1/size
-        scale = -1.0 / size
-        w_nb = np.exp(log_nb_mass0 - ll0)  # share of the NB part in P(x = 0)
-        rate = thp + mup
-        out = tuple(o[block] for o in grads)
-        for entries, (s, e_mu, e_theta), derivs in (
-            (zero, act0, (
-                -np.expm1(log_nb0) * np.exp(-ll0),
-                -w_nb * th0 / (th0 + mu0),
-                w_nb * (log_ratio0 + mu0 / (th0 + mu0)),
-            )),
-            (pos, actp, (
-                -1.0 / (1.0 - pip),
-                xp / mup - (thp + xp) / rate,
-                digamma(xp + thp) - digamma(thp) + log_ratio + (mup - xp) / rate,
-            )),
-        ):
-            d_pi, d_mu, d_theta = (dk * scale for dk in derivs)
-            # clip passes a gradient only inside its bounds; then sigmoid' = s (1 - s)
-            gk = d_pi * ((s > PI_CLAMP[0]) & (s < PI_CLAMP[1]))
-            out[0][entries] = gk * s * (1.0 - s)
-            for o, dk, e in ((out[1], d_mu, e_mu), (out[2], d_theta, e_theta)):
-                gk = dk * ((e > RATE_CLAMP[0]) & (e < RATE_CLAMP[1]))
-                # exp' = exp; a zero gradient stays 0 where exp overflowed (0 * inf)
-                with np.errstate(invalid="ignore"):
-                    o[entries] = np.where(gk == 0.0, 0.0, gk * e)
-
-    nll = -(loglik0.sum() + loglik.sum()) / x.size
+    nll = -(sum0 + sump if factored else loglik0.sum() + loglik.sum()) / counts.size
     if not np.isfinite(nll):
         raise NonFiniteLossError("zero-inflated likelihood is non-finite")
-    if grads is None:
+    if not want_grad:
         return nm.Tensor(nll)
-    grads = tuple(o.reshape(shape) for o in grads)
+    if factored:
+        grads = (d_hidden, *d_weights)
 
-    def vjp(g):
+    def vjp(u):
         # every default run weighs the likelihood by 1: no copy, same bits
-        return grads if g == 1.0 else tuple(g * o for o in grads)
+        return grads if u == 1.0 else tuple(u * o for o in grads)
 
-    return nm.closed_form(nll, heads, vjp)
+    return nm.closed_form(nll, parents, vjp)
 
 
 def target_distribution(q: np.ndarray) -> np.ndarray:

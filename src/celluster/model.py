@@ -5,11 +5,12 @@ Zk = 2 Lhat Z_{k-1} - Z_{k-2}; output sum_k Zk Theta_k + bias), relu between
 hidden layers, linear final layer. The first layer's input is constant, so
 its recursion (the Chebyshev basis) is built once per graph and passed in.
 Decoders: inner-product adjacency (sigmoid of the cell Gram matrix), a fully
-connected count head producing the dropout/mean/dispersion pre-activations
-(their activations live in losses.loss_zinb), and a Student-t soft
-assignment against the cluster centers, in plain numpy: the tape records
-the encoder and the count head, and the clustering criterion
-(losses.loss_cls) differentiates the assignment in closed form.
+connected count decoder up to its last hidden layer, whose three heads
+(dropout, mean, dispersion) losses.loss_zinb multiplies out block by block
+and activates, and a Student-t soft assignment against the cluster centers,
+in plain numpy: the tape records the encoder and the count decoder's MLP,
+and the clustering criterion (losses.loss_cls) differentiates the
+assignment in closed form.
 """
 
 from __future__ import annotations
@@ -191,20 +192,27 @@ def decode_adjacency(z: Tensor) -> Tensor:
     return nm.sigmoid(z @ z.T)
 
 
-def decode_zinb(z: Tensor, params: ModelParams) -> tuple[Tensor, Tensor, Tensor]:
-    """The dropout, mean and dispersion heads as pre-activations: the logit
-    of pi and the logs of mu and theta, each (n_cells, n_genes).
-    losses.loss_zinb applies the clamped sigmoid and exps itself, so the
-    tape records no activation here. A NaN raises NonFiniteOutputError
-    naming its head; infinities are left for the clamps."""
+@dataclass(frozen=True)
+class CountHeads:
+    """The count decoder short of its three heads: the last hidden layer H
+    (n_cells, 512) and the head weights (512, n_genes each). The heads are
+    H W_pi, H W_mu and H W_theta, the pre-activations logit pi, log mu and
+    log theta; losses.loss_zinb forms them itself, one row block at a time."""
+
+    hidden: Tensor
+    weights: tuple[Tensor, Tensor, Tensor]  # pi, mu, theta
+
+
+def decode_zinb(z: Tensor, params: ModelParams) -> CountHeads:
+    """The count decoder's MLP on the latent, with the dropout, mean and
+    dispersion head weights. No n_cells x n_genes head is multiplied out
+    here: losses.loss_zinb does that block by block, applies the clamped
+    sigmoid and exps, and raises NonFiniteOutputError naming a head that
+    holds a NaN (infinities are left for the clamps)."""
     h = nm.as_tensor(z)
     for w, b in params.zinb_fc:
         h = nm.relu(h @ w + b)
-    heads = (h @ params.head_pi, h @ params.head_mu, h @ params.head_theta)
-    for name, t in zip(("pi", "mu", "theta"), heads):
-        if np.isnan(t.values).any():
-            raise NonFiniteOutputError(f"non-finite values in the {name} head")
-    return heads
+    return CountHeads(h, (params.head_pi, params.head_mu, params.head_theta))
 
 
 def student_t_kernel(z: np.ndarray, centers: np.ndarray) -> np.ndarray:

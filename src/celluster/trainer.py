@@ -270,10 +270,9 @@ def _train_step(
             counts = counts[subset]
             if target is not None:
                 target = target[subset]
-        heads = decode_zinb(z, state.params)
+        decoded = decode_zinb(z, state.params)
         rec = loss_rec(adjacency, z)
-        zinb = loss_zinb(counts, heads)
-        del heads  # the tape keeps no head values: free the three n x g arrays now
+        zinb = loss_zinb(counts, decoded)
         cls = None
         if target is not None:
             cls = loss_cls(target, z, state.params.cluster_centers)

@@ -72,6 +72,17 @@ def test_synth_rejects_a_matrix_without_genes(tmp_path, capsys, genes):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("--dispersion", "nan"), ("--dispersion", "inf"), ("--mean-scale", "inf")]
+)
+def test_synth_rejects_a_non_finite_count_setting(tmp_path, capsys, flag, value):
+    out = tmp_path / "data"
+    assert _run(*_synth_args(out), flag, value) == 1
+    name = flag[2:].replace("-", "_")
+    assert f"error: [config] {name} must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_synth_mtx_roundtrip(tmp_path):
     out = tmp_path / "mtx"
     assert _run(*_synth_args(out, fmt="mtx-triplet")) == 0

@@ -23,6 +23,11 @@ def _zinb(pi, mu, theta, grad=False):
     return [nm.Tensor(a, requires_grad=grad) for a in _pre(pi, mu, theta)]
 
 
+def _dense_heads(decoded):
+    """The three heads multiplied out on the tape: the dense reference path."""
+    return [decoded.hidden @ w for w in decoded.weights]
+
+
 def nb_nll_oracle(x, mu, theta):
     """Independent negative binomial NLL, coded from the pmf directly."""
     from scipy.special import gammaln
@@ -287,7 +292,7 @@ def test_loss_zinb_frees_the_heads_once_the_caller_drops_them():
 
     def gradients(keep_heads):
         z = nm.Tensor(z0, requires_grad=True)
-        heads = model.decode_zinb(z, params)
+        heads = _dense_heads(model.decode_zinb(z, params))
         alive = [weakref.ref(t.values) for t in heads]
         loss = losses.loss_zinb(x, heads)
         if not keep_heads:
@@ -344,6 +349,80 @@ def test_loss_zinb_holds_few_count_sized_arrays_through_backward():
     assert peak < 6 * x.nbytes
 
 
+def _count_criterion(x, z0, params, dense):
+    """The count criterion from the latent, dense reference or node, then
+    backward: the loss and the gradients of z and of every count parameter."""
+    z = nm.Tensor(z0, requires_grad=True)
+    decoded = model.decode_zinb(z, params)
+    loss = losses.loss_zinb(x, _dense_heads(decoded) if dense else decoded)
+    del decoded
+    loss.backward()
+    named = [z] + [t for name, t in params.named_parameters() if not name.startswith("enc")]
+    grads = [t.grad for t in named]
+    for t in named:
+        t.grad = None
+    return [loss.values] + grads
+
+
+@pytest.mark.parametrize("zinb_dims", [(), (5, 4)], ids=["hidden-is-z", "mlp"])
+def test_loss_zinb_node_matches_the_dense_heads_at_any_block_size(monkeypatch, zinb_dims):
+    # 7 entries make 2-row blocks of this 3-gene matrix: rows 2-3 are all
+    # zero, rows 4-5 all positive, and the last block holds a single row.
+    # With no hidden layer the decoder's H is the latent itself, so z's
+    # gradient is dH; with one, it is dH carried back through the MLP.
+    rng = np.random.default_rng(23)
+    x = rng.poisson(1.5, size=(13, 3))
+    x[2:4] = 0
+    x[4:6] = rng.integers(1, 5, size=(2, 3))
+    params = model.init_params(n_genes=3, latent_dim=4, zinb_dims=zinb_dims, seed=4)
+    z0 = rng.normal(scale=2.0, size=(13, 4))
+    want = _count_criterion(x, z0, params, dense=True)
+    assert all(g is not None for g in want)
+    for entries in (1 << 30, 3, 7):  # the whole matrix, one row, 2-row blocks
+        monkeypatch.setattr(losses, "ZINB_BLOCK_ENTRIES", entries)
+        got = _count_criterion(x, z0, params, dense=False)
+        for a, b in zip(want, got):
+            if entries == 1 << 30:
+                assert np.array_equal(a, b)
+            else:
+                assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(a))
+
+
+def test_loss_zinb_node_names_the_head_of_a_nan_block(monkeypatch):
+    # H[9, 0] = inf times a zero theta weight is NaN only in the theta head
+    # of row 9 (the fifth 2-row block); the pi and mu heads are infinite there
+    monkeypatch.setattr(losses, "ZINB_BLOCK_ENTRIES", 6)
+    rng = np.random.default_rng(24)
+    hidden = rng.normal(size=(13, 4))
+    hidden[9, 0] = np.inf
+    weights = [nm.Tensor(rng.uniform(0.5, 1.0, size=(4, 3)), requires_grad=True) for _ in range(3)]
+    weights[2].values[0] = 0.0
+    heads = model.CountHeads(nm.Tensor(hidden, requires_grad=True), tuple(weights))
+    with np.errstate(invalid="ignore"), pytest.raises(
+        model.NonFiniteOutputError, match="non-finite values in the theta head"
+    ):
+        losses.loss_zinb(rng.poisson(1.0, size=(13, 3)), heads)
+
+
+def test_count_criterion_holds_few_count_sized_arrays_through_backward():
+    # the decoder MLP, the heads and the likelihood, forward and backward, as
+    # the train step runs them at scale-3000's size with the 512-wide layer:
+    # the node keeps dH (one count-sized array here) and the three 512 x 500
+    # dW; H and its pre-activation live on the tape for the relu backward
+    rng = np.random.default_rng(25)
+    shape = (3000, 500)
+    x = np.where(rng.random(shape) < 2 / 3, 0, rng.poisson(3.0, shape) + 1)
+    params = model.init_params(n_genes=shape[1], latent_dim=32, seed=0)
+    z = nm.Tensor(rng.normal(size=(shape[0], 32)), requires_grad=True)
+    tracemalloc.start()
+    try:
+        losses.loss_zinb(x, model.decode_zinb(z, params)).backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * x.nbytes  # 5.1 here, 10.6 with the heads multiplied out
+
+
 def test_loss_zinb_gradient_is_zero_on_the_clamps():
     # no hidden layers, so h = z > 0 and the sign of each head column picks
     # the clamp: gene 0 saturates high, gene 1 low, gene 2 stays inside
@@ -353,10 +432,10 @@ def test_loss_zinb_gradient_is_zero_on_the_clamps():
         head.values = np.array([[900.0, -900.0, 0.3], [900.0, -900.0, -0.2]])
     z = nm.Tensor(rng.uniform(0.5, 1.5, size=(6, 2)))
     x = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]] * 3)
-    heads = model.decode_zinb(z, params)
-    for pre in heads:  # far past both clamps: sigmoid and exp saturate there
+    decoded = model.decode_zinb(z, params)
+    for pre in _dense_heads(decoded):  # far past both clamps: sigmoid and exp saturate there
         assert np.all(pre.values[:, 0] >= 900.0) and np.all(pre.values[:, 1] <= -900.0)
-    losses.loss_zinb(x, heads).backward()
+    losses.loss_zinb(x, decoded).backward()
     for head in (params.head_pi, params.head_mu, params.head_theta):
         assert np.all(np.isfinite(head.grad))
         assert np.all(head.grad[:, :2] == 0.0)
