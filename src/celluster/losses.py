@@ -4,15 +4,16 @@ Adjacency reconstruction is a squared Frobenius norm (a sum), the count
 likelihood is a mean over entries so the criteria stay on comparable
 scales, and the clustering term is the KL divergence summed over rows.
 Each covers every node it is given: training on a node subset gathers
-that sub-problem first. Each criterion is a single autodiff node with a
-closed-form gradient: reconstruction and the likelihood are formed in row
-blocks (REC_ROW_BLOCK rows, and ZINB_BLOCK_ENTRIES count entries), so the
-tape never holds their n x n or n x g intermediates. The likelihood forms
-the count heads itself from the decoder's last hidden layer, block by
-block, with their activations, and keeps only the gradients in that layer
-and in the three head weights. The clustering term takes the latent and
-the centers, forms the Student-t assignment itself and keeps only the two
-gradients in them.
+that sub-problem first. Each criterion is a single tape node with a
+closed-form gradient, and so is their weighted sum (weighted_total), the
+scalar the trainer calls backward on. Reconstruction and the likelihood
+are formed in row blocks (REC_ROW_BLOCK rows, and ZINB_BLOCK_ENTRIES count
+entries), so the tape never holds their n x n or n x g intermediates. The
+likelihood forms the count heads itself from the decoder's last hidden
+layer, block by block, with their activations, and keeps only the
+gradients in that layer and in the three head weights. The clustering term
+takes the latent and the centers, forms the Student-t assignment itself
+and keeps only the two gradients in them.
 """
 
 from __future__ import annotations
@@ -335,15 +336,18 @@ def weighted_total(
     cls: Tensor | None,
     weights: tuple[float, float, float] = (1.0, 1.0, 1.0),
 ) -> tuple[Tensor, LossBreakdown]:
-    """Weighted objective plus a float breakdown whose total matches the
-    optimized scalar exactly (same additions, same order); a missing `cls`
-    (pretraining) counts as 0."""
+    """Weighted objective, one node, plus a float breakdown whose total
+    matches the optimized scalar exactly (same additions, same order); a
+    missing `cls` (pretraining) counts as 0 and gets no gradient."""
     w_rec, w_zinb, w_cls = weights
-    rec_term = w_rec * rec
-    zinb_term = w_zinb * zinb
-    cls_term = w_cls * cls if cls is not None else nm.Tensor(0.0)
+    rec_term = w_rec * rec.values
+    zinb_term = w_zinb * zinb.values
+    cls_term = w_cls * cls.values if cls is not None else 0.0
     total = rec_term + zinb_term + cls_term
-    breakdown = LossBreakdown(
-        rec=float(rec_term.values), zinb=float(zinb_term.values), cls=float(cls_term.values)
-    )
-    return total, breakdown
+    breakdown = LossBreakdown(rec=float(rec_term), zinb=float(zinb_term), cls=float(cls_term))
+
+    def vjp(g):  # a missing cls has no parent: the third gradient goes nowhere
+        return g * w_rec, g * w_zinb, g * w_cls
+
+    parents = (rec, zinb) if cls is None else (rec, zinb, cls)
+    return nm.closed_form(total, parents, vjp), breakdown

@@ -93,7 +93,4 @@ def nmi(true_labels, pred_labels) -> float:
     outer = np.outer(table.row_marginals, table.col_marginals) / (n * n)
     positive = joint > 0
     mi = float(np.sum(joint[positive] * np.log(joint[positive] / outer[positive])))
-    denominator = 0.5 * (h_true + h_pred)
-    if denominator == 0.0:
-        return 0.0
-    return float(mi / denominator)
+    return float(mi / (0.5 * (h_true + h_pred)))

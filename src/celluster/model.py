@@ -7,10 +7,11 @@ its recursion (the Chebyshev basis) is built once per graph and passed in.
 Decoders: inner-product adjacency (sigmoid of the cell Gram matrix), a fully
 connected count decoder up to its last hidden layer, whose three heads
 (dropout, mean, dispersion) losses.loss_zinb multiplies out block by block
-and activates, and a Student-t soft assignment against the cluster centers,
-in plain numpy: the tape records the encoder and the count decoder's MLP,
-and the clustering criterion (losses.loss_cls) differentiates the
-assignment in closed form.
+and activates, and a Student-t soft assignment against the cluster centers.
+The encoder and the count decoder's MLP are each one closed-form node with
+its gradient written out (the second encoder layer's chebconv_forward is one
+too); the adjacency decoder and the soft assignment are plain numpy, and the
+clustering criterion (losses.loss_cls) differentiates the assignment itself.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import numerics as nm
 from .cellgraph import CellGraph
-from .numerics import Tensor
+from .numerics import Tensor, special
 
 ZINB_HIDDEN_DIMS = (128, 256, 512)
 
@@ -117,33 +118,10 @@ def init_params(
     )
 
 
-def chebconv_forward(x: Tensor, graph: CellGraph, layer: ChebLayerParams) -> Tensor:
-    x = nm.as_tensor(x)
-    if x.shape[0] != graph.n:
-        raise nm.ShapeMismatchError(
-            f"chebconv: input has {x.shape[0]} rows for a graph of {graph.n} nodes"
-        )
-    if x.shape[1] != layer.theta[0].shape[0]:
-        raise nm.ShapeMismatchError(
-            f"chebconv: input width {x.shape[1]} vs weight fan-in {layer.theta[0].shape[0]}"
-        )
-    lhat = graph.scaled_laplacian
-    z_prev_prev = x
-    out = x @ layer.theta[0]
-    if layer.order >= 2:
-        z_prev = nm.const_matmul(lhat, x)
-        out = out + z_prev @ layer.theta[1]
-        for k in range(2, layer.order):
-            z_next = 2.0 * nm.const_matmul(lhat, z_prev) - z_prev_prev
-            out = out + z_next @ layer.theta[k]
-            z_prev_prev, z_prev = z_prev, z_next
-    return out + layer.bias
-
-
 def chebyshev_basis(x, graph: CellGraph, order: int) -> list[np.ndarray]:
     """[x, Lhat x, 2 Lhat (Lhat x) - x, ...]: the first `order` terms of the
-    Chebyshev recursion on a constant input, the same arrays that
-    chebconv_forward forms from it. Build it once per graph and input."""
+    Chebyshev recursion on x, the one recursion of both encoder layers. The
+    first layer's input is constant: build its basis once per graph."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != graph.n:
         raise nm.ShapeMismatchError(
@@ -158,38 +136,102 @@ def chebyshev_basis(x, graph: CellGraph, order: int) -> list[np.ndarray]:
     return basis
 
 
+def _weigh(basis: list[np.ndarray], thetas: list[np.ndarray], bias: np.ndarray) -> np.ndarray:
+    """sum_k basis[k] theta_k + bias, added up in recursion order."""
+    out = basis[0] @ thetas[0]
+    for z, theta in zip(basis[1:], thetas[1:]):
+        out += z @ theta
+    out += bias
+    return out
+
+
+def _layer_backward(g, basis, thetas, lhat_t, want_input: bool):
+    """The gradients of _weigh(chebyshev_basis(x), thetas, bias) under the
+    upstream gradient g: x's (None unless `want_input`), then each theta_k's
+    and the bias's. x's is carried down the recursion: with D_k the gradient
+    of the k-th basis term, D_k = g theta_k^T - D_{k+2} + Lhat^T (2 D_{k+1}),
+    without the factor 2 for k = 0. The terms are added in exactly this
+    order: seeded runs depend on it bit for bit."""
+    grads = [z.T @ g for z in basis] + [g.sum(axis=0)]
+    if not want_input:
+        return None, grads
+    d1 = d2 = None  # the gradients of basis terms k + 1 and k + 2
+    for k in reversed(range(len(basis))):
+        d = g @ thetas[k].T
+        if d2 is not None:
+            d -= d2
+        if d1 is not None:
+            d += np.asarray(lhat_t @ (d1 * 2.0 if k else d1))
+        d1, d2 = d, d1
+    return d1, grads
+
+
+def chebconv_forward(x, graph: CellGraph, layer: ChebLayerParams) -> Tensor:
+    """One Chebyshev convolution of x on `graph`: a single node, gradients in
+    x (when it requires them), every theta_k and the bias."""
+    x = nm.as_tensor(x)
+    if x.ndim != 2 or x.shape[1] != layer.theta[0].shape[0]:
+        raise nm.ShapeMismatchError(
+            f"chebconv: input of shape {x.shape} vs weight fan-in {layer.theta[0].shape[0]}"
+        )
+    basis = chebyshev_basis(x.values, graph, layer.order)
+    thetas = [t.values for t in layer.theta]
+    lhat_t, want_input = graph.scaled_laplacian.T, x.requires_grad
+
+    def vjp(g):
+        d_input, grads = _layer_backward(g, basis, thetas, lhat_t, want_input)
+        return [d_input, *grads]
+
+    return nm.closed_form(
+        _weigh(basis, thetas, layer.bias.values), (x, *layer.theta, layer.bias), vjp
+    )
+
+
 def encode(basis: list[np.ndarray], graph: CellGraph, params: ModelParams) -> Tensor:
-    """Stacked convolutions, relu between hidden layers, linear final layer.
+    """Stacked convolutions, relu between hidden layers, linear final layer:
+    one node, gradients in every encoder weight and bias.
 
     `basis` is chebyshev_basis(x, graph, order) of the input x: the first
-    layer only weights and sums it, and the tape holds no recursion for it.
+    layer only weights and sums it. Backward keeps each later layer's basis
+    (its first term is the relu output, whose sign is the relu's mask).
     """
-    first, *rest = params.encoder_layers
-    want = (graph.n, first.theta[0].shape[0])
+    layers = params.encoder_layers
+    want = (graph.n, layers[0].theta[0].shape[0])
     shapes = {np.shape(z) for z in basis}
-    if len(basis) != first.order or shapes != {want}:
+    if len(basis) != layers[0].order or shapes != {want}:
         raise nm.ShapeMismatchError(
             f"encode: basis of {len(basis)} terms shaped {sorted(shapes)} "
-            f"vs {first.order} terms of shape {want}"
+            f"vs {layers[0].order} terms of shape {want}"
         )
-    h = nm.matmul(basis[0], first.theta[0])
-    for z, theta in zip(basis[1:], first.theta[1:]):
-        h = h + nm.matmul(z, theta)
-    h = h + first.bias
-    for layer in rest:
-        h = chebconv_forward(nm.relu(h), graph, layer)
-    return h
+    thetas = [[t.values for t in layer.theta] for layer in layers]
+    bases = [basis]
+    h = _weigh(basis, thetas[0], layers[0].bias.values)
+    for layer, layer_thetas in zip(layers[1:], thetas[1:]):
+        bases.append(chebyshev_basis(np.maximum(h, 0.0), graph, layer.order))
+        h = _weigh(bases[-1], layer_thetas, layer.bias.values)
+    lhat_t = graph.scaled_laplacian.T
+
+    def vjp(g):
+        grads = []
+        for i in reversed(range(len(layers))):
+            d_input, layer_grads = _layer_backward(g, bases[i], thetas[i], lhat_t, i > 0)
+            grads[:0] = layer_grads
+            if i:
+                g = d_input * (bases[i][0] > 0.0)
+        return grads
+
+    return nm.closed_form(h, [t for layer in layers for t in (*layer.theta, layer.bias)], vjp)
 
 
-def decode_adjacency(z: Tensor) -> Tensor:
+def decode_adjacency(z: np.ndarray) -> np.ndarray:
     """Entrywise sigmoid of the cell Gram matrix; symmetric by construction.
 
-    Dense n x n: training never forms it (losses.loss_rec works on row
-    blocks of the same values); it is the reference that loss_rec is
-    tested against.
+    Dense n x n, in plain numpy: training never forms it (losses.loss_rec
+    works on row blocks of the same values); it is the reference that
+    loss_rec is tested against.
     """
-    z = nm.as_tensor(z)
-    return nm.sigmoid(z @ z.T)
+    z = np.asarray(z, dtype=np.float64)
+    return special.sigmoid(z @ z.T)
 
 
 @dataclass(frozen=True)
@@ -208,11 +250,32 @@ def decode_zinb(z: Tensor, params: ModelParams) -> CountHeads:
     dispersion head weights. No n_cells x n_genes head is multiplied out
     here: losses.loss_zinb does that block by block, applies the clamped
     sigmoid and exps, and raises NonFiniteOutputError naming a head that
-    holds a NaN (infinities are left for the clamps)."""
-    h = nm.as_tensor(z)
-    for w, b in params.zinb_fc:
-        h = nm.relu(h @ w + b)
-    return CountHeads(h, (params.head_pi, params.head_mu, params.head_theta))
+    holds a NaN (infinities are left for the clamps).
+
+    The MLP (relu after every layer) is one node with gradients in z and in
+    every weight and bias; backward keeps each layer's input and output.
+    With no hidden layers H is z itself."""
+    z = nm.as_tensor(z)
+    heads = (params.head_pi, params.head_mu, params.head_theta)
+    if not params.zinb_fc:
+        return CountHeads(z, heads)
+    acts = [z.values]  # the input, then every layer's output
+    weights = [w.values for w, _ in params.zinb_fc]
+    for w, (_, b) in zip(weights, params.zinb_fc):
+        a = acts[-1] @ w
+        a += b.values
+        acts.append(np.maximum(a, 0.0, out=a))
+
+    def vjp(g):
+        grads = []
+        for k in reversed(range(len(weights))):
+            g = g * (acts[k + 1] > 0.0)
+            grads[:0] = [acts[k].T @ g, g.sum(axis=0)]
+            g = g @ weights[k].T
+        return [g, *grads]
+
+    parents = [z, *(t for pair in params.zinb_fc for t in pair)]
+    return CountHeads(nm.closed_form(acts[-1], parents, vjp), heads)
 
 
 def student_t_kernel(z: np.ndarray, centers: np.ndarray) -> np.ndarray:

@@ -2,18 +2,9 @@ from .autodiff import (
     NonScalarBackwardError,
     ShapeMismatchError,
     Tensor,
-    add,
     as_tensor,
     closed_form,
-    const_matmul,
     index_rows,
-    matmul,
-    mul,
-    relu,
-    sigmoid,
-    sub,
-    tensor_sum,
-    transpose,
 )
 from .checkpoint import CheckpointFormatError, load_checkpoint, save_checkpoint
 from .optim import AdamState, adam_step
@@ -25,18 +16,9 @@ __all__ = [
     "ShapeMismatchError",
     "Tensor",
     "adam_step",
-    "add",
     "as_tensor",
     "closed_form",
-    "const_matmul",
     "index_rows",
     "load_checkpoint",
-    "matmul",
-    "mul",
-    "relu",
     "save_checkpoint",
-    "sigmoid",
-    "sub",
-    "tensor_sum",
-    "transpose",
 ]

@@ -1,6 +1,6 @@
 """The logistic function on float64 arrays.
 
-It is the one formula shared by the autodiff sigmoid op, the fused
+It is the one formula shared by the dense adjacency decoder, the fused
 reconstruction criterion and the likelihood's dropout head. It stays here
 rather than using scipy.special.expit because it is faster on loss_rec's
 row blocks and costs nothing to import.

@@ -257,17 +257,18 @@ def _train_step(
 ) -> None:
     """One epoch of the current phase from `z`, the latent of every node of
     `graph` under the current parameters: losses, backward, Adam and
-    history. With `subset` (distinct node indices) the latent rows, the
-    adjacency submatrix, the counts and the target are gathered once and
-    the losses see only that sub-problem. A non-finite loss raises
-    NonFiniteLossError carrying the state as it was before the step."""
+    history. `counts` are the raw counts of the nodes the losses see: every
+    node of `graph`, or with `subset` (distinct node indices) the subset's,
+    gathered by the caller. With `subset` the latent rows, the adjacency
+    submatrix and the target are gathered once and the losses see only that
+    sub-problem. A non-finite loss raises NonFiniteLossError carrying the
+    state as it was before the step."""
     epoch = state.epoch
     try:
         adjacency = graph.adjacency
         if subset is not None:
             z = nm.index_rows(z, subset)
             adjacency = adjacency[subset][:, subset]
-            counts = counts[subset]
             if target is not None:
                 target = target[subset]
         decoded = decode_zinb(z, state.params)
@@ -353,7 +354,6 @@ def formal_train(
     kept_sorted = np.sort(state.prune.kept)
     easiest_first = np.searchsorted(kept_sorted, state.prune.kept)
     basis = chebyshev_basis(pre.normalized[kept_sorted], graph_pruned, cfg.cheb_order)
-    raw_kept = pre.raw.counts[kept_sorted]
     n_original = state.report.n
     pacing = PacingConfig(lambda0=cfg.lambda0, t_hat=cfg.effective_t_hat)
 
@@ -378,7 +378,8 @@ def formal_train(
             )
         subset = np.sort(easiest_first[:count])
         state.subset_sizes.append(count)
-        _train_step(state, z, raw_kept, graph_pruned, cfg, subset=subset, target=state.target)
+        counts = pre.raw.counts[kept_sorted[subset]]
+        _train_step(state, z, counts, graph_pruned, cfg, subset=subset, target=state.target)
         del z  # frees this epoch's encoder tape before the next forward
     state.phase = "done"
     return state

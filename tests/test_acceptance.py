@@ -18,7 +18,7 @@ from celluster.cellgraph import _from_adjacency
 from celluster.cli import main as cli_main
 from celluster.ingest import SynthesisSpec, synthesize
 from celluster.trainer import TrainConfig
-from gradcheck import finite_difference_gradients, max_relative_error
+from gradcheck import finite_difference_gradients, leaf_gradient_error, max_relative_error, project
 
 
 def _pass(criterion: int, message: str) -> None:
@@ -48,46 +48,42 @@ def test_criterion_1_gradient_correctness():
     start = time.time()
     worst: dict[str, float] = {}
 
-    unary = {
-        "sigmoid": (nm.sigmoid, (-2.0, 2.0)),
-        "relu": (nm.relu, (0.2, 2.0)),
-        "transpose": (nm.transpose, (-1.0, 1.0)),
-        "sum": (nm.tensor_sum, (-1.0, 1.0)),
-        "index_rows": (lambda t: nm.index_rows(t, [1, 0, 1]), (-1.0, 1.0)),
-    }
-    for name, (op, (lo, hi)) in unary.items():
-        errs = []
-        for seed in range(50):
-            rng = np.random.default_rng(seed)
-            a = rng.uniform(lo, hi, size=(2, 3))
-            w = nm.Tensor(rng.uniform(-1, 1, size=op(nm.Tensor(a)).shape))
-            errs.append(_fd_max_err(lambda ts: (op(ts[0]) * w).sum(), [a]))
-        worst[name] = max(errs)
-
-    binary = {
-        "add": nm.add, "sub": nm.sub, "mul": nm.mul, "matmul": nm.matmul,
-    }
-    for name, op in binary.items():
-        errs = []
-        for seed in range(50):
-            rng = np.random.default_rng(1000 + seed)
-            if name == "matmul":
-                a = rng.uniform(-1, 1, size=(2, 3))
-                b = rng.uniform(-1, 1, size=(3, 2))
-            else:
-                a = rng.uniform(0.5, 2.0, size=(2, 3))
-                b = rng.uniform(0.5, 2.0, size=(2, 3))
-            w = nm.Tensor(rng.uniform(-1, 1, size=op(nm.Tensor(a), nm.Tensor(b)).shape))
-            errs.append(_fd_max_err(lambda ts: (op(ts[0], ts[1]) * w).sum(), [a, b]))
-        worst[name] = max(errs)
-
+    # the subset gather, on a weighted sum of its rows
     errs = []
     for seed in range(50):
-        rng = np.random.default_rng(2000 + seed)
-        op_mat = rng.uniform(-1, 1, size=(3, 3))
-        x = rng.uniform(-1, 1, size=(3, 2))
-        errs.append(_fd_max_err(lambda ts: nm.const_matmul(op_mat, ts[0]).sum(), [x]))
-    worst["const_matmul"] = max(errs)
+        rng = np.random.default_rng(seed)
+        a = rng.uniform(-1.0, 1.0, size=(2, 3))
+        w = rng.uniform(-1, 1, size=(3, 3))
+        errs.append(_fd_max_err(lambda ts: project(nm.index_rows(ts[0], [1, 0, 1]), w), [a]))
+    worst["index_rows"] = max(errs)
+
+    # the model's nodes: the encoder (every layer weight and bias) and the
+    # count decoder's MLP (latent, weights and biases), each on a weighted
+    # sum of its output, and the weighted sum of the three criteria
+    errs = {"encode": [], "decode_zinb_mlp": [], "weighted_total": []}
+    for seed in range(50):
+        rng = np.random.default_rng(1000 + seed)
+        graph = _random_graph(rng, 5, kind=("sym_normalized", "combinatorial")[seed % 2])
+        params = model.init_params(n_genes=3, latent_dim=2, hidden_dim=3, zinb_dims=(3, 4), seed=seed)
+        basis = model.chebyshev_basis(rng.normal(size=(5, 3)), graph, 3)
+        w = rng.uniform(-1, 1, size=(5, 2))
+        leaves = [t for name, t in params.named_parameters() if name.startswith("enc")]
+        errs["encode"].append(
+            leaf_gradient_error(lambda: project(model.encode(basis, graph, params), w), leaves)
+        )
+        z = nm.Tensor(rng.uniform(-1.0, 1.0, size=(4, 2)), requires_grad=True)
+        w = rng.uniform(-1, 1, size=(4, 4))
+        leaves = [z, *(t for pair in params.zinb_fc for t in pair)]
+        for t in leaves[1:]:  # non-zero biases: no pre-activation sits on the relu kink
+            t.values = rng.uniform(-1.0, 1.0, size=t.shape)
+        errs["decode_zinb_mlp"].append(
+            leaf_gradient_error(lambda: project(model.decode_zinb(z, params).hidden, w), leaves)
+        )
+        weights = tuple(rng.uniform(0.2, 2.0, size=3))
+        errs["weighted_total"].append(
+            _fd_max_err(lambda ts: losses.weighted_total(*ts, weights)[0], list(rng.normal(size=3)))
+        )
+    worst.update({name: max(values) for name, values in errs.items()})
 
     # the three losses; the likelihood also on all-zero counts (its logaddexp
     # branch) and on all-positive counts (its log-gamma branch) alone, in its
@@ -129,7 +125,7 @@ def test_criterion_1_gradient_correctness():
     assert not offenders, f"gradient mismatches: {offenders}"
     assert elapsed < 60.0, f"took {elapsed:.1f}s"
     _pass(1, f"max rel error {max(worst.values()):.2e} over "
-             f"{len(worst)} ops/losses x 50 trials in {elapsed:.1f}s")
+             f"{len(worst)} nodes x 50 trials in {elapsed:.1f}s")
 
 
 # -- criterion 2: ChebConv oracle --------------------------------------------------------

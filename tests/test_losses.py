@@ -9,7 +9,7 @@ import scipy.sparse as sp
 
 from celluster import losses, model
 from celluster import numerics as nm
-from gradcheck import finite_difference_gradients, max_relative_error
+from gradcheck import finite_difference_gradients, leaf_gradient_error, max_relative_error
 
 
 def _pre(pi, mu, theta):
@@ -24,8 +24,15 @@ def _zinb(pi, mu, theta, grad=False):
 
 
 def _dense_heads(decoded):
-    """The three heads multiplied out on the tape: the dense reference path."""
-    return [decoded.hidden @ w for w in decoded.weights]
+    """The three heads multiplied out, each one node: the dense reference path."""
+    h = decoded.hidden
+    hv = h.values
+
+    def head(w):
+        wv = w.values
+        return nm.closed_form(hv @ wv, (h, w), lambda g: (g @ wv.T, hv.T @ g))
+
+    return [head(w) for w in decoded.weights]
 
 
 def nb_nll_oracle(x, mu, theta):
@@ -62,17 +69,17 @@ def _zinb_on(x, tensors, subset=None):
 
 
 def _rec_oracle(adjacency, z0, subset=None):
-    """Dense n x n reconstruction on the tape; returns (value, dL/dz)."""
+    """Dense n x n reconstruction in numpy; returns (value, dL/dz). With
+    S = sigmoid(Z Z^T) and G = 2 (S - A) S (1 - S), dL/dZ = (G + G^T) Z."""
     a = adjacency.toarray() if sp.issparse(adjacency) else np.asarray(adjacency)
-    z = nm.Tensor(z0, requires_grad=True)
-    if subset is None:
-        diff = nm.Tensor(a) - model.decode_adjacency(z)
-    else:
-        idx = np.asarray(subset)
-        diff = nm.Tensor(a[np.ix_(idx, idx)]) - model.decode_adjacency(nm.index_rows(z, idx))
-    loss = (diff * diff).sum()
-    loss.backward()
-    return loss.item(), z.grad
+    idx = np.arange(len(z0)) if subset is None else np.asarray(subset)
+    z = z0[idx]
+    s = model.decode_adjacency(z)
+    diff = s - a[np.ix_(idx, idx)]
+    g = 2.0 * diff * s * (1.0 - s)
+    grad = np.zeros_like(z0)
+    np.add.at(grad, idx, (g + g.T) @ z)
+    return float((diff * diff).sum()), grad
 
 
 def test_loss_rec_zero_when_equal():
@@ -408,7 +415,7 @@ def test_count_criterion_holds_few_count_sized_arrays_through_backward():
     # the decoder MLP, the heads and the likelihood, forward and backward, as
     # the train step runs them at scale-3000's size with the 512-wide layer:
     # the node keeps dH (one count-sized array here) and the three 512 x 500
-    # dW; H and its pre-activation live on the tape for the relu backward
+    # dW; the MLP node keeps every layer's input and output, H among them
     rng = np.random.default_rng(25)
     shape = (3000, 500)
     x = np.where(rng.random(shape) < 2 / 3, 0, rng.poisson(3.0, shape) + 1)
@@ -619,3 +626,23 @@ def test_breakdown_total_is_exact_sum():
         assert breakdown.total == float(total.values)
         assert breakdown.total == breakdown.rec + breakdown.zinb + breakdown.cls
         assert breakdown.cls >= -1e-12
+
+
+@pytest.mark.parametrize("with_cls", [True, False], ids=["cls", "no-cls"])
+def test_weighted_total_gradients_match_finite_differences(with_cls):
+    rng = np.random.default_rng(26)
+    weights = (0.5, 2.0, 0.7)
+    terms = [nm.Tensor(rng.normal(), requires_grad=True) for _ in range(3)]
+    if not with_cls:
+        terms[2] = None
+
+    def loss():
+        return losses.weighted_total(*terms, weights)[0]
+
+    leaves = [t for t in terms if t is not None]
+    assert leaf_gradient_error(loss, leaves) < 1e-5
+    assert [float(t.grad) for t in leaves] == list(weights[: len(leaves)])
+    total, breakdown = losses.weighted_total(*terms, weights)
+    assert breakdown.total == float(total.values)
+    if not with_cls:
+        assert breakdown.cls == 0.0

@@ -1,4 +1,4 @@
-import weakref
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,12 +7,19 @@ import scipy.sparse as sp
 from celluster import losses, model
 from celluster import numerics as nm
 from celluster.cellgraph import _from_adjacency
-from gradcheck import finite_difference_gradients, max_relative_error
+from gradcheck import leaf_gradient_error, project
 
 
 def _dense_heads(decoded):
-    """The three heads multiplied out on the tape: the dense reference path."""
-    return [decoded.hidden @ w for w in decoded.weights]
+    """The three heads multiplied out, each one node: the dense reference path."""
+    h = decoded.hidden
+    hv = h.values
+
+    def head(w):
+        wv = w.values
+        return nm.closed_form(hv @ wv, (h, w), lambda g: (g @ wv.T, hv.T @ g))
+
+    return [head(w) for w in decoded.weights]
 
 
 def _random_graph(rng, n, p=0.4, kind="sym_normalized"):
@@ -88,20 +95,9 @@ def test_chebconv_shape_mismatch():
         model.chebconv_forward(nm.Tensor(np.zeros((6, 7))), graph, layer)
 
 
-def _chained_chebconv(x, graph, params):
-    """The encoder written as chained chebconv_forward calls: the oracle
-    that encode on a prebuilt basis must reproduce bit for bit."""
-    h = nm.Tensor(x)
-    for i, layer in enumerate(params.encoder_layers):
-        h = model.chebconv_forward(h, graph, layer)
-        if i != len(params.encoder_layers) - 1:
-            h = nm.relu(h)
-    return h
-
-
 @pytest.mark.parametrize("kind", ["sym_normalized", "combinatorial"])
 @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
-def test_encode_on_the_basis_equals_chained_chebconv_bit_for_bit(order, kind):
+def test_encode_gradients_match_finite_differences(order, kind):
     for seed in range(5):
         rng = np.random.default_rng(50 * order + seed)
         n = int(rng.integers(4, 15))
@@ -112,17 +108,115 @@ def test_encode_on_the_basis_equals_chained_chebconv_bit_for_bit(order, kind):
         assert graph.degrees[0] == 0
         params = model.init_params(n_genes=6, latent_dim=3, hidden_dim=5, cheb_order=order, seed=seed)
         x = rng.normal(size=(n, 6))
-        want = _chained_chebconv(x, graph, params)
-        weights = rng.normal(size=want.shape)
-        (want * nm.Tensor(weights)).sum().backward()
-        want_grads = [t.grad for _, t in params.named_parameters()]
         basis = model.chebyshev_basis(x, graph, order)
         assert len(basis) == order and np.array_equal(basis[0], x)
-        got = model.encode(basis, graph, params)
+        w = rng.normal(size=(n, 3))
+        leaves = [t for name, t in params.named_parameters() if name.startswith("enc")]
+        err = leaf_gradient_error(lambda: project(model.encode(basis, graph, params), w), leaves)
+        assert err < 1e-5, f"seed {seed}: max relative error {err}"
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+def test_chebconv_gradients_match_finite_differences(order):
+    # in the input too, which encode never needs of its first layer
+    for seed in range(5):
+        rng = np.random.default_rng(70 * order + seed)
+        graph = _random_graph(rng, int(rng.integers(3, 12)), kind=("sym_normalized", "combinatorial")[seed % 2])
+        layer = _layer(rng, 4, 3, order)
+        x = nm.Tensor(rng.normal(size=(graph.n, 4)), requires_grad=True)
+        w = rng.normal(size=(graph.n, 3))
+        leaves = [x, *layer.theta, layer.bias]
+        err = leaf_gradient_error(lambda: project(model.chebconv_forward(x, graph, layer), w), leaves)
+        assert err < 1e-5, f"seed {seed}: max relative error {err}"
+
+
+def _relu(t):
+    """relu as one closed-form node."""
+    out = np.maximum(t.values, 0.0)
+    return nm.closed_form(out, (t,), lambda g: (g * (out > 0.0),))
+
+
+def _chained_chebconv(x, graph, params):
+    """The encoder written as chained chebconv_forward nodes with a relu
+    node between them: the oracle that encode must reproduce bit for bit."""
+    h = nm.Tensor(x)
+    for i, layer in enumerate(params.encoder_layers):
+        h = model.chebconv_forward(h, graph, layer)
+        if i != len(params.encoder_layers) - 1:
+            h = _relu(h)
+    return h
+
+
+@pytest.mark.parametrize("kind", ["sym_normalized", "combinatorial"])
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+def test_encode_on_the_basis_equals_chained_chebconv_bit_for_bit(order, kind):
+    # encode wires the layers, the relu mask and the gradients itself
+    for seed in range(5):
+        rng = np.random.default_rng(50 * order + seed)
+        n = int(rng.integers(4, 15))
+        upper = np.triu(rng.random((n, n)) < 0.4, k=1)
+        upper[0, :] = False  # node 0 is isolated
+        graph = _from_adjacency(sp.csr_matrix((upper | upper.T).astype(float)), kind)
+        params = model.init_params(n_genes=6, latent_dim=3, hidden_dim=5, cheb_order=order, seed=seed)
+        x = rng.normal(size=(n, 6))
+        weights = rng.normal(size=(n, 3))
+        want = _chained_chebconv(x, graph, params)
+        project(want, weights).backward()
+        want_grads = [t.grad for _, t in params.named_parameters()]
+        got = model.encode(model.chebyshev_basis(x, graph, order), graph, params)
         assert np.array_equal(got.values, want.values)
-        (got * nm.Tensor(weights)).sum().backward()
+        project(got, weights).backward()
         for (name, t), grad in zip(params.named_parameters(), want_grads):
             assert np.array_equal(t.grad, grad), name
+
+
+def test_encode_frees_the_first_layer_products():
+    # basis[k] @ theta_k only feeds the first layer's sum, so once encode
+    # returns nothing holds the products: what stays allocated is the output
+    # and the second layer's basis (the relu output and its recursion),
+    # which backward reads
+    rng = np.random.default_rng(17)
+    n, hidden, order = 400, 64, 3
+    graph = _random_graph(rng, n, p=0.02)
+    params = model.init_params(n_genes=50, latent_dim=8, hidden_dim=hidden, cheb_order=order, seed=4)
+    basis = model.chebyshev_basis(rng.normal(size=(n, 50)), graph, order)
+    tracemalloc.start()
+    try:
+        z = model.encode(basis, graph, params)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    one_product = n * hidden * 8
+    assert held < order * one_product + z.values.nbytes + one_product // 2
+
+
+@pytest.mark.parametrize("node", ["encode", "chebconv_forward", "decode_zinb"])
+def test_rebinding_parameters_before_backward_leaves_gradients_unchanged(node):
+    # each node keeps the weights it read: backward never reads a Tensor's values
+    rng = np.random.default_rng(33)
+    graph = _random_graph(rng, 7)
+    x = rng.normal(size=(7, 5))
+    w = rng.normal(size=(7, 3))
+
+    def run(rebind):
+        params = model.init_params(n_genes=5, latent_dim=3, hidden_dim=4, zinb_dims=(4, 3), seed=2)
+        forward = {
+            "encode": lambda: model.encode(model.chebyshev_basis(x, graph, 3), graph, params),
+            "chebconv_forward": lambda: model.chebconv_forward(
+                nm.Tensor(x[:, :4], requires_grad=True), graph, params.encoder_layers[1]
+            ),
+            "decode_zinb": lambda: model.decode_zinb(nm.Tensor(x[:, :3]), params).hidden,
+        }[node]
+        loss = project(forward(), w)
+        named = params.named_parameters()
+        if rebind:
+            for _, t in named:
+                t.values = -7.0 * t.values
+        loss.backward()
+        return [t.grad for _, t in named]
+
+    for kept, moved in zip(run(rebind=False), run(rebind=True)):
+        assert (kept is None and moved is None) or np.array_equal(kept, moved)
 
 
 def test_encode_rejects_a_basis_that_does_not_fit():
@@ -136,43 +230,6 @@ def test_encode_rejects_a_basis_that_does_not_fit():
         model.encode(model.chebyshev_basis(x[:, :3], graph, 3), graph, params)  # too narrow
     with pytest.raises(nm.ShapeMismatchError):
         model.chebyshev_basis(x[:5], graph, 3)  # one row short of the graph
-
-
-def test_encode_frees_the_first_layer_products(monkeypatch):
-    # basis[k] @ theta_k only feeds a sum, so nothing keeps its values once
-    # encode returns; the gradients match a run that keeps them alive
-    rng = np.random.default_rng(17)
-    graph = _random_graph(rng, 9)
-    x = rng.normal(size=(9, 5))
-    params = model.init_params(n_genes=5, latent_dim=3, hidden_dim=4, seed=4)
-    basis = model.chebyshev_basis(x, graph, 3)
-    w = nm.Tensor(rng.normal(size=(9, 3)))
-    matmul = nm.matmul
-
-    def gradients(keep_products):
-        products = []
-
-        def recording_matmul(a, b):  # encode's first layer calls nm.matmul
-            out = matmul(a, b)
-            products.append(out if keep_products else weakref.ref(out.values))
-            return out
-
-        monkeypatch.setattr(nm, "matmul", recording_matmul)
-        z = model.encode(basis, graph, params)
-        monkeypatch.setattr(nm, "matmul", matmul)
-        assert len(products) == 3
-        if not keep_products:
-            assert all(ref() is None for ref in products)
-        (z * w).sum().backward()
-        named = [t for name, t in params.named_parameters() if name.startswith("enc")]
-        grads = [t.grad.copy() for t in named]
-        for t in named:
-            t.grad = None
-        return grads
-
-    kept, dropped = gradients(keep_products=True), gradients(keep_products=False)
-    for want, got in zip(kept, dropped):
-        assert np.array_equal(want, got)
 
 
 def test_decode_zinb_nan_names_the_head():
@@ -215,8 +272,8 @@ def test_full_forward_is_node_permutation_equivariant():
     z_p = model.encode(model.chebyshev_basis(x[perm], graph_p, 3), graph_p, params)
     np.testing.assert_allclose(z_p.values, z.values[perm], atol=1e-9)
 
-    a_rec = model.decode_adjacency(z).values
-    a_rec_p = model.decode_adjacency(z_p).values
+    a_rec = model.decode_adjacency(z.values)
+    a_rec_p = model.decode_adjacency(z_p.values)
     np.testing.assert_allclose(a_rec_p, a_rec[np.ix_(perm, perm)], atol=1e-9)
 
     heads = _dense_heads(model.decode_zinb(z, params))
@@ -226,21 +283,19 @@ def test_full_forward_is_node_permutation_equivariant():
 
 
 def test_decode_adjacency_orthogonal_rows_give_half():
-    z = nm.Tensor(np.eye(3))
-    a_rec = model.decode_adjacency(z).values
+    a_rec = model.decode_adjacency(np.eye(3))
     off_diag = a_rec[~np.eye(3, dtype=bool)]
     np.testing.assert_allclose(off_diag, 0.5, atol=1e-15)
 
 
 def test_decode_adjacency_identical_rows_match_diagonal():
-    z = nm.Tensor(np.array([[1.0, 2.0], [1.0, 2.0], [0.5, -1.0]]))
-    a_rec = model.decode_adjacency(z).values
+    a_rec = model.decode_adjacency(np.array([[1.0, 2.0], [1.0, 2.0], [0.5, -1.0]]))
     assert a_rec[0, 1] == a_rec[0, 0] == a_rec[1, 1]
     np.testing.assert_allclose(a_rec, a_rec.T, atol=0)
 
 
 def test_decode_adjacency_unit_norm_single_cell():
-    a_rec = model.decode_adjacency(nm.Tensor([[1.0]])).values
+    a_rec = model.decode_adjacency([[1.0]])
     assert a_rec[0, 0] == pytest.approx(1.0 / (1.0 + np.exp(-1.0)), abs=1e-12)
     assert a_rec[0, 0] == pytest.approx(0.7311, abs=5e-5)
 
@@ -273,20 +328,16 @@ def test_decode_zinb_ranges_hold_for_random_weights():
 def test_decode_zinb_gradients_match_finite_differences():
     rng = np.random.default_rng(7)
     params = model.init_params(n_genes=4, latent_dim=3, hidden_dim=3, zinb_dims=(4, 5, 6), seed=3)
-    z0 = rng.normal(size=(3, 3)) * 0.5
+    z = nm.Tensor(rng.normal(size=(3, 3)) * 0.5, requires_grad=True)
     w = rng.normal(size=(3, 4))
-
+    leaves = [z, params.head_pi, params.head_mu, params.head_theta]
+    leaves += [t for pair in params.zinb_fc for t in pair]
     for head, name in enumerate(("pi", "mu", "theta")):
 
-        def forward(arrays):
-            heads = _dense_heads(model.decode_zinb(nm.Tensor(arrays[0]), params))
-            return float((heads[head].values * w).sum())
+        def loss():
+            return project(_dense_heads(model.decode_zinb(z, params))[head], w)
 
-        z = nm.Tensor(z0, requires_grad=True)
-        heads = _dense_heads(model.decode_zinb(z, params))
-        (heads[head] * nm.Tensor(w)).sum().backward()
-        numeric = finite_difference_gradients(forward, [z0])
-        err = max_relative_error([z.grad], numeric)
+        err = leaf_gradient_error(loss, leaves)
         assert err < 1e-5, f"{name} head: max relative error {err}"
 
 

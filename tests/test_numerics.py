@@ -1,20 +1,28 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from celluster import numerics as nm
 from celluster.numerics import special
-from gradcheck import finite_difference_gradients, max_relative_error
+from gradcheck import leaf_gradient_error, project
 
 
-def _tensor(rng, shape, lo=-1.0, hi=1.0):
-    return nm.Tensor(rng.uniform(lo, hi, size=shape), requires_grad=True)
+def _square(t):
+    """t * t as one closed-form node."""
+    values = t.values
+    return nm.closed_form(values * values, (t,), lambda g: (2.0 * g * values,))
+
+
+def _sum(*ts):
+    """The sum of same-shaped tensors, as one closed-form node."""
+    return nm.closed_form(sum(t.values for t in ts), ts, lambda g: (g,) * len(ts))
 
 
 # -- forward values ----------------------------------------------------------
 
 
 def test_sigmoid_at_zero():
-    assert nm.sigmoid(nm.Tensor(0.0)).item() == 0.5
+    assert special.sigmoid(0.0) == 0.5
 
 
 def test_special_functions_match_scipy():
@@ -27,25 +35,22 @@ def test_special_functions_match_scipy():
 def test_forward_ops_match_numpy():
     rng = np.random.default_rng(0)
     a = rng.uniform(0.1, 2.0, size=(3, 4))
-    b = rng.uniform(0.1, 2.0, size=(3, 4))
-    ta, tb = nm.Tensor(a), nm.Tensor(b)
-    np.testing.assert_allclose((ta + tb).values, a + b, rtol=0)
-    np.testing.assert_allclose((ta - tb).values, a - b, rtol=0)
-    np.testing.assert_allclose((ta * tb).values, a * b, rtol=0)
-    np.testing.assert_allclose(nm.relu(nm.Tensor(a - 1.0)).values, np.maximum(a - 1.0, 0), rtol=0)
-    np.testing.assert_allclose(ta.T.values, a.T, rtol=0)
-    np.testing.assert_allclose((ta @ tb.T).values, a @ b.T, rtol=0)
-    np.testing.assert_allclose(ta.sum(axis=1).values, a.sum(axis=1), rtol=0)
-    np.testing.assert_allclose(nm.index_rows(ta, [2, 0]).values, a[[2, 0]], rtol=0)
+    ta = nm.Tensor(a, requires_grad=True)
+    np.testing.assert_array_equal(nm.index_rows(ta, [2, 0]).values, a[[2, 0]])
+    np.testing.assert_array_equal(_square(ta).values, a * a)
+    assert nm.as_tensor(ta) is ta and nm.as_tensor(a).requires_grad is False
 
 
 def test_shape_mismatch_names_both_shapes():
-    a = nm.Tensor(np.zeros((2, 3)))
-    b = nm.Tensor(np.zeros((4, 5)))
-    with pytest.raises(nm.ShapeMismatchError, match=r"\(2, 3\).*\(4, 5\)"):
-        nm.add(a, b)
-    with pytest.raises(nm.ShapeMismatchError, match=r"\(2, 3\).*\(4, 5\)"):
-        nm.matmul(a, b)
+    # a vjp that returns a gradient of the wrong shape fails in backward,
+    # naming the gradient's shape and its parent's
+    x = nm.Tensor(np.zeros((2, 3)), requires_grad=True)
+    y = nm.closed_form(0.0, (x,), lambda g: (np.zeros((4, 5)),))
+    with pytest.raises(nm.ShapeMismatchError, match=r"\(4, 5\).*\(2, 3\)"):
+        y.backward()
+    broadcastable = nm.closed_form(0.0, (x,), lambda g: (np.zeros(3),))
+    with pytest.raises(nm.ShapeMismatchError, match=r"\(3,\).*\(2, 3\)"):
+        broadcastable.backward()
 
 
 def test_backward_requires_scalar():
@@ -54,34 +59,34 @@ def test_backward_requires_scalar():
         t.backward()
 
 
-# -- hand-checked gradients ---------------------------------------------------
+def test_constant_parents_record_nothing():
+    # no parent requires grad: the output is a constant, and its vjp never runs
+    def vjp(g):
+        raise AssertionError("vjp ran")
+
+    y = nm.closed_form(1.0, (nm.Tensor(2.0), np.ones(2)), vjp)
+    assert not y.requires_grad and y.node.parents == ()
+    x, c = nm.Tensor(3.0, requires_grad=True), nm.Tensor(4.0)
+    nm.closed_form(12.0, (x, c), lambda g: (g * 4.0, g * 3.0)).backward()
+    assert x.grad == 4.0 and c.grad is None
 
 
-def test_grad_of_sum_is_ones():
-    x = nm.Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-    x.sum().backward()
-    np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
-
-
-def test_grad_of_sigmoid_at_zero():
-    x = nm.Tensor(0.0, requires_grad=True)
-    nm.sigmoid(x).backward()
-    assert x.grad == pytest.approx(0.25, abs=1e-15)
+# -- the walker ----------------------------------------------------------------
 
 
 def test_shared_subexpression_accumulates_both_paths():
     # y = x*x + 3x -> dy/dx = 2x + 3
     x = nm.Tensor(1.5, requires_grad=True)
-    y = x * x + 3.0 * x
-    y.backward()
-    assert x.grad == pytest.approx(2 * 1.5 + 3, abs=1e-12)
+    three_x = nm.closed_form(3.0 * x.values, (x,), lambda g: (3.0 * g,))
+    _sum(_square(x), three_x).backward()
+    assert x.grad == 2 * 1.5 + 3
 
 
 def test_repeated_backward_gives_fresh_grads():
     x = nm.Tensor(2.0, requires_grad=True)
-    (x * x).backward()
+    _square(x).backward()
     first = float(x.grad)
-    (x * x).backward()
+    _square(x).backward()
     assert float(x.grad) == first
 
 
@@ -97,175 +102,91 @@ def _tape(root):
 
 
 def test_backward_releases_interior_grads_and_keeps_leaf_grads():
-    # y = sum(sigmoid(a @ b) * (a @ b) + a @ b): a @ b feeds three consumers
+    # y = <sq(g) + g + sq(a), w> with g = a gathered on rows [2, 0, 2]:
+    # g feeds two consumers, a three (one through g)
     rng = np.random.default_rng(12)
-    a0, b0 = rng.normal(size=(3, 4)), rng.normal(size=(4, 2))
-    a, b = nm.Tensor(a0, requires_grad=True), nm.Tensor(b0, requires_grad=True)
-    ab = a @ b
-    y = (nm.sigmoid(ab) * ab + ab).sum()
+    a0, w = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
+    a = nm.Tensor(a0, requires_grad=True)
+    idx = [2, 0, 2]
+    gathered = nm.index_rows(a, idx)
+    y = project(_sum(_square(gathered), gathered, _square(a)), w)
     y.backward()
     interior = [node for node in _tape(y) if node.backward_fn is not None]
-    assert len(interior) == 5  # matmul, sigmoid, mul, add, sum
+    assert len(interior) == 5  # index_rows, two squares, the sum, the projection
     assert all(node.grad is None for node in interior)
-    s = 1.0 / (1.0 + np.exp(-(a0 @ b0)))
-    d_ab = s * (1.0 - s) * (a0 @ b0) + s + 1.0  # oracle, coded apart from the tape
-    np.testing.assert_allclose(a.grad, d_ab @ b0.T, rtol=1e-13)
-    np.testing.assert_allclose(b.grad, a0.T @ d_ab, rtol=1e-13)
-    first = [a.grad.copy(), b.grad.copy()]
+    want = 2.0 * a0 * w  # oracle, coded apart from the tape
+    np.add.at(want, idx, (2.0 * a0[idx] + 1.0) * w)
+    np.testing.assert_allclose(a.grad, want, rtol=1e-14)
+    first = a.grad.copy()
     y.backward()  # the tape survives: a second pass gives the same leaf grads
     assert all(node.grad is None for node in interior)
-    assert np.array_equal(a.grad, first[0]) and np.array_equal(b.grad, first[1])
+    assert np.array_equal(a.grad, first)
 
 
-def _closed_form_square(t):
-    values = t.values
-    return nm.closed_form(values * values, (t,), lambda g: (2.0 * g * values,))
-
-
-REBIND_CASES = {  # op over square leaves, and how many leaves it takes
-    "add": (nm.add, 2),
-    "sub": (nm.sub, 2),
-    "mul": (nm.mul, 2),
-    "matmul": (nm.matmul, 2),
-    "const_matmul": (lambda t: nm.const_matmul(np.arange(9.0).reshape(3, 3), t), 1),
-    "transpose": (nm.transpose, 1),
-    "index_rows": (lambda t: nm.index_rows(t, [2, 0, 2]), 1),
-    "sigmoid": (nm.sigmoid, 1),
-    "relu": (nm.relu, 1),
-    "tensor_sum": (lambda t: nm.tensor_sum(t, axis=1, keepdims=True), 1),
-    "closed_form": (_closed_form_square, 1),
+REBIND_CASES = {  # node over a (3, 3) leaf
+    "index_rows": lambda t: nm.index_rows(t, [2, 0, 2]),
+    "closed_form": _square,
 }
 
 
 @pytest.mark.parametrize("name", sorted(REBIND_CASES))
 def test_rebinding_leaf_values_before_backward_leaves_gradients_unchanged(name):
     # every closure holds its own arrays: backward never reads a Tensor's values
-    op, arity = REBIND_CASES[name]
+    op = REBIND_CASES[name]
     rng = np.random.default_rng(14)
-    arrays = [rng.uniform(0.5, 2.0, size=(3, 3)) for _ in range(arity)]
-    w = nm.Tensor(rng.uniform(-1.0, 1.0, size=(3, 3)))
-    kept = [nm.Tensor(a, requires_grad=True) for a in arrays]
-    (op(*kept) * w).sum().backward()
-    moved = [nm.Tensor(a.copy(), requires_grad=True) for a in arrays]
-    loss = (op(*moved) * w).sum()
-    for t in moved:
-        t.values = -7.0 * t.values
-    loss.backward()
-    for k, m in zip(kept, moved):
-        assert np.array_equal(m.grad, k.grad)
-
-
-# -- finite-difference oracle -------------------------------------------------
-
-
-def _fd_check(build, arrays, tol=1e-5, h=1e-5):
-    """build(tensors) -> scalar Tensor; compares tape grads to central FD."""
-
-    def forward(vals):
-        return build([nm.Tensor(v, requires_grad=True) for v in vals]).item()
-
-    tensors = [nm.Tensor(a, requires_grad=True) for a in arrays]
-    build(tensors).backward()
-    analytic = [t.grad for t in tensors]
-    numeric = finite_difference_gradients(forward, arrays, h=h)
-    err = max_relative_error(analytic, numeric)
-    assert err < tol, f"max relative error {err}"
-
-
-UNARY_CASES = {
-    "sigmoid": (nm.sigmoid, (-2.0, 2.0)),
-    "relu": (nm.relu, (0.2, 2.0)),  # stay away from the kink
-    "transpose": (nm.transpose, (-1.0, 1.0)),
-}
-
-
-@pytest.mark.parametrize("name", sorted(UNARY_CASES))
-def test_unary_gradients_match_finite_differences(name):
-    op, (lo, hi) = UNARY_CASES[name]
-    for seed in range(100):
-        rng = np.random.default_rng(seed)
-        a = rng.uniform(lo, hi, size=(3, 4))
-        w = nm.Tensor(rng.uniform(-1, 1, op(nm.Tensor(a)).shape))
-        _fd_check(lambda ts: (op(ts[0]) * w).sum(), [a])
-
-
-@pytest.mark.parametrize("name", ["add", "sub", "mul", "matmul"])
-def test_binary_gradients_match_finite_differences(name):
-    ops = {
-        "add": nm.add,
-        "sub": nm.sub,
-        "mul": nm.mul,
-        "matmul": nm.matmul,
-    }
-    op = ops[name]
-    for seed in range(100):
-        rng = np.random.default_rng(1000 + seed)
-        if name == "matmul":
-            a = rng.uniform(-1, 1, size=(3, 4))
-            b = rng.uniform(-1, 1, size=(4, 2))
-        else:
-            a = rng.uniform(0.5, 2.0, size=(3, 4))
-            b = rng.uniform(0.5, 2.0, size=(3, 4))
-        w = rng.uniform(-1, 1, size=op(nm.Tensor(a), nm.Tensor(b)).shape)
-        _fd_check(lambda ts: (op(ts[0], ts[1]) * nm.Tensor(w)).sum(), [a, b])
-
-
-@pytest.mark.parametrize("name", ["mul", "matmul"])
-def test_constant_operand_gets_no_gradient(name):
-    op = {"mul": nm.mul, "matmul": nm.matmul}[name]
-    rng = np.random.default_rng(3)
     a = rng.uniform(0.5, 2.0, size=(3, 3))
-    b = rng.uniform(0.5, 2.0, size=(3, 3))
-    both = [nm.Tensor(a, requires_grad=True), nm.Tensor(b, requires_grad=True)]
-    op(*both).sum().backward()
-    for trained in (0, 1):
-        pair = [nm.Tensor(a, requires_grad=trained == 0), nm.Tensor(b, requires_grad=trained == 1)]
-        op(*pair).sum().backward()
-        assert pair[1 - trained].grad is None
-        assert np.array_equal(pair[trained].grad, both[trained].grad)
-
-
-def test_broadcast_gradients_match_finite_differences():
-    for seed in range(20):
-        rng = np.random.default_rng(seed)
-        a = rng.uniform(0.5, 2.0, size=(4, 3))
-        row = rng.uniform(0.5, 2.0, size=(3,))
-        col = rng.uniform(0.5, 2.0, size=(4, 1))
-        _fd_check(lambda ts: ((ts[0] + ts[1]) * ts[2]).sum(), [a, row, col])
-        _fd_check(lambda ts: ((ts[0] - ts[2]) * ts[1]).sum(), [a, row, col])
+    w = rng.uniform(-1.0, 1.0, size=(3, 3))
+    kept = nm.Tensor(a, requires_grad=True)
+    project(op(kept), w).backward()
+    moved = nm.Tensor(a.copy(), requires_grad=True)
+    loss = project(op(moved), w)
+    moved.values = -7.0 * moved.values
+    loss.backward()
+    assert np.array_equal(moved.grad, kept.grad)
 
 
 def test_index_rows_gradient_with_duplicate_rows():
     rng = np.random.default_rng(7)
-    a = rng.uniform(-1, 1, size=(5, 3))
+    a = nm.Tensor(rng.uniform(-1, 1, size=(5, 3)), requires_grad=True)
+    w = rng.uniform(-1, 1, size=(4, 3))
     idx = np.array([0, 2, 2, 4])
-    _fd_check(lambda ts: (nm.index_rows(ts[0], idx) * 2.0).sum(), [a])
-
-
-def test_const_matmul_gradient_dense_and_sparse():
-    import scipy.sparse as sp
-
-    rng = np.random.default_rng(11)
-    op_dense = rng.uniform(-1, 1, size=(4, 4))
-    x = rng.uniform(-1, 1, size=(4, 3))
-    _fd_check(lambda ts: nm.const_matmul(op_dense, ts[0]).sum(), [x])
-    op_sparse = sp.csr_matrix(np.triu(op_dense))
-    _fd_check(lambda ts: nm.const_matmul(op_sparse, ts[0]).sum(), [x])
+    assert leaf_gradient_error(lambda: project(nm.index_rows(a, idx), w), [a]) < 1e-5
+    assert not np.any(a.grad[[1, 3]])
 
 
 def test_random_five_op_graphs_match_finite_differences():
-    # composition of >= 5 recorded ops, checked against the FD oracle
-    for seed in range(50):
+    # the training objective is a graph of seven closed-form nodes: encoder,
+    # subset gather, count MLP, the three criteria and their weighted sum;
+    # on random inputs its gradient in every parameter matches central
+    # differences
+    from celluster import losses, model
+    from celluster.cellgraph import _from_adjacency
+
+    for seed in range(5):
         rng = np.random.default_rng(2000 + seed)
-        a = rng.uniform(0.3, 1.5, size=(3, 3))
-        b = rng.uniform(0.3, 1.5, size=(3, 3))
+        upper = np.triu(rng.random((6, 6)) < 0.5, k=1)
+        graph = _from_adjacency(sp.csr_matrix((upper | upper.T).astype(float)), "sym_normalized")
+        params = model.init_params(
+            n_genes=4, latent_dim=2, hidden_dim=3, zinb_dims=(3,), seed=seed
+        ).with_centers(rng.normal(size=(2, 2)))
+        basis = model.chebyshev_basis(rng.normal(size=(6, 4)), graph, 3)
+        subset = [4, 0, 2, 5]
+        counts = rng.poisson(1.0, size=(4, 4))
+        adjacency = graph.adjacency[subset][:, subset]
+        target = rng.random((4, 2))
+        target /= target.sum(axis=1, keepdims=True)
+        weights = tuple(rng.uniform(0.5, 2.0, size=3))
 
-        def build(ts):
-            h = nm.sigmoid(ts[0] @ ts[1])
-            g = nm.sigmoid(ts[0] - ts[1])
-            return (h * g + nm.relu(ts[1])).sum()
+        def loss():
+            z = nm.index_rows(model.encode(basis, graph, params), subset)
+            rec = losses.loss_rec(adjacency, z)
+            zinb = losses.loss_zinb(counts, model.decode_zinb(z, params))
+            cls = losses.loss_cls(target, z, params.cluster_centers)
+            return losses.weighted_total(rec, zinb, cls, weights)[0]
 
-        _fd_check(build, [a, b], tol=1e-6)
+        leaves = [t for _, t in params.named_parameters()]
+        err = leaf_gradient_error(loss, leaves)
+        assert err < 1e-5, f"seed {seed}: max relative error {err}"
 
 
 # -- Adam ----------------------------------------------------------------------

@@ -26,7 +26,7 @@ from celluster.losses import (
 )
 from celluster.metrics import ari
 from celluster.model import chebyshev_basis, decode_zinb, encode, soft_assign
-from celluster.numerics import AdamState, load_checkpoint
+from celluster.numerics import AdamState, Tensor, load_checkpoint
 from celluster.preprocess import preprocess
 from celluster.trainer import TrainConfig
 
@@ -199,6 +199,29 @@ def test_formal_train_encodes_the_kept_graph_once_per_epoch(monkeypatch, seed, e
     assert all(g is graph_pruned for g in graphs)
 
 
+def test_each_epoch_of_either_phase_calls_backward_once(monkeypatch):
+    # the benchmark times Tensor.backward as the layer numerics.backward:
+    # one call per trained epoch, in both phases (seed 1 trains all 6 formal
+    # epochs, as in the test above)
+    _, pre, graph, cfg = _small_setup(seed=1, t2=6, convergence_tol=1e-12)
+    calls = []
+    backward = Tensor.backward
+
+    def counting_backward(self):
+        calls.append(self.shape)
+        return backward(self)
+
+    monkeypatch.setattr(Tensor, "backward", counting_backward)
+    state = trainer.pretrain(pre, graph, cfg)
+    assert len(calls) == state.epoch == cfg.t1
+    monkeypatch.setattr(Tensor, "backward", backward)
+    state, graph_pruned = _to_formal_ready(pre, graph, cfg)
+    monkeypatch.setattr(Tensor, "backward", counting_backward)
+    del calls[:]
+    trainer.formal_train(state, pre, graph_pruned, cfg)
+    assert len(calls) == state.epoch == len(state.subset_sizes) == cfg.t2
+
+
 def test_formal_requires_difficulty_and_centers():
     _, pre, graph, cfg = _small_setup(t1=2)
     state = trainer.pretrain(pre, graph, cfg)
@@ -215,9 +238,8 @@ def _formal_step(state, pre, graph_pruned, cfg, subset):
     target = target_distribution(soft_assign(z.values, state.params.cluster_centers.values))
     state.phase, state.epoch = "formal", 0
     state.adam = AdamState(learning_rate=cfg.lr_formal)
-    trainer._train_step(
-        state, z, pre.raw.counts[kept_sorted], graph_pruned, cfg, subset=subset, target=target
-    )
+    counts = pre.raw.counts[kept_sorted if subset is None else kept_sorted[subset]]
+    trainer._train_step(state, z, counts, graph_pruned, cfg, subset=subset, target=target)
     return state, target
 
 
