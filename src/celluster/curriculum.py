@@ -4,11 +4,12 @@ Difficulty combines two views: locally, the summed cosine similarity of a
 node's embedding to its neighbors', one dot product per edge; globally, one
 minus the node's share of total entropy variation, where a node's variation
 is the drop in degree-distribution entropy when it and its edges are
-removed, scored for a block of nodes at a time without rebuilding any
-subgraph (bit-identical to the rebuild). Low-variation nodes contribute
-little structure and count as hard. Components are min-max normalized
-before the beta-weighted combination, since their raw scales are
-incommensurate.
+removed. The removals are scored a block of nodes at a time, each
+remainder's entropy by the one row-entropy formula graph_entropy uses, so
+no subgraph is rebuilt and the result is bit-identical to rebuilding each.
+Low-variation nodes contribute little structure and count as hard.
+Components are min-max normalized before the beta-weighted combination,
+since their raw scales are incommensurate.
 
 Note the local measurer's polarity: summing similarities literally scores
 homogeneous neighborhoods as *harder*. That is the formula as given and the
@@ -84,31 +85,28 @@ def local_difficulty(z, graph: CellGraph, mode: str = "literal") -> np.ndarray:
 def graph_entropy(graph: CellGraph) -> float:
     """Natural-log entropy of the degree distribution; edgeless graphs have
     entropy 0 and degree-0 nodes contribute 0 through 0*log(0) := 0."""
-    return _degree_entropy(graph.degrees)
+    return float(_entropies(graph.degrees))
 
 
-def _degree_entropy(degrees: np.ndarray) -> float:
+def _entropies(degrees) -> np.ndarray:
+    """The entropy of each row of `degrees` as a distribution (its last
+    axis): 0*log(0) := 0 in place, and an all-zero row has entropy 0."""
     degrees = np.asarray(degrees, dtype=np.float64)
-    total = degrees.sum()
-    if total == 0:
-        return 0.0
-    p = degrees / total
-    positive = p > 0
-    return float(-np.sum(p[positive] * np.log(p[positive])))
+    totals = degrees.sum(axis=-1, keepdims=True)
+    p = degrees / np.where(totals > 0, totals, 1.0)
+    return -(p * np.log(np.where(p > 0, p, 1.0))).sum(axis=-1)
 
 
 def global_difficulty(graph: CellGraph) -> np.ndarray:
     """One minus each node's share of total entropy variation.
 
     A node's variation is Ent(G) - Ent(G without the node and its edges).
-    The remainder's degrees are d_u - A[v, u] over u != v and its degree
-    total is the graph's minus 2 d_v, so `GLOBAL_ROW_BLOCK` removals are
-    scored at once from the dense rows of A. Each row reduction adds the
-    same contiguous values in the same pairwise order as the entropy of the
-    rebuilt subgraph, so the result is bit-identical to recomputing it; a
-    removal that leaves an isolated node or no edge at all takes the
-    one-graph path. All-zero variation (e.g. an edgeless graph) maps to
-    all-zero difficulty.
+    The remainder's degrees are d_u - A[v, u] over u != v, so
+    `GLOBAL_ROW_BLOCK` removals are scored at once from the dense rows of A,
+    each row's entropy by the same formula as graph_entropy on the rebuilt
+    subgraph: the same values, summed in the same order, so the result is
+    bit-identical to recomputing it. All-zero variation (e.g. an edgeless
+    graph) maps to all-zero difficulty.
     """
     n = graph.n
     if n < 2:
@@ -121,13 +119,7 @@ def global_difficulty(graph: CellGraph) -> np.ndarray:
         others = np.ones((block.size, n), dtype=bool)
         others[np.arange(block.size), block] = False
         remaining = (degrees - graph.adjacency[block].toarray())[others]
-        remaining = remaining.reshape(block.size, n - 1)
-        totals = degrees.sum() - 2.0 * degrees[block]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            p = remaining / totals[:, None]
-            variation[block] = base + (p * np.log(p)).sum(axis=1)
-        for i in np.flatnonzero((remaining <= 0).any(axis=1)):
-            variation[block[i]] = base - _degree_entropy(remaining[i])
+        variation[block] = base - _entropies(remaining.reshape(block.size, n - 1))
     total = variation.sum()
     if total == 0:
         return np.zeros(n)
@@ -177,10 +169,8 @@ def prune(
     n = report.n
     n_drop = int(np.floor(alpha * n))
     order = report.order
-    if n_drop == 0:
-        return PruneResult(kept=order.copy(), dropped=np.array([], dtype=order.dtype), alpha=alpha)
     if strategy == "hard":
-        kept, dropped = order[:-n_drop], order[-n_drop:]
+        kept, dropped = order[:n - n_drop], order[n - n_drop:]
     elif strategy == "easy":
         kept, dropped = order[n_drop:], order[:n_drop]
     else:

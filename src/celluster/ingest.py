@@ -161,6 +161,8 @@ def _parse_count(field: str, path, line: int) -> int:
         raise ParseError(path, line, f"expected an integer count, got {field!r}") from None
     if value < 0:
         raise NegativeCountError(f"{path}:{line}: negative count {value}")
+    if value > np.iinfo(np.int64).max:  # counts are held as int64
+        raise ParseError(path, line, f"count {field!r} exceeds the int64 range")
     return value
 
 
@@ -197,7 +199,7 @@ def _parse_triplets(entries: list[str], n_rows: int, n_cols: int) -> np.ndarray 
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # numpy < 2 only warns on "1.0"
             triplets = np.loadtxt(entries, dtype=np.int64, comments=None, ndmin=2)
-    except (ValueError, Warning):
+    except (ValueError, OverflowError, Warning):  # numpy < 2 may overflow
         return None
     if triplets.shape != (len(entries), 3):
         return None

@@ -71,20 +71,18 @@ def loss_rec(adjacency, z) -> Tensor:
     a = adjacency if sp.issparse(adjacency) else np.asarray(adjacency, dtype=np.float64)
     zv = z.values
     total = 0.0
-    dz = np.empty_like(zv) if z.requires_grad else None
+    dz = np.empty_like(zv)
     for start in range(0, zv.shape[0], REC_ROW_BLOCK):
         rows = slice(start, start + REC_ROW_BLOCK)
         a_rows = a[rows].toarray() if sp.issparse(a) else a[rows]
         s = special.sigmoid(zv[rows] @ zv.T)
         r = s - a_rows
-        if dz is not None:
-            s *= 1.0 - s
-            s *= r
-            dz[rows] = s @ zv
+        s *= 1.0 - s
+        s *= r
+        dz[rows] = s @ zv
         r *= r
         total += float(r.sum())
-    if dz is not None:
-        dz *= 4.0
+    dz *= 4.0
 
     def vjp(g):
         return (g * dz,)
@@ -116,12 +114,12 @@ def _activate(heads, entries):
     return unclamped, clamped
 
 
-def _score_block(x, heads, scale, want_grad):
+def _score_block(x, heads, scale):
     """The likelihood kernel on one block: `x` its counts and `heads` its
     three pre-activations, flat float64 arrays of one length. Returns the
     log-likelihoods of the zero counts and of the positive counts, each in
-    flat order, and, with `want_grad`, the three per-entry gradients of
-    `scale` times the log-likelihood in the pre-activations."""
+    flat order, and the three per-entry gradients of `scale` times the
+    log-likelihood in the pre-activations."""
     # Imported here, not at module top: scipy.special adds 50-70 ms to
     # `import celluster.cli`, which every command that does not train pays.
     from scipy.special import digamma, gammaln
@@ -147,8 +145,6 @@ def _score_block(x, heads, scale, want_grad):
         + thp * log_ratio
         + xp * (np.log(mup) - log_rate)
     )
-    if not want_grad:
-        return ll0, llp, None
 
     # d nll / d (pi, mu, theta) per gathered entry: d loglik times scale
     w_nb = np.exp(log_nb_mass0 - ll0)  # share of the NB part in P(x = 0)
@@ -222,17 +218,14 @@ def loss_zinb(raw_counts, heads) -> Tensor:
     n, g = counts.shape
     step = max(1, ZINB_BLOCK_ENTRIES // max(1, g))  # rows per block
     scale = -1.0 / counts.size
-    want_grad = any(t.requires_grad for t in parents)
     if factored:
         sum0 = sump = 0.0  # over the zero / positive counts
-        if want_grad:
-            d_hidden, d_weights = np.empty_like(hidden), [None, None, None]
+        d_hidden, d_weights = np.empty_like(hidden), [None, None, None]
     else:
         n_pos = np.count_nonzero(counts)
         loglik0, loglik = np.empty(counts.size - n_pos), np.empty(n_pos)
         at0 = atp = 0  # where the block's values go in loglik0 / loglik
-        if want_grad:
-            grads = tuple(np.empty(counts.shape) for _ in range(3))
+        grads = tuple(np.empty(counts.shape) for _ in range(3))
     for start in range(0, n, step):
         rows = slice(start, start + step)
         if factored:
@@ -244,7 +237,7 @@ def loss_zinb(raw_counts, heads) -> Tensor:
         else:
             blocks = [t.values[rows] for t in parents]
         x = np.asarray(counts[rows], dtype=np.float64).reshape(-1)
-        ll0, llp, g_b = _score_block(x, [b.reshape(-1) for b in blocks], scale, want_grad)
+        ll0, llp, g_b = _score_block(x, [b.reshape(-1) for b in blocks], scale)
         if factored:
             sum0 += ll0.sum()
             sump += llp.sum()
@@ -252,8 +245,6 @@ def loss_zinb(raw_counts, heads) -> Tensor:
             loglik0[at0:at0 + ll0.size] = ll0
             loglik[atp:atp + llp.size] = llp
             at0, atp = at0 + ll0.size, atp + llp.size
-        if not want_grad:
-            continue
         g_b = [gk.reshape(blocks[0].shape) for gk in g_b]
         if factored:
             # dH in the order the tape sums the heads' gradients into H; in
@@ -274,8 +265,6 @@ def loss_zinb(raw_counts, heads) -> Tensor:
     nll = -(sum0 + sump if factored else loglik0.sum() + loglik.sum()) / counts.size
     if not np.isfinite(nll):
         raise NonFiniteLossError("zero-inflated likelihood is non-finite")
-    if not want_grad:
-        return nm.Tensor(nll)
     if factored:
         grads = (d_hidden, *d_weights)
 
@@ -316,13 +305,11 @@ def loss_cls(target, z, centers) -> Tensor:
     with np.errstate(divide="ignore", invalid="ignore"):
         p_log_p = float(np.sum(np.where(p > 0.0, p * np.log(np.where(p > 0.0, p, 1.0)), 0.0)))
     value = p_log_p - (p * np.log(q)).sum()
-    grads = None
-    if z.requires_grad or centers.requires_grad:
-        g = 2.0 * kernel * (p - p.sum(axis=1, keepdims=True) * q)
-        grads = (
-            g.sum(axis=1, keepdims=True) * zv - g @ cv,
-            g.sum(axis=0)[:, None] * cv - g.T @ zv,
-        )
+    g = 2.0 * kernel * (p - p.sum(axis=1, keepdims=True) * q)
+    grads = (
+        g.sum(axis=1, keepdims=True) * zv - g @ cv,
+        g.sum(axis=0)[:, None] * cv - g.T @ zv,
+    )
 
     def vjp(u):
         return tuple(u * d for d in grads)

@@ -9,9 +9,9 @@ connected count decoder up to its last hidden layer, whose three heads
 (dropout, mean, dispersion) losses.loss_zinb multiplies out block by block
 and activates, and a Student-t soft assignment against the cluster centers.
 The encoder and the count decoder's MLP are each one closed-form node with
-its gradient written out (the second encoder layer's chebconv_forward is one
-too); the adjacency decoder and the soft assignment are plain numpy, and the
-clustering criterion (losses.loss_cls) differentiates the assignment itself.
+its gradient written out; the adjacency decoder and the soft assignment are
+plain numpy, and the clustering criterion (losses.loss_cls) differentiates
+the assignment itself.
 """
 
 from __future__ import annotations

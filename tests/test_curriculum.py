@@ -182,7 +182,7 @@ def test_global_difficulty_row_blocks_match_brute_force_removal(shape):
     for v in range(n):
         keep = np.delete(np.arange(n), v)
         sub_degrees = np.asarray(adjacency[keep][:, keep].sum(axis=1)).reshape(-1)
-        variation[v] = base - curriculum._degree_entropy(sub_degrees)
+        variation[v] = base - curriculum._entropies(sub_degrees)
     expected = 1.0 - variation / variation.sum()
     np.testing.assert_array_equal(curriculum.global_difficulty(graph), expected)
 
@@ -239,10 +239,13 @@ def _report(n, seed=0):
     return curriculum.combine_and_rank(rng.normal(size=n), rng.normal(size=n), beta=0.5)
 
 
-def test_prune_alpha_zero_drops_nothing():
-    result = curriculum.prune(_report(10), alpha=0.0)
+@pytest.mark.parametrize("strategy", curriculum.PRUNE_STRATEGIES)
+def test_prune_alpha_zero_drops_nothing(strategy):
+    report = _report(10)
+    result = curriculum.prune(report, alpha=0.0, strategy=strategy)
+    np.testing.assert_array_equal(result.kept, report.order)
     assert result.dropped.size == 0
-    assert result.kept.size == 10
+    assert result.dropped.dtype == report.order.dtype
 
 
 def test_prune_floor_rule_at_paper_rate():

@@ -44,6 +44,14 @@ def test_parse_error_carries_line_number(tmp_path):
     assert err.value.line == 3
 
 
+def test_count_beyond_int64_names_its_line(tmp_path):
+    path = tmp_path / "big.csv"
+    path.write_text("id,g1,g2\nc1,0,3\nc2,99999999999999999999,0\n")
+    message = re.escape("big.csv:3: count '99999999999999999999' exceeds the int64 range")
+    with pytest.raises(ingest.ParseError, match=message):
+        ingest.load_matrix(path, "csv")
+
+
 def test_ragged_row_is_a_parse_error(tmp_path):
     path = tmp_path / "ragged.csv"
     path.write_text("id,g1,g2\nc1,0\n")
@@ -129,6 +137,11 @@ def test_mtx_one_pass_parse_equals_the_line_loop(tmp_path_factory, text):
         ("1 1 3\n# 1 2", ingest.ParseError, "m.mtx:3: non-integer index in '# 1 2'"),
         ("1 1 3\n1 3 2", ingest.ParseError, "m.mtx:3: index (1, 3) outside 2x2"),
         ("1 1 3\n2 2 -4", ingest.NegativeCountError, "m.mtx:3: negative count -4"),
+        (
+            "1 1 3\n2 2 99999999999999999999",
+            ingest.ParseError,
+            "m.mtx:3: count '99999999999999999999' exceeds the int64 range",
+        ),
     ],
 )
 def test_mtx_malformed_body_names_the_line_loop_line(tmp_path, body, error, message):
