@@ -20,6 +20,8 @@ LAPLACIAN_KINDS = ("combinatorial", "sym_normalized")
 _POWER_TOL = 1e-6
 _POWER_MAX_ITER = 1000
 
+KNN_ROW_BLOCK = 512  # rows of squared distances knn_graph holds at once
+
 
 class KRangeError(ValueError):
     pass
@@ -54,7 +56,9 @@ class CellGraph:
 
 def knn_graph(features, k: int, laplacian_kind: str = "sym_normalized") -> CellGraph:
     """Directed k-nearest-neighbor relation under Euclidean distance
-    (self excluded, distance ties to the lower index), symmetrized by OR."""
+    (self excluded, distance ties to the lower index), symmetrized by OR.
+    Squared distances are formed KNN_ROW_BLOCK rows at a time, so no n x n
+    array is held."""
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] < 1:
         raise ValueError(f"features must be a 2-d matrix, got shape {x.shape}")
@@ -63,17 +67,22 @@ def knn_graph(features, k: int, laplacian_kind: str = "sym_normalized") -> CellG
         raise KRangeError(f"k={k} outside 1..{n - 1} for {n} cells")
 
     sq_norms = np.einsum("ij,ij->i", x, x)
-    d2 = sq_norms[:, None] + sq_norms[None, :] - 2.0 * (x @ x.T)
-    np.fill_diagonal(d2, np.inf)
-    # Per row, the candidates are every column within the k-th smallest
-    # distance (ties at it included); sorting them by distance, then column,
-    # keeps the first k of a stable argsort of the whole row: equal
-    # distances resolve toward the lower column index.
-    kth = np.take_along_axis(d2, np.argpartition(d2, k - 1, axis=1)[:, k - 1 : k], axis=1)
-    cand_rows, cand_cols = np.nonzero(d2 <= kth)
-    by_distance = np.lexsort((d2[cand_rows, cand_cols], cand_rows))
-    row_starts = np.searchsorted(cand_rows, np.arange(n))
-    nearest = cand_cols[by_distance][row_starts[:, None] + np.arange(k)]
+    nearest = np.empty((n, k), dtype=np.intp)
+    for start in range(0, n, KNN_ROW_BLOCK):
+        block = slice(start, start + KNN_ROW_BLOCK)
+        d2 = sq_norms[block, None] + sq_norms[None, :]
+        d2 -= 2.0 * (x[block] @ x.T)
+        m = d2.shape[0]
+        d2[np.arange(m), np.arange(start, start + m)] = np.inf  # self is no neighbor
+        # Per row, the candidates are every column within the k-th smallest
+        # distance (ties at it included); sorting them by distance, then
+        # column, keeps the first k of a stable argsort of the whole row:
+        # equal distances resolve toward the lower column index.
+        kth = np.take_along_axis(d2, np.argpartition(d2, k - 1, axis=1)[:, k - 1 : k], axis=1)
+        cand_rows, cand_cols = np.nonzero(d2 <= kth)
+        by_distance = np.lexsort((d2[cand_rows, cand_cols], cand_rows))
+        row_starts = np.searchsorted(cand_rows, np.arange(m))
+        nearest[block] = cand_cols[by_distance][row_starts[:, None] + np.arange(k)]
 
     rows = np.repeat(np.arange(n), k)
     cols = nearest.reshape(-1)

@@ -168,7 +168,7 @@ def cmd_train(args) -> int:
         with stage("evaluate"):
             payload = _write_metrics_json(outdir / "metrics.json", data.labels, result.labels)
         summary += f", ARI={payload['ari']:.4f} NMI={payload['nmi']:.4f}"
-    print(summary)
+    print(f"{summary}, stop_reason={result.state.stop_reason}")
     return 0
 
 

@@ -21,6 +21,8 @@ import numpy as np
 
 FORMATS = ("csv", "mtx-triplet")
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
 
 class IngestError(ValueError):
     pass
@@ -161,7 +163,7 @@ def _parse_count(field: str, path, line: int) -> int:
         raise ParseError(path, line, f"expected an integer count, got {field!r}") from None
     if value < 0:
         raise NegativeCountError(f"{path}:{line}: negative count {value}")
-    if value > np.iinfo(np.int64).max:  # counts are held as int64
+    if value > _INT64_MAX:  # counts are held as int64
         raise ParseError(path, line, f"count {field!r} exceeds the int64 range")
     return value
 
@@ -208,6 +210,8 @@ def _parse_triplets(entries: list[str], n_rows: int, n_cols: int) -> np.ndarray 
         1 <= rows.min() and rows.max() <= n_rows
         and 1 <= cols.min() and cols.max() <= n_cols
         and values.min() >= 0
+        # then no sum of duplicates can leave the int64 range
+        and values.max() <= _INT64_MAX // len(entries)
     )
     return triplets if valid else None
 
@@ -251,8 +255,12 @@ def _load_mtx(path) -> ExpressionMatrix:
                 raise ParseError(path, lineno, f"non-integer index in {entry!r}") from None
             if not (1 <= r <= n_rows and 1 <= c <= n_cols):
                 raise ParseError(path, lineno, f"index ({r}, {c}) outside {n_rows}x{n_cols}")
-            v = _parse_count(fields[2], path, lineno)
-            counts[r - 1, c - 1] += v  # duplicates accumulate
+            total = int(counts[r - 1, c - 1]) + _parse_count(fields[2], path, lineno)
+            if total > _INT64_MAX:  # duplicates accumulate
+                raise ParseError(
+                    path, lineno, f"entries for ({r}, {c}) sum beyond the int64 range"
+                )
+            counts[r - 1, c - 1] = total
     cell_ids = [f"cell_{i}" for i in range(n_rows)]
     gene_ids = [f"gene_{j}" for j in range(n_cols)]
     return ExpressionMatrix(counts, cell_ids, gene_ids)
@@ -307,7 +315,11 @@ def with_labels(data: ExpressionMatrix, labels: np.ndarray) -> ExpressionMatrix:
 
 
 def restrict_genes(data: ExpressionMatrix, indices) -> ExpressionMatrix:
+    """`data` on the genes at `indices`; `data` itself when that is every
+    gene in order, so no second count matrix is made."""
     idx = np.asarray(indices, dtype=np.intp)
+    if np.array_equal(idx, np.arange(data.n_genes)):
+        return data
     return ExpressionMatrix(
         data.counts[:, idx],
         data.cell_ids,

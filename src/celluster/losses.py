@@ -60,23 +60,37 @@ def loss_rec(adjacency, z) -> Tensor:
 
     One node with a closed-form gradient. The reconstruction is formed
     REC_ROW_BLOCK rows at a time against the same rows of `adjacency`
-    (symmetric, dense or scipy sparse), so no n x n array outlives a block;
-    backward keeps only dL/dZ = 4 ((S - A) * S * (1 - S)) Z, which is n x d.
+    (symmetric, dense or scipy sparse), so no n x n array outlives a block
+    and at most three block-sized arrays are live. A sparse block is never
+    made dense: the residual subtracts at its stored entries only, which
+    gives the bits that subtracting 0.0 elsewhere would. Backward keeps only
+    dL/dZ = 4 ((S - A) * S * (1 - S)) Z, which is n x d.
     """
     z = nm.as_tensor(z)
     if z.ndim != 2 or adjacency.shape != (z.shape[0], z.shape[0]):
         raise nm.ShapeMismatchError(
             f"loss_rec: adjacency {adjacency.shape} vs latent {z.shape}"
         )
-    a = adjacency if sp.issparse(adjacency) else np.asarray(adjacency, dtype=np.float64)
+    if sp.issparse(adjacency):
+        a = sp.csr_matrix(adjacency)
+        if not a.has_canonical_format:  # duplicates add up, as toarray() would
+            a = a.copy()
+            a.sum_duplicates()
+    else:
+        a = np.asarray(adjacency, dtype=np.float64)
     zv = z.values
     total = 0.0
     dz = np.empty_like(zv)
     for start in range(0, zv.shape[0], REC_ROW_BLOCK):
         rows = slice(start, start + REC_ROW_BLOCK)
-        a_rows = a[rows].toarray() if sp.issparse(a) else a[rows]
-        s = special.sigmoid(zv[rows] @ zv.T)
-        r = s - a_rows
+        s = zv[rows] @ zv.T
+        special.sigmoid(s, out=s)
+        if sp.issparse(a):
+            r = s.copy()
+            stored = a[rows].tocoo()
+            r[stored.row, stored.col] -= stored.data
+        else:
+            r = s - a[rows]
         s *= 1.0 - s
         s *= r
         dz[rows] = s @ zv
@@ -174,7 +188,7 @@ def _score_block(x, heads, scale):
     return ll0, llp, grads
 
 
-def loss_zinb(raw_counts, heads) -> Tensor:
+def loss_zinb(raw_counts, heads, count_rows=None) -> Tensor:
     """Mean negative log-likelihood of the zero-inflated negative binomial.
 
     `heads` is decode_zinb's CountHeads (the training path), or the three
@@ -191,7 +205,9 @@ def loss_zinb(raw_counts, heads) -> Tensor:
     positive counts. The gradient chain is the one the separate
     sigmoid/exp/clip ops would give, so it is exactly 0 wherever a clamp
     binds. All gradients are taken at upstream gradient 1 during the
-    forward pass.
+    forward pass. With `count_rows`, the counts are raw_counts[count_rows]:
+    each block gathers its rows where it converts them to float64, so no
+    copy of the selected counts is made.
 
     From CountHeads, each block multiplies its rows of the hidden layer H by
     the three head weights (a NaN raises NonFiniteOutputError naming its
@@ -205,6 +221,8 @@ def loss_zinb(raw_counts, heads) -> Tensor:
     agree bitwise when the matrix is one block.
     """
     counts = np.asarray(raw_counts)
+    if count_rows is not None:
+        count_rows = np.asarray(count_rows, dtype=np.intp)
     factored = isinstance(heads, CountHeads)
     if factored:
         parents = (heads.hidden, *heads.weights)
@@ -213,19 +231,21 @@ def loss_zinb(raw_counts, heads) -> Tensor:
     else:
         parents = tuple(nm.as_tensor(t) for t in heads)
         head_shapes = [t.shape for t in parents]
-    if counts.ndim != 2 or len(head_shapes) != 3 or any(s != counts.shape for s in head_shapes):
-        raise nm.ShapeMismatchError(f"loss_zinb: counts {counts.shape} vs heads {head_shapes}")
-    n, g = counts.shape
+    shape = counts.shape if count_rows is None else (count_rows.size, *counts.shape[1:])
+    if counts.ndim != 2 or len(head_shapes) != 3 or any(s != shape for s in head_shapes):
+        raise nm.ShapeMismatchError(f"loss_zinb: counts {shape} vs heads {head_shapes}")
+    n, g = shape
+    size = n * g
     step = max(1, ZINB_BLOCK_ENTRIES // max(1, g))  # rows per block
-    scale = -1.0 / counts.size
+    scale = -1.0 / size
     if factored:
         sum0 = sump = 0.0  # over the zero / positive counts
         d_hidden, d_weights = np.empty_like(hidden), [None, None, None]
     else:
-        n_pos = np.count_nonzero(counts)
-        loglik0, loglik = np.empty(counts.size - n_pos), np.empty(n_pos)
+        n_pos = np.count_nonzero(counts if count_rows is None else counts[count_rows])
+        loglik0, loglik = np.empty(size - n_pos), np.empty(n_pos)
         at0 = atp = 0  # where the block's values go in loglik0 / loglik
-        grads = tuple(np.empty(counts.shape) for _ in range(3))
+        grads = tuple(np.empty(shape) for _ in range(3))
     for start in range(0, n, step):
         rows = slice(start, start + step)
         if factored:
@@ -236,7 +256,8 @@ def loss_zinb(raw_counts, heads) -> Tensor:
                     raise NonFiniteOutputError(f"non-finite values in the {name} head")
         else:
             blocks = [t.values[rows] for t in parents]
-        x = np.asarray(counts[rows], dtype=np.float64).reshape(-1)
+        x_rows = rows if count_rows is None else count_rows[rows]
+        x = np.asarray(counts[x_rows], dtype=np.float64).reshape(-1)
         ll0, llp, g_b = _score_block(x, [b.reshape(-1) for b in blocks], scale)
         if factored:
             sum0 += ll0.sum()
@@ -262,7 +283,7 @@ def loss_zinb(raw_counts, heads) -> Tensor:
             for o, gk in zip(grads, g_b):
                 o[rows] = gk
 
-    nll = -(sum0 + sump if factored else loglik0.sum() + loglik.sum()) / counts.size
+    nll = -(sum0 + sump if factored else loglik0.sum() + loglik.sum()) / size
     if not np.isfinite(nll):
         raise NonFiniteLossError("zero-inflated likelihood is non-finite")
     if factored:

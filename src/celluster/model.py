@@ -75,6 +75,26 @@ class ModelParams:
     def with_centers(self, centers: np.ndarray) -> "ModelParams":
         return replace(self, cluster_centers=Tensor(centers, requires_grad=True))
 
+    def fresh_leaves(self) -> "ModelParams":
+        """New leaf Tensors over the same arrays. Training rebinds a leaf's
+        values and never writes them in place, so training the result
+        leaves these parameters as they are."""
+
+        def leaf(t: Tensor | None) -> Tensor | None:
+            return None if t is None else Tensor(t.values, requires_grad=t.requires_grad)
+
+        return ModelParams(
+            encoder_layers=[
+                ChebLayerParams([leaf(t) for t in layer.theta], leaf(layer.bias))
+                for layer in self.encoder_layers
+            ],
+            zinb_fc=[(leaf(w), leaf(b)) for w, b in self.zinb_fc],
+            head_pi=leaf(self.head_pi),
+            head_mu=leaf(self.head_mu),
+            head_theta=leaf(self.head_theta),
+            cluster_centers=leaf(self.cluster_centers),
+        )
+
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     bound = np.sqrt(6.0 / (fan_in + fan_out))

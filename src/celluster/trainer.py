@@ -15,9 +15,8 @@ checkpoint that nothing loads back.
 
 from __future__ import annotations
 
-import copy
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -169,6 +168,7 @@ class TrainState:
     target: np.ndarray | None = None
     labels_prev: np.ndarray | None = None
     subset_sizes: list[int] = field(default_factory=list)  # per formal epoch
+    stop_reason: str | None = None  # why formal_train ended: "converged" | "max_epochs"
 
 
 # -- k-means -----------------------------------------------------------------------
@@ -254,12 +254,14 @@ def _train_step(
     cfg: TrainConfig,
     subset: np.ndarray | None = None,
     target: np.ndarray | None = None,
+    count_rows: np.ndarray | None = None,
 ) -> None:
     """One epoch of the current phase from `z`, the latent of every node of
     `graph` under the current parameters: losses, backward, Adam and
-    history. `counts` are the raw counts of the nodes the losses see: every
-    node of `graph`, or with `subset` (distinct node indices) the subset's,
-    gathered by the caller. With `subset` the latent rows, the adjacency
+    history. `counts` (its rows `count_rows` when given, which the
+    likelihood gathers block by block) are the raw counts of the nodes the
+    losses see: every node of `graph`, or with `subset` (distinct node
+    indices) the subset's. With `subset` the latent rows, the adjacency
     submatrix and the target are gathered once and the losses see only that
     sub-problem. A non-finite loss raises NonFiniteLossError carrying the
     state as it was before the step."""
@@ -273,7 +275,7 @@ def _train_step(
                 target = target[subset]
         decoded = decode_zinb(z, state.params)
         rec = loss_rec(adjacency, z)
-        zinb = loss_zinb(counts, decoded)
+        zinb = loss_zinb(counts, decoded, count_rows)
         cls = None
         if target is not None:
             cls = loss_cls(target, z, state.params.cluster_centers)
@@ -334,14 +336,15 @@ def formal_train(
 ) -> TrainState:
     """Paced self-training phase over the pruned graph, from a fresh
     optimizer at cfg.lr_formal for up to cfg.t2 epochs; leaves `state` in
-    phase "done".
+    phase "done", with state.stop_reason saying why the phase ended.
 
     Each epoch encodes the kept graph once. Every cfg.target_update_interval
-    epochs that latent refreshes the target, and the phase ends (no step)
-    once the churn between consecutive refreshes falls below
-    cfg.convergence_tol. The step then trains on the same latent, over the
-    easiest kept nodes: the pacing fraction (capped at 1 - alpha) of the
-    ORIGINAL node count, floored. Writes no checkpoint.
+    epochs that latent refreshes the target, and the phase ends (no step,
+    "converged") once the churn between consecutive refreshes falls below
+    cfg.convergence_tol, or else after cfg.t2 epochs ("max_epochs"). The
+    step then trains on the same latent, over the easiest kept nodes: the
+    pacing fraction (capped at 1 - alpha) of the ORIGINAL node count,
+    floored. Writes no checkpoint.
     """
     if state.report is None or state.prune is None:
         raise NotTrainedError("formal training needs difficulty and pruning results")
@@ -357,6 +360,7 @@ def formal_train(
     n_original = state.report.n
     pacing = PacingConfig(lambda0=cfg.lambda0, t_hat=cfg.effective_t_hat)
 
+    state.stop_reason = "max_epochs"
     while state.epoch < cfg.t2:
         t = state.epoch
         z = encode(basis, graph_pruned, state.params)
@@ -366,6 +370,7 @@ def formal_train(
             churn = None if state.labels_prev is None else np.mean(labels_now != state.labels_prev)
             state.labels_prev = labels_now
             if churn is not None and churn < cfg.convergence_tol:
+                state.stop_reason = "converged"
                 break
             state.target = target_distribution(q)
 
@@ -378,8 +383,10 @@ def formal_train(
             )
         subset = np.sort(easiest_first[:count])
         state.subset_sizes.append(count)
-        counts = pre.raw.counts[kept_sorted[subset]]
-        _train_step(state, z, counts, graph_pruned, cfg, subset=subset, target=state.target)
+        _train_step(
+            state, z, pre.raw.counts, graph_pruned, cfg,
+            subset=subset, target=state.target, count_rows=kept_sorted[subset],
+        )
         del z  # frees this epoch's encoder tape before the next forward
     state.phase = "done"
     return state
@@ -446,7 +453,8 @@ def save_state(state: TrainState, path) -> None:
 class Pretrained:
     """What the stages before pruning produce. None of it depends on
     cfg.alpha or cfg.prune_strategy, so one value serves any number of
-    tails, each given a copy whose cfg carries its grid cell's pair."""
+    tails, each called with a cfg that carries its grid cell's pair. No
+    tail changes it: each trains fresh leaf Tensors over its arrays."""
 
     cfg: TrainConfig
     preprocessed: PreprocessedData
@@ -489,18 +497,39 @@ def pretrain_and_score(
 def prune_and_cluster(pretrained: Pretrained, checkpoint_dir=None) -> PipelineResult:
     """Prune cfg.alpha of the cells by cfg.prune_strategy (both read from
     pretrained.cfg), seed the centers, run the paced formal phase and label
-    every cell. Works on its own copy of the pretrained state, so
-    `pretrained` can serve further calls. Failures raise StageError tagged
-    with the stage."""
-    cfg, pre, graph = pretrained.cfg, pretrained.preprocessed, pretrained.graph
-    state = copy.deepcopy(pretrained.state)
+    every cell. The formal phase trains fresh leaf Tensors over the
+    pretrained parameter arrays (Adam rebinds them, never writing in place)
+    and fresh history lists, so `pretrained` is left as it was and can
+    serve further calls. Failures raise StageError tagged with the stage."""
+    src = pretrained.state
+    state = replace(
+        src,
+        params=src.params.fresh_leaves(),
+        loss_history=list(src.loss_history),
+        subset_sizes=list(src.subset_sizes),
+    )
+    return _prune_and_cluster(
+        pretrained.cfg, pretrained.preprocessed, pretrained.graph, state,
+        pretrained.embedding, checkpoint_dir,
+    )
+
+
+def _prune_and_cluster(
+    cfg: TrainConfig,
+    pre: PreprocessedData,
+    graph: CellGraph,
+    state: TrainState,
+    embedding: np.ndarray,
+    checkpoint_dir,
+) -> PipelineResult:
+    """prune_and_cluster's stages, run on `state` itself."""
     with stage("prune"):
         state.prune = prune(state.report, cfg.alpha, strategy=cfg.prune_strategy, seed=cfg.seed)
         graph_pruned, kept_sorted = rebuild_after_prune(graph, state.prune)
     pruned_mask = np.zeros(pre.n_cells, dtype=bool)
     pruned_mask[state.prune.dropped] = True
     with stage("centers"):
-        centers = init_centers(pretrained.embedding[kept_sorted], cfg.n_clusters, cfg.seed)
+        centers = init_centers(embedding[kept_sorted], cfg.n_clusters, cfg.seed)
         state.params = state.params.with_centers(centers)
     with stage("formal"):
         state = formal_train(state, pre, graph_pruned, cfg)
@@ -512,4 +541,8 @@ def prune_and_cluster(pretrained: Pretrained, checkpoint_dir=None) -> PipelineRe
 
 
 def run_pipeline(data: ExpressionMatrix, cfg: TrainConfig, checkpoint_dir=None) -> PipelineResult:
-    return prune_and_cluster(pretrain_and_score(data, cfg, checkpoint_dir), checkpoint_dir)
+    """pretrain_and_score, then its only tail on the pretrained state itself:
+    the first formal Adam step rebinds the pretrained parameters, which
+    frees their arrays."""
+    p = pretrain_and_score(data, cfg, checkpoint_dir)
+    return _prune_and_cluster(p.cfg, p.preprocessed, p.graph, p.state, p.embedding, checkpoint_dir)

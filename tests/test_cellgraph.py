@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -77,6 +79,34 @@ def test_knn_matches_stable_argsort_oracle_on_ties(points):
     x, k = points
     graph = cellgraph.knn_graph(x, k)
     np.testing.assert_array_equal(graph.adjacency.toarray(), _stable_argsort_knn(x, k))
+
+
+@pytest.mark.parametrize("grid", [True, False], ids=["tied-grid", "gaussian"])
+def test_knn_is_the_same_graph_for_any_row_block(monkeypatch, grid):
+    # 1 row per block, 7 (which does not divide 50) and one block of every row
+    rng = np.random.default_rng(5)
+    x = rng.integers(0, 3, size=(50, 2)).astype(float) if grid else rng.normal(size=(50, 4))
+    graphs = []
+    for block in (1, 7, 50, 512):
+        monkeypatch.setattr(cellgraph, "KNN_ROW_BLOCK", block)
+        graphs.append(cellgraph.knn_graph(x, k=6).adjacency.toarray())
+    for adjacency in graphs[1:]:
+        np.testing.assert_array_equal(adjacency, graphs[0])
+    if grid:
+        np.testing.assert_array_equal(graphs[0], _stable_argsort_knn(x, 6))
+
+
+def test_knn_forms_no_n_by_n_array(monkeypatch):
+    monkeypatch.setattr(cellgraph, "KNN_ROW_BLOCK", 100)
+    n = 1200
+    x = np.random.default_rng(6).normal(size=(n, 5))
+    tracemalloc.start()
+    try:
+        cellgraph.knn_graph(x, k=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8 / 2  # an n x n float64 array would be 11.5 MB
 
 
 def test_knn_k_out_of_range():

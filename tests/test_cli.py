@@ -83,6 +83,19 @@ def test_synth_rejects_a_non_finite_count_setting(tmp_path, capsys, flag, value)
     assert not out.exists()
 
 
+def test_train_summary_ends_with_the_stop_reason(tmp_path, capsys):
+    # the first churn check falls after t2 = 3 epochs
+    data_dir = tmp_path / "data"
+    assert _run(*_synth_args(data_dir)) == 0
+    config = tmp_path / "config.txt"
+    _write_config(config, data_dir, tmp_path / "run", t2=3, target_update_interval=5)
+    capsys.readouterr()
+    assert _run("train", config) == 0
+    line = capsys.readouterr().out.strip()
+    assert "6 pretrain + 3 formal epochs" in line
+    assert line.endswith(", stop_reason=max_epochs")
+
+
 def test_synth_mtx_roundtrip(tmp_path):
     out = tmp_path / "mtx"
     assert _run(*_synth_args(out, fmt="mtx-triplet")) == 0

@@ -152,6 +152,17 @@ def test_mtx_malformed_body_names_the_line_loop_line(tmp_path, body, error, mess
     assert str(err.value) == f"{tmp_path}/{message}"
 
 
+@pytest.mark.parametrize("copies", [2, 3])
+def test_mtx_duplicates_summing_beyond_int64_name_the_line(tmp_path, copies):
+    # two copies of the int64 maximum used to wrap to a negative count, and
+    # three wrapped back to a positive one that loaded silently
+    path = tmp_path / "m.mtx"
+    path.write_text(f"2 2 {copies + 1}\n2 1 4\n" + "1 1 9223372036854775807\n" * copies)
+    message = re.escape("m.mtx:4: entries for (1, 1) sum beyond the int64 range")
+    with pytest.raises(ingest.ParseError, match=message):
+        ingest.load_matrix(path, "mtx-triplet")
+
+
 @pytest.mark.parametrize("fmt", ingest.FORMATS)
 def test_save_load_roundtrip(tmp_path, fmt):
     rng = np.random.default_rng(42)
@@ -189,6 +200,14 @@ def test_restrict_genes_keeps_ids_aligned():
     sub = ingest.restrict_genes(em, [0, 2])
     np.testing.assert_array_equal(sub.counts, [[0, 2], [3, 5]])
     assert sub.gene_ids == ["g0", "g2"]
+
+
+def test_restrict_genes_to_every_gene_in_order_is_the_matrix_itself():
+    em = ingest.ExpressionMatrix(
+        np.arange(6).reshape(2, 3), ["a", "b"], ["g0", "g1", "g2"]
+    )
+    assert ingest.restrict_genes(em, [0, 1, 2]) is em
+    assert ingest.restrict_genes(em, [0, 2, 1]).gene_ids == ["g0", "g2", "g1"]
 
 
 # -- synthesize -----------------------------------------------------------------

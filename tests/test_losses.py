@@ -130,6 +130,45 @@ def test_blocked_loss_rec_matches_dense_oracle(sparse, subset_kind):
         assert not np.any(z.grad[dropped])
 
 
+def test_loss_rec_sparse_adjacency_gives_the_dense_bits():
+    # the sparse path subtracts only at stored entries; elsewhere S - 0.0 is
+    # S, so value and gradient match the dense adjacency bit for bit. Stored
+    # duplicates (each edge as two halves) add up first, as in toarray()
+    n = 2 * losses.REC_ROW_BLOCK + 100
+    rng = np.random.default_rng(12)
+    dense = _symmetric_adjacency(rng, n, p=0.02)
+    csr = sp.csr_matrix(dense)
+    halves = sp.csr_matrix(
+        (np.repeat(csr.data / 2, 2), np.repeat(csr.indices, 2), 2 * csr.indptr), shape=(n, n)
+    )
+    assert not halves.has_canonical_format
+    z0 = rng.normal(scale=0.4, size=(n, 6))
+    results = []
+    for a in (dense, csr, csr.tocoo(), halves):
+        z = nm.Tensor(z0, requires_grad=True)
+        loss = losses.loss_rec(a, z)
+        loss.backward()
+        results.append((loss.values, z.grad))
+    for value, grad in results[1:]:
+        assert value == results[0][0] and np.array_equal(grad, results[0][1])
+    assert not halves.has_canonical_format  # the caller's matrix is left as it was
+
+
+def test_loss_rec_holds_at_most_three_row_blocks():
+    n = 2000
+    rng = np.random.default_rng(13)
+    a = sp.csr_matrix(_symmetric_adjacency(rng, n, p=0.01))
+    z = nm.Tensor(rng.normal(scale=0.3, size=(n, 8)), requires_grad=True)
+    tracemalloc.start()
+    try:
+        losses.loss_rec(a, z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = losses.REC_ROW_BLOCK * n * 8
+    assert peak < 3.5 * block  # three blocks, a boolean one and the n x d gradient
+
+
 # -- count likelihood -----------------------------------------------------------
 
 
@@ -356,12 +395,12 @@ def test_loss_zinb_holds_few_count_sized_arrays_through_backward():
     assert peak < 6 * x.nbytes
 
 
-def _count_criterion(x, z0, params, dense):
+def _count_criterion(x, z0, params, dense, count_rows=None):
     """The count criterion from the latent, dense reference or node, then
     backward: the loss and the gradients of z and of every count parameter."""
     z = nm.Tensor(z0, requires_grad=True)
     decoded = model.decode_zinb(z, params)
-    loss = losses.loss_zinb(x, _dense_heads(decoded) if dense else decoded)
+    loss = losses.loss_zinb(x, _dense_heads(decoded) if dense else decoded, count_rows)
     del decoded
     loss.backward()
     named = [z] + [t for name, t in params.named_parameters() if not name.startswith("enc")]
@@ -393,6 +432,26 @@ def test_loss_zinb_node_matches_the_dense_heads_at_any_block_size(monkeypatch, z
                 assert np.array_equal(a, b)
             else:
                 assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(a))
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["node", "dense"])
+def test_loss_zinb_on_count_rows_equals_the_gathered_copy_bitwise(monkeypatch, dense):
+    # 13 unsorted rows of a 20-row matrix; 7 entries make 2-row blocks of
+    # the 3 genes, so the selection spans seven blocks, the last a single row
+    rng = np.random.default_rng(26)
+    x = rng.poisson(1.5, size=(20, 3))
+    x[[0, 2]] = 0
+    x[[4, 5]] = rng.integers(1, 5, size=(2, 3))
+    rows = np.array([17, 0, 2, 3, 4, 5, 9, 19, 11, 6, 1, 14, 8])
+    params = model.init_params(n_genes=3, latent_dim=4, zinb_dims=(5, 4), seed=4)
+    z0 = rng.normal(scale=2.0, size=(rows.size, 4))
+    for entries in (1 << 30, 7):
+        monkeypatch.setattr(losses, "ZINB_BLOCK_ENTRIES", entries)
+        want = _count_criterion(x[rows], z0, params, dense)
+        got = _count_criterion(x, z0, params, dense, count_rows=rows)
+        assert len(got) == len(want) and all(g is not None for g in got)
+        for a, b in zip(want, got):
+            assert np.array_equal(a, b)
 
 
 def test_loss_zinb_node_names_the_head_of_a_nan_block(monkeypatch):

@@ -32,6 +32,17 @@ def test_special_functions_match_scipy():
     np.testing.assert_allclose(special.sigmoid(g), scipy_special.expit(g), rtol=1e-15, atol=0)
 
 
+def test_sigmoid_into_out_gives_the_same_bits():
+    g = np.array([[-800.0, -40.0, -1.0, -1e-300, 0.0], [1e-300, 1.0, 40.0, 800.0, np.nan]])
+    want = special.sigmoid(g)
+    out = np.empty_like(g)
+    assert special.sigmoid(g, out=out) is out
+    np.testing.assert_array_equal(out, want)
+    inplace = g.copy()
+    assert special.sigmoid(inplace, out=inplace) is inplace
+    np.testing.assert_array_equal(inplace, want)
+
+
 def test_forward_ops_match_numpy():
     rng = np.random.default_rng(0)
     a = rng.uniform(0.1, 2.0, size=(3, 4))

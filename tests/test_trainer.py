@@ -1,4 +1,5 @@
 import copy
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -220,6 +221,17 @@ def test_each_epoch_of_either_phase_calls_backward_once(monkeypatch):
     del calls[:]
     trainer.formal_train(state, pre, graph_pruned, cfg)
     assert len(calls) == state.epoch == len(state.subset_sizes) == cfg.t2
+
+
+@pytest.mark.parametrize("seed, epochs, reason", [(1, 6, "max_epochs"), (0, 4, "converged")])
+def test_formal_train_records_why_it_stopped(seed, epochs, reason):
+    # the two cases of the test above: seed 1 trains all t2 = 6 epochs, seed 0
+    # stops on zero churn at the epoch-4 refresh
+    _, pre, graph, cfg = _small_setup(seed=seed, t2=6, convergence_tol=1e-12)
+    state, graph_pruned = _to_formal_ready(pre, graph, cfg)
+    assert state.stop_reason is None
+    trainer.formal_train(state, pre, graph_pruned, cfg)
+    assert (state.stop_reason, state.epoch, len(state.subset_sizes)) == (reason, epochs, epochs)
 
 
 def test_formal_requires_difficulty_and_centers():
@@ -484,6 +496,69 @@ def test_pretrained_state_drops_its_adam_moments_once_checkpointed(tmp_path):
         ]
 
 
+def _fifty_cells():
+    data = synthesize(
+        SynthesisSpec(n_cells=50, n_genes=25, n_clusters=2, seed=9, mean_scale=3.0)
+    )
+    cfg = TrainConfig(
+        n_clusters=2, t1=6, t2=4, n_hvg=25, k_neighbors=5, seed=3,
+        target_update_interval=2,
+    )
+    return data, cfg
+
+
+def test_one_pretrained_value_serves_two_tails_in_either_order():
+    # each tail trains fresh leaves over the pretrained arrays, which it
+    # rebinds and never writes, so neither tail sees the other
+    data, cfg = _fifty_cells()
+    pretrained = trainer.pretrain_and_score(data, cfg)
+    arrays = [t.values for _, t in pretrained.state.params.named_parameters()]
+    before = [a.copy() for a in arrays]
+    cells = [
+        replace(pretrained, cfg=replace(cfg, alpha=alpha, prune_strategy=strategy))
+        for alpha, strategy in ((0.1, "hard"), (0.3, "easy"))
+    ]
+    in_order = [trainer.prune_and_cluster(cell) for cell in cells]
+    reversed_order = [trainer.prune_and_cluster(cell) for cell in cells[::-1]][::-1]
+    for a, b in zip(in_order, reversed_order):
+        assert np.array_equal(a.labels, b.labels)
+        assert a.state.loss_history == b.state.loss_history
+        assert a.state.subset_sizes == b.state.subset_sizes
+        for (name, x), (_, y) in zip(
+            a.state.params.named_parameters(), b.state.params.named_parameters()
+        ):
+            np.testing.assert_array_equal(x.values, y.values, err_msg=name)
+    named = pretrained.state.params.named_parameters()
+    for (name, t), array, want in zip(named, arrays, before):
+        assert t.values is array, name
+        np.testing.assert_array_equal(t.values, want, err_msg=name)
+    state = pretrained.state
+    assert (state.phase, state.epoch, state.prune, state.stop_reason) == ("pretrain", cfg.t1, None, None)
+    assert len(state.loss_history) == cfg.t1 and state.subset_sizes == []
+
+
+def test_run_pipeline_frees_the_pretrained_parameters_after_the_first_formal_step(monkeypatch):
+    refs, alive_at_formal_steps = [], []
+    score, step = trainer.pretrain_and_score, trainer._train_step
+
+    def scoring(*args, **kwargs):
+        pretrained = score(*args, **kwargs)
+        refs.extend(weakref.ref(t.values) for _, t in pretrained.state.params.named_parameters())
+        return pretrained
+
+    def stepping(state, *args, **kwargs):
+        if state.phase == "formal":
+            alive_at_formal_steps.append(sum(ref() is not None for ref in refs))
+        step(state, *args, **kwargs)
+
+    monkeypatch.setattr(trainer, "pretrain_and_score", scoring)
+    monkeypatch.setattr(trainer, "_train_step", stepping)
+    trainer.run_pipeline(*_fifty_cells())
+    assert len(alive_at_formal_steps) >= 2
+    assert alive_at_formal_steps[0] == len(refs) > 0
+    assert alive_at_formal_steps[1:] == [0] * (len(alive_at_formal_steps) - 1)
+
+
 def test_pipeline_checkpoints_hold_each_phase_final_state(tmp_path):
     data = synthesize(
         SynthesisSpec(n_cells=50, n_genes=25, n_clusters=2, seed=9, mean_scale=3.0)
@@ -572,7 +647,7 @@ def _tiny_config(**overrides):
 
 @pytest.fixture(scope="module")
 def tiny_pretrained():
-    # prune_and_cluster works on a copy of the state, so one value serves every example
+    # prune_and_cluster leaves the pretrained value as it was, so one serves every example
     return trainer.pretrain_and_score(synthesize(_TINY_SPEC), _tiny_config())
 
 
