@@ -67,7 +67,7 @@ class ExpressionMatrix:
             raise NegativeCountError(
                 f"negative count at cell {bad[0]}, gene {bad[1]}"
             )
-        object.__setattr__(self, "counts", counts.astype(np.int64))
+        object.__setattr__(self, "counts", np.asarray(counts, dtype=np.int64))  # int64 is shared
         if len(self.cell_ids) != counts.shape[0]:
             raise IngestError(
                 f"{len(self.cell_ids)} cell ids for {counts.shape[0]} rows"

@@ -58,26 +58,24 @@ REC_ROW_BLOCK = 256  # rows of sigmoid(Z Z^T) that loss_rec holds at once
 def loss_rec(adjacency, z) -> Tensor:
     """Squared Frobenius norm of A - sigmoid(Z Z^T).
 
-    One node with a closed-form gradient. The reconstruction is formed
-    REC_ROW_BLOCK rows at a time against the same rows of `adjacency`
-    (symmetric, dense or scipy sparse), so no n x n array outlives a block
-    and at most three block-sized arrays are live. A sparse block is never
-    made dense: the residual subtracts at its stored entries only, which
-    gives the bits that subtracting 0.0 elsewhere would. Backward keeps only
-    dL/dZ = 4 ((S - A) * S * (1 - S)) Z, which is n x d.
+    One node with a closed-form gradient. Every `adjacency` (symmetric,
+    dense or scipy sparse) is taken as canonical CSR, so duplicate entries
+    add up as toarray() would. The reconstruction is formed REC_ROW_BLOCK
+    rows at a time against the same rows of the adjacency, so no n x n
+    array outlives a block and at most three block-sized arrays are live.
+    No block is made dense: the residual subtracts at its stored entries
+    only, which gives the bits that subtracting 0.0 elsewhere would.
+    Backward keeps only dL/dZ = 4 ((S - A) * S * (1 - S)) Z, which is n x d.
     """
     z = nm.as_tensor(z)
     if z.ndim != 2 or adjacency.shape != (z.shape[0], z.shape[0]):
         raise nm.ShapeMismatchError(
             f"loss_rec: adjacency {adjacency.shape} vs latent {z.shape}"
         )
-    if sp.issparse(adjacency):
-        a = sp.csr_matrix(adjacency)
-        if not a.has_canonical_format:  # duplicates add up, as toarray() would
-            a = a.copy()
-            a.sum_duplicates()
-    else:
-        a = np.asarray(adjacency, dtype=np.float64)
+    a = sp.csr_matrix(adjacency)
+    if not a.has_canonical_format:
+        a = a.copy()
+        a.sum_duplicates()
     zv = z.values
     total = 0.0
     dz = np.empty_like(zv)
@@ -85,12 +83,9 @@ def loss_rec(adjacency, z) -> Tensor:
         rows = slice(start, start + REC_ROW_BLOCK)
         s = zv[rows] @ zv.T
         special.sigmoid(s, out=s)
-        if sp.issparse(a):
-            r = s.copy()
-            stored = a[rows].tocoo()
-            r[stored.row, stored.col] -= stored.data
-        else:
-            r = s - a[rows]
+        r = s.copy()
+        stored = a[rows].tocoo()
+        r[stored.row, stored.col] -= stored.data
         s *= 1.0 - s
         s *= r
         dz[rows] = s @ zv
@@ -107,14 +102,6 @@ def loss_rec(adjacency, z) -> Tensor:
 ZINB_BLOCK_ENTRIES = 1 << 16  # count entries loss_zinb works on at once (whole rows)
 
 
-def _clamp(a: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """`a` itself when every entry lies in (lo, hi), else a clamped copy
-    (the same values np.clip gives; a NaN stays NaN)."""
-    if a.size == 0 or (lo < a.min() and a.max() < hi):
-        return a
-    return np.minimum(np.maximum(a, lo), hi)
-
-
 def _activate(heads, entries):
     """The gathered entries' activations, unclamped (their gradient masks
     come from these) and clamped (the likelihood reads these)."""
@@ -124,34 +111,34 @@ def _activate(heads, entries):
         np.exp(e_mu, out=e_mu)
         np.exp(e_theta, out=e_theta)
     unclamped = (s, e_mu, e_theta)
-    clamped = (_clamp(s, *PI_CLAMP), _clamp(e_mu, *RATE_CLAMP), _clamp(e_theta, *RATE_CLAMP))
+    clamped = (np.clip(s, *PI_CLAMP), np.clip(e_mu, *RATE_CLAMP), np.clip(e_theta, *RATE_CLAMP))
     return unclamped, clamped
 
 
 def _score_block(x, heads, scale):
     """The likelihood kernel on one block: `x` its counts and `heads` its
     three pre-activations, flat float64 arrays of one length. Returns the
-    log-likelihoods of the zero counts and of the positive counts, each in
-    flat order, and the three per-entry gradients of `scale` times the
-    log-likelihood in the pre-activations."""
+    per-entry log-likelihoods in flat order, and the three per-entry
+    gradients of `scale` times the log-likelihood in the pre-activations."""
     # Imported here, not at module top: scipy.special adds 50-70 ms to
     # `import celluster.cli`, which every command that does not train pays.
     from scipy.special import digamma, gammaln
 
     zero = np.flatnonzero(x == 0)  # indices: much faster to gather by than masks
     pos = np.flatnonzero(x != 0)
+    loglik = np.empty(x.size)
 
     act0, (pi0, mu0, th0) = _activate(heads, zero)
     log_ratio0 = np.log(th0) - np.log(th0 + mu0)  # log(theta / (theta + mu))
     log_nb0 = th0 * log_ratio0
     log_nb_mass0 = np.log(1.0 - pi0) + log_nb0
-    ll0 = np.logaddexp(np.log(pi0), log_nb_mass0)
+    ll0 = loglik[zero] = np.logaddexp(np.log(pi0), log_nb_mass0)
 
     xp = x[pos]
     actp, (pip, mup, thp) = _activate(heads, pos)
     log_rate = np.log(thp + mup)
     log_ratio = np.log(thp) - log_rate
-    llp = (
+    loglik[pos] = (
         np.log(1.0 - pip)
         + gammaln(xp + thp)
         - gammaln(xp + 1.0)
@@ -185,7 +172,7 @@ def _score_block(x, heads, scale):
             # exp' = exp; a zero gradient stays 0 where exp overflowed (0 * inf)
             with np.errstate(invalid="ignore"):
                 o[entries] = np.where(gk == 0.0, 0.0, gk * e)
-    return ll0, llp, grads
+    return loglik, grads
 
 
 def loss_zinb(raw_counts, heads, count_rows=None) -> Tensor:
@@ -209,16 +196,18 @@ def loss_zinb(raw_counts, heads, count_rows=None) -> Tensor:
     each block gathers its rows where it converts them to float64, so no
     copy of the selected counts is made.
 
-    From CountHeads, each block multiplies its rows of the hidden layer H by
-    the three head weights (a NaN raises NonFiniteOutputError naming its
-    head), converts its counts to float64, and folds its per-entry
-    gradients G_k into dW_k += H_b^T G_k and dH_b = sum_k G_k W_k^T. The
-    node keeps only dH (n x 512) and the three dW (512 x g); no count-sized
-    array outlives its block, and the mean adds the blocks' sums. From dense
-    heads, the node keeps the three n x g head gradients, and each block's
-    log-likelihoods land in flat order in one array per branch, so the mean
-    adds the same values in the same order whatever the block size. The two
-    agree bitwise when the matrix is one block.
+    Each block writes the sum of each of its rows, taken in gene order,
+    into one n-vector, and the mean is that vector's sum over the entries:
+    the same values added in the same order whatever the block size and
+    whichever form the heads take. The forms differ only in how a block's
+    heads are formed and where its gradients go. From CountHeads, each
+    block multiplies its rows of the hidden layer H by the three head
+    weights (a NaN raises NonFiniteOutputError naming its head), and folds
+    its per-entry gradients G_k into dW_k += H_b^T G_k and dH_b = sum_k G_k
+    W_k^T. The node keeps only dH (n x 512) and the three dW (512 x g); no
+    count-sized array outlives its block. From dense heads, the node keeps
+    the three n x g head gradients. The two forms agree bitwise when the
+    matrix is one block.
     """
     counts = np.asarray(raw_counts)
     if count_rows is not None:
@@ -239,13 +228,10 @@ def loss_zinb(raw_counts, heads, count_rows=None) -> Tensor:
     step = max(1, ZINB_BLOCK_ENTRIES // max(1, g))  # rows per block
     scale = -1.0 / size
     if factored:
-        sum0 = sump = 0.0  # over the zero / positive counts
-        d_hidden, d_weights = np.empty_like(hidden), [None, None, None]
+        grads = [np.empty_like(hidden), None, None, None]  # dH, then the three dW
     else:
-        n_pos = np.count_nonzero(counts if count_rows is None else counts[count_rows])
-        loglik0, loglik = np.empty(size - n_pos), np.empty(n_pos)
-        at0 = atp = 0  # where the block's values go in loglik0 / loglik
-        grads = tuple(np.empty(shape) for _ in range(3))
+        grads = [np.empty(shape) for _ in range(3)]
+    row_sums = np.empty(n)
     for start in range(0, n, step):
         rows = slice(start, start + step)
         if factored:
@@ -258,36 +244,28 @@ def loss_zinb(raw_counts, heads, count_rows=None) -> Tensor:
             blocks = [t.values[rows] for t in parents]
         x_rows = rows if count_rows is None else count_rows[rows]
         x = np.asarray(counts[x_rows], dtype=np.float64).reshape(-1)
-        ll0, llp, g_b = _score_block(x, [b.reshape(-1) for b in blocks], scale)
-        if factored:
-            sum0 += ll0.sum()
-            sump += llp.sum()
-        else:
-            loglik0[at0:at0 + ll0.size] = ll0
-            loglik[atp:atp + llp.size] = llp
-            at0, atp = at0 + ll0.size, atp + llp.size
+        loglik, g_b = _score_block(x, [b.reshape(-1) for b in blocks], scale)
+        row_sums[rows] = loglik.reshape(blocks[0].shape).sum(axis=1)
         g_b = [gk.reshape(blocks[0].shape) for gk in g_b]
         if factored:
             # dH in the order the tape sums the heads' gradients into H; in
             # place, since fresh sums and zero-filled dW made the criterion
             # 5-14% slower at 80-300 cells
-            d_h = np.matmul(g_b[0], weights[0].T, out=d_hidden[rows])
+            d_h = np.matmul(g_b[0], weights[0].T, out=grads[0][rows])
             d_h += g_b[1] @ weights[1].T
             d_h += g_b[2] @ weights[2].T
-            for k, gk in enumerate(g_b):
+            for k, gk in enumerate(g_b, start=1):
                 if start == 0:
-                    d_weights[k] = h_b.T @ gk
+                    grads[k] = h_b.T @ gk
                 else:
-                    d_weights[k] += h_b.T @ gk
+                    grads[k] += h_b.T @ gk
         else:
             for o, gk in zip(grads, g_b):
                 o[rows] = gk
 
-    nll = -(sum0 + sump if factored else loglik0.sum() + loglik.sum()) / size
+    nll = -row_sums.sum() / size
     if not np.isfinite(nll):
         raise NonFiniteLossError("zero-inflated likelihood is non-finite")
-    if factored:
-        grads = (d_hidden, *d_weights)
 
     def vjp(u):
         # every default run weighs the likelihood by 1: no copy, same bits

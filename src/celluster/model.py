@@ -274,11 +274,9 @@ def decode_zinb(z: Tensor, params: ModelParams) -> CountHeads:
 
     The MLP (relu after every layer) is one node with gradients in z and in
     every weight and bias; backward keeps each layer's input and output.
-    With no hidden layers H is z itself."""
+    With no hidden layers H holds z's values and dH passes back to z as is."""
     z = nm.as_tensor(z)
     heads = (params.head_pi, params.head_mu, params.head_theta)
-    if not params.zinb_fc:
-        return CountHeads(z, heads)
     acts = [z.values]  # the input, then every layer's output
     weights = [w.values for w, _ in params.zinb_fc]
     for w, (_, b) in zip(weights, params.zinb_fc):

@@ -409,6 +409,7 @@ def predict(state: TrainState, pre: PreprocessedData, graph: CellGraph) -> np.nd
 
 
 _PHASES = ("pretrain", "formal", "done")
+_STOP_REASONS = ("converged", "max_epochs")
 
 
 def save_state(state: TrainState, path) -> None:
@@ -418,6 +419,8 @@ def save_state(state: TrainState, path) -> None:
         "meta.phase": np.array(float(_PHASES.index(state.phase))),
         "meta.epoch": np.array(float(state.epoch)),
     }
+    if state.stop_reason is not None:
+        arrays["meta.stop_reason"] = np.array(float(_STOP_REASONS.index(state.stop_reason)))
     for name, tensor in state.params.named_parameters():
         arrays[f"param.{name}"] = tensor.values
     arrays["adam.lr"] = np.array(state.adam.learning_rate)

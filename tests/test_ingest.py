@@ -186,6 +186,23 @@ def test_save_load_roundtrip(tmp_path, fmt):
     np.testing.assert_array_equal(back.labels, em.labels)
 
 
+def test_int64_counts_are_shared_and_other_dtypes_converted():
+    # no construction copies an int64 matrix, with_labels included
+    counts = np.arange(12, dtype=np.int64).reshape(3, 4)
+    cells, genes = ["a", "b", "c"], ["g0", "g1", "g2", "g3"]
+    em = ingest.ExpressionMatrix(counts, cells, genes)
+    assert em.counts is counts
+    assert ingest.with_labels(em, np.array([0, 1, 0])).counts is counts
+    for other in (counts.astype(np.float64), counts.astype(np.int32)):
+        converted = ingest.ExpressionMatrix(other, cells, genes).counts
+        assert converted.dtype == np.int64
+        np.testing.assert_array_equal(converted, counts)
+    with pytest.raises(ingest.IngestError, match="must be integers"):
+        ingest.ExpressionMatrix(counts + 0.5, cells, genes)
+    with pytest.raises(ingest.NegativeCountError):
+        ingest.ExpressionMatrix(-counts.astype(np.int32), cells, genes)
+
+
 def test_labels_must_cover_every_class():
     with pytest.raises(ingest.LabelError):
         ingest.ExpressionMatrix(

@@ -234,6 +234,18 @@ def test_formal_train_records_why_it_stopped(seed, epochs, reason):
     assert (state.stop_reason, state.epoch, len(state.subset_sizes)) == (reason, epochs, epochs)
 
 
+@pytest.mark.parametrize("seed, epochs, reason", [(1, 6, "max_epochs"), (0, 4, "converged")])
+def test_formal_final_checkpoint_records_why_it_stopped(tmp_path, seed, epochs, reason):
+    # the two cases of the test above, through the pipeline and read back:
+    # the formal checkpoint names the reason, the pretraining one has none
+    data, _, _, cfg = _small_setup(seed=seed, t2=6, convergence_tol=1e-12)
+    trainer.run_pipeline(data, cfg, checkpoint_dir=tmp_path)
+    assert "meta.stop_reason" not in load_checkpoint(tmp_path / "pretrain_final.ckpt")
+    formal = load_checkpoint(tmp_path / "formal_final.ckpt")
+    assert formal["meta.epoch"] == epochs
+    assert trainer._STOP_REASONS[int(formal["meta.stop_reason"])] == reason
+
+
 def test_formal_requires_difficulty_and_centers():
     _, pre, graph, cfg = _small_setup(t1=2)
     state = trainer.pretrain(pre, graph, cfg)
