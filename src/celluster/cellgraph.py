@@ -166,6 +166,6 @@ def save_edge_list(graph: CellGraph, path) -> None:
     """Write each undirected edge once as '<u> <v>' with u < v, 0-indexed."""
     coo = sp.triu(graph.adjacency, k=1).tocoo()
     order = np.lexsort((coo.col, coo.row))
+    lines = "".join(f"{u} {v}\n" for u, v in zip(coo.row[order].tolist(), coo.col[order].tolist()))
     with open(path, "w") as fh:
-        for i in order:
-            fh.write(f"{coo.row[i]} {coo.col[i]}\n")
+        fh.write(lines)

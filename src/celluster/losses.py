@@ -9,9 +9,10 @@ closed-form gradient, and so is their weighted sum (weighted_total), the
 scalar the trainer calls backward on. Reconstruction and the likelihood
 are formed in row blocks (REC_ROW_BLOCK rows, and ZINB_BLOCK_ENTRIES count
 entries), so the tape never holds their n x n or n x g intermediates. The
-likelihood forms the count heads itself from the decoder's last hidden
-layer, block by block, with their activations, and keeps only the
-gradients in that layer and in the three head weights. The clustering term
+likelihood runs the whole count decoder itself, block by block: the MLP
+from the latent rows to the last hidden layer, the three heads and their
+activations, then the backward through both; it keeps only the gradients
+in the latent and in the decoder's weights and biases. The clustering term
 takes the latent and the centers, forms the Student-t assignment itself
 and keeps only the two gradients in them.
 """
@@ -24,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import numerics as nm
-from .model import CountHeads, NonFiniteOutputError, student_t_kernel
+from .model import CountHeads, NonFiniteOutputError, mlp_backward, mlp_forward, student_t_kernel
 from .numerics import Tensor, special
 
 PI_CLAMP = (1e-10, 1.0 - 1e-10)  # where loss_zinb holds sigmoid(pi logit)
@@ -201,22 +202,27 @@ def loss_zinb(raw_counts, heads, count_rows=None) -> Tensor:
     the same values added in the same order whatever the block size and
     whichever form the heads take. The forms differ only in how a block's
     heads are formed and where its gradients go. From CountHeads, each
-    block multiplies its rows of the hidden layer H by the three head
-    weights (a NaN raises NonFiniteOutputError naming its head), and folds
-    its per-entry gradients G_k into dW_k += H_b^T G_k and dH_b = sum_k G_k
-    W_k^T. The node keeps only dH (n x 512) and the three dW (512 x g); no
-    count-sized array outlives its block. From dense heads, the node keeps
-    the three n x g head gradients. The two forms agree bitwise when the
-    matrix is one block.
+    block runs the decoder MLP on its latent rows z_b up to the last hidden
+    layer H_b, multiplies H_b by the three head weights (a NaN raises
+    NonFiniteOutputError naming its head), and after scoring folds its
+    per-entry gradients G_k into dW_k += H_b^T G_k and dH_b = sum_k G_k
+    W_k^T, which it carries back through the MLP into dz_b and the MLP's
+    weight and bias gradients (summed over the blocks). The node keeps only
+    dz (n x d) and the parameter gradients; no activation, head or dH
+    outlives its block. From dense heads, the node keeps the three n x g
+    head gradients. The two forms agree bitwise with the dense reference
+    (CountHeads.hidden times the head weights) when the matrix is one block.
     """
     counts = np.asarray(raw_counts)
     if count_rows is not None:
         count_rows = np.asarray(count_rows, dtype=np.intp)
     factored = isinstance(heads, CountHeads)
     if factored:
-        parents = (heads.hidden, *heads.weights)
-        hidden, weights = heads.hidden.values, [w.values for w in heads.weights]
-        head_shapes = [(hidden.shape[0], w.shape[1]) for w in weights]
+        parents = (heads.latent, *(t for pair in heads.layers for t in pair), *heads.weights)
+        latent = heads.latent.values
+        layers = [(w.values, b.values) for w, b in heads.layers]
+        weights = [w.values for w in heads.weights]
+        head_shapes = [(latent.shape[0], w.shape[1]) for w in weights]
     else:
         parents = tuple(nm.as_tensor(t) for t in heads)
         head_shapes = [t.shape for t in parents]
@@ -228,14 +234,16 @@ def loss_zinb(raw_counts, heads, count_rows=None) -> Tensor:
     step = max(1, ZINB_BLOCK_ENTRIES // max(1, g))  # rows per block
     scale = -1.0 / size
     if factored:
-        grads = [np.empty_like(hidden), None, None, None]  # dH, then the three dW
+        # dz, then the MLP's weight and bias gradients, then the three dW
+        grads = [np.empty_like(latent)] + [None] * (len(parents) - 1)
     else:
         grads = [np.empty(shape) for _ in range(3)]
     row_sums = np.empty(n)
     for start in range(0, n, step):
         rows = slice(start, start + step)
         if factored:
-            h_b = hidden[rows]
+            acts = mlp_forward(latent[rows], layers)
+            h_b = acts[-1]
             blocks = [h_b @ w for w in weights]
             for name, b in zip(("pi", "mu", "theta"), blocks):
                 if np.isnan(b).any():
@@ -247,21 +255,24 @@ def loss_zinb(raw_counts, heads, count_rows=None) -> Tensor:
         loglik, g_b = _score_block(x, [b.reshape(-1) for b in blocks], scale)
         row_sums[rows] = loglik.reshape(blocks[0].shape).sum(axis=1)
         g_b = [gk.reshape(blocks[0].shape) for gk in g_b]
-        if factored:
-            # dH in the order the tape sums the heads' gradients into H; in
-            # place, since fresh sums and zero-filled dW made the criterion
-            # 5-14% slower at 80-300 cells
-            d_h = np.matmul(g_b[0], weights[0].T, out=grads[0][rows])
-            d_h += g_b[1] @ weights[1].T
-            d_h += g_b[2] @ weights[2].T
-            for k, gk in enumerate(g_b, start=1):
-                if start == 0:
-                    grads[k] = h_b.T @ gk
-                else:
-                    grads[k] += h_b.T @ gk
-        else:
+        if not factored:
             for o, gk in zip(grads, g_b):
                 o[rows] = gk
+            continue
+        # dH in the order the tape would sum the heads' gradients into H,
+        # in place: fresh sums made the criterion 5-14% slower at 80-300 cells
+        d_h = g_b[0] @ weights[0].T
+        d_h += g_b[1] @ weights[1].T
+        d_h += g_b[2] @ weights[2].T
+        grads[0][rows], block_grads = mlp_backward(d_h, acts, layers)
+        block_grads += (h_b.T @ gk for gk in g_b)
+        for k, d in enumerate(block_grads, start=1):
+            if start == 0:
+                grads[k] = d
+            else:
+                grads[k] += d
+        # free this block's arrays before the next block forms its own
+        del acts, h_b, blocks, x, loglik, g_b, d_h, block_grads, d
 
     nll = -row_sums.sum() / size
     if not np.isfinite(nll):

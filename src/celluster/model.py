@@ -5,13 +5,15 @@ Zk = 2 Lhat Z_{k-1} - Z_{k-2}; output sum_k Zk Theta_k + bias), relu between
 hidden layers, linear final layer. The first layer's input is constant, so
 its recursion (the Chebyshev basis) is built once per graph and passed in.
 Decoders: inner-product adjacency (sigmoid of the cell Gram matrix), a fully
-connected count decoder up to its last hidden layer, whose three heads
-(dropout, mean, dispersion) losses.loss_zinb multiplies out block by block
-and activates, and a Student-t soft assignment against the cluster centers.
-The encoder and the count decoder's MLP are each one closed-form node with
-its gradient written out; the adjacency decoder and the soft assignment are
-plain numpy, and the clustering criterion (losses.loss_cls) differentiates
-the assignment itself.
+connected count decoder with three heads (dropout, mean, dispersion), and a
+Student-t soft assignment against the cluster centers. The encoder is one
+closed-form node with its gradient written out. The count decoder is a
+record of its parameters: losses.loss_zinb runs its MLP (mlp_forward and
+mlp_backward) and heads one row block at a time, forward and backward, and
+its `.hidden` gives the MLP over every cell as one node, the dense
+reference. The adjacency decoder and the soft assignment are plain numpy,
+and the clustering criterion (losses.loss_cls) differentiates the
+assignment itself.
 """
 
 from __future__ import annotations
@@ -254,46 +256,75 @@ def decode_adjacency(z: np.ndarray) -> np.ndarray:
     return special.sigmoid(z @ z.T)
 
 
+def mlp_forward(x: np.ndarray, layers) -> list[np.ndarray]:
+    """The count decoder's MLP (relu after every layer) on the rows x:
+    x, then every layer's output. `layers` is the (weight, bias) chain as
+    arrays."""
+    acts = [x]
+    for w, b in layers:
+        a = acts[-1] @ w
+        a += b
+        acts.append(np.maximum(a, 0.0, out=a))
+    return acts
+
+
+def mlp_backward(g: np.ndarray, acts: list[np.ndarray], layers):
+    """The gradients of mlp_forward(x, layers)'s last output, whose
+    activations are `acts`, under the upstream gradient g: x's, then each
+    layer's weight and bias gradient. With no layers g passes back as is."""
+    grads = []
+    for k in reversed(range(len(layers))):
+        g = g * (acts[k + 1] > 0.0)
+        grads[:0] = [acts[k].T @ g, g.sum(axis=0)]
+        g = g @ layers[k][0].T
+    return g, grads
+
+
 @dataclass(frozen=True)
 class CountHeads:
-    """The count decoder short of its three heads: the last hidden layer H
-    (n_cells, 512) and the head weights (512, n_genes each). The heads are
-    H W_pi, H W_mu and H W_theta, the pre-activations logit pi, log mu and
-    log theta; losses.loss_zinb forms them itself, one row block at a time."""
+    """The count decoder on the latent, not yet run: the latent (n_cells,
+    d), the MLP's (weight, bias) chain up to its 512-wide last hidden layer
+    H, and the head weights (512, n_genes each). The heads are H W_pi,
+    H W_mu and H W_theta, the pre-activations logit pi, log mu and log
+    theta. losses.loss_zinb runs the MLP and forms the heads itself, one
+    row block at a time; the parameters' values are read when it does."""
 
-    hidden: Tensor
+    latent: Tensor
+    layers: tuple[tuple[Tensor, Tensor], ...]
     weights: tuple[Tensor, Tensor, Tensor]  # pi, mu, theta
+
+    @property
+    def hidden(self) -> Tensor:
+        """H over every cell, built on each read as one node with
+        gradients in the latent and every MLP weight and bias; backward
+        keeps each layer's input and output. The dense reference: training
+        never reads it."""
+        layers = [(w.values, b.values) for w, b in self.layers]
+        acts = mlp_forward(self.latent.values, layers)
+
+        def vjp(g):
+            d_input, grads = mlp_backward(g, acts, layers)
+            return [d_input, *grads]
+
+        parents = [self.latent, *(t for pair in self.layers for t in pair)]
+        return nm.closed_form(acts[-1], parents, vjp)
 
 
 def decode_zinb(z: Tensor, params: ModelParams) -> CountHeads:
-    """The count decoder's MLP on the latent, with the dropout, mean and
-    dispersion head weights. No n_cells x n_genes head is multiplied out
-    here: losses.loss_zinb does that block by block, applies the clamped
-    sigmoid and exps, and raises NonFiniteOutputError naming a head that
-    holds a NaN (infinities are left for the clamps).
-
-    The MLP (relu after every layer) is one node with gradients in z and in
-    every weight and bias; backward keeps each layer's input and output.
-    With no hidden layers H holds z's values and dH passes back to z as is."""
-    z = nm.as_tensor(z)
-    heads = (params.head_pi, params.head_mu, params.head_theta)
-    acts = [z.values]  # the input, then every layer's output
-    weights = [w.values for w, _ in params.zinb_fc]
-    for w, (_, b) in zip(weights, params.zinb_fc):
-        a = acts[-1] @ w
-        a += b.values
-        acts.append(np.maximum(a, 0.0, out=a))
-
-    def vjp(g):
-        grads = []
-        for k in reversed(range(len(weights))):
-            g = g * (acts[k + 1] > 0.0)
-            grads[:0] = [acts[k].T @ g, g.sum(axis=0)]
-            g = g @ weights[k].T
-        return [g, *grads]
-
-    parents = [z, *(t for pair in params.zinb_fc for t in pair)]
-    return CountHeads(nm.closed_form(acts[-1], parents, vjp), heads)
+    """The count decoder on the latent: the MLP (relu after every layer)
+    and the dropout, mean and dispersion head weights, as a record that
+    computes nothing. losses.loss_zinb runs the MLP one row block at a time,
+    multiplies out that block's heads, applies the clamped sigmoid and exps
+    and raises NonFiniteOutputError naming a head that holds a NaN
+    (infinities are left for the clamps), so no n_cells x 512 activation
+    and no n_cells x n_genes head exists. The record's `.hidden` builds the
+    MLP's last layer over every cell as a node. With no hidden layers H is
+    z's values."""
+    return CountHeads(
+        nm.as_tensor(z),
+        tuple(params.zinb_fc),
+        (params.head_pi, params.head_mu, params.head_theta),
+    )
 
 
 def student_t_kernel(z: np.ndarray, centers: np.ndarray) -> np.ndarray:

@@ -4,8 +4,9 @@ A Tensor pairs an ndarray with a tape node. The node is what backward
 reads: requires_grad, the shape, the gradient, the parent nodes and the
 backward closure; it holds no values. There are no generic ops: every
 recorded computation is one closed_form node whose gradient is written
-out (the encoder, the count decoder's MLP, each training criterion and
-their weighted sum), plus index_rows, the paced-subset gather. Each
+out (the encoder, each training criterion and their weighted sum, and
+the count decoder's MLP as a dense reference), plus index_rows, the
+paced-subset gather. Each
 closure captures exactly the arrays its own gradient reads, so a Tensor's
 values are freed as soon as the forward code drops its last reference.
 Tensor.backward() on a scalar walks the nodes in reverse topological

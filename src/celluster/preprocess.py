@@ -48,17 +48,17 @@ def _size_factors(data: ExpressionMatrix) -> np.ndarray:
     return totals / np.median(totals)
 
 
-def select_hvg(data: ExpressionMatrix, n_genes: int) -> np.ndarray:
-    """Indices (ascending) of the genes with the largest variance of
+def select_hvg(data: ExpressionMatrix, n_hvg: int) -> np.ndarray:
+    """Indices (ascending) of the n_hvg genes with the largest variance of
     log1p(count / size_factor); ties go to the lower gene index."""
-    if not 1 <= n_genes <= data.n_genes:
+    if not 1 <= n_hvg <= data.n_genes:
         raise GeneCountError(
-            f"n_genes={n_genes} outside 1..{data.n_genes}"
+            f"n_hvg={n_hvg} outside 1..{data.n_genes}: the input has {data.n_genes} genes"
         )
     scaled = np.log1p(data.counts / _size_factors(data)[:, None])
     variances = scaled.var(axis=0)
     by_variance = np.argsort(-variances, kind="stable")  # stable: ties keep low index first
-    return np.sort(by_variance[:n_genes])
+    return np.sort(by_variance[:n_hvg])
 
 
 def normalize(data: ExpressionMatrix, selected_gene_indices=None) -> PreprocessedData:

@@ -263,8 +263,11 @@ def _train_step(
     losses see: every node of `graph`, or with `subset` (distinct node
     indices) the subset's. With `subset` the latent rows, the adjacency
     submatrix and the target are gathered once and the losses see only that
-    sub-problem. A non-finite loss raises NonFiniteLossError carrying the
-    state as it was before the step."""
+    sub-problem. The count likelihood runs the count decoder's MLP and
+    heads itself, one row block at a time, forward and backward, so the
+    step holds no n x 512 activation and no n_genes-wide head. A non-finite
+    loss raises NonFiniteLossError carrying the state as it was before the
+    step."""
     epoch = state.epoch
     try:
         adjacency = graph.adjacency
@@ -273,9 +276,8 @@ def _train_step(
             adjacency = adjacency[subset][:, subset]
             if target is not None:
                 target = target[subset]
-        decoded = decode_zinb(z, state.params)
         rec = loss_rec(adjacency, z)
-        zinb = loss_zinb(counts, decoded, count_rows)
+        zinb = loss_zinb(counts, decode_zinb(z, state.params), count_rows)
         cls = None
         if target is not None:
             cls = loss_cls(target, z, state.params.cluster_centers)

@@ -222,3 +222,18 @@ def test_edge_list_export(tmp_path):
     path = tmp_path / "edges.txt"
     cellgraph.save_edge_list(graph, path)
     assert path.read_text().splitlines() == ["0 1", "1 2"]
+
+
+def test_edge_list_matches_one_write_per_edge(tmp_path):
+    # the bytes of the per-edge form: each upper-triangle edge in (row, col)
+    # order, written as its own line
+    graph = cellgraph.knn_graph(np.random.default_rng(8).normal(size=(300, 4)), k=7)
+    coo = sp.triu(graph.adjacency, k=1).tocoo()
+    want = tmp_path / "per_edge.txt"
+    with open(want, "w") as fh:
+        for i in np.lexsort((coo.col, coo.row)):
+            fh.write(f"{coo.row[i]} {coo.col[i]}\n")
+    got = tmp_path / "edges.txt"
+    cellgraph.save_edge_list(graph, got)
+    assert got.read_bytes() == want.read_bytes()
+    assert len(got.read_text().splitlines()) == coo.nnz

@@ -137,6 +137,17 @@ def test_train_missing_input_exits_two_and_names_path(tmp_path, capsys):
     assert "nowhere/counts.csv" in captured.err
 
 
+def test_train_with_more_hvgs_than_genes_names_the_setting(tmp_path, capsys):
+    data_dir = tmp_path / "data"
+    assert _run(*_synth_args(data_dir, genes=40)) == 0
+    config = tmp_path / "config.txt"
+    _write_config(config, data_dir, tmp_path / "run", n_hvg=1000)
+    assert _run("train", config) == 1
+    err = capsys.readouterr().err
+    assert "error: [preprocess] n_hvg=1000 outside 1..40: the input has 40 genes" in err
+    assert "n_genes" not in err
+
+
 def test_train_is_seed_idempotent(tmp_path):
     data_dir = tmp_path / "data"
     assert _run(*_synth_args(data_dir)) == 0

@@ -430,10 +430,14 @@ def _count_criterion(x, z0, params, dense, count_rows=None):
 
 @pytest.mark.parametrize("zinb_dims", [(), (5, 4)], ids=["hidden-is-z", "mlp"])
 def test_loss_zinb_node_matches_the_dense_heads_at_any_block_size(monkeypatch, zinb_dims):
-    # 7 entries make 2-row blocks of this 3-gene matrix: rows 2-3 are all
-    # zero, rows 4-5 all positive, and the last block holds a single row.
-    # With no hidden layer the decoder's H is the latent itself, so z's
-    # gradient is dH; with one, it is dH carried back through the MLP.
+    # The block loop (the MLP, the heads and both backward passes per row
+    # block) against the dense reference: the MLP node over every row
+    # (CountHeads.hidden) times the head weights. 7 entries make 2-row blocks
+    # of this 3-gene matrix: rows 2-3 are all zero, rows 4-5 all positive,
+    # and the last block holds a single row. With no hidden layer the
+    # decoder's H is the latent itself, so z's gradient is dH; with one, it
+    # is dH carried back through the MLP, whose weight and bias gradients
+    # are summed over the blocks like the head weights'.
     rng = np.random.default_rng(23)
     x = rng.poisson(1.5, size=(13, 3))
     x[2:4] = 0
@@ -441,7 +445,9 @@ def test_loss_zinb_node_matches_the_dense_heads_at_any_block_size(monkeypatch, z
     params = model.init_params(n_genes=3, latent_dim=4, zinb_dims=zinb_dims, seed=4)
     z0 = rng.normal(scale=2.0, size=(13, 4))
     want = _count_criterion(x, z0, params, dense=True)
-    assert all(g is not None for g in want)
+    # z, two weights and biases per MLP layer, the three head weights
+    assert len(want) == 1 + 1 + 2 * len(zinb_dims) + 3
+    assert all(g is not None and np.any(g) for g in want)
     for entries in (1 << 30, 3, 7):  # the whole matrix, one row, 2-row blocks
         monkeypatch.setattr(losses, "ZINB_BLOCK_ENTRIES", entries)
         got = _count_criterion(x, z0, params, dense=False)
@@ -473,15 +479,16 @@ def test_loss_zinb_on_count_rows_equals_the_gathered_copy_bitwise(monkeypatch, d
 
 
 def test_loss_zinb_node_names_the_head_of_a_nan_block(monkeypatch):
-    # H[9, 0] = inf times a zero theta weight is NaN only in the theta head
-    # of row 9 (the fifth 2-row block); the pi and mu heads are infinite there
+    # with no MLP layers H is the latent: H[9, 0] = inf times a zero theta
+    # weight is NaN only in the theta head of row 9 (the fifth 2-row block);
+    # the pi and mu heads are infinite there
     monkeypatch.setattr(losses, "ZINB_BLOCK_ENTRIES", 6)
     rng = np.random.default_rng(24)
     hidden = rng.normal(size=(13, 4))
     hidden[9, 0] = np.inf
     weights = [nm.Tensor(rng.uniform(0.5, 1.0, size=(4, 3)), requires_grad=True) for _ in range(3)]
     weights[2].values[0] = 0.0
-    heads = model.CountHeads(nm.Tensor(hidden, requires_grad=True), tuple(weights))
+    heads = model.CountHeads(nm.Tensor(hidden, requires_grad=True), (), tuple(weights))
     with np.errstate(invalid="ignore"), pytest.raises(
         model.NonFiniteOutputError, match="non-finite values in the theta head"
     ):
@@ -491,8 +498,8 @@ def test_loss_zinb_node_names_the_head_of_a_nan_block(monkeypatch):
 def test_count_criterion_holds_few_count_sized_arrays_through_backward():
     # the decoder MLP, the heads and the likelihood, forward and backward, as
     # the train step runs them at scale-3000's size with the 512-wide layer:
-    # the node keeps dH (one count-sized array here) and the three 512 x 500
-    # dW; the MLP node keeps every layer's input and output, H among them
+    # the node keeps dz (n x 32), the MLP's gradients and the three 512 x 500
+    # dW; no activation, H or dH outlives its row block
     rng = np.random.default_rng(25)
     shape = (3000, 500)
     x = np.where(rng.random(shape) < 2 / 3, 0, rng.poisson(3.0, shape) + 1)
@@ -504,7 +511,7 @@ def test_count_criterion_holds_few_count_sized_arrays_through_backward():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 6 * x.nbytes  # 5.1 here, 10.6 with the heads multiplied out
+    assert peak < 3 * x.nbytes  # 2.1 here, 5.1 with the MLP run over every row at once
 
 
 def test_loss_zinb_gradient_is_zero_on_the_clamps():
