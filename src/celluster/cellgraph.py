@@ -64,7 +64,7 @@ def knn_graph(features, k: int, laplacian_kind: str = "sym_normalized") -> CellG
         raise ValueError(f"features must be a 2-d matrix, got shape {x.shape}")
     n = x.shape[0]
     if not 1 <= k < n:
-        raise KRangeError(f"k={k} outside 1..{n - 1} for {n} cells")
+        raise KRangeError(f"k_neighbors={k} outside 1..{n - 1} for {n} cells")
 
     sq_norms = np.einsum("ij,ij->i", x, x)
     nearest = np.empty((n, k), dtype=np.intp)

@@ -203,14 +203,26 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+def _score_cell(
+    prefix: trainer.Pretrained, strategy: str, alpha: float, truth: np.ndarray
+) -> tuple[float, float]:
+    """ARI and NMI of one grid cell's tail on `prefix`. Everything else the
+    tail makes (its trained state, Adam moments and labels) is freed on
+    return, so the grid holds one cell's trained state at a time."""
+    cell_cfg = replace(prefix.cfg, alpha=alpha, prune_strategy=strategy)
+    labels = trainer.prune_and_cluster(replace(prefix, cfg=cell_cfg)).labels
+    return metrics.ari(truth, labels), metrics.nmi(truth, labels)
+
+
 def cmd_prune_study(args) -> int:
     run_cfg, data, outdir = _prepare_run(args)
     if data.labels is None:
         raise StageError("prune-study", ValueError("prune-study needs ground-truth labels"))
 
     # Pretraining and difficulty depend on the seed only: each seed's prefix
-    # runs once and serves (or fails) all of that seed's grid cells.
-    pretrained: dict[int, trainer.Pretrained | Exception] = {}
+    # runs once and serves (or fails) all of that seed's grid cells. A failed
+    # seed keeps only its message, not the error's cause and frames.
+    pretrained: dict[int, trainer.Pretrained | str] = {}
     report_path = outdir / "prune_study.csv"
     failures = 0
     with open(report_path, "w", newline="") as fh:
@@ -223,15 +235,12 @@ def cmd_prune_study(args) -> int:
                         data, replace(run_cfg.train, seed=seed)
                     )
                 except Exception as err:  # reported by every grid cell of this seed
-                    pretrained[seed] = err
+                    pretrained[seed] = str(err)
+            prefix = pretrained[seed]
             try:
-                prefix = pretrained[seed]
-                if isinstance(prefix, Exception):
-                    raise prefix
-                cell_cfg = replace(prefix.cfg, alpha=alpha, prune_strategy=strategy)
-                result = trainer.prune_and_cluster(replace(prefix, cfg=cell_cfg))
-                a = metrics.ari(data.labels, result.labels)
-                n = metrics.nmi(data.labels, result.labels)
+                if isinstance(prefix, str):
+                    raise RuntimeError(prefix)
+                a, n = _score_cell(prefix, strategy, alpha, data.labels)
                 fh.write(f"{strategy},{alpha!r},{seed},{a!r},{n!r}\n")
                 fh.flush()
                 print(f"{strategy} alpha={alpha} seed={seed}: ARI={a:.4f} NMI={n:.4f}")

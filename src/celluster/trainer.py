@@ -481,8 +481,13 @@ def pretrain_and_score(
     data: ExpressionMatrix, cfg: TrainConfig, checkpoint_dir=None
 ) -> Pretrained:
     """Preprocess, build the KNN graph, pretrain, embed and score difficulty.
-    Failures raise StageError tagged with the stage that failed."""
+    Failures raise StageError tagged with the stage that failed; more
+    clusters than cells fails before any training."""
     with stage("preprocess"):
+        if cfg.n_clusters > data.n_cells:
+            raise DegenerateClusterError(
+                f"n_clusters={cfg.n_clusters} exceeds the input's {data.n_cells} cells"
+            )
         pre = preprocess(data, cfg.n_hvg)
     with stage("graph"):
         graph = knn_graph(pre.normalized, cfg.k_neighbors, cfg.laplacian_kind)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import pytest
 from celluster import ingest, metrics, trainer
 from celluster.cli import main
 from celluster.config import parse_config
+from celluster.losses import NonFiniteLossError
 
 
 def _run(*argv):
@@ -299,11 +301,94 @@ def test_graph_failure_carries_the_same_tag_from_every_command(tmp_path, capsys)
     _write_config(config, data_dir, tmp_path / "out", k_neighbors=60, alphas="0.06,0.11")
     for command in ("train", "difficulty"):
         assert _run(command, config) == 1
-        assert "error: [graph] k=60" in capsys.readouterr().err
+        assert "error: [graph] k_neighbors=60 outside 1..49 for 50 cells" in capsys.readouterr().err
     assert _run("prune-study", config) == 1
     failures = capsys.readouterr().err.splitlines()
     assert len(failures) == 2
-    assert all("failed: [graph] k=60" in line for line in failures)
+    assert all("failed: [graph] k_neighbors=60 outside 1..49 for 50 cells" in line for line in failures)
+
+
+def test_more_clusters_than_cells_fails_before_training_from_every_command(
+    tmp_path, capsys, monkeypatch
+):
+    data_dir = tmp_path / "data"
+    assert _run(*_synth_args(data_dir, cells=30)) == 0
+    config = tmp_path / "config.txt"
+    run_dir = tmp_path / "out"
+    _write_config(config, data_dir, run_dir, n_clusters=40, t1=2, alphas="0.06,0.11")
+    pretrained = []
+    monkeypatch.setattr(trainer, "pretrain", lambda *args, **kwargs: pretrained.append(args))
+    message = "[preprocess] n_clusters=40 exceeds the input's 30 cells"
+    for command in ("train", "difficulty"):
+        assert _run(command, config) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+    assert not list(run_dir.glob("*.ckpt"))
+    assert _run("prune-study", config) == 1
+    failures = capsys.readouterr().err.splitlines()
+    assert len(failures) == 2
+    assert all(line.endswith(f"failed: {message}") for line in failures)
+    assert pretrained == []
+
+
+def test_prune_study_frees_each_cell_before_the_next_trains(tmp_path, monkeypatch):
+    # the seed's pretrained prefix serves every cell; what a cell trains on
+    # top of it (parameters and formal Adam moments) must be gone by the
+    # time the next cell's formal phase starts
+    data_dir = tmp_path / "data"
+    assert _run(*_synth_args(data_dir)) == 0
+    config = tmp_path / "study.txt"
+    _write_config(
+        config, data_dir, tmp_path / "study", t1=3, t2=3,
+        strategies="hard,easy", alphas="0.06,0.21", seeds="1",
+    )
+    trained, alive_at_start = [], []
+    formal_train = trainer.formal_train
+
+    def tracking(state, *args, **kwargs):
+        alive_at_start.append(sum(ref() is not None for ref in trained))
+        state = formal_train(state, *args, **kwargs)
+        arrays = [t.values for _, t in state.params.named_parameters()]
+        arrays += state.adam.first_moment + state.adam.second_moment
+        trained.extend(weakref.ref(a) for a in arrays)
+        return state
+
+    monkeypatch.setattr(trainer, "formal_train", tracking)
+    assert _run("prune-study", config) == 0
+    assert len(alive_at_start) == 4 and trained
+    assert alive_at_start == [0, 0, 0, 0]
+
+
+def test_prune_study_keeps_a_failed_seed_only_as_its_message(tmp_path, capsys, monkeypatch):
+    data_dir = tmp_path / "data"
+    assert _run(*_synth_args(data_dir)) == 0
+    config = tmp_path / "study.txt"
+    _write_config(
+        config, data_dir, tmp_path / "study", t1=3, t2=2,
+        strategies="hard", alphas="0.06,0.21", seeds="1,2",
+    )
+    diverged, alive_at_formal = [], []
+    pretrain, formal_train = trainer.pretrain, trainer.formal_train
+
+    def diverging(pre, graph, cfg, basis=None):
+        state = pretrain(pre, graph, cfg, basis)
+        if cfg.seed == 1:
+            diverged.append(weakref.ref(state))
+            raise NonFiniteLossError("pretrain phase diverged", epoch=cfg.t1, state=state)
+        return state
+
+    def tracking(*args, **kwargs):
+        alive_at_formal.append(diverged[0]() is not None)
+        return formal_train(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "pretrain", diverging)
+    monkeypatch.setattr(trainer, "formal_train", tracking)
+    assert _run("prune-study", config) == 1
+    failures = capsys.readouterr().err.splitlines()
+    assert failures == [
+        f"[prune-study] hard alpha={alpha} seed=1 failed: [pretrain] pretrain phase diverged"
+        for alpha in (0.06, 0.21)
+    ]
+    assert alive_at_formal == [False, False]  # seed 2's two cells
 
 
 @pytest.mark.parametrize(

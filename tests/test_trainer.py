@@ -702,12 +702,16 @@ def test_pruning_that_isolates_a_node_keeps_finite_operators_and_trains(tiny_pre
     strategy=st.sampled_from(PRUNE_STRATEGIES),
 )
 def test_more_clusters_than_kept_nodes_fails_tagged_centers(alpha, extra, strategy):
-    kept = _TINY_SPEC.n_cells - int(np.floor(alpha * _TINY_SPEC.n_cells))
+    n = _TINY_SPEC.n_cells
+    kept = n - int(np.floor(alpha * n))
     cfg = _tiny_config(n_clusters=kept + extra, alpha=alpha, prune_strategy=strategy)
     with pytest.raises(trainer.StageError) as err:
         trainer.run_pipeline(synthesize(_TINY_SPEC), cfg)
-    assert err.value.stage == "centers"
-    assert str(err.value) == f"[centers] {kept + extra} clusters for {kept} points"
+    if kept + extra > n:  # more clusters than cells is caught before any training
+        want = f"[preprocess] n_clusters={kept + extra} exceeds the input's {n} cells"
+        assert str(err.value) == want
+    else:
+        assert str(err.value) == f"[centers] {kept + extra} clusters for {kept} points"
 
 
 @settings(max_examples=25, deadline=None)
