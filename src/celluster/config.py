@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
 from .curriculum import PRUNE_STRATEGIES
-from .ingest import FORMATS
+from .ingest import FORMATS, ParseError, read_text
 from .trainer import TrainConfig
 
 
@@ -100,16 +100,10 @@ def _format_value(value) -> str:
 
 
 def parse_config(path) -> RunConfig:
-    raw = Path(path).read_bytes()
     try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as err:
-        raise ConfigError(
-            f"{path}: not UTF-8 text: byte {raw[err.start]:#04x} at offset {err.start}"
-        ) from None
-    # Drop a byte-order mark by hand: "utf-8-sig" would report a bad byte
-    # at an offset that skips the mark, naming the wrong byte.
-    text = text.removeprefix("\ufeff")
+        text = read_text(path)
+    except ParseError as err:
+        raise ConfigError(f"{path}: {err.detail}") from None
     train_kwargs: dict = {}
     run_kwargs: dict = {}
     first_set: dict[str, int] = {}

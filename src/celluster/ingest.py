@@ -7,11 +7,13 @@ Two on-disk formats:
                absent entries are zero, duplicate entries accumulate.
 Ground-truth labels travel in a sidecar CSV with header "cell_id,label";
 the same reader takes the "cell_id,predicted,..." labels a run writes.
+Every file is read as UTF-8 (read_text), with or without a byte-order mark.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import warnings
 from dataclasses import dataclass
@@ -31,6 +33,7 @@ class IngestError(ValueError):
 class ParseError(IngestError):
     def __init__(self, path, line: int, message: str):
         self.line = line
+        self.detail = message
         super().__init__(f"{path}:{line}: {message}")
 
 
@@ -131,6 +134,27 @@ class SynthesisSpec:
 # -- file I/O ------------------------------------------------------------------
 
 
+def read_text(path) -> str:
+    """The file at `path` as UTF-8 text, a leading byte-order mark dropped.
+    A byte that is not UTF-8 raises ParseError naming its line and its
+    offset in the file. The mark is dropped by hand: decoding "utf-8-sig"
+    would count the offset from after the mark, naming the wrong byte."""
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as err:
+        line = raw.count(b"\n", 0, err.start) + 1
+        message = f"not UTF-8 text: byte {raw[err.start]:#04x} at offset {err.start}"
+        raise ParseError(path, line, message) from None
+    return text.removeprefix("\ufeff")
+
+
+def _csv_rows(path) -> list[list[str]]:
+    """The CSV rows of read_text(path), split as open(path, newline="")
+    would split them."""
+    return list(csv.reader(io.StringIO(read_text(path), newline="")))
+
+
 def load_matrix(path, format: str) -> ExpressionMatrix:
     if format not in FORMATS:
         raise IngestError(f"unknown format {format!r}, expected one of {FORMATS}")
@@ -169,8 +193,7 @@ def _parse_count(field: str, path, line: int) -> int:
 
 
 def _load_csv(path) -> ExpressionMatrix:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows = _csv_rows(path)
     if not rows:
         raise ParseError(path, 1, "empty file")
     header = rows[0]
@@ -217,8 +240,7 @@ def _parse_triplets(entries: list[str], n_rows: int, n_cols: int) -> np.ndarray 
 
 
 def _load_mtx(path) -> ExpressionMatrix:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path).splitlines()
     head_line = next((i for i, ln in enumerate(lines, start=1) if ln.strip()), None)
     if head_line is None:
         raise ParseError(path, 1, "empty file")
@@ -280,8 +302,7 @@ def read_labels(path) -> dict[str, int]:
     """Cell id -> integer label from a 'cell_id,label' sidecar or a
     'cell_id,predicted,...' prediction file; every row has the header's
     field count, and no cell id repeats."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows = _csv_rows(path)
     header = [f.strip() for f in rows[0]] if rows else []
     if header[:2] not in (["cell_id", "label"], ["cell_id", "predicted"]):
         raise ParseError(path, 1, "expected a cell_id,label or cell_id,predicted header")

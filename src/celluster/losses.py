@@ -4,17 +4,18 @@ Adjacency reconstruction is a squared Frobenius norm (a sum), the count
 likelihood is a mean over entries so the criteria stay on comparable
 scales, and the clustering term is the KL divergence summed over rows.
 Each covers every node it is given: training on a node subset gathers
-that sub-problem first. Each criterion is a single tape node with a
-closed-form gradient, and so is their weighted sum (weighted_total), the
-scalar the trainer calls backward on. Reconstruction and the likelihood
-are formed in row blocks (REC_ROW_BLOCK rows, and ZINB_BLOCK_ENTRIES count
-entries), so the tape never holds their n x n or n x g intermediates. The
-likelihood runs the whole count decoder itself, block by block: the MLP
-from the latent rows to the last hidden layer, the three heads and their
-activations, then the backward through both; it keeps only the gradients
-in the latent and in the decoder's weights and biases. The clustering term
-takes the latent and the centers, forms the Student-t assignment itself
-and keeps only the two gradients in them.
+that sub-problem first. Each criterion returns (value, gradients): the
+closed-form gradients are formed in the same pass, the latent's first;
+the trainer weighs and sums them and writes the rest of the chain rule.
+Reconstruction and the likelihood are formed in row blocks
+(REC_ROW_BLOCK rows, and ZINB_BLOCK_ENTRIES count entries), so neither
+holds its n x n or n x g intermediates. The likelihood runs the whole
+count decoder itself, block by block: the MLP from the latent rows to the
+last hidden layer, the three heads and their activations, then the
+backward through both; it returns only the gradients in the latent and in
+the decoder's weights and biases. The clustering term takes the latent and
+the centers, forms the Student-t assignment itself and returns the two
+gradients in them.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import scipy.sparse as sp
 
 from . import numerics as nm
 from .model import CountHeads, NonFiniteOutputError, mlp_backward, mlp_forward, student_t_kernel
-from .numerics import Tensor, special
+from .numerics import special
 
 PI_CLAMP = (1e-10, 1.0 - 1e-10)  # where loss_zinb holds sigmoid(pi logit)
 RATE_CLAMP = (1e-10, 1e10)  # ... and exp(log mu), exp(log theta)
@@ -56,28 +57,26 @@ class LossBreakdown:
 REC_ROW_BLOCK = 256  # rows of sigmoid(Z Z^T) that loss_rec holds at once
 
 
-def loss_rec(adjacency, z) -> Tensor:
-    """Squared Frobenius norm of A - sigmoid(Z Z^T).
+def loss_rec(adjacency, z) -> tuple[float, tuple[np.ndarray]]:
+    """Squared Frobenius norm of A - sigmoid(Z Z^T), and (its gradient in Z,).
 
-    One node with a closed-form gradient. Every `adjacency` (symmetric,
-    dense or scipy sparse) is taken as canonical CSR, so duplicate entries
-    add up as toarray() would. The reconstruction is formed REC_ROW_BLOCK
-    rows at a time against the same rows of the adjacency, so no n x n
-    array outlives a block and at most three block-sized arrays are live.
-    No block is made dense: the residual subtracts at its stored entries
-    only, which gives the bits that subtracting 0.0 elsewhere would.
-    Backward keeps only dL/dZ = 4 ((S - A) * S * (1 - S)) Z, which is n x d.
+    Every `adjacency` (symmetric, dense or scipy sparse) is taken as
+    canonical CSR, so duplicate entries add up as toarray() would. The
+    reconstruction is formed REC_ROW_BLOCK rows at a time against the same
+    rows of the adjacency, so no n x n array outlives a block and at most
+    three block-sized arrays are live. No block is made dense: the residual
+    subtracts at its stored entries only, which gives the bits that
+    subtracting 0.0 elsewhere would. The gradient is dL/dZ = 4 ((S - A) * S * (1 - S)) Z, n x d.
     """
-    z = nm.as_tensor(z)
-    if z.ndim != 2 or adjacency.shape != (z.shape[0], z.shape[0]):
+    zv = np.asarray(z, dtype=np.float64)
+    if zv.ndim != 2 or adjacency.shape != (zv.shape[0], zv.shape[0]):
         raise nm.ShapeMismatchError(
-            f"loss_rec: adjacency {adjacency.shape} vs latent {z.shape}"
+            f"loss_rec: adjacency {adjacency.shape} vs latent {zv.shape}"
         )
     a = sp.csr_matrix(adjacency)
     if not a.has_canonical_format:
         a = a.copy()
         a.sum_duplicates()
-    zv = z.values
     total = 0.0
     dz = np.empty_like(zv)
     for start in range(0, zv.shape[0], REC_ROW_BLOCK):
@@ -93,11 +92,7 @@ def loss_rec(adjacency, z) -> Tensor:
         r *= r
         total += float(r.sum())
     dz *= 4.0
-
-    def vjp(g):
-        return (g * dz,)
-
-    return nm.closed_form(total, (z,), vjp)
+    return total, (dz,)
 
 
 ZINB_BLOCK_ENTRIES = 1 << 16  # count entries loss_zinb works on at once (whole rows)
@@ -176,26 +171,29 @@ def _score_block(x, heads, scale):
     return loglik, grads
 
 
-def loss_zinb(raw_counts, heads, count_rows=None) -> Tensor:
-    """Mean negative log-likelihood of the zero-inflated negative binomial.
+def loss_zinb(raw_counts, heads, count_rows=None) -> tuple[float, list[np.ndarray]]:
+    """Mean negative log-likelihood of the zero-inflated negative binomial,
+    and its gradients.
 
     `heads` is decode_zinb's CountHeads (the training path), or the three
     heads multiplied out: the pre-activations logit pi, log mu and log
-    theta, each shaped like the counts (the dense reference). One node with
-    a closed-form gradient, computed in log space: a zero count scores
-    logaddexp(log pi, log(1-pi) + log NB(0)) with log NB(0) = theta
-    log(theta/(theta+mu)); a positive count scores log(1-pi) plus the log NB
-    pmf. The matrix is worked through in blocks of whole rows, about
+    theta, each shaped like the counts (the dense reference). From
+    CountHeads the gradients are the latent's, then each MLP layer's weight
+    and bias, then the three head weights (pi, mu, theta); from dense heads
+    they are the three heads'. The likelihood is computed in log space: a
+    zero count scores logaddexp(log pi, log(1-pi) + log NB(0)) with log
+    NB(0) = theta log(theta/(theta+mu)); a positive count scores log(1-pi)
+    plus the log NB pmf. The matrix is worked through in blocks of whole rows, about
     ZINB_BLOCK_ENTRIES entries each, and one kernel scores every block:
     within a block the zero and positive entries are gathered apart and
     only they are activated: pi = clip(sigmoid, PI_CLAMP), mu and theta =
     clip(exp, RATE_CLAMP), so the gamma-function terms only ever see
     positive counts. The gradient chain is the one the separate
     sigmoid/exp/clip ops would give, so it is exactly 0 wherever a clamp
-    binds. All gradients are taken at upstream gradient 1 during the
-    forward pass. With `count_rows`, the counts are raw_counts[count_rows]:
-    each block gathers its rows where it converts them to float64, so no
-    copy of the selected counts is made.
+    binds. All gradients are formed during the forward pass. With
+    `count_rows`, the counts are raw_counts[count_rows]: each block gathers
+    its rows where it converts them to float64, so no copy of the selected
+    counts is made.
 
     Each block writes the sum of each of its rows, taken in gene order,
     into one n-vector, and the mean is that vector's sum over the entries:
@@ -207,10 +205,10 @@ def loss_zinb(raw_counts, heads, count_rows=None) -> Tensor:
     NonFiniteOutputError naming its head), and after scoring folds its
     per-entry gradients G_k into dW_k += H_b^T G_k and dH_b = sum_k G_k
     W_k^T, which it carries back through the MLP into dz_b and the MLP's
-    weight and bias gradients (summed over the blocks). The node keeps only
-    dz (n x d) and the parameter gradients; no activation, head or dH
-    outlives its block. From dense heads, the node keeps the three n x g
-    head gradients. The two forms agree bitwise with the dense reference
+    weight and bias gradients (summed over the blocks). Only dz (n x d) and
+    the parameter gradients are returned; no activation, head or dH
+    outlives its block. From dense heads, the three n x g head gradients
+    are returned. The two forms agree bitwise with the dense reference
     (CountHeads.hidden times the head weights) when the matrix is one block.
     """
     counts = np.asarray(raw_counts)
@@ -218,14 +216,11 @@ def loss_zinb(raw_counts, heads, count_rows=None) -> Tensor:
         count_rows = np.asarray(count_rows, dtype=np.intp)
     factored = isinstance(heads, CountHeads)
     if factored:
-        parents = (heads.latent, *(t for pair in heads.layers for t in pair), *heads.weights)
-        latent = heads.latent.values
-        layers = [(w.values, b.values) for w, b in heads.layers]
-        weights = [w.values for w in heads.weights]
+        latent, layers, weights = heads.latent, heads.layers, heads.weights
         head_shapes = [(latent.shape[0], w.shape[1]) for w in weights]
     else:
-        parents = tuple(nm.as_tensor(t) for t in heads)
-        head_shapes = [t.shape for t in parents]
+        heads = [np.asarray(h, dtype=np.float64) for h in heads]
+        head_shapes = [h.shape for h in heads]
     shape = counts.shape if count_rows is None else (count_rows.size, *counts.shape[1:])
     if counts.ndim != 2 or len(head_shapes) != 3 or any(s != shape for s in head_shapes):
         raise nm.ShapeMismatchError(f"loss_zinb: counts {shape} vs heads {head_shapes}")
@@ -235,7 +230,7 @@ def loss_zinb(raw_counts, heads, count_rows=None) -> Tensor:
     scale = -1.0 / size
     if factored:
         # dz, then the MLP's weight and bias gradients, then the three dW
-        grads = [np.empty_like(latent)] + [None] * (len(parents) - 1)
+        grads = [np.empty_like(latent)] + [None] * (2 * len(layers) + 3)
     else:
         grads = [np.empty(shape) for _ in range(3)]
     row_sums = np.empty(n)
@@ -249,7 +244,7 @@ def loss_zinb(raw_counts, heads, count_rows=None) -> Tensor:
                 if np.isnan(b).any():
                     raise NonFiniteOutputError(f"non-finite values in the {name} head")
         else:
-            blocks = [t.values[rows] for t in parents]
+            blocks = [h[rows] for h in heads]
         x_rows = rows if count_rows is None else count_rows[rows]
         x = np.asarray(counts[x_rows], dtype=np.float64).reshape(-1)
         loglik, g_b = _score_block(x, [b.reshape(-1) for b in blocks], scale)
@@ -259,8 +254,8 @@ def loss_zinb(raw_counts, heads, count_rows=None) -> Tensor:
             for o, gk in zip(grads, g_b):
                 o[rows] = gk
             continue
-        # dH in the order the tape would sum the heads' gradients into H,
-        # in place: fresh sums made the criterion 5-14% slower at 80-300 cells
+        # dH summed over the heads in pi, mu, theta order, in place: fresh
+        # sums made the criterion 5-14% slower at 80-300 cells
         d_h = g_b[0] @ weights[0].T
         d_h += g_b[1] @ weights[1].T
         d_h += g_b[2] @ weights[2].T
@@ -274,15 +269,10 @@ def loss_zinb(raw_counts, heads, count_rows=None) -> Tensor:
         # free this block's arrays before the next block forms its own
         del acts, h_b, blocks, x, loglik, g_b, d_h, block_grads, d
 
-    nll = -row_sums.sum() / size
+    nll = float(-row_sums.sum() / size)
     if not np.isfinite(nll):
         raise NonFiniteLossError("zero-inflated likelihood is non-finite")
-
-    def vjp(u):
-        # every default run weighs the likelihood by 1: no copy, same bits
-        return grads if u == 1.0 else tuple(u * o for o in grads)
-
-    return nm.closed_form(nll, parents, vjp)
+    return nll, grads
 
 
 def target_distribution(q: np.ndarray) -> np.ndarray:
@@ -294,57 +284,26 @@ def target_distribution(q: np.ndarray) -> np.ndarray:
     return weight / weight.sum(axis=1, keepdims=True)
 
 
-def loss_cls(target, z, centers) -> Tensor:
+def loss_cls(target, z, centers) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
     """KL(P || Q) summed over rows, 0*log(0) treated as 0, where Q is the
-    soft assignment of the latent `z` against `centers` (model.soft_assign).
+    soft assignment of the latent `z` against `centers` (model.soft_assign),
+    and its gradients in z and in the centers.
 
-    One node with DEC's closed-form gradient (Xie et al., 2016, eqs. 4-5):
+    The gradients are DEC's closed form (Xie et al., 2016, eqs. 4-5):
     with K the Student-t kernel, r_i = sum_j p_ij and G = 2 K * (P - r Q),
     dL/dz = rowsum(G) z - G C and dL/dC = colsum(G) C - G^T z. Keeping r
     makes it exact for any non-negative target; the trainer's rows sum to
-    1. Backward keeps only the two gradients (n x d and K x d); no gradient
-    reaches the target.
+    1. The target is a constant: no gradient reaches it.
     """
-    z, centers = nm.as_tensor(z), nm.as_tensor(centers)
     p = np.asarray(target, dtype=np.float64)
-    zv, cv = z.values, centers.values
+    zv, cv = np.asarray(z, dtype=np.float64), np.asarray(centers, dtype=np.float64)
     kernel = student_t_kernel(zv, cv)
     if p.shape != kernel.shape:
         raise nm.ShapeMismatchError(f"loss_cls: target {p.shape} vs assignment {kernel.shape}")
     q = kernel / kernel.sum(axis=1, keepdims=True)
     with np.errstate(divide="ignore", invalid="ignore"):
         p_log_p = float(np.sum(np.where(p > 0.0, p * np.log(np.where(p > 0.0, p, 1.0)), 0.0)))
-    value = p_log_p - (p * np.log(q)).sum()
+    value = float(p_log_p - (p * np.log(q)).sum())
     g = 2.0 * kernel * (p - p.sum(axis=1, keepdims=True) * q)
-    grads = (
-        g.sum(axis=1, keepdims=True) * zv - g @ cv,
-        g.sum(axis=0)[:, None] * cv - g.T @ zv,
-    )
-
-    def vjp(u):
-        return tuple(u * d for d in grads)
-
-    return nm.closed_form(value, (z, centers), vjp)
-
-
-def weighted_total(
-    rec: Tensor,
-    zinb: Tensor,
-    cls: Tensor | None,
-    weights: tuple[float, float, float] = (1.0, 1.0, 1.0),
-) -> tuple[Tensor, LossBreakdown]:
-    """Weighted objective, one node, plus a float breakdown whose total
-    matches the optimized scalar exactly (same additions, same order); a
-    missing `cls` (pretraining) counts as 0 and gets no gradient."""
-    w_rec, w_zinb, w_cls = weights
-    rec_term = w_rec * rec.values
-    zinb_term = w_zinb * zinb.values
-    cls_term = w_cls * cls.values if cls is not None else 0.0
-    total = rec_term + zinb_term + cls_term
-    breakdown = LossBreakdown(rec=float(rec_term), zinb=float(zinb_term), cls=float(cls_term))
-
-    def vjp(g):  # a missing cls has no parent: the third gradient goes nowhere
-        return g * w_rec, g * w_zinb, g * w_cls
-
-    parents = (rec, zinb) if cls is None else (rec, zinb, cls)
-    return nm.closed_form(total, parents, vjp), breakdown
+    dz = g.sum(axis=1, keepdims=True) * zv - g @ cv
+    return value, (dz, g.sum(axis=0)[:, None] * cv - g.T @ zv)

@@ -6,14 +6,17 @@ hidden layers, linear final layer. The first layer's input is constant, so
 its recursion (the Chebyshev basis) is built once per graph and passed in.
 Decoders: inner-product adjacency (sigmoid of the cell Gram matrix), a fully
 connected count decoder with three heads (dropout, mean, dispersion), and a
-Student-t soft assignment against the cluster centers. The encoder is one
-closed-form node with its gradient written out. The count decoder is a
-record of its parameters: losses.loss_zinb runs its MLP (mlp_forward and
-mlp_backward) and heads one row block at a time, forward and backward, and
-its `.hidden` gives the MLP over every cell as one node, the dense
-reference. The adjacency decoder and the soft assignment are plain numpy,
-and the clustering criterion (losses.loss_cls) differentiates the
-assignment itself.
+Student-t soft assignment against the cluster centers. Parameters are
+plain float64 arrays in an immutable ModelParams. encode returns its
+output with the encoder's backward written out in closed form (a
+numerics.Tensor); the trainer calls it once per epoch with the latent
+gradient of all three criteria. The count decoder is a record of its
+parameters: losses.loss_zinb runs its MLP (mlp_forward and mlp_backward)
+and heads one row block at a time, forward and backward, and its `.hidden`
+gives the MLP over every cell with its backward, the dense reference. The
+adjacency decoder and the soft assignment are plain numpy, and the
+clustering criterion (losses.loss_cls) differentiates the assignment
+itself.
 """
 
 from __future__ import annotations
@@ -32,10 +35,10 @@ class NonFiniteOutputError(RuntimeError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChebLayerParams:
-    theta: list[Tensor]  # K matrices, each (in_dim, out_dim)
-    bias: Tensor  # (out_dim,)
+    theta: tuple[np.ndarray, ...]  # K matrices, each (in_dim, out_dim)
+    bias: np.ndarray  # (out_dim,)
 
     @property
     def order(self) -> int:
@@ -49,53 +52,58 @@ class ChebLayerParams:
             raise ValueError(f"theta matrices disagree on shape: {sorted(shapes)}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelParams:
-    encoder_layers: list[ChebLayerParams]
-    zinb_fc: list[tuple[Tensor, Tensor]]  # (weight, bias) chain latent -> 128 -> 256 -> 512
-    head_pi: Tensor  # (512, n_genes)
-    head_mu: Tensor
-    head_theta: Tensor
-    cluster_centers: Tensor | None = None  # (n_clusters, latent_dim)
+    """Every parameter as a plain float64 array. Nothing writes into one:
+    a training step builds a new ModelParams from Adam's output."""
 
-    def named_parameters(self) -> list[tuple[str, Tensor]]:
-        named: list[tuple[str, Tensor]] = []
-        for i, layer in enumerate(self.encoder_layers):
-            for k, theta in enumerate(layer.theta):
-                named.append((f"enc{i}.theta{k}", theta))
-            named.append((f"enc{i}.bias", layer.bias))
-        for i, (w, b) in enumerate(self.zinb_fc):
-            named.append((f"zinb_fc{i}.weight", w))
-            named.append((f"zinb_fc{i}.bias", b))
-        named.append(("head_pi.weight", self.head_pi))
-        named.append(("head_mu.weight", self.head_mu))
-        named.append(("head_theta.weight", self.head_theta))
-        if self.cluster_centers is not None:
-            named.append(("cluster_centers", self.cluster_centers))
+    encoder_layers: tuple[ChebLayerParams, ...]
+    # (weight, bias) chain latent -> 128 -> 256 -> 512
+    zinb_fc: tuple[tuple[np.ndarray, np.ndarray], ...]
+    head_pi: np.ndarray  # (512, n_genes)
+    head_mu: np.ndarray
+    head_theta: np.ndarray
+    cluster_centers: np.ndarray | None = None  # (n_clusters, latent_dim)
+
+    def map_named(self, fn) -> "ModelParams":
+        """These parameters with each array replaced by fn(name, array),
+        called once per parameter in named_parameters order. The one place
+        the parameter names are made."""
+        layers = tuple(
+            ChebLayerParams(
+                tuple(fn(f"enc{i}.theta{k}", t) for k, t in enumerate(layer.theta)),
+                fn(f"enc{i}.bias", layer.bias),
+            )
+            for i, layer in enumerate(self.encoder_layers)
+        )
+        fc = tuple(
+            (fn(f"zinb_fc{i}.weight", w), fn(f"zinb_fc{i}.bias", b))
+            for i, (w, b) in enumerate(self.zinb_fc)
+        )
+        return ModelParams(
+            encoder_layers=layers,
+            zinb_fc=fc,
+            head_pi=fn("head_pi.weight", self.head_pi),
+            head_mu=fn("head_mu.weight", self.head_mu),
+            head_theta=fn("head_theta.weight", self.head_theta),
+            cluster_centers=(
+                None if self.cluster_centers is None
+                else fn("cluster_centers", self.cluster_centers)
+            ),
+        )
+
+    def named_parameters(self) -> list[tuple[str, np.ndarray]]:
+        named: list[tuple[str, np.ndarray]] = []
+
+        def record(name, array):
+            named.append((name, array))
+            return array
+
+        self.map_named(record)
         return named
 
     def with_centers(self, centers: np.ndarray) -> "ModelParams":
-        return replace(self, cluster_centers=Tensor(centers, requires_grad=True))
-
-    def fresh_leaves(self) -> "ModelParams":
-        """New leaf Tensors over the same arrays. Training rebinds a leaf's
-        values and never writes them in place, so training the result
-        leaves these parameters as they are."""
-
-        def leaf(t: Tensor | None) -> Tensor | None:
-            return None if t is None else Tensor(t.values, requires_grad=t.requires_grad)
-
-        return ModelParams(
-            encoder_layers=[
-                ChebLayerParams([leaf(t) for t in layer.theta], leaf(layer.bias))
-                for layer in self.encoder_layers
-            ],
-            zinb_fc=[(leaf(w), leaf(b)) for w, b in self.zinb_fc],
-            head_pi=leaf(self.head_pi),
-            head_mu=leaf(self.head_mu),
-            head_theta=leaf(self.head_theta),
-            cluster_centers=leaf(self.cluster_centers),
-        )
+        return replace(self, cluster_centers=np.asarray(centers, dtype=np.float64))
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -115,28 +123,19 @@ def init_params(
     rng = np.random.default_rng(seed)
     layers = []
     for in_dim, out_dim in ((n_genes, hidden_dim), (hidden_dim, latent_dim)):
-        theta = [
-            Tensor(_glorot(rng, in_dim, out_dim), requires_grad=True)
-            for _ in range(cheb_order)
-        ]
-        bias = Tensor(np.zeros(out_dim), requires_grad=True)
-        layers.append(ChebLayerParams(theta=theta, bias=bias))
+        theta = tuple(_glorot(rng, in_dim, out_dim) for _ in range(cheb_order))
+        layers.append(ChebLayerParams(theta=theta, bias=np.zeros(out_dim)))
     fc = []
     in_dim = latent_dim
     for out_dim in zinb_dims:
-        fc.append(
-            (
-                Tensor(_glorot(rng, in_dim, out_dim), requires_grad=True),
-                Tensor(np.zeros(out_dim), requires_grad=True),
-            )
-        )
+        fc.append((_glorot(rng, in_dim, out_dim), np.zeros(out_dim)))
         in_dim = out_dim
     return ModelParams(
-        encoder_layers=layers,
-        zinb_fc=fc,
-        head_pi=Tensor(_glorot(rng, in_dim, n_genes), requires_grad=True),
-        head_mu=Tensor(_glorot(rng, in_dim, n_genes), requires_grad=True),
-        head_theta=Tensor(_glorot(rng, in_dim, n_genes), requires_grad=True),
+        encoder_layers=tuple(layers),
+        zinb_fc=tuple(fc),
+        head_pi=_glorot(rng, in_dim, n_genes),
+        head_mu=_glorot(rng, in_dim, n_genes),
+        head_theta=_glorot(rng, in_dim, n_genes),
     )
 
 
@@ -189,29 +188,28 @@ def _layer_backward(g, basis, thetas, lhat_t, want_input: bool):
 
 
 def chebconv_forward(x, graph: CellGraph, layer: ChebLayerParams) -> Tensor:
-    """One Chebyshev convolution of x on `graph`: a single node, gradients in
-    x (when it requires them), every theta_k and the bias."""
-    x = nm.as_tensor(x)
+    """One Chebyshev convolution of x on `graph`, the dense reference of one
+    encoder layer; its backward gives x's gradient, then every theta_k's
+    and the bias's."""
+    x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != layer.theta[0].shape[0]:
         raise nm.ShapeMismatchError(
             f"chebconv: input of shape {x.shape} vs weight fan-in {layer.theta[0].shape[0]}"
         )
-    basis = chebyshev_basis(x.values, graph, layer.order)
-    thetas = [t.values for t in layer.theta]
-    lhat_t, want_input = graph.scaled_laplacian.T, x.requires_grad
+    basis = chebyshev_basis(x, graph, layer.order)
+    lhat_t = graph.scaled_laplacian.T
 
     def vjp(g):
-        d_input, grads = _layer_backward(g, basis, thetas, lhat_t, want_input)
+        d_input, grads = _layer_backward(g, basis, layer.theta, lhat_t, True)
         return [d_input, *grads]
 
-    return nm.closed_form(
-        _weigh(basis, thetas, layer.bias.values), (x, *layer.theta, layer.bias), vjp
-    )
+    return Tensor(_weigh(basis, layer.theta, layer.bias), vjp)
 
 
 def encode(basis: list[np.ndarray], graph: CellGraph, params: ModelParams) -> Tensor:
-    """Stacked convolutions, relu between hidden layers, linear final layer:
-    one node, gradients in every encoder weight and bias.
+    """Stacked convolutions, relu between hidden layers, linear final layer.
+    The result's backward gives every encoder weight's and bias's gradient,
+    in named_parameters order.
 
     `basis` is chebyshev_basis(x, graph, order) of the input x: the first
     layer only weights and sums it. Backward keeps each later layer's basis
@@ -225,24 +223,23 @@ def encode(basis: list[np.ndarray], graph: CellGraph, params: ModelParams) -> Te
             f"encode: basis of {len(basis)} terms shaped {sorted(shapes)} "
             f"vs {layers[0].order} terms of shape {want}"
         )
-    thetas = [[t.values for t in layer.theta] for layer in layers]
     bases = [basis]
-    h = _weigh(basis, thetas[0], layers[0].bias.values)
-    for layer, layer_thetas in zip(layers[1:], thetas[1:]):
+    h = _weigh(basis, layers[0].theta, layers[0].bias)
+    for layer in layers[1:]:
         bases.append(chebyshev_basis(np.maximum(h, 0.0), graph, layer.order))
-        h = _weigh(bases[-1], layer_thetas, layer.bias.values)
+        h = _weigh(bases[-1], layer.theta, layer.bias)
     lhat_t = graph.scaled_laplacian.T
 
     def vjp(g):
         grads = []
         for i in reversed(range(len(layers))):
-            d_input, layer_grads = _layer_backward(g, bases[i], thetas[i], lhat_t, i > 0)
+            d_input, layer_grads = _layer_backward(g, bases[i], layers[i].theta, lhat_t, i > 0)
             grads[:0] = layer_grads
             if i:
                 g = d_input * (bases[i][0] > 0.0)
         return grads
 
-    return nm.closed_form(h, [t for layer in layers for t in (*layer.theta, layer.bias)], vjp)
+    return Tensor(h, vjp)
 
 
 def decode_adjacency(z: np.ndarray) -> np.ndarray:
@@ -287,30 +284,28 @@ class CountHeads:
     H, and the head weights (512, n_genes each). The heads are H W_pi,
     H W_mu and H W_theta, the pre-activations logit pi, log mu and log
     theta. losses.loss_zinb runs the MLP and forms the heads itself, one
-    row block at a time; the parameters' values are read when it does."""
+    row block at a time."""
 
-    latent: Tensor
-    layers: tuple[tuple[Tensor, Tensor], ...]
-    weights: tuple[Tensor, Tensor, Tensor]  # pi, mu, theta
+    latent: np.ndarray
+    layers: tuple[tuple[np.ndarray, np.ndarray], ...]
+    weights: tuple[np.ndarray, np.ndarray, np.ndarray]  # pi, mu, theta
 
     @property
     def hidden(self) -> Tensor:
-        """H over every cell, built on each read as one node with
-        gradients in the latent and every MLP weight and bias; backward
-        keeps each layer's input and output. The dense reference: training
-        never reads it."""
-        layers = [(w.values, b.values) for w, b in self.layers]
-        acts = mlp_forward(self.latent.values, layers)
+        """H over every cell, built on each read; its backward gives the
+        latent's gradient, then every MLP weight's and bias's, and keeps
+        each layer's input and output. The dense reference: training never
+        reads it."""
+        acts = mlp_forward(self.latent, self.layers)
 
         def vjp(g):
-            d_input, grads = mlp_backward(g, acts, layers)
+            d_input, grads = mlp_backward(g, acts, self.layers)
             return [d_input, *grads]
 
-        parents = [self.latent, *(t for pair in self.layers for t in pair)]
-        return nm.closed_form(acts[-1], parents, vjp)
+        return Tensor(acts[-1], vjp)
 
 
-def decode_zinb(z: Tensor, params: ModelParams) -> CountHeads:
+def decode_zinb(z: np.ndarray, params: ModelParams) -> CountHeads:
     """The count decoder on the latent: the MLP (relu after every layer)
     and the dropout, mean and dispersion head weights, as a record that
     computes nothing. losses.loss_zinb runs the MLP one row block at a time,
@@ -318,11 +313,10 @@ def decode_zinb(z: Tensor, params: ModelParams) -> CountHeads:
     and raises NonFiniteOutputError naming a head that holds a NaN
     (infinities are left for the clamps), so no n_cells x 512 activation
     and no n_cells x n_genes head exists. The record's `.hidden` builds the
-    MLP's last layer over every cell as a node. With no hidden layers H is
-    z's values."""
+    MLP's last layer over every cell. With no hidden layers H is z."""
     return CountHeads(
-        nm.as_tensor(z),
-        tuple(params.zinb_fc),
+        np.asarray(z, dtype=np.float64),
+        params.zinb_fc,
         (params.head_pi, params.head_mu, params.head_theta),
     )
 

@@ -1,24 +1,16 @@
-from .autodiff import (
-    NonScalarBackwardError,
-    ShapeMismatchError,
-    Tensor,
-    as_tensor,
-    closed_form,
-    index_rows,
-)
+"""The numeric core: closed-form backward results (autodiff), Adam and the
+checkpoint format."""
+
+from .autodiff import ShapeMismatchError, Tensor
 from .checkpoint import CheckpointFormatError, load_checkpoint, save_checkpoint
 from .optim import AdamState, adam_step
 
 __all__ = [
     "AdamState",
     "CheckpointFormatError",
-    "NonScalarBackwardError",
     "ShapeMismatchError",
     "Tensor",
     "adam_step",
-    "as_tensor",
-    "closed_form",
-    "index_rows",
     "load_checkpoint",
     "save_checkpoint",
 ]

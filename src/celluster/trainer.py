@@ -11,6 +11,12 @@ easiest paced subset. Prediction labels every original cell (pruned ones
 included, flagged downstream). The stages run straight through: each phase
 starts fresh, and the pipeline writes each phase's final state as a
 checkpoint that nothing loads back.
+
+Each step writes ChebAE's chain rule out (_gradients): the criteria return
+their gradients in the latent (and in the count decoder and the centers),
+the step weighs and sums the latent's, scatters a paced subset's rows back
+and calls the encoder's backward once. Adam's output becomes a new
+ModelParams; no parameter array is written in place.
 """
 
 from __future__ import annotations
@@ -41,7 +47,6 @@ from .losses import (
     loss_rec,
     loss_zinb,
     target_distribution,
-    weighted_total,
 )
 from .model import (
     ZINB_HIDDEN_DIMS,
@@ -246,6 +251,36 @@ def init_centers(z: np.ndarray, n_clusters: int, seed: int = 0) -> np.ndarray:
 # -- shared epoch machinery -----------------------------------------------------------
 
 
+def _gradients(z: nm.Tensor, subset, weights, rec, zinb, cls) -> list[np.ndarray]:
+    """ChebAE's chain rule: the gradient of w_rec rec + w_zinb zinb (+ w_cls
+    cls) in every parameter, in named_parameters order. `z` is encode's
+    output over every node; `rec`, `zinb` (from CountHeads) and `cls` (None
+    in pretraining) are what the criteria returned on its rows `subset`
+    (every row when None). The latent's three terms are added in this
+    order, and the paced subset's rows are scattered back into every
+    node's: seeded runs depend on both bit for bit."""
+    w_rec, w_zinb, w_cls = weights
+    _, (dz_rec,) = rec
+    _, (dz_zinb, *decoder) = zinb
+    rec_term = w_rec * dz_rec
+    zinb_term = w_zinb * dz_zinb
+    dz = rec_term + zinb_term
+    if cls is not None:
+        _, (dz_cls, d_centers) = cls
+        cls_term = w_cls * dz_cls
+        dz = dz + cls_term
+    if subset is not None:
+        full = np.zeros(z.shape)
+        np.add.at(full, subset, dz)
+        dz = full
+    grads = z.backward(dz)
+    # a weight of 1 leaves the decoder's gradients as they are: same bits, no copy
+    grads += decoder if w_zinb == 1.0 else [w_zinb * d for d in decoder]
+    if cls is not None:
+        grads.append(w_cls * d_centers)
+    return grads
+
+
 def _train_step(
     state: TrainState,
     z: nm.Tensor,
@@ -256,48 +291,47 @@ def _train_step(
     target: np.ndarray | None = None,
     count_rows: np.ndarray | None = None,
 ) -> None:
-    """One epoch of the current phase from `z`, the latent of every node of
-    `graph` under the current parameters: losses, backward, Adam and
-    history. `counts` (its rows `count_rows` when given, which the
+    """One epoch of the current phase from `z`, encode's output over every
+    node of `graph` under the current parameters: losses, gradients, Adam
+    and history. `counts` (its rows `count_rows` when given, which the
     likelihood gathers block by block) are the raw counts of the nodes the
     losses see: every node of `graph`, or with `subset` (distinct node
     indices) the subset's. With `subset` the latent rows, the adjacency
     submatrix and the target are gathered once and the losses see only that
     sub-problem. The count likelihood runs the count decoder's MLP and
     heads itself, one row block at a time, forward and backward, so the
-    step holds no n x 512 activation and no n_genes-wide head. A non-finite
-    loss raises NonFiniteLossError carrying the state as it was before the
-    step."""
-    epoch = state.epoch
+    step holds no n x 512 activation and no n_genes-wide head. The step
+    replaces state.params with a new ModelParams and writes no old array. A
+    non-finite loss raises NonFiniteLossError carrying the state as it was
+    before the step."""
+    epoch, params = state.epoch, state.params
     try:
-        adjacency = graph.adjacency
+        latent, adjacency = z.values, graph.adjacency
         if subset is not None:
-            z = nm.index_rows(z, subset)
+            latent = latent[subset]
             adjacency = adjacency[subset][:, subset]
             if target is not None:
                 target = target[subset]
-        rec = loss_rec(adjacency, z)
-        zinb = loss_zinb(counts, decode_zinb(z, state.params), count_rows)
-        cls = None
-        if target is not None:
-            cls = loss_cls(target, z, state.params.cluster_centers)
-        total, breakdown = weighted_total(rec, zinb, cls, cfg.loss_weights)
+        rec = loss_rec(adjacency, latent)
+        zinb = loss_zinb(counts, decode_zinb(latent, params), count_rows)
+        cls = None if target is None else loss_cls(target, latent, params.cluster_centers)
     except (NonFiniteLossError, NonFiniteOutputError) as err:
         raise NonFiniteLossError(
             f"{state.phase} phase diverged at epoch {epoch}: {err}", epoch=epoch, state=state
         ) from err
+    w_rec, w_zinb, w_cls = cfg.loss_weights
+    breakdown = LossBreakdown(
+        rec=w_rec * rec[0], zinb=w_zinb * zinb[0], cls=0.0 if cls is None else w_cls * cls[0]
+    )
     if not np.isfinite(breakdown.total):
         raise NonFiniteLossError(
             f"{state.phase} loss non-finite at epoch {epoch}", epoch=epoch, state=state
         )
-    total.backward()
-    named = state.params.named_parameters()
-    values = [t.values for _, t in named]
-    grads = [t.grad if t.grad is not None else np.zeros_like(t.values) for _, t in named]
-    updated, _ = adam_step(values, grads, state.adam)
-    for (_, t), new in zip(named, updated):
-        t.values = new  # rebinds, never writes in place
-        t.grad = None
+    grads = _gradients(z, subset, cfg.loss_weights, rec, zinb, cls)
+    named = params.named_parameters()
+    updated, _ = adam_step([array for _, array in named], grads, state.adam)
+    by_name = {name: new for (name, _), new in zip(named, updated)}
+    state.params = params.map_named(lambda name, _: by_name[name])
     state.loss_history.append(breakdown)
     state.epoch += 1
 
@@ -314,16 +348,19 @@ def pretrain(
     no checkpoint."""
     if basis is None:
         basis = chebyshev_basis(pre.normalized, graph, cfg.cheb_order)
-    params = init_params(
-        n_genes=pre.n_genes,
-        latent_dim=cfg.latent_dim,
-        hidden_dim=cfg.hidden_dim,
-        cheb_order=cfg.cheb_order,
-        zinb_dims=cfg.zinb_dims,
-        seed=cfg.seed,
-    )
+    # no local keeps the initial parameters: the first step frees them
     state = TrainState(
-        phase="pretrain", epoch=0, params=params, adam=AdamState(learning_rate=cfg.lr_pretrain)
+        phase="pretrain",
+        epoch=0,
+        params=init_params(
+            n_genes=pre.n_genes,
+            latent_dim=cfg.latent_dim,
+            hidden_dim=cfg.hidden_dim,
+            cheb_order=cfg.cheb_order,
+            zinb_dims=cfg.zinb_dims,
+            seed=cfg.seed,
+        ),
+        adam=AdamState(learning_rate=cfg.lr_pretrain),
     )
     while state.epoch < cfg.t1:
         _train_step(state, encode(basis, graph, state.params), pre.raw.counts, graph, cfg)
@@ -367,7 +404,7 @@ def formal_train(
         t = state.epoch
         z = encode(basis, graph_pruned, state.params)
         if t % cfg.target_update_interval == 0:
-            q = soft_assign(z.values, state.params.cluster_centers.values)
+            q = soft_assign(z.values, state.params.cluster_centers)
             labels_now = q.argmax(axis=1)
             churn = None if state.labels_prev is None else np.mean(labels_now != state.labels_prev)
             state.labels_prev = labels_now
@@ -389,7 +426,7 @@ def formal_train(
             state, z, pre.raw.counts, graph_pruned, cfg,
             subset=subset, target=state.target, count_rows=kept_sorted[subset],
         )
-        del z  # frees this epoch's encoder tape before the next forward
+        del z  # frees this epoch's encoder backward before the next forward
     state.phase = "done"
     return state
 
@@ -403,7 +440,7 @@ def predict(state: TrainState, pre: PreprocessedData, graph: CellGraph) -> np.nd
         raise NotTrainedError("no cluster centers; was formal training run?")
     basis = chebyshev_basis(pre.normalized, graph, state.params.encoder_layers[0].order)
     z = encode(basis, graph, state.params)
-    q = soft_assign(z.values, state.params.cluster_centers.values)
+    q = soft_assign(z.values, state.params.cluster_centers)
     return q.argmax(axis=1).astype(np.int64)
 
 
@@ -423,8 +460,8 @@ def save_state(state: TrainState, path) -> None:
     }
     if state.stop_reason is not None:
         arrays["meta.stop_reason"] = np.array(float(_STOP_REASONS.index(state.stop_reason)))
-    for name, tensor in state.params.named_parameters():
-        arrays[f"param.{name}"] = tensor.values
+    for name, array in state.params.named_parameters():
+        arrays[f"param.{name}"] = array
     arrays["adam.lr"] = np.array(state.adam.learning_rate)
     arrays["adam.step"] = np.array(float(state.adam.step))
     for i, (m, v) in enumerate(zip(state.adam.first_moment, state.adam.second_moment)):
@@ -459,7 +496,7 @@ class Pretrained:
     """What the stages before pruning produce. None of it depends on
     cfg.alpha or cfg.prune_strategy, so one value serves any number of
     tails, each called with a cfg that carries its grid cell's pair. No
-    tail changes it: each trains fresh leaf Tensors over its arrays."""
+    tail changes it: training replaces the parameters, never writes them."""
 
     cfg: TrainConfig
     preprocessed: PreprocessedData
@@ -507,16 +544,13 @@ def pretrain_and_score(
 def prune_and_cluster(pretrained: Pretrained, checkpoint_dir=None) -> PipelineResult:
     """Prune cfg.alpha of the cells by cfg.prune_strategy (both read from
     pretrained.cfg), seed the centers, run the paced formal phase and label
-    every cell. The formal phase trains fresh leaf Tensors over the
-    pretrained parameter arrays (Adam rebinds them, never writing in place)
-    and fresh history lists, so `pretrained` is left as it was and can
-    serve further calls. Failures raise StageError tagged with the stage."""
+    every cell. The formal phase starts from the pretrained parameters,
+    which each step replaces and none writes, on fresh history lists, so
+    `pretrained` is left as it was and can serve further calls. Failures
+    raise StageError tagged with the stage."""
     src = pretrained.state
     state = replace(
-        src,
-        params=src.params.fresh_leaves(),
-        loss_history=list(src.loss_history),
-        subset_sizes=list(src.subset_sizes),
+        src, loss_history=list(src.loss_history), subset_sizes=list(src.subset_sizes)
     )
     return _prune_and_cluster(
         pretrained.cfg, pretrained.preprocessed, pretrained.graph, state,
@@ -552,7 +586,7 @@ def _prune_and_cluster(
 
 def run_pipeline(data: ExpressionMatrix, cfg: TrainConfig, checkpoint_dir=None) -> PipelineResult:
     """pretrain_and_score, then its only tail on the pretrained state itself:
-    the first formal Adam step rebinds the pretrained parameters, which
-    frees their arrays."""
+    the first formal step replaces the pretrained parameters, which frees
+    their arrays."""
     p = pretrain_and_score(data, cfg, checkpoint_dir)
     return _prune_and_cluster(p.cfg, p.preprocessed, p.graph, p.state, p.embedding, checkpoint_dir)

@@ -1,9 +1,11 @@
-"""Central finite-difference gradients, for checking the reverse pass.
+"""Central finite-difference gradients, for checking the closed-form ones.
 
 The oracle only ever evaluates the forward function, so it stays independent
-of the tape it is used to check. `project` and `leaf_gradient_error` connect
-it to the tape: the first turns any node's output into a scalar loss, the
-second checks the gradients that backward() leaves on parameter Tensors.
+of the gradients it is used to check. `gradient_error` checks a function
+that returns (value, gradients), as the training criteria do;
+`backward_error` checks a Tensor's backward under a weighted sum of its
+values; `step_gradient_error` checks the parameter gradients that one
+training step hands to Adam against the total it logs.
 """
 
 from __future__ import annotations
@@ -11,8 +13,10 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 import numpy as np
+import pytest
 
-from celluster import numerics as nm
+from celluster import model, trainer
+from celluster.numerics import AdamState
 
 
 def finite_difference_gradients(
@@ -55,32 +59,70 @@ def max_relative_error(
     return worst
 
 
-def project(tensor, weights):
-    """The scalar sum(tensor * weights), one closed-form node: it turns any
-    array-valued node into a loss that backward() can start from."""
+def gradient_error(fn, arrays, h: float = 1e-5) -> float:
+    """Max relative error of the gradients that fn(arrays) returns with its
+    value, as (value, gradients in `arrays`), against central differences
+    of that value."""
+    _, analytic = fn(arrays)
+    numeric = finite_difference_gradients(lambda a: fn(a)[0], arrays, h=h)
+    return max_relative_error(analytic, numeric)
+
+
+def backward_error(forward, arrays, weights, h: float = 1e-5) -> float:
+    """gradient_error of the scalar sum(values * weights) of the Tensor
+    forward(arrays), whose backward(weights) gives its gradients in
+    `arrays`."""
     w = np.asarray(weights, dtype=np.float64)
-    return nm.closed_form(float((tensor.values * w).sum()), (tensor,), lambda g: (g * w,))
+
+    def fn(a):
+        out = forward(a)
+        return float((out.values * w).sum()), out.backward(w)
+
+    return gradient_error(fn, arrays, h)
 
 
-def leaf_gradient_error(loss, leaves, h: float = 1e-5) -> float:
-    """Max relative error of the gradients that loss().backward() leaves on
-    `leaves` (Tensors that the scalar-valued `loss` reads; a leaf left
-    without one counts as a zero gradient) against central differences of
-    loss() in their values, which are restored afterwards."""
-    arrays = [t.values for t in leaves]
-    for t in leaves:
-        t.grad = None
-    loss().backward()
-    analytic = [np.zeros(t.shape) if t.grad is None else t.grad for t in leaves]
+def with_arrays(params: model.ModelParams, names, arrays) -> model.ModelParams:
+    """`params` with the parameters `names` replaced by `arrays`."""
+    new = dict(zip(names, arrays))
+    return params.map_named(lambda name, array: new.get(name, array))
 
-    def forward(values):
-        for t, v in zip(leaves, values):
-            t.values = v
-        return loss().item()
 
-    try:
-        numeric = finite_difference_gradients(forward, arrays, h=h)
-    finally:
-        for t, a in zip(leaves, arrays):
-            t.values = a
+def step_gradient_error(
+    params, basis, graph, counts, cfg, h: float = 1e-5, rng=None, **step
+) -> float:
+    """Max relative error of the parameter gradients that one formal
+    trainer._train_step hands to Adam, against central differences of the
+    breakdown total it logs, in every entry of every array of `params`.
+    With `rng`, each array is checked along one direction drawn from it
+    instead: the central difference of the total along the direction
+    against the gradient's inner product with it. `basis` is the Chebyshev
+    basis of the nodes' input on `graph`; `step` holds the step's subset,
+    target and count_rows."""
+    handed = []
+
+    def record(arrays, grads, adam):
+        handed.append(grads)
+        return arrays, adam
+
+    names = [name for name, _ in params.named_parameters()]
+
+    def total(arrays):
+        trial = with_arrays(params, names, arrays)
+        state = trainer.TrainState("formal", 0, trial, AdamState(learning_rate=1e-3))
+        trainer._train_step(state, model.encode(basis, graph, trial), counts, graph, cfg, **step)
+        return state.loss_history[-1].total
+
+    arrays = [array for _, array in params.named_parameters()]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(trainer, "adam_step", record)
+        total(arrays)
+        if rng is None:
+            return max_relative_error(handed[0], finite_difference_gradients(total, arrays, h=h))
+        directions = [rng.normal(size=a.shape) for a in arrays]
+        numeric = finite_difference_gradients(
+            lambda t: total([a + s * d for a, s, d in zip(arrays, t[0], directions)]),
+            [np.zeros(len(arrays))],
+            h=h,
+        )
+    analytic = [np.array([np.sum(g * d) for g, d in zip(handed[0], directions)])]
     return max_relative_error(analytic, numeric)

@@ -13,12 +13,11 @@ import pytest
 import scipy.sparse as sp
 
 from celluster import curriculum, losses, metrics, model, trainer
-from celluster import numerics as nm
 from celluster.cellgraph import _from_adjacency
 from celluster.cli import main as cli_main
 from celluster.ingest import SynthesisSpec, synthesize
 from celluster.trainer import TrainConfig
-from gradcheck import finite_difference_gradients, leaf_gradient_error, max_relative_error, project
+from gradcheck import backward_error, gradient_error, step_gradient_error, with_arrays
 
 
 def _pass(criterion: int, message: str) -> None:
@@ -34,55 +33,32 @@ def _random_graph(rng, n, p=0.35, kind="sym_normalized"):
 # -- criterion 1: gradient correctness -------------------------------------------------
 
 
-def _fd_max_err(build, arrays, h=1e-5):
-    def forward(vals):
-        return build([nm.Tensor(v, requires_grad=True) for v in vals]).item()
-
-    tensors = [nm.Tensor(a, requires_grad=True) for a in arrays]
-    build(tensors).backward()
-    numeric = finite_difference_gradients(forward, arrays, h=h)
-    return max_relative_error([t.grad for t in tensors], numeric)
-
-
 def test_criterion_1_gradient_correctness():
     start = time.time()
     worst: dict[str, float] = {}
 
-    # the subset gather, on a weighted sum of its rows
-    errs = []
-    for seed in range(50):
-        rng = np.random.default_rng(seed)
-        a = rng.uniform(-1.0, 1.0, size=(2, 3))
-        w = rng.uniform(-1, 1, size=(3, 3))
-        errs.append(_fd_max_err(lambda ts: project(nm.index_rows(ts[0], [1, 0, 1]), w), [a]))
-    worst["index_rows"] = max(errs)
-
-    # the model's nodes: the encoder (every layer weight and bias) and the
-    # count decoder's MLP (latent, weights and biases), each on a weighted
-    # sum of its output, and the weighted sum of the three criteria
-    errs = {"encode": [], "decode_zinb_mlp": [], "weighted_total": []}
+    # the model's closed-form backwards: the encoder (every layer weight and
+    # bias) and the count decoder's MLP (latent, weights and biases), each
+    # under a weighted sum of its output
+    errs = {"encode": [], "decode_zinb_mlp": []}
     for seed in range(50):
         rng = np.random.default_rng(1000 + seed)
         graph = _random_graph(rng, 5, kind=("sym_normalized", "combinatorial")[seed % 2])
         params = model.init_params(n_genes=3, latent_dim=2, hidden_dim=3, zinb_dims=(3, 4), seed=seed)
         basis = model.chebyshev_basis(rng.normal(size=(5, 3)), graph, 3)
         w = rng.uniform(-1, 1, size=(5, 2))
-        leaves = [t for name, t in params.named_parameters() if name.startswith("enc")]
-        errs["encode"].append(
-            leaf_gradient_error(lambda: project(model.encode(basis, graph, params), w), leaves)
-        )
-        z = nm.Tensor(rng.uniform(-1.0, 1.0, size=(4, 2)), requires_grad=True)
+        names = [name for name, _ in params.named_parameters() if name.startswith("enc")]
+        encoder = [array for name, array in params.named_parameters() if name in names]
+        errs["encode"].append(backward_error(
+            lambda a: model.encode(basis, graph, with_arrays(params, names, a)), encoder, w
+        ))
+        z = rng.uniform(-1.0, 1.0, size=(4, 2))
         w = rng.uniform(-1, 1, size=(4, 4))
-        leaves = [z, *(t for pair in params.zinb_fc for t in pair)]
-        for t in leaves[1:]:  # non-zero biases: no pre-activation sits on the relu kink
-            t.values = rng.uniform(-1.0, 1.0, size=t.shape)
-        errs["decode_zinb_mlp"].append(
-            leaf_gradient_error(lambda: project(model.decode_zinb(z, params).hidden, w), leaves)
-        )
-        weights = tuple(rng.uniform(0.2, 2.0, size=3))
-        errs["weighted_total"].append(
-            _fd_max_err(lambda ts: losses.weighted_total(*ts, weights)[0], list(rng.normal(size=3)))
-        )
+        # non-zero biases: no pre-activation sits on the relu kink
+        mlp = [rng.uniform(-1.0, 1.0, size=t.shape) for pair in params.zinb_fc for t in pair]
+        errs["decode_zinb_mlp"].append(backward_error(
+            lambda a: model.CountHeads(a[0], ((a[1], a[2]), (a[3], a[4])), ()).hidden, [z, *mlp], w
+        ))
     worst.update({name: max(values) for name, values in errs.items()})
 
     # the three losses; the likelihood also on all-zero counts (its logaddexp
@@ -99,7 +75,7 @@ def test_criterion_1_gradient_correctness():
         adj = np.triu((rng.random((3, 3)) < 0.5), 1).astype(float)
         adj = adj + adj.T
         z0 = rng.uniform(-1.0, 1.0, size=(3, 2))
-        errs["loss_rec"].append(_fd_max_err(lambda ts: losses.loss_rec(adj, ts[0]), [z0]))
+        errs["loss_rec"].append(gradient_error(lambda a: losses.loss_rec(adj, a[0]), [z0]))
 
         for name, draw in zinb_counts.items():
             x = draw(rng).astype(float)
@@ -107,8 +83,8 @@ def test_criterion_1_gradient_correctness():
             mu0 = rng.uniform(0.8, 4.0, size=(2, 3))
             th0 = rng.uniform(0.8, 4.0, size=(2, 3))
             errs[name].append(
-                _fd_max_err(
-                    lambda ts: losses.loss_zinb(x, ts),
+                gradient_error(
+                    lambda a: losses.loss_zinb(x, a),
                     [np.log(pi0 / (1.0 - pi0)), np.log(mu0), np.log(th0)],
                 )
             )
@@ -117,15 +93,41 @@ def test_criterion_1_gradient_correctness():
         p /= p.sum(axis=1, keepdims=True)
         z0 = rng.uniform(-1.0, 1.0, size=(3, 2))
         c0 = rng.uniform(-1.0, 1.0, size=(3, 2))
-        errs["loss_cls"].append(_fd_max_err(lambda ts: losses.loss_cls(p, *ts), [z0, c0]))
+        errs["loss_cls"].append(gradient_error(lambda a: losses.loss_cls(p, *a), [z0, c0]))
     worst.update({name: max(values) for name, values in errs.items()})
+
+    # the composed step: the gradients one formal step hands to Adam, along
+    # one random direction per parameter array, against its logged total,
+    # on a paced sub-problem (4 of 6 kept nodes, whose counts are rows of a
+    # larger matrix) at random criterion weights. Non-zero biases keep every
+    # relu input off its kink
+    errs = []
+    for seed in range(50):
+        rng = np.random.default_rng(5000 + seed)
+        graph = _random_graph(rng, 6, kind=("sym_normalized", "combinatorial")[seed % 2])
+        params = model.init_params(
+            n_genes=3, latent_dim=2, hidden_dim=3, zinb_dims=(3,), seed=seed
+        ).with_centers(rng.normal(size=(2, 2)))
+        params = params.map_named(
+            lambda name, a: rng.uniform(-1.0, 1.0, size=a.shape) if name.endswith("bias") else a
+        )
+        basis = model.chebyshev_basis(rng.normal(size=(6, 3)), graph, 3)
+        target = rng.random((6, 2))
+        target /= target.sum(axis=1, keepdims=True)
+        cfg = TrainConfig(n_clusters=2, loss_weights=tuple(rng.uniform(0.5, 2.0, size=3)))
+        errs.append(step_gradient_error(
+            params, basis, graph, rng.poisson(1.0, size=(9, 3)), cfg,
+            rng=rng, subset=np.array([0, 2, 3, 5]), target=target,
+            count_rows=rng.permutation(9)[:4],
+        ))
+    worst["train_step"] = max(errs)
 
     elapsed = time.time() - start
     offenders = {k: v for k, v in worst.items() if v >= 1e-5}
     assert not offenders, f"gradient mismatches: {offenders}"
     assert elapsed < 60.0, f"took {elapsed:.1f}s"
     _pass(1, f"max rel error {max(worst.values()):.2e} over "
-             f"{len(worst)} nodes x 50 trials in {elapsed:.1f}s")
+             f"{len(worst)} checks x 50 trials in {elapsed:.1f}s")
 
 
 # -- criterion 2: ChebConv oracle --------------------------------------------------------
@@ -142,10 +144,9 @@ def test_criterion_2_chebconv_dense_oracle():
         graph = _random_graph(rng, n, kind=kind)
         x = rng.normal(size=(n, 4))
         layer = model.ChebLayerParams(
-            theta=[nm.Tensor(rng.normal(size=(4, 3)), requires_grad=True) for _ in range(order)],
-            bias=nm.Tensor(np.zeros(3), requires_grad=True),
+            theta=tuple(rng.normal(size=(4, 3)) for _ in range(order)), bias=np.zeros(3)
         )
-        out = model.chebconv_forward(nm.Tensor(x), graph, layer).values
+        out = model.chebconv_forward(x, graph, layer).values
 
         lhat = graph.scaled_laplacian.toarray()
         polys = [np.eye(n)]
@@ -153,7 +154,7 @@ def test_criterion_2_chebconv_dense_oracle():
             polys.append(lhat)
         for _ in range(2, order):
             polys.append(2.0 * lhat @ polys[-1] - polys[-2])
-        expected = sum(p @ x @ th.values for p, th in zip(polys, layer.theta))
+        expected = sum(p @ x @ th for p, th in zip(polys, layer.theta))
         worst = max(worst, float(np.max(np.abs(out - expected))))
     elapsed = time.time() - start
     assert worst < 1e-10, f"max abs deviation {worst}"
@@ -167,13 +168,13 @@ def test_criterion_2_chebconv_dense_oracle():
 def test_criterion_3_zinb_pointwise():
     # fed as pre-activations: logit 0.5 = 0, log 1 = 0, logit 0.2 = log 0.25
     def zinb(pi_logit, log_mu, log_th):
-        return [nm.Tensor([[pi_logit]]), nm.Tensor([[log_mu]]), nm.Tensor([[log_th]])]
+        return [np.array([[pi_logit]]), np.array([[log_mu]]), np.array([[log_th]])]
 
-    zero_case = losses.loss_zinb(np.array([[0.0]]), zinb(0.0, 0.0, 0.0)).item()
+    zero_case = losses.loss_zinb(np.array([[0.0]]), zinb(0.0, 0.0, 0.0))[0]
     assert abs(zero_case - 0.28768) < 1e-5
     assert abs(zero_case - (-math.log(0.75))) < 1e-6
 
-    one_case = losses.loss_zinb(np.array([[1.0]]), zinb(math.log(0.25), 0.0, 0.0)).item()
+    one_case = losses.loss_zinb(np.array([[1.0]]), zinb(math.log(0.25), 0.0, 0.0))[0]
     assert abs(one_case - 1.60944) < 1e-5
     assert abs(one_case - (-math.log(0.2))) < 1e-6
 
@@ -185,7 +186,7 @@ def test_criterion_3_zinb_pointwise():
     mu = rng.uniform(0.4, 9.0, size=(5, 6))
     th = rng.uniform(0.4, 5.0, size=(5, 6))
     floored = np.full((5, 6), -1000.0)  # sigmoid underflows: pi is held at its 1e-10 floor
-    got = losses.loss_zinb(x, [nm.Tensor(floored), nm.Tensor(np.log(mu)), nm.Tensor(np.log(th))]).item()
+    got = losses.loss_zinb(x, [floored, np.log(mu), np.log(th)])[0]
     nb = -(
         gammaln(x + th) - gammaln(x + 1.0) - gammaln(th)
         + th * np.log(th / (th + mu)) + x * np.log(mu / (th + mu))

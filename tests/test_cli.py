@@ -347,7 +347,7 @@ def test_prune_study_frees_each_cell_before_the_next_trains(tmp_path, monkeypatc
     def tracking(state, *args, **kwargs):
         alive_at_start.append(sum(ref() is not None for ref in trained))
         state = formal_train(state, *args, **kwargs)
-        arrays = [t.values for _, t in state.params.named_parameters()]
+        arrays = [a for _, a in state.params.named_parameters()]
         arrays += state.adam.first_moment + state.adam.second_moment
         trained.extend(weakref.ref(a) for a in arrays)
         return state

@@ -66,6 +66,44 @@ def test_duplicate_ids_are_rejected(tmp_path):
         ingest.load_matrix(path, "csv")
 
 
+def test_labels_file_that_starts_with_a_byte_order_mark_reads_as_without(tmp_path):
+    text = b"cell_id,label\nc1,0\nc2,1\n"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "labels.csv"
+    plain.write_bytes(text)
+    marked.write_bytes(b"\xef\xbb\xbf" + text)
+    assert ingest.read_labels(marked) == ingest.read_labels(plain) == {"c1": 0, "c2": 1}
+
+
+@pytest.mark.parametrize("fmt, text", [
+    ("mtx-triplet", b"2 2 2\n1 1 3\n2 2 5\n"),
+    ("csv", b"id,g1,g2\nc1,3,0\nc2,0,5\n"),
+])
+def test_count_file_that_starts_with_a_byte_order_mark_loads_as_without(tmp_path, fmt, text):
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_bytes(text)
+    marked.write_bytes(b"\xef\xbb\xbf" + text)
+    want, got = ingest.load_matrix(plain, fmt), ingest.load_matrix(marked, fmt)
+    np.testing.assert_array_equal(got.counts, want.counts)
+    assert (got.cell_ids, got.gene_ids) == (want.cell_ids, want.gene_ids)
+
+
+@pytest.mark.parametrize("read, text, line, offset", [
+    (lambda p: ingest.load_matrix(p, "csv"), b"id,g1,g2\nc1,0,3\nc2,1,0\nc\xff3,2,2\n", 4, 24),
+    (lambda p: ingest.load_matrix(p, "mtx-triplet"), b"\xef\xbb\xbf2 2 1\n1 1 \xff\n", 2, 13),
+    (ingest.read_labels, b"cell_id,label\nc1,0\n\xffc2,1\n", 3, 19),
+], ids=["csv", "mtx-after-a-byte-order-mark", "labels"])
+def test_a_byte_that_is_not_utf8_names_its_file_line_and_offset(
+    tmp_path, read, text, line, offset
+):
+    # the offset counts from the start of the file, a byte-order mark included
+    path = tmp_path / "input"
+    path.write_bytes(text)
+    with pytest.raises(ingest.ParseError) as err:
+        read(path)
+    assert str(err.value) == f"{path}:{line}: not UTF-8 text: byte 0xff at offset {offset}"
+    assert err.value.line == line
+
+
 def test_mtx_triplet_layout(tmp_path):
     path = tmp_path / "m.mtx"
     path.write_text("2 3 3\n1 1 5\n2 3 7\n2 3 1\n")  # duplicate entry accumulates

@@ -7,9 +7,9 @@ import pytest
 
 import scipy.sparse as sp
 
-from celluster import losses, model
-from celluster import numerics as nm
-from gradcheck import finite_difference_gradients, leaf_gradient_error, max_relative_error
+from celluster import losses, model, trainer
+from celluster.cellgraph import _from_adjacency
+from gradcheck import gradient_error
 
 
 def _pre(pi, mu, theta):
@@ -19,20 +19,14 @@ def _pre(pi, mu, theta):
     return [np.log(pi) - np.log1p(-pi), np.log(mu), np.log(theta)]
 
 
-def _zinb(pi, mu, theta, grad=False):
-    return [nm.Tensor(a, requires_grad=grad) for a in _pre(pi, mu, theta)]
-
-
-def _dense_heads(decoded):
-    """The three heads multiplied out, each one node: the dense reference path."""
-    h = decoded.hidden
-    hv = h.values
-
-    def head(w):
-        wv = w.values
-        return nm.closed_form(hv @ wv, (h, w), lambda g: (g @ wv.T, hv.T @ g))
-
-    return [head(w) for w in decoded.weights]
+def _dense_chain(hidden, weights, head_grads):
+    """The dense reference's chain rule from the three head gradients (pi,
+    mu, theta) back through H W_k and the MLP: the latent's gradient, each
+    MLP layer's weight and bias gradients, then the three head weights'."""
+    d_h = head_grads[0] @ weights[0].T
+    for g, w in zip(head_grads[1:], weights[1:]):
+        d_h += g @ w.T
+    return [*hidden.backward(d_h), *(hidden.values.T @ g for g in head_grads)]
 
 
 def nb_nll_oracle(x, mu, theta):
@@ -53,19 +47,30 @@ def _symmetric_adjacency(rng, n, p=0.3):
     return (upper | upper.T).astype(float)
 
 
+def _scatter(n, subset, rows):
+    """A subset's gradient rows added back into n rows, as the train step
+    does."""
+    full = np.zeros((n, *rows.shape[1:]))
+    np.add.at(full, subset, rows)
+    return full
+
+
 def _rec_on(adjacency, z, subset=None):
-    """loss_rec over subset x subset, gathered the way the train step does."""
+    """loss_rec over subset x subset, gathered and scattered back the way
+    the train step does."""
     if subset is None:
         return losses.loss_rec(adjacency, z)
-    return losses.loss_rec(adjacency[subset][:, subset], nm.index_rows(z, subset))
+    value, (dz,) = losses.loss_rec(adjacency[subset][:, subset], z[subset])
+    return value, (_scatter(len(z), subset, dz),)
 
 
-def _zinb_on(x, tensors, subset=None):
-    """loss_zinb over the subset rows, gathered the way the train step does."""
-    if subset is not None:
-        x = x[subset]
-        tensors = [nm.index_rows(t, subset) for t in tensors]
-    return losses.loss_zinb(x, tensors)
+def _zinb_on(x, heads, subset=None):
+    """loss_zinb over the subset rows, gathered and scattered back the way
+    the train step does."""
+    if subset is None:
+        return losses.loss_zinb(x, heads)
+    value, grads = losses.loss_zinb(x[subset], [h[subset] for h in heads])
+    return value, [_scatter(len(x), subset, g) for g in grads]
 
 
 def _rec_oracle(adjacency, z0, subset=None):
@@ -85,22 +90,20 @@ def _rec_oracle(adjacency, z0, subset=None):
 def test_loss_rec_zero_when_equal():
     # z = 0 reconstructs every entry as sigmoid(0) = 1/2
     a = np.full((3, 3), 0.5)
-    assert losses.loss_rec(a, nm.Tensor(np.zeros((3, 2)))).item() == 0.0
+    assert losses.loss_rec(a, np.zeros((3, 2)))[0] == 0.0
 
 
 def test_loss_rec_hand_value():
     a = np.array([[0.0, 1.0], [1.0, 0.0]])
-    z = nm.Tensor(np.zeros((2, 1)))
-    assert losses.loss_rec(a, z).item() == pytest.approx(1.0, abs=1e-15)
+    assert losses.loss_rec(a, np.zeros((2, 1)))[0] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_loss_rec_single_node_mask():
     a = np.array([[0.2, 1.0], [1.0, 0.7]])
-    z = nm.Tensor(np.array([[0.9], [0.0]]), requires_grad=True)  # node 1 reconstructs itself as 1/2
-    loss = _rec_on(a, z, [1])
-    assert loss.item() == pytest.approx((0.7 - 0.5) ** 2, abs=1e-15)
-    loss.backward()
-    assert z.grad[0, 0] == 0.0
+    z = np.array([[0.9], [0.0]])  # node 1 reconstructs itself as 1/2
+    value, (dz,) = _rec_on(a, z, [1])
+    assert value == pytest.approx((0.7 - 0.5) ** 2, abs=1e-15)
+    assert dz[0, 0] == 0.0
 
 
 @pytest.mark.parametrize("sparse", [True, False], ids=["sparse", "dense"])
@@ -120,14 +123,12 @@ def test_blocked_loss_rec_matches_dense_oracle(sparse, subset_kind):
         "single": [n - 3],
     }[subset_kind]
     want, want_grad = _rec_oracle(a, z0, subset)
-    z = nm.Tensor(z0, requires_grad=True)
-    loss = _rec_on(a, z, subset)
-    loss.backward()
-    assert loss.item() == pytest.approx(want, rel=1e-12)
-    assert np.max(np.abs(z.grad - want_grad)) <= 1e-12 * np.max(np.abs(want_grad))
+    value, (dz,) = _rec_on(a, z0, subset)
+    assert value == pytest.approx(want, rel=1e-12)
+    assert np.max(np.abs(dz - want_grad)) <= 1e-12 * np.max(np.abs(want_grad))
     if subset is not None:
         dropped = np.setdiff1d(np.arange(n), subset)
-        assert not np.any(z.grad[dropped])
+        assert not np.any(dz[dropped])
 
 
 def test_loss_rec_sparse_adjacency_gives_the_dense_bits():
@@ -143,14 +144,9 @@ def test_loss_rec_sparse_adjacency_gives_the_dense_bits():
     )
     assert not halves.has_canonical_format
     z0 = rng.normal(scale=0.4, size=(n, 6))
-    results = []
-    for a in (dense, csr, csr.tocoo(), halves):
-        z = nm.Tensor(z0, requires_grad=True)
-        loss = losses.loss_rec(a, z)
-        loss.backward()
-        results.append((loss.values, z.grad))
-    for value, grad in results[1:]:
-        assert value == results[0][0] and np.array_equal(grad, results[0][1])
+    results = [losses.loss_rec(a, z0) for a in (dense, csr, csr.tocoo(), halves)]
+    for value, (grad,) in results[1:]:
+        assert value == results[0][0] and np.array_equal(grad, results[0][1][0])
     assert not halves.has_canonical_format  # the caller's matrix is left as it was
 
 
@@ -158,7 +154,7 @@ def test_loss_rec_holds_at_most_three_row_blocks():
     n = 2000
     rng = np.random.default_rng(13)
     a = sp.csr_matrix(_symmetric_adjacency(rng, n, p=0.01))
-    z = nm.Tensor(rng.normal(scale=0.3, size=(n, 8)), requires_grad=True)
+    z = rng.normal(scale=0.3, size=(n, 8))
     tracemalloc.start()
     try:
         losses.loss_rec(a, z)
@@ -174,18 +170,14 @@ def test_loss_rec_holds_at_most_three_row_blocks():
 
 def test_loss_zinb_zero_count_hand_value():
     # x=0, pi=0.5, mu=theta=1: NLL = -log(0.5 + 0.5 * 0.5) = 0.28768...
-    got = losses.loss_zinb(
-        np.array([[0.0]]), _zinb([[0.5]], [[1.0]], [[1.0]])
-    ).item()
+    got = losses.loss_zinb(np.array([[0.0]]), _pre([[0.5]], [[1.0]], [[1.0]]))[0]
     assert got == pytest.approx(-math.log(0.75), abs=1e-12)
     assert got == pytest.approx(0.28768, abs=5e-6)
 
 
 def test_loss_zinb_positive_count_hand_value():
     # x=1, pi=0.2, mu=theta=1: NB pmf = 0.25, NLL = -log(0.8 * 0.25) = 1.60944...
-    got = losses.loss_zinb(
-        np.array([[1.0]]), _zinb([[0.2]], [[1.0]], [[1.0]])
-    ).item()
+    got = losses.loss_zinb(np.array([[1.0]]), _pre([[0.2]], [[1.0]], [[1.0]]))[0]
     assert got == pytest.approx(-math.log(0.2), abs=1e-12)
     assert got == pytest.approx(1.60944, abs=5e-6)
 
@@ -196,7 +188,7 @@ def test_loss_zinb_vanishing_dropout_matches_nb_oracle():
     mu = rng.uniform(0.5, 8.0, size=(6, 5))
     theta = rng.uniform(0.5, 4.0, size=(6, 5))
     pi = np.full((6, 5), 1e-10)
-    got = losses.loss_zinb(x, _zinb(pi, mu, theta)).item()
+    got = losses.loss_zinb(x, _pre(pi, mu, theta))[0]
     want = float(np.mean(nb_nll_oracle(x, mu, theta)))
     assert got == pytest.approx(want, abs=1e-8)
 
@@ -208,8 +200,8 @@ def test_loss_zinb_dropout_below_the_floor_equals_clamped_oracle_tight():
     x = rng.integers(0, 20, size=(4, 7)).astype(float)
     mu = rng.uniform(0.2, 10.0, size=(4, 7))
     theta = rng.uniform(0.3, 5.0, size=(4, 7))
-    heads = [nm.Tensor(np.full((4, 7), -800.0)), *_zinb(0.5, mu, theta)[1:]]
-    got = losses.loss_zinb(x, heads).item()
+    heads = [np.full((4, 7), -800.0), *_pre(0.5, mu, theta)[1:]]
+    got = losses.loss_zinb(x, heads)[0]
     floor = losses.PI_CLAMP[0]
     nb_zero = (theta / (theta + mu)) ** theta
     want = np.where(
@@ -228,12 +220,9 @@ def test_loss_zinb_row_mask_equals_sliced_computation():
         rng.uniform(0.5, 5.0, size=(6, 4)),
         rng.uniform(0.5, 5.0, size=(6, 4)),
     )
-    tensors = [nm.Tensor(a, requires_grad=True) for a in arrays]
-    gathered = _zinb_on(x, tensors, [1, 4])
-    sliced = losses.loss_zinb(x[[1, 4]], [nm.Tensor(a[[1, 4]]) for a in arrays]).item()
-    assert gathered.item() == sliced
-    gathered.backward()
-    assert not any(np.any(t.grad[[0, 2, 3, 5]]) for t in tensors)
+    value, grads = _zinb_on(x, arrays, [1, 4])
+    assert value == losses.loss_zinb(x[[1, 4]], [a[[1, 4]] for a in arrays])[0]
+    assert not any(np.any(g[[0, 2, 3, 5]]) for g in grads)
 
 
 def test_loss_zinb_gradients_match_finite_differences():
@@ -245,13 +234,7 @@ def test_loss_zinb_gradients_match_finite_differences():
         rng.uniform(0.8, 4.0, size=(3, 4)),  # theta
     )
 
-    def forward(vals):
-        return losses.loss_zinb(x, [nm.Tensor(v) for v in vals]).item()
-
-    tensors = [nm.Tensor(a, requires_grad=True) for a in arrays]
-    losses.loss_zinb(x, tensors).backward()
-    numeric = finite_difference_gradients(forward, arrays)
-    err = max_relative_error([t.grad for t in tensors], numeric)
+    err = gradient_error(lambda a: losses.loss_zinb(x, a), arrays)
     assert err < 1e-5, f"max relative error {err}"
 
 
@@ -271,16 +254,10 @@ def test_loss_zinb_branch_gradients_match_finite_differences(branch):
         )
 
         for subset in (None, [2, 0]):
-
-            def forward(vals):
-                return _zinb_on(x, [nm.Tensor(v) for v in vals], subset).item()
-
-            tensors = [nm.Tensor(a, requires_grad=True) for a in arrays]
-            _zinb_on(x, tensors, subset).backward()
-            numeric = finite_difference_gradients(forward, arrays)
-            err = max_relative_error([t.grad for t in tensors], numeric)
+            err = gradient_error(lambda a: _zinb_on(x, a, subset), arrays)
             assert err < 1e-5, f"seed {seed}, subset {subset}: max relative error {err}"
-        assert not any(np.any(t.grad[1]) for t in tensors)  # row 1 is outside the subset
+        _, grads = _zinb_on(x, arrays, [2, 0])
+        assert not any(np.any(g[1]) for g in grads)  # row 1 is outside the subset
 
 
 def _full_matrix_nll(x, pi, mu, theta):
@@ -304,7 +281,7 @@ def test_loss_zinb_matches_full_matrix_gammaln_formula():
     pi = rng.uniform(0.01, 0.95, size=x.shape)
     mu = rng.uniform(0.05, 20.0, size=x.shape)
     theta = rng.uniform(0.05, 20.0, size=x.shape)
-    got = losses.loss_zinb(x, _zinb(pi, mu, theta)).item()
+    got = losses.loss_zinb(x, _pre(pi, mu, theta))[0]
     assert got == pytest.approx(_full_matrix_nll(x, pi, mu, theta), rel=1e-12)
 
 
@@ -335,44 +312,35 @@ def test_loss_zinb_with_an_empty_branch_matches_the_full_matrix_formula(count):
     mu = rng.uniform(0.2, 8.0, size=x.shape)
     theta = rng.uniform(0.2, 8.0, size=x.shape)
     arrays = _pre(pi, mu, theta)
-    tensors = [nm.Tensor(a, requires_grad=True) for a in arrays]
-    loss = losses.loss_zinb(x, tensors)
-    assert loss.item() == pytest.approx(_full_matrix_nll(x, pi, mu, theta), rel=1e-12)
-    loss.backward()
-
-    def forward(vals):
-        return losses.loss_zinb(x, [nm.Tensor(v) for v in vals]).item()
-
-    numeric = finite_difference_gradients(forward, arrays)
-    assert max_relative_error([t.grad for t in tensors], numeric) < 1e-5
+    value, _ = losses.loss_zinb(x, arrays)
+    assert value == pytest.approx(_full_matrix_nll(x, pi, mu, theta), rel=1e-12)
+    assert gradient_error(lambda a: losses.loss_zinb(x, a), arrays) < 1e-5
 
 
 def test_loss_zinb_frees_the_heads_once_the_caller_drops_them():
-    # the node keeps only its three gradients in the heads, never the heads
+    # what loss_zinb returns holds its three gradients in the heads, never
+    # the heads: the chain rule back to the latent and the decoder runs the
+    # same once the caller has dropped them
     rng = np.random.default_rng(16)
     params = model.init_params(n_genes=6, latent_dim=3, zinb_dims=(5, 4), seed=2)
     z0 = rng.normal(size=(7, 3))
     x = rng.poisson(1.0, size=(7, 6)).astype(float)
 
     def gradients(keep_heads):
-        z = nm.Tensor(z0, requires_grad=True)
-        heads = _dense_heads(model.decode_zinb(z, params))
-        alive = [weakref.ref(t.values) for t in heads]
-        loss = losses.loss_zinb(x, heads)
+        decoded = model.decode_zinb(z0, params)
+        hidden = decoded.hidden
+        heads = [hidden.values @ w for w in decoded.weights]
+        alive = [weakref.ref(h) for h in heads]
+        value, head_grads = losses.loss_zinb(x, heads)
         if not keep_heads:
             del heads
             assert all(ref() is None for ref in alive)
-        loss.backward()
-        named = [z] + [t for _, t in params.named_parameters()]
-        grads = [None if t.grad is None else t.grad.copy() for t in named]
-        for t in named:
-            t.grad = None
-        return grads
+        return [value, *_dense_chain(hidden, decoded.weights, head_grads)]
 
     kept, dropped = gradients(keep_heads=True), gradients(keep_heads=False)
-    assert sum(g is not None for g in kept) == 1 + 2 * 2 + 3  # z, two fc layers, three heads
+    assert len(kept) == 1 + 1 + 2 * 2 + 3  # the loss, z, two fc layers, three heads
     for want, got in zip(kept, dropped):
-        assert (want is None and got is None) or np.array_equal(want, got)
+        assert np.array_equal(want, got)
 
 
 @pytest.mark.parametrize("subset", [None, [12, 0, 2, 3, 4, 5, 9]], ids=["all", "subset"])
@@ -389,10 +357,8 @@ def test_loss_zinb_is_bitwise_the_same_for_any_block_size(monkeypatch, subset):
     results = []
     for entries in (7, 1 << 30):
         monkeypatch.setattr(losses, "ZINB_BLOCK_ENTRIES", entries)
-        heads = [nm.Tensor(a, requires_grad=True) for a in pre]
-        loss = _zinb_on(x, heads, subset)
-        loss.backward()
-        results.append([loss.values] + [t.grad for t in heads])
+        value, grads = _zinb_on(x, list(pre), subset)
+        results.append([value, *grads])
     for blocked, whole in zip(*results):
         assert np.array_equal(blocked, whole)
 
@@ -403,10 +369,10 @@ def test_loss_zinb_holds_few_count_sized_arrays_through_backward():
     rng = np.random.default_rng(22)
     shape = (3000, 500)
     x = np.where(rng.random(shape) < 2 / 3, 0.0, rng.poisson(3.0, shape) + 1.0)
-    heads = [nm.Tensor(rng.normal(size=shape), requires_grad=True) for _ in range(3)]
+    heads = [rng.normal(size=shape) for _ in range(3)]
     tracemalloc.start()
     try:
-        losses.loss_zinb(x, heads).backward()
+        losses.loss_zinb(x, heads)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -414,18 +380,17 @@ def test_loss_zinb_holds_few_count_sized_arrays_through_backward():
 
 
 def _count_criterion(x, z0, params, dense, count_rows=None):
-    """The count criterion from the latent, dense reference or node, then
-    backward: the loss and the gradients of z and of every count parameter."""
-    z = nm.Tensor(z0, requires_grad=True)
-    decoded = model.decode_zinb(z, params)
-    loss = losses.loss_zinb(x, _dense_heads(decoded) if dense else decoded, count_rows)
-    del decoded
-    loss.backward()
-    named = [z] + [t for name, t in params.named_parameters() if not name.startswith("enc")]
-    grads = [t.grad for t in named]
-    for t in named:
-        t.grad = None
-    return [loss.values] + grads
+    """The count criterion from the latent, through the dense reference or
+    CountHeads: the loss, then the gradients of z and of every count
+    parameter."""
+    decoded = model.decode_zinb(z0, params)
+    if not dense:
+        value, grads = losses.loss_zinb(x, decoded, count_rows)
+        return [value, *grads]
+    hidden = decoded.hidden
+    heads = [hidden.values @ w for w in decoded.weights]
+    value, head_grads = losses.loss_zinb(x, heads, count_rows)
+    return [value, *_dense_chain(hidden, decoded.weights, head_grads)]
 
 
 @pytest.mark.parametrize("zinb_dims", [(), (5, 4)], ids=["hidden-is-z", "mlp"])
@@ -447,7 +412,7 @@ def test_loss_zinb_node_matches_the_dense_heads_at_any_block_size(monkeypatch, z
     want = _count_criterion(x, z0, params, dense=True)
     # z, two weights and biases per MLP layer, the three head weights
     assert len(want) == 1 + 1 + 2 * len(zinb_dims) + 3
-    assert all(g is not None and np.any(g) for g in want)
+    assert all(np.any(g) for g in want)
     for entries in (1 << 30, 3, 7):  # the whole matrix, one row, 2-row blocks
         monkeypatch.setattr(losses, "ZINB_BLOCK_ENTRIES", entries)
         got = _count_criterion(x, z0, params, dense=False)
@@ -473,7 +438,7 @@ def test_loss_zinb_on_count_rows_equals_the_gathered_copy_bitwise(monkeypatch, d
         monkeypatch.setattr(losses, "ZINB_BLOCK_ENTRIES", entries)
         want = _count_criterion(x[rows], z0, params, dense)
         got = _count_criterion(x, z0, params, dense, count_rows=rows)
-        assert len(got) == len(want) and all(g is not None for g in got)
+        assert len(got) == len(want)
         for a, b in zip(want, got):
             assert np.array_equal(a, b)
 
@@ -486,9 +451,9 @@ def test_loss_zinb_node_names_the_head_of_a_nan_block(monkeypatch):
     rng = np.random.default_rng(24)
     hidden = rng.normal(size=(13, 4))
     hidden[9, 0] = np.inf
-    weights = [nm.Tensor(rng.uniform(0.5, 1.0, size=(4, 3)), requires_grad=True) for _ in range(3)]
-    weights[2].values[0] = 0.0
-    heads = model.CountHeads(nm.Tensor(hidden, requires_grad=True), (), tuple(weights))
+    weights = [rng.uniform(0.5, 1.0, size=(4, 3)) for _ in range(3)]
+    weights[2][0] = 0.0
+    heads = model.CountHeads(hidden, (), tuple(weights))
     with np.errstate(invalid="ignore"), pytest.raises(
         model.NonFiniteOutputError, match="non-finite values in the theta head"
     ):
@@ -504,10 +469,10 @@ def test_count_criterion_holds_few_count_sized_arrays_through_backward():
     shape = (3000, 500)
     x = np.where(rng.random(shape) < 2 / 3, 0, rng.poisson(3.0, shape) + 1)
     params = model.init_params(n_genes=shape[1], latent_dim=32, seed=0)
-    z = nm.Tensor(rng.normal(size=(shape[0], 32)), requires_grad=True)
+    z = rng.normal(size=(shape[0], 32))
     tracemalloc.start()
     try:
-        losses.loss_zinb(x, model.decode_zinb(z, params)).backward()
+        losses.loss_zinb(x, model.decode_zinb(z, params))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -519,18 +484,19 @@ def test_loss_zinb_gradient_is_zero_on_the_clamps():
     # the clamp: gene 0 saturates high, gene 1 low, gene 2 stays inside
     rng = np.random.default_rng(13)
     params = model.init_params(n_genes=3, latent_dim=2, zinb_dims=(), seed=0)
-    for head in (params.head_pi, params.head_mu, params.head_theta):
-        head.values = np.array([[900.0, -900.0, 0.3], [900.0, -900.0, -0.2]])
-    z = nm.Tensor(rng.uniform(0.5, 1.5, size=(6, 2)))
+    weight = np.array([[900.0, -900.0, 0.3], [900.0, -900.0, -0.2]])
+    params = params.map_named(lambda name, a: weight if name.startswith("head") else a)
+    z = rng.uniform(0.5, 1.5, size=(6, 2))
     x = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]] * 3)
     decoded = model.decode_zinb(z, params)
-    for pre in _dense_heads(decoded):  # far past both clamps: sigmoid and exp saturate there
-        assert np.all(pre.values[:, 0] >= 900.0) and np.all(pre.values[:, 1] <= -900.0)
-    losses.loss_zinb(x, decoded).backward()
-    for head in (params.head_pi, params.head_mu, params.head_theta):
-        assert np.all(np.isfinite(head.grad))
-        assert np.all(head.grad[:, :2] == 0.0)
-        assert np.all(head.grad[:, 2] != 0.0)
+    for w in decoded.weights:  # far past both clamps: sigmoid and exp saturate there
+        pre = z @ w
+        assert np.all(pre[:, 0] >= 900.0) and np.all(pre[:, 1] <= -900.0)
+    _, grads = losses.loss_zinb(x, decoded)
+    for grad in grads[-3:]:  # the three head weights'
+        assert np.all(np.isfinite(grad))
+        assert np.all(grad[:, :2] == 0.0)
+        assert np.all(grad[:, 2] != 0.0)
 
 
 @pytest.mark.parametrize("count", [0.0, 2.0], ids=["zero", "positive"])
@@ -539,22 +505,21 @@ def test_loss_zinb_gradient_is_zero_where_a_clamp_binds_on_a_slope(count):
     # (sigmoid' ~ 9e-14, exp' = exp), so only the clamp makes the gradient 0;
     # column 2 stays inside every clamp
     pre = np.array([[-30.0, 30.0, 0.4]] * 2)
-    heads = [nm.Tensor(pre, requires_grad=True) for _ in range(3)]
-    losses.loss_zinb(np.full((2, 3), count), heads).backward()
-    for head in heads:
-        assert np.all(head.grad[:, :2] == 0.0)
-        assert np.all(head.grad[:, 2] != 0.0)
+    _, grads = losses.loss_zinb(np.full((2, 3), count), [pre] * 3)
+    for grad in grads:
+        assert np.all(grad[:, :2] == 0.0)
+        assert np.all(grad[:, 2] != 0.0)
 
 
 def test_loss_zinb_non_finite_raises():
     # the clamps keep every finite or infinite pre-activation finite; NaN is not
     x = np.array([[0.0, 3.0]])
-    heads = _zinb([[0.5, 0.5]], [[1.0, np.nan]], [[1.0, 1.0]], grad=True)
+    heads = _pre([[0.5, 0.5]], [[1.0, np.nan]], [[1.0, 1.0]])
     with np.errstate(invalid="ignore"), pytest.raises(losses.NonFiniteLossError):
         losses.loss_zinb(x, heads)
-    infinite = [nm.Tensor([[np.inf, -np.inf]]), nm.Tensor([[np.inf, -np.inf]]),
-                nm.Tensor([[-np.inf, np.inf]])]
-    assert np.isfinite(losses.loss_zinb(x, infinite).item())
+    infinite = [np.array([[np.inf, -np.inf]]), np.array([[np.inf, -np.inf]]),
+                np.array([[-np.inf, np.inf]])]
+    assert np.isfinite(losses.loss_zinb(x, infinite)[0])
 
 
 # -- target distribution ---------------------------------------------------------
@@ -599,7 +564,7 @@ def test_loss_cls_zero_when_equal():
     z = np.array([[0.0, 0.0]])
     centers = np.array([[0.0, 0.0], [1.0, 0.0]])
     p = np.array([[2.0 / 3.0, 1.0 / 3.0]])
-    assert losses.loss_cls(p, z, centers).item() == pytest.approx(0.0, abs=1e-12)
+    assert losses.loss_cls(p, z, centers)[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_loss_cls_is_exactly_zero_at_its_own_assignment():
@@ -607,14 +572,14 @@ def test_loss_cls_is_exactly_zero_at_its_own_assignment():
     rng = np.random.default_rng(10)
     for _ in range(20):
         z, centers = rng.normal(size=(6, 3)), rng.normal(size=(4, 3))
-        assert losses.loss_cls(model.soft_assign(z, centers), z, centers).item() == 0.0
+        assert losses.loss_cls(model.soft_assign(z, centers), z, centers)[0] == 0.0
 
 
 def test_loss_cls_hand_value_log_two():
     # z midway between the two centers: q = (1/2, 1/2)
     z = np.array([[0.0, 0.0]])
     centers = np.array([[1.0, 0.0], [-1.0, 0.0]])
-    got = losses.loss_cls(np.array([[1.0, 0.0]]), z, centers).item()
+    got = losses.loss_cls(np.array([[1.0, 0.0]]), z, centers)[0]
     assert got == pytest.approx(math.log(2.0), abs=1e-12)
 
 
@@ -624,12 +589,12 @@ def test_loss_cls_nonnegative_and_zero_iff_equal():
         p = rng.random((4, 3)) + 1e-3
         p /= p.sum(axis=1, keepdims=True)
         z, centers = rng.normal(size=(4, 2)), rng.normal(size=(3, 2))
-        val = losses.loss_cls(p, z, centers).item()
+        val = losses.loss_cls(p, z, centers)[0]
         assert val >= -1e-12
         if val < 1e-12:
             np.testing.assert_allclose(p, model.soft_assign(z, centers), atol=1e-5)
     z, centers = rng.normal(size=(4, 2)), rng.normal(size=(3, 2))
-    assert losses.loss_cls(model.soft_assign(z, centers), z, centers).item() < 1e-12
+    assert losses.loss_cls(model.soft_assign(z, centers), z, centers)[0] < 1e-12
 
 
 def test_loss_cls_mask_selects_rows():
@@ -637,14 +602,15 @@ def test_loss_cls_mask_selects_rows():
     p = rng.random((5, 3)) + 0.1
     p /= p.sum(axis=1, keepdims=True)
     z0, c0 = rng.normal(size=(5, 2)), rng.normal(size=(3, 2))
-    z_all = nm.Tensor(z0, requires_grad=True)
-    centers = nm.Tensor(c0, requires_grad=True)
-    gathered = losses.loss_cls(p[[0, 3]], nm.index_rows(z_all, [0, 3]), centers)
-    sliced = losses.loss_cls(p[[0, 3]], z0[[0, 3]], c0).item()
-    assert gathered.item() == sliced
-    gathered.backward()
-    assert not np.any(z_all.grad[[1, 2, 4]])
-    assert np.all(z_all.grad[[0, 3]] != 0.0) and np.all(centers.grad != 0.0)
+    value, (dz, dc) = losses.loss_cls(p[[0, 3]], z0[[0, 3]], c0)
+    rows = [losses.loss_cls(p[[i]], z0[[i]], c0) for i in (0, 3)]
+    # the term sums its rows, and each latent row's gradient is its own row's
+    assert value == pytest.approx(rows[0][0] + rows[1][0], rel=1e-14)
+    np.testing.assert_allclose(dz, np.vstack([r[1][0] for r in rows]), rtol=1e-14)
+    np.testing.assert_allclose(dc, rows[0][1][1] + rows[1][1][1], rtol=1e-13)
+    full = _scatter(5, [0, 3], dz)
+    assert not np.any(full[[1, 2, 4]])
+    assert np.all(full[[0, 3]] != 0.0) and np.all(dc != 0.0)
 
 
 def test_loss_cls_gradient_reaches_only_q():
@@ -653,14 +619,7 @@ def test_loss_cls_gradient_reaches_only_q():
     p = rng.random((3, 3)) + 0.1
     p /= p.sum(axis=1, keepdims=True)
     arrays = [rng.normal(size=(3, 2)), rng.normal(size=(3, 2))]
-
-    def forward(vals):
-        return losses.loss_cls(p, *vals).item()
-
-    tensors = [nm.Tensor(a, requires_grad=True) for a in arrays]
-    losses.loss_cls(p, *tensors).backward()
-    numeric = finite_difference_gradients(forward, arrays)
-    assert max_relative_error([t.grad for t in tensors], numeric) < 1e-5
+    assert gradient_error(lambda a: losses.loss_cls(p, *a), arrays) < 1e-5
 
 
 @pytest.mark.parametrize("rows_sum_to_one", [True, False])
@@ -679,9 +638,8 @@ def test_loss_cls_gradients_match_dec_broadcast(rows_sum_to_one):
         coeff = 2.0 * k * (p - p.sum(axis=1, keepdims=True) * q)
         want_z = (coeff[:, :, None] * diff).sum(axis=1)
         want_c = -(coeff[:, :, None] * diff).sum(axis=0)
-        z, centers = nm.Tensor(z0, requires_grad=True), nm.Tensor(c0, requires_grad=True)
-        losses.loss_cls(p, z, centers).backward()
-        for got, want in ((z.grad, want_z), (centers.grad, want_c)):
+        _, grads = losses.loss_cls(p, z0, c0)
+        for got, want in zip(grads, (want_z, want_c), strict=True):
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -689,44 +647,34 @@ def test_loss_rec_gradients_match_finite_differences():
     rng = np.random.default_rng(9)
     a = _symmetric_adjacency(rng, 4, p=0.5)
     z0 = rng.normal(size=(4, 2))
-
-    def forward(vals):
-        return _rec_on(a, nm.Tensor(vals[0]), [0, 2, 3]).item()
-
-    z = nm.Tensor(z0, requires_grad=True)
-    _rec_on(a, z, [0, 2, 3]).backward()
-    numeric = finite_difference_gradients(forward, [z0])
-    assert max_relative_error([z.grad], numeric) < 1e-5
-    assert not np.any(z.grad[1])  # node 1 is outside the subset
+    assert gradient_error(lambda v: _rec_on(a, v[0], [0, 2, 3]), [z0]) < 1e-5
+    _, (dz,) = _rec_on(a, z0, [0, 2, 3])
+    assert not np.any(dz[1])  # node 1 is outside the subset
 
 
 def test_breakdown_total_is_exact_sum():
+    # a training step logs each criterion times its weight, and as the
+    # total their sum in rec, zinb, cls order
+    from celluster.numerics import AdamState
+
     rng = np.random.default_rng(10)
-    for _ in range(20):
-        rec = nm.Tensor(rng.random())
-        zinb = nm.Tensor(rng.random())
-        cls = nm.Tensor(rng.random())
-        total, breakdown = losses.weighted_total(rec, zinb, cls, weights=(1.0, 0.5, 2.0))
-        assert breakdown.total == float(total.values)
-        assert breakdown.total == breakdown.rec + breakdown.zinb + breakdown.cls
-        assert breakdown.cls >= -1e-12
-
-
-@pytest.mark.parametrize("with_cls", [True, False], ids=["cls", "no-cls"])
-def test_weighted_total_gradients_match_finite_differences(with_cls):
-    rng = np.random.default_rng(26)
-    weights = (0.5, 2.0, 0.7)
-    terms = [nm.Tensor(rng.normal(), requires_grad=True) for _ in range(3)]
-    if not with_cls:
-        terms[2] = None
-
-    def loss():
-        return losses.weighted_total(*terms, weights)[0]
-
-    leaves = [t for t in terms if t is not None]
-    assert leaf_gradient_error(loss, leaves) < 1e-5
-    assert [float(t.grad) for t in leaves] == list(weights[: len(leaves)])
-    total, breakdown = losses.weighted_total(*terms, weights)
-    assert breakdown.total == float(total.values)
-    if not with_cls:
-        assert breakdown.cls == 0.0
+    for seed in range(5):
+        adjacency = sp.csr_matrix(_symmetric_adjacency(rng, 6, p=0.5))
+        graph = _from_adjacency(adjacency, "sym_normalized")
+        params = model.init_params(
+            n_genes=4, latent_dim=2, hidden_dim=3, zinb_dims=(3,), seed=seed
+        ).with_centers(rng.normal(size=(2, 2)))
+        counts = rng.poisson(1.0, size=(6, 4))
+        target = rng.random((6, 2))
+        target /= target.sum(axis=1, keepdims=True)
+        cfg = trainer.TrainConfig(n_clusters=2, loss_weights=(1.0, 0.5, 2.0))
+        z = model.encode(model.chebyshev_basis(rng.normal(size=(6, 4)), graph, 3), graph, params)
+        state = trainer.TrainState("formal", 0, params, AdamState(learning_rate=1e-3))
+        trainer._train_step(state, z, counts, graph, cfg, target=target)
+        logged = state.loss_history[-1]
+        assert logged.rec == 1.0 * losses.loss_rec(graph.adjacency, z.values)[0]
+        decoded = model.decode_zinb(z.values, params)
+        assert logged.zinb == 0.5 * losses.loss_zinb(counts, decoded)[0]
+        assert logged.cls == 2.0 * losses.loss_cls(target, z.values, params.cluster_centers)[0]
+        assert logged.total == logged.rec + logged.zinb + logged.cls == logged.as_row()[-1]
+        assert logged.cls >= -1e-12

@@ -7,19 +7,25 @@ import scipy.sparse as sp
 from celluster import losses, model
 from celluster import numerics as nm
 from celluster.cellgraph import _from_adjacency
-from gradcheck import leaf_gradient_error, project
+from gradcheck import backward_error, with_arrays
+
+
+def _head(z, weight, layers):
+    """One head H W over the latent z, H the MLP `layers` over every row,
+    with its backward: z's gradient, W's, then each MLP layer's weight and
+    bias gradients. The dense reference path."""
+    hidden = model.CountHeads(z, layers, ()).hidden
+
+    def vjp(g):
+        d_z, *d_layers = hidden.backward(g @ weight.T)
+        return [d_z, hidden.values.T @ g, *d_layers]
+
+    return nm.Tensor(hidden.values @ weight, vjp)
 
 
 def _dense_heads(decoded):
-    """The three heads multiplied out, each one node: the dense reference path."""
-    h = decoded.hidden
-    hv = h.values
-
-    def head(w):
-        wv = w.values
-        return nm.closed_form(hv @ wv, (h, w), lambda g: (g @ wv.T, hv.T @ g))
-
-    return [head(w) for w in decoded.weights]
+    """The three heads multiplied out, each with its backward."""
+    return [_head(decoded.latent, w, decoded.layers) for w in decoded.weights]
 
 
 def _random_graph(rng, n, p=0.4, kind="sym_normalized"):
@@ -30,11 +36,8 @@ def _random_graph(rng, n, p=0.4, kind="sym_normalized"):
 
 def _layer(rng, in_dim, out_dim, order):
     return model.ChebLayerParams(
-        theta=[
-            nm.Tensor(rng.normal(size=(in_dim, out_dim)), requires_grad=True)
-            for _ in range(order)
-        ],
-        bias=nm.Tensor(np.zeros(out_dim), requires_grad=True),
+        theta=tuple(rng.normal(size=(in_dim, out_dim)) for _ in range(order)),
+        bias=np.zeros(out_dim),
     )
 
 
@@ -54,8 +57,8 @@ def test_chebconv_order_one_ignores_the_graph():
     graph = _random_graph(rng, 6)
     x = rng.normal(size=(6, 4))
     layer = _layer(rng, 4, 3, order=1)
-    out = model.chebconv_forward(nm.Tensor(x), graph, layer)
-    np.testing.assert_allclose(out.values, x @ layer.theta[0].values, atol=1e-14)
+    out = model.chebconv_forward(x, graph, layer)
+    np.testing.assert_allclose(out.values, x @ layer.theta[0], atol=1e-14)
 
 
 def test_chebconv_zero_operator_reduces_to_first_term():
@@ -63,8 +66,8 @@ def test_chebconv_zero_operator_reduces_to_first_term():
     graph = _from_adjacency(sp.csr_matrix((5, 5)), "sym_normalized")  # Lhat = 0
     x = rng.normal(size=(5, 4))
     layer = _layer(rng, 4, 2, order=2)
-    out = model.chebconv_forward(nm.Tensor(x), graph, layer)
-    np.testing.assert_allclose(out.values, x @ layer.theta[0].values, atol=1e-14)
+    out = model.chebconv_forward(x, graph, layer)
+    np.testing.assert_allclose(out.values, x @ layer.theta[0], atol=1e-14)
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
@@ -76,10 +79,10 @@ def test_chebconv_matches_dense_polynomial_oracle(order):
         graph = _random_graph(rng, n, kind=["sym_normalized", "combinatorial"][seed % 2])
         x = rng.normal(size=(n, 5))
         layer = _layer(rng, 5, 3, order=order)
-        out = model.chebconv_forward(nm.Tensor(x), graph, layer)
+        out = model.chebconv_forward(x, graph, layer)
         lhat = graph.scaled_laplacian.toarray()
         expected = sum(
-            poly @ x @ theta.values
+            poly @ x @ theta
             for poly, theta in zip(_cheb_polynomials(lhat, order), layer.theta)
         )
         assert np.max(np.abs(out.values - expected)) < 1e-10
@@ -90,9 +93,9 @@ def test_chebconv_shape_mismatch():
     graph = _random_graph(rng, 6)
     layer = _layer(rng, 4, 3, order=2)
     with pytest.raises(nm.ShapeMismatchError):
-        model.chebconv_forward(nm.Tensor(np.zeros((5, 4))), graph, layer)
+        model.chebconv_forward(np.zeros((5, 4)), graph, layer)
     with pytest.raises(nm.ShapeMismatchError):
-        model.chebconv_forward(nm.Tensor(np.zeros((6, 7))), graph, layer)
+        model.chebconv_forward(np.zeros((6, 7)), graph, layer)
 
 
 @pytest.mark.parametrize("kind", ["sym_normalized", "combinatorial"])
@@ -111,8 +114,11 @@ def test_encode_gradients_match_finite_differences(order, kind):
         basis = model.chebyshev_basis(x, graph, order)
         assert len(basis) == order and np.array_equal(basis[0], x)
         w = rng.normal(size=(n, 3))
-        leaves = [t for name, t in params.named_parameters() if name.startswith("enc")]
-        err = leaf_gradient_error(lambda: project(model.encode(basis, graph, params), w), leaves)
+        names = [name for name, _ in params.named_parameters() if name.startswith("enc")]
+        encoder = [a for name, a in params.named_parameters() if name in names]
+        err = backward_error(
+            lambda a: model.encode(basis, graph, with_arrays(params, names, a)), encoder, w
+        )
         assert err < 1e-5, f"seed {seed}: max relative error {err}"
 
 
@@ -123,28 +129,36 @@ def test_chebconv_gradients_match_finite_differences(order):
         rng = np.random.default_rng(70 * order + seed)
         graph = _random_graph(rng, int(rng.integers(3, 12)), kind=("sym_normalized", "combinatorial")[seed % 2])
         layer = _layer(rng, 4, 3, order)
-        x = nm.Tensor(rng.normal(size=(graph.n, 4)), requires_grad=True)
+        x = rng.normal(size=(graph.n, 4))
         w = rng.normal(size=(graph.n, 3))
-        leaves = [x, *layer.theta, layer.bias]
-        err = leaf_gradient_error(lambda: project(model.chebconv_forward(x, graph, layer), w), leaves)
+        def forward(a):  # x, then the layer's theta_k and bias
+            layer = model.ChebLayerParams(tuple(a[1:-1]), a[-1])
+            return model.chebconv_forward(a[0], graph, layer)
+
+        err = backward_error(forward, [x, *layer.theta, layer.bias], w)
         assert err < 1e-5, f"seed {seed}: max relative error {err}"
 
 
-def _relu(t):
-    """relu as one closed-form node."""
-    out = np.maximum(t.values, 0.0)
-    return nm.closed_form(out, (t,), lambda g: (g * (out > 0.0),))
-
-
 def _chained_chebconv(x, graph, params):
-    """The encoder written as chained chebconv_forward nodes with a relu
-    node between them: the oracle that encode must reproduce bit for bit."""
-    h = nm.Tensor(x)
-    for i, layer in enumerate(params.encoder_layers):
-        h = model.chebconv_forward(h, graph, layer)
-        if i != len(params.encoder_layers) - 1:
-            h = _relu(h)
-    return h
+    """The encoder written as chained chebconv_forward layers with a relu
+    between them, its backward chained by hand: the oracle that encode must
+    reproduce bit for bit."""
+    layers, outs = params.encoder_layers, []
+    h = x
+    for i, layer in enumerate(layers):
+        outs.append(model.chebconv_forward(h, graph, layer))
+        h = outs[-1].values if i == len(layers) - 1 else np.maximum(outs[-1].values, 0.0)
+
+    def vjp(g):
+        grads = []
+        for i in reversed(range(len(layers))):
+            d_input, *layer_grads = outs[i].backward(g)
+            grads[:0] = layer_grads
+            if i:
+                g = d_input * (outs[i - 1].values > 0.0)
+        return grads
+
+    return nm.Tensor(h, vjp)
 
 
 @pytest.mark.parametrize("kind", ["sym_normalized", "combinatorial"])
@@ -161,13 +175,12 @@ def test_encode_on_the_basis_equals_chained_chebconv_bit_for_bit(order, kind):
         x = rng.normal(size=(n, 6))
         weights = rng.normal(size=(n, 3))
         want = _chained_chebconv(x, graph, params)
-        project(want, weights).backward()
-        want_grads = [t.grad for _, t in params.named_parameters()]
         got = model.encode(model.chebyshev_basis(x, graph, order), graph, params)
         assert np.array_equal(got.values, want.values)
-        project(got, weights).backward()
-        for (name, t), grad in zip(params.named_parameters(), want_grads):
-            assert np.array_equal(t.grad, grad), name
+        names = [name for name, _ in params.named_parameters() if name.startswith("enc")]
+        grads = zip(names, got.backward(weights), want.backward(weights), strict=True)
+        for name, grad, want_grad in grads:
+            assert np.array_equal(grad, want_grad), name
 
 
 def test_encode_frees_the_first_layer_products():
@@ -192,7 +205,9 @@ def test_encode_frees_the_first_layer_products():
 
 @pytest.mark.parametrize("node", ["encode", "chebconv_forward", "decode_zinb"])
 def test_rebinding_parameters_before_backward_leaves_gradients_unchanged(node):
-    # each node keeps the weights it read: backward never reads a Tensor's values
+    # each result keeps the weights it read: replacing the parameters, as a
+    # training step does, or the result's values before backward changes
+    # no gradient
     rng = np.random.default_rng(33)
     graph = _random_graph(rng, 7)
     x = rng.normal(size=(7, 5))
@@ -203,20 +218,18 @@ def test_rebinding_parameters_before_backward_leaves_gradients_unchanged(node):
         forward = {
             "encode": lambda: model.encode(model.chebyshev_basis(x, graph, 3), graph, params),
             "chebconv_forward": lambda: model.chebconv_forward(
-                nm.Tensor(x[:, :4], requires_grad=True), graph, params.encoder_layers[1]
+                x[:, :4], graph, params.encoder_layers[1]
             ),
-            "decode_zinb": lambda: model.decode_zinb(nm.Tensor(x[:, :3]), params).hidden,
+            "decode_zinb": lambda: model.decode_zinb(x[:, :3], params).hidden,
         }[node]
-        loss = project(forward(), w)
-        named = params.named_parameters()
+        out = forward()
         if rebind:
-            for _, t in named:
-                t.values = -7.0 * t.values
-        loss.backward()
-        return [t.grad for _, t in named]
+            params = params.map_named(lambda _, a: -7.0 * a)
+            out.values = -7.0 * out.values
+        return out.backward(w)
 
-    for kept, moved in zip(run(rebind=False), run(rebind=True)):
-        assert (kept is None and moved is None) or np.array_equal(kept, moved)
+    for kept, moved in zip(run(rebind=False), run(rebind=True), strict=True):
+        assert np.array_equal(kept, moved)
 
 
 def test_encode_rejects_a_basis_that_does_not_fit():
@@ -234,9 +247,9 @@ def test_encode_rejects_a_basis_that_does_not_fit():
 
 def test_decode_zinb_nan_names_the_head():
     params = model.init_params(n_genes=4, latent_dim=3, seed=0)
-    params.head_theta.values[1, 2] = np.nan
+    params.head_theta[1, 2] = np.nan
     with pytest.raises(model.NonFiniteOutputError, match="theta head"):
-        losses.loss_zinb(np.ones((2, 4)), model.decode_zinb(nm.Tensor(np.ones((2, 3))), params))
+        losses.loss_zinb(np.ones((2, 4)), model.decode_zinb(np.ones((2, 3)), params))
 
 
 def test_encode_zero_input_zero_bias_gives_zero_embedding():
@@ -276,8 +289,8 @@ def test_full_forward_is_node_permutation_equivariant():
     a_rec_p = model.decode_adjacency(z_p.values)
     np.testing.assert_allclose(a_rec_p, a_rec[np.ix_(perm, perm)], atol=1e-9)
 
-    heads = _dense_heads(model.decode_zinb(z, params))
-    heads_p = _dense_heads(model.decode_zinb(z_p, params))
+    heads = _dense_heads(model.decode_zinb(z.values, params))
+    heads_p = _dense_heads(model.decode_zinb(z_p.values, params))
     for pre, pre_p in zip(heads, heads_p):
         np.testing.assert_allclose(pre_p.values, pre.values[perm], atol=1e-9)
 
@@ -302,10 +315,9 @@ def test_decode_adjacency_unit_norm_single_cell():
 
 def test_decode_zinb_all_zero_weights():
     params = model.init_params(n_genes=6, latent_dim=4, seed=0)
-    for _, t in params.named_parameters():
-        t.values = np.zeros_like(t.values)
+    params = params.map_named(lambda _, a: np.zeros_like(a))
     heads = _dense_heads(
-        model.decode_zinb(nm.Tensor(np.random.default_rng(0).normal(size=(3, 4))), params)
+        model.decode_zinb(np.random.default_rng(0).normal(size=(3, 4)), params)
     )
     for pre in heads:  # pi = sigmoid(0) = 1/2, mu = theta = exp(0) = 1
         np.testing.assert_array_equal(pre.values, np.zeros((3, 6)))
@@ -315,29 +327,28 @@ def test_decode_zinb_ranges_hold_for_random_weights():
     rng = np.random.default_rng(6)
     for seed in range(20):
         params = model.init_params(n_genes=5, latent_dim=3, hidden_dim=4, seed=seed)
-        for _, t in params.named_parameters():
-            t.values = rng.uniform(-1.0, 1.0, size=t.values.shape)
-        z = nm.Tensor(rng.uniform(-5, 5, size=(4, 3)))
+        params = params.map_named(lambda _, a: rng.uniform(-1.0, 1.0, size=a.shape))
+        z = rng.uniform(-5, 5, size=(4, 3))
         decoded = model.decode_zinb(z, params)
         heads = _dense_heads(decoded)
         assert all(pre.shape == (4, 5) and np.all(np.isfinite(pre.values)) for pre in heads)
         counts = rng.integers(0, 5, size=(4, 5))
-        assert np.isfinite(losses.loss_zinb(counts, decoded).item())
+        assert np.isfinite(losses.loss_zinb(counts, decoded)[0])
 
 
 def test_decode_zinb_gradients_match_finite_differences():
     rng = np.random.default_rng(7)
     params = model.init_params(n_genes=4, latent_dim=3, hidden_dim=3, zinb_dims=(4, 5, 6), seed=3)
-    z = nm.Tensor(rng.normal(size=(3, 3)) * 0.5, requires_grad=True)
+    z = rng.normal(size=(3, 3)) * 0.5
     w = rng.normal(size=(3, 4))
-    leaves = [z, params.head_pi, params.head_mu, params.head_theta]
-    leaves += [t for pair in params.zinb_fc for t in pair]
-    for head, name in enumerate(("pi", "mu", "theta")):
+    mlp = [t for pair in params.zinb_fc for t in pair]
 
-        def loss():
-            return project(_dense_heads(model.decode_zinb(z, params))[head], w)
+    def head(a):  # z, the head's weight, then the MLP's weights and biases
+        return _head(a[0], a[1], tuple(zip(a[2::2], a[3::2])))
 
-        err = leaf_gradient_error(loss, leaves)
+    weights = (params.head_pi, params.head_mu, params.head_theta)
+    for weight, name in zip(weights, ("pi", "mu", "theta")):
+        err = backward_error(head, [z, weight, *mlp], w)
         assert err < 1e-5, f"{name} head: max relative error {err}"
 
 

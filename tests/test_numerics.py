@@ -4,18 +4,7 @@ import scipy.sparse as sp
 
 from celluster import numerics as nm
 from celluster.numerics import special
-from gradcheck import leaf_gradient_error, project
-
-
-def _square(t):
-    """t * t as one closed-form node."""
-    values = t.values
-    return nm.closed_form(values * values, (t,), lambda g: (2.0 * g * values,))
-
-
-def _sum(*ts):
-    """The sum of same-shaped tensors, as one closed-form node."""
-    return nm.closed_form(sum(t.values for t in ts), ts, lambda g: (g,) * len(ts))
+from gradcheck import step_gradient_error
 
 
 # -- forward values ----------------------------------------------------------
@@ -43,135 +32,45 @@ def test_sigmoid_into_out_gives_the_same_bits():
     np.testing.assert_array_equal(inplace, want)
 
 
-def test_forward_ops_match_numpy():
-    rng = np.random.default_rng(0)
-    a = rng.uniform(0.1, 2.0, size=(3, 4))
-    ta = nm.Tensor(a, requires_grad=True)
-    np.testing.assert_array_equal(nm.index_rows(ta, [2, 0]).values, a[[2, 0]])
-    np.testing.assert_array_equal(_square(ta).values, a * a)
-    assert nm.as_tensor(ta) is ta and nm.as_tensor(a).requires_grad is False
+# -- closed-form backward ------------------------------------------------------
+
+
+def _square(a):
+    """a * a with its backward: the gradient of sum(a * a * g) in a."""
+    return nm.Tensor(a * a, lambda g: [2.0 * g * a])
 
 
 def test_shape_mismatch_names_both_shapes():
-    # a vjp that returns a gradient of the wrong shape fails in backward,
-    # naming the gradient's shape and its parent's
-    x = nm.Tensor(np.zeros((2, 3)), requires_grad=True)
-    y = nm.closed_form(0.0, (x,), lambda g: (np.zeros((4, 5)),))
+    # an upstream gradient of the wrong shape fails in backward, naming its
+    # shape and the values'
+    y = _square(np.zeros((2, 3)))
     with pytest.raises(nm.ShapeMismatchError, match=r"\(4, 5\).*\(2, 3\)"):
-        y.backward()
-    broadcastable = nm.closed_form(0.0, (x,), lambda g: (np.zeros(3),))
+        y.backward(np.zeros((4, 5)))
     with pytest.raises(nm.ShapeMismatchError, match=r"\(3,\).*\(2, 3\)"):
-        broadcastable.backward()
-
-
-def test_backward_requires_scalar():
-    t = nm.Tensor(np.ones(3), requires_grad=True)
-    with pytest.raises(nm.NonScalarBackwardError):
-        t.backward()
-
-
-def test_constant_parents_record_nothing():
-    # no parent requires grad: the output is a constant, and its vjp never runs
-    def vjp(g):
-        raise AssertionError("vjp ran")
-
-    y = nm.closed_form(1.0, (nm.Tensor(2.0), np.ones(2)), vjp)
-    assert not y.requires_grad and y.node.parents == ()
-    x, c = nm.Tensor(3.0, requires_grad=True), nm.Tensor(4.0)
-    nm.closed_form(12.0, (x, c), lambda g: (g * 4.0, g * 3.0)).backward()
-    assert x.grad == 4.0 and c.grad is None
-
-
-# -- the walker ----------------------------------------------------------------
-
-
-def test_shared_subexpression_accumulates_both_paths():
-    # y = x*x + 3x -> dy/dx = 2x + 3
-    x = nm.Tensor(1.5, requires_grad=True)
-    three_x = nm.closed_form(3.0 * x.values, (x,), lambda g: (3.0 * g,))
-    _sum(_square(x), three_x).backward()
-    assert x.grad == 2 * 1.5 + 3
+        y.backward(np.zeros(3))  # broadcastable, and still refused
 
 
 def test_repeated_backward_gives_fresh_grads():
-    x = nm.Tensor(2.0, requires_grad=True)
-    _square(x).backward()
-    first = float(x.grad)
-    _square(x).backward()
-    assert float(x.grad) == first
-
-
-def _tape(root):
-    """Every tape node reachable from the Tensor `root`, its own included."""
-    nodes, stack = {}, [root.node]
-    while stack:
-        node = stack.pop()
-        if id(node) not in nodes:
-            nodes[id(node)] = node
-            stack.extend(node.parents)
-    return list(nodes.values())
-
-
-def test_backward_releases_interior_grads_and_keeps_leaf_grads():
-    # y = <sq(g) + g + sq(a), w> with g = a gathered on rows [2, 0, 2]:
-    # g feeds two consumers, a three (one through g)
-    rng = np.random.default_rng(12)
-    a0, w = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
-    a = nm.Tensor(a0, requires_grad=True)
-    idx = [2, 0, 2]
-    gathered = nm.index_rows(a, idx)
-    y = project(_sum(_square(gathered), gathered, _square(a)), w)
-    y.backward()
-    interior = [node for node in _tape(y) if node.backward_fn is not None]
-    assert len(interior) == 5  # index_rows, two squares, the sum, the projection
-    assert all(node.grad is None for node in interior)
-    want = 2.0 * a0 * w  # oracle, coded apart from the tape
-    np.add.at(want, idx, (2.0 * a0[idx] + 1.0) * w)
-    np.testing.assert_allclose(a.grad, want, rtol=1e-14)
-    first = a.grad.copy()
-    y.backward()  # the tape survives: a second pass gives the same leaf grads
-    assert all(node.grad is None for node in interior)
-    assert np.array_equal(a.grad, first)
-
-
-REBIND_CASES = {  # node over a (3, 3) leaf
-    "index_rows": lambda t: nm.index_rows(t, [2, 0, 2]),
-    "closed_form": _square,
-}
-
-
-@pytest.mark.parametrize("name", sorted(REBIND_CASES))
-def test_rebinding_leaf_values_before_backward_leaves_gradients_unchanged(name):
-    # every closure holds its own arrays: backward never reads a Tensor's values
-    op = REBIND_CASES[name]
-    rng = np.random.default_rng(14)
-    a = rng.uniform(0.5, 2.0, size=(3, 3))
-    w = rng.uniform(-1.0, 1.0, size=(3, 3))
-    kept = nm.Tensor(a, requires_grad=True)
-    project(op(kept), w).backward()
-    moved = nm.Tensor(a.copy(), requires_grad=True)
-    loss = project(op(moved), w)
-    moved.values = -7.0 * moved.values
-    loss.backward()
-    assert np.array_equal(moved.grad, kept.grad)
-
-
-def test_index_rows_gradient_with_duplicate_rows():
-    rng = np.random.default_rng(7)
-    a = nm.Tensor(rng.uniform(-1, 1, size=(5, 3)), requires_grad=True)
-    w = rng.uniform(-1, 1, size=(4, 3))
-    idx = np.array([0, 2, 2, 4])
-    assert leaf_gradient_error(lambda: project(nm.index_rows(a, idx), w), [a]) < 1e-5
-    assert not np.any(a.grad[[1, 3]])
+    # backward returns new arrays each call and never reads `values`
+    a = np.array([[2.0, -1.0]])
+    y = _square(a)
+    first = y.backward(np.ones((1, 2)))
+    y.values = -7.0 * y.values
+    second = y.backward(np.ones((1, 2)))
+    assert first[0] is not second[0]
+    np.testing.assert_array_equal(first[0], [[4.0, -2.0]])
+    np.testing.assert_array_equal(second[0], first[0])
 
 
 def test_random_five_op_graphs_match_finite_differences():
-    # the training objective is a graph of seven closed-form nodes: encoder,
-    # subset gather, count MLP, the three criteria and their weighted sum;
-    # on random inputs its gradient in every parameter matches central
-    # differences
-    from celluster import losses, model
+    # one formal training step composes five closed-form pieces: the
+    # encoder, the subset scatter, and the three criteria (the count
+    # criterion with its MLP); on random inputs the gradient it hands to
+    # Adam matches central differences of its logged total in every
+    # parameter entry
+    from celluster import model
     from celluster.cellgraph import _from_adjacency
+    from celluster.trainer import TrainConfig
 
     for seed in range(5):
         rng = np.random.default_rng(2000 + seed)
@@ -181,22 +80,12 @@ def test_random_five_op_graphs_match_finite_differences():
             n_genes=4, latent_dim=2, hidden_dim=3, zinb_dims=(3,), seed=seed
         ).with_centers(rng.normal(size=(2, 2)))
         basis = model.chebyshev_basis(rng.normal(size=(6, 4)), graph, 3)
-        subset = [4, 0, 2, 5]
+        subset = np.array([4, 0, 2, 5])
         counts = rng.poisson(1.0, size=(4, 4))
-        adjacency = graph.adjacency[subset][:, subset]
-        target = rng.random((4, 2))
+        target = rng.random((6, 2))
         target /= target.sum(axis=1, keepdims=True)
-        weights = tuple(rng.uniform(0.5, 2.0, size=3))
-
-        def loss():
-            z = nm.index_rows(model.encode(basis, graph, params), subset)
-            rec = losses.loss_rec(adjacency, z)
-            zinb = losses.loss_zinb(counts, model.decode_zinb(z, params))
-            cls = losses.loss_cls(target, z, params.cluster_centers)
-            return losses.weighted_total(rec, zinb, cls, weights)[0]
-
-        leaves = [t for _, t in params.named_parameters()]
-        err = leaf_gradient_error(loss, leaves)
+        cfg = TrainConfig(n_clusters=2, loss_weights=tuple(rng.uniform(0.5, 2.0, size=3)))
+        err = step_gradient_error(params, basis, graph, counts, cfg, subset=subset, target=target)
         assert err < 1e-5, f"seed {seed}: max relative error {err}"
 
 
