@@ -192,7 +192,7 @@ def cmd_evaluate(args) -> int:
     with stage("evaluate"):
         true_by_id = ingest.read_labels(args.true_labels)
         pred_by_id = ingest.read_labels(args.pred_labels)
-        missing = sorted(set(true_by_id) - set(pred_by_id))
+        missing = [cid for cid in true_by_id if cid not in pred_by_id]
         if missing:
             raise ValueError(f"no prediction for cell id {missing[0]!r}")
         ids = list(true_by_id)

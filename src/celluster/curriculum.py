@@ -186,10 +186,13 @@ def pacing_fraction(t: float, cfg: PacingConfig, alpha: float) -> float:
     """min(1, 2^(log2(lambda0) * (1 - t/t_hat))), capped at 1 - alpha.
 
     Starts at lambda0, doubles smoothly, reaches the cap by t = t_hat, and
-    never decreases.
+    never decreases. From t_hat on it returns the cap without the power,
+    which would overflow once t >> t_hat.
     """
     if t < 0:
         raise ValueError(f"epoch must be >= 0, got {t}")
+    if t >= cfg.t_hat:
+        return 1.0 - alpha
     exponent = np.log2(cfg.lambda0) * (1.0 - t / cfg.t_hat)
     fraction = min(1.0, 2.0**exponent)
     return min(fraction, 1.0 - alpha)

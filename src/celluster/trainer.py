@@ -382,8 +382,10 @@ def formal_train(
     "converged") once the churn between consecutive refreshes falls below
     cfg.convergence_tol, or else after cfg.t2 epochs ("max_epochs"). The
     step then trains on the same latent, over the easiest kept nodes: the
-    pacing fraction (capped at 1 - alpha) of the ORIGINAL node count,
-    floored. Writes no checkpoint.
+    pacing fraction of the ORIGINAL node count, floored, and every kept
+    node once the fraction reaches its cap 1 - alpha (floor((1 - alpha) * n)
+    can be one less than the n - floor(alpha * n) nodes pruning keeps).
+    Writes no checkpoint.
     """
     if state.report is None or state.prune is None:
         raise NotTrainedError("formal training needs difficulty and pruning results")
@@ -414,7 +416,10 @@ def formal_train(
             state.target = target_distribution(q)
 
         fraction = pacing_fraction(t, pacing, cfg.alpha)
-        count = min(int(np.floor(fraction * n_original)), kept_sorted.size)
+        if fraction < 1.0 - cfg.alpha:
+            count = min(int(np.floor(fraction * n_original)), kept_sorted.size)
+        else:
+            count = kept_sorted.size
         if count == 0:
             raise ValueError(
                 f"pacing selects zero nodes at epoch {t} "
@@ -452,8 +457,8 @@ _STOP_REASONS = ("converged", "max_epochs")
 
 
 def save_state(state: TrainState, path) -> None:
-    """Write `state` atomically as named float64 tensors; no command reads
-    it back (nm.load_checkpoint parses the format)."""
+    """Write `state` atomically as named float64 tensors in numpy's .npz;
+    no command reads it back (np.load does)."""
     arrays: dict[str, np.ndarray] = {
         "meta.phase": np.array(float(_PHASES.index(state.phase))),
         "meta.epoch": np.array(float(state.epoch)),

@@ -38,8 +38,8 @@ def _write_config(path, data_dir, outdir, **extra):
         "target_update_interval": 2,
         "outdir": outdir,
     }
-    keys.update(extra)
-    Path(path).write_text("".join(f"{k}={v}\n" for k, v in keys.items()))
+    keys.update(extra)  # a None value drops the key
+    Path(path).write_text("".join(f"{k}={v}\n" for k, v in keys.items() if v is not None))
 
 
 def test_synth_writes_reloadable_files(tmp_path):
@@ -425,6 +425,64 @@ def test_train_rejects_bad_settings_before_training(tmp_path, capsys, config_ext
     assert not list(run_dir.glob("*.ckpt"))
 
 
+@pytest.mark.parametrize(
+    "argv, config_extra, tail, code, message",
+    [
+        pytest.param(
+            ["train", "{config}"], {"input": None}, "", 1, "[config] config is missing 'input'",
+            id="no-input",
+        ),
+        pytest.param(
+            ["train", "{config}"], {"labels": "{tmp}/none.csv"}, "", 2,
+            "labels file not found: {tmp}/none.csv", id="no-labels-file",
+        ),
+        pytest.param(
+            [
+                "evaluate", "--true-labels", "{data}/labels.csv",
+                "--pred-labels", "{tmp}/none.csv", "--out", "{tmp}/m.json",
+            ],
+            {}, "", 2, "labels file not found: {tmp}/none.csv", id="no-pred-labels-file",
+        ),
+        pytest.param(
+            ["prune-study", "{config}"], {"labels": None}, "", 1,
+            "[prune-study] prune-study needs ground-truth labels", id="study-without-labels",
+        ),
+        pytest.param(
+            ["train", "{config}"], {"input_format": "tsv"}, "", 1,
+            "[config] {config}: input_format must be one of ('csv', 'mtx-triplet'), got 'tsv'",
+            id="input-format",
+        ),
+        pytest.param(
+            ["prune-study", "{config}"], {"strategies": "hard,medium"}, "", 1,
+            "[config] {config}: unknown strategy 'medium' in strategies", id="strategy",
+        ),
+        pytest.param(
+            ["train", "{config}"], {"loss_weights": "1,1"}, "", 1,
+            "[config] {config}:10: bad value for 'loss_weights': "
+            "needs 3 comma-separated values, got '1,1'",
+            id="loss-weights-count",
+        ),
+        pytest.param(
+            ["train", "{config}"], {}, "no equals here\n", 1,
+            "[config] {config}:10: expected key=value, got 'no equals here'", id="no-equals",
+        ),
+    ],
+)
+def test_each_rejected_run_exits_with_its_one_line_message(
+    tmp_path, capsys, argv, config_extra, tail, code, message
+):
+    data_dir = tmp_path / "data"
+    assert _run(*_synth_args(data_dir)) == 0
+    config = tmp_path / "config.txt"
+    places = {"tmp": tmp_path, "data": data_dir, "config": config}
+    extra = {k: v if v is None else v.format(**places) for k, v in config_extra.items()}
+    _write_config(config, data_dir, tmp_path / "run", **extra)
+    config.write_text(config.read_text() + tail)
+    capsys.readouterr()
+    assert _run(*(a.format(**places) for a in argv)) == code
+    assert capsys.readouterr().err.splitlines() == ["error: " + message.format(**places)]
+
+
 def test_config_that_is_not_utf8_fails_as_config(tmp_path, capsys):
     config = tmp_path / "config.txt"
     config.write_bytes(b"n_clusters=3\n# caf\xe9\n")
@@ -497,6 +555,21 @@ def test_evaluate_prints_and_writes_metrics(tmp_path, capsys):
     assert "ARI=1.0" in captured.out and "NMI=1.0" in captured.out
     payload = json.loads(out.read_text())
     assert payload["ari"] == 1.0 and payload["nmi"] == 1.0
+
+
+def test_evaluate_names_the_first_missing_prediction_in_the_truth_files_order(
+    tmp_path, capsys
+):
+    data_dir = tmp_path / "data"
+    assert _run(*_synth_args(data_dir)) == 0
+    pred = tmp_path / "pred.csv"
+    pred.write_text("cell_id,label\n" + "".join(f"cell_{i},0\n" for i in range(4)))
+    code = _run(
+        "evaluate", "--true-labels", data_dir / "labels.csv", "--pred-labels", pred,
+        "--out", tmp_path / "m.json",
+    )
+    assert code == 1
+    assert "no prediction for cell id 'cell_4'" in capsys.readouterr().err
 
 
 def test_evaluate_reads_the_labels_a_run_writes(tmp_path, capsys):

@@ -297,7 +297,7 @@ def test_pacing_halfway_hand_value():
 
 def test_pacing_caps_at_one_minus_alpha():
     cfg = curriculum.PacingConfig(lambda0=0.25, t_hat=10)
-    for t in (10, 11, 100):
+    for t in (10, 11, 100, 10_000):  # at 10_000 the ramp's power would overflow
         assert curriculum.pacing_fraction(t, cfg, alpha=0.11) == pytest.approx(0.89, abs=0)
 
 

@@ -185,63 +185,34 @@ def test_checkpoint_roundtrip(tmp_path):
     }
     path = tmp_path / "model.ckpt"
     nm.save_checkpoint(path, arrays)
-    loaded = nm.load_checkpoint(path)
+    with np.load(path) as f:
+        loaded = dict(f)
     assert list(loaded) == list(arrays)
     for name in arrays:
+        assert loaded[name].dtype == np.dtype("<f8")
         assert np.array_equal(loaded[name], np.asarray(arrays[name], dtype=np.float64))
+    again = tmp_path / "again.ckpt"
+    nm.save_checkpoint(again, arrays)
+    assert again.read_bytes() == path.read_bytes()
 
 
-def test_failed_checkpoint_write_keeps_the_previous_file(tmp_path):
-    class FailsOnSecondRead:
-        """Converts once for the manifest, then fails while the payload is written."""
+def test_failed_checkpoint_write_keeps_the_previous_file(tmp_path, monkeypatch):
+    write_array = np.lib.format.write_array
+    calls = 0
 
-        reads = 0
-
-        def __array__(self, dtype=None, copy=None):
-            self.reads += 1
-            if self.reads > 1:
-                raise OSError("device full")
-            return np.zeros(3)
+    def fails_on_second_tensor(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        if calls > 1:
+            raise OSError("device full")
+        return write_array(*args, **kwargs)
 
     path = tmp_path / "state.ckpt"
     nm.save_checkpoint(path, {"w": np.arange(4.0)})
     before = path.read_bytes()
+    monkeypatch.setattr(np.lib.format, "write_array", fails_on_second_tensor)
     with pytest.raises(OSError, match="device full"):
-        nm.save_checkpoint(path, {"w": np.ones(4), "v": FailsOnSecondRead()})
+        nm.save_checkpoint(path, {"w": np.ones(4), "v": np.zeros(3)})
+    assert calls == 2
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["state.ckpt"]
-
-
-def test_checkpoint_rejects_bad_names(tmp_path):
-    with pytest.raises(nm.CheckpointFormatError):
-        nm.save_checkpoint(tmp_path / "x.ckpt", {"bad name": np.zeros(2)})
-
-
-def test_checkpoint_rejects_truncated_payload(tmp_path):
-    path = tmp_path / "trunc.ckpt"
-    nm.save_checkpoint(path, {"w": np.arange(4.0)})
-    raw = path.read_bytes()
-    path.write_bytes(raw[:-8])
-    with pytest.raises(nm.CheckpointFormatError):
-        nm.load_checkpoint(path)
-
-
-@pytest.mark.parametrize(
-    "manifest, lineno",
-    [
-        (b"tensors 1\nw\n", 2),
-        (b"tensors x\nw 1 3\n", 1),
-        (b"tensors 1\nw one 3\n", 2),
-        (b"tensors 1\n\xffw 1 3\n", 2),
-        (b"tensors 1\nw 1 -3\n", 2),
-    ],
-    ids=["no-rank", "non-integer-count", "non-integer-rank", "non-utf8", "negative-dim"],
-)
-def test_checkpoint_rejects_malformed_manifest(tmp_path, manifest, lineno):
-    path = tmp_path / "bad.ckpt"
-    path.write_bytes(manifest + b"end\n" + np.arange(3.0).tobytes())
-    with pytest.raises(nm.CheckpointFormatError) as err:
-        nm.load_checkpoint(path)
-    message = str(err.value)
-    assert message.startswith(f"{path}: manifest line {lineno} ")
-    assert repr(manifest.splitlines()[lineno - 1])[2:-1] in message

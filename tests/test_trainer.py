@@ -29,9 +29,14 @@ from celluster.losses import (
 )
 from celluster.metrics import ari
 from celluster.model import chebyshev_basis, decode_zinb, encode, soft_assign
-from celluster.numerics import AdamState, Tensor, load_checkpoint
+from celluster.numerics import AdamState, Tensor
 from celluster.preprocess import preprocess
 from celluster.trainer import TrainConfig
+
+
+def _read_checkpoint(path) -> dict[str, np.ndarray]:
+    with np.load(path) as f:
+        return dict(f)
 
 
 def _encode(x, graph, params):
@@ -144,6 +149,12 @@ def test_init_centers_rejects_too_many_clusters():
         trainer.init_centers(np.zeros((3, 2)), 4, seed=0)
 
 
+def test_init_centers_rejects_points_that_all_coincide():
+    # every seeding of two centers on one point leaves a cluster empty
+    with pytest.raises(trainer.DegenerateClusterError, match="in 10 consecutive seedings"):
+        trainer.init_centers(np.zeros((5, 2)), 2, seed=0)
+
+
 # -- formal phase -----------------------------------------------------------------
 
 
@@ -176,11 +187,26 @@ def test_formal_subset_sizes_follow_pacing():
     from celluster.curriculum import PacingConfig, pacing_fraction
 
     pacing = PacingConfig(lambda0=cfg.lambda0, t_hat=cfg.effective_t_hat)
+    fractions = [pacing_fraction(t, pacing, cfg.alpha) for t in range(len(sizes))]
     expected = [
-        min(int(np.floor(pacing_fraction(t, pacing, cfg.alpha) * n)), state.prune.kept.size)
-        for t in range(len(sizes))
+        min(int(np.floor(f * n)), state.prune.kept.size) if f < 1 - cfg.alpha
+        else state.prune.kept.size
+        for f in fractions
     ]
     assert sizes == expected
+
+
+def test_paced_subset_at_the_cap_is_every_kept_node():
+    # 40 * 0.11 = 4.4: pruning keeps 40 - 4 = 36 nodes, while the capped
+    # fraction gives floor(0.89 * 40) = 35, one short of the hardest kept node
+    data = synthesize(SynthesisSpec(40, 20, 2, seed=3))
+    cfg = TrainConfig(
+        n_clusters=2, t1=2, t2=6, t_hat=2, n_hvg=20, k_neighbors=5, alpha=0.11,
+        target_update_interval=100,
+    )
+    result = trainer.run_pipeline(data, cfg)
+    assert result.state.prune.kept.size == 36
+    assert result.state.subset_sizes == [10, 20, 36, 36, 36, 36]
 
 
 @pytest.mark.parametrize("seed, epochs, calls", [(1, 6, 6), (0, 4, 5)])
@@ -242,8 +268,8 @@ def test_formal_final_checkpoint_records_why_it_stopped(tmp_path, seed, epochs, 
     # the formal checkpoint names the reason, the pretraining one has none
     data, _, _, cfg = _small_setup(seed=seed, t2=6, convergence_tol=1e-12)
     trainer.run_pipeline(data, cfg, checkpoint_dir=tmp_path)
-    assert "meta.stop_reason" not in load_checkpoint(tmp_path / "pretrain_final.ckpt")
-    formal = load_checkpoint(tmp_path / "formal_final.ckpt")
+    assert "meta.stop_reason" not in _read_checkpoint(tmp_path / "pretrain_final.ckpt")
+    formal = _read_checkpoint(tmp_path / "formal_final.ckpt")
     assert formal["meta.epoch"] == epochs
     assert trainer._STOP_REASONS[int(formal["meta.stop_reason"])] == reason
 
@@ -429,7 +455,7 @@ def test_predict_before_training_errors():
 def _rebuilt_from(path, like):
     """A state read back from the checkpoint at `path`: `like` lends only the
     parameter layout, every value comes from the file."""
-    arrays = load_checkpoint(path)
+    arrays = _read_checkpoint(path)
     state = copy.deepcopy(like)
     state.params = state.params.map_named(lambda name, _: arrays[f"param.{name}"])
     state.phase = trainer._PHASES[int(arrays["meta.phase"])]
@@ -562,7 +588,7 @@ def test_pretrained_state_drops_its_adam_moments_once_checkpointed(tmp_path):
     pretrained = trainer.pretrain_and_score(data, cfg, checkpoint_dir=tmp_path)
     assert pretrained.state.adam.first_moment == [] == pretrained.state.adam.second_moment
     assert pretrained.state.adam.step == cfg.t1
-    arrays = load_checkpoint(tmp_path / "pretrain_final.ckpt")
+    arrays = _read_checkpoint(tmp_path / "pretrain_final.ckpt")
     state = copy.deepcopy(pretrained.state)
     n_params = len(state.params.named_parameters())
     state.adam.first_moment = [arrays[f"adam.m{i}"] for i in range(n_params)]
@@ -673,7 +699,7 @@ def test_pipeline_checkpoints_hold_each_phase_final_state(tmp_path):
     )
     result = trainer.run_pipeline(data, cfg, checkpoint_dir=tmp_path)
 
-    pretrained = load_checkpoint(tmp_path / "pretrain_final.ckpt")
+    pretrained = _read_checkpoint(tmp_path / "pretrain_final.ckpt")
     assert (pretrained["meta.phase"], pretrained["meta.epoch"]) == (0.0, cfg.t1)
     params = [k for k in pretrained if k.startswith("param.")]
     assert "param.cluster_centers" not in params
@@ -683,7 +709,7 @@ def test_pipeline_checkpoints_hold_each_phase_final_state(tmp_path):
         assert pretrained[f"adam.m{i}"].shape == pretrained[f"adam.v{i}"].shape
         assert pretrained[f"adam.m{i}"].shape == pretrained[key].shape, key
 
-    formal = load_checkpoint(tmp_path / "formal_final.ckpt")
+    formal = _read_checkpoint(tmp_path / "formal_final.ckpt")
     assert formal["meta.phase"] == 2.0
     named = result.state.params.named_parameters()
     assert [k for k in formal if k.startswith("param.")] == [f"param.{n}" for n, _ in named]
