@@ -9,13 +9,13 @@ closed-form gradients are formed in the same pass, the latent's first;
 the trainer weighs and sums them and writes the rest of the chain rule.
 Reconstruction and the likelihood are formed in row blocks
 (REC_ROW_BLOCK rows, and ZINB_BLOCK_ENTRIES count entries), so neither
-holds its n x n or n x g intermediates. The likelihood runs the whole
-count decoder itself, block by block: the MLP from the latent rows to the
-last hidden layer, the three heads and their activations, then the
-backward through both; it returns only the gradients in the latent and in
-the decoder's weights and biases. The clustering term takes the latent and
-the centers, forms the Student-t assignment itself and returns the two
-gradients in them.
+holds its n x n or n x g intermediates. The likelihood takes the count
+decoder as model.CountHeads, its one input form, and runs it itself, block
+by block: the MLP from the latent rows to the last hidden layer, the three
+heads and their activations, then the backward through both; it returns
+only the gradients in the latent and in the decoder's weights and biases.
+The clustering term takes the latent and the centers, forms the Student-t
+assignment itself and returns the two gradients in them.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import numerics as nm
-from .model import CountHeads, NonFiniteOutputError, mlp_backward, mlp_forward, student_t_kernel
+from .model import mlp_backward, mlp_forward, student_t_kernel
 from .numerics import special
 
 PI_CLAMP = (1e-10, 1.0 - 1e-10)  # where loss_zinb holds sigmoid(pi logit)
@@ -175,15 +175,12 @@ def loss_zinb(raw_counts, heads, count_rows=None) -> tuple[float, list[np.ndarra
     """Mean negative log-likelihood of the zero-inflated negative binomial,
     and its gradients.
 
-    `heads` is decode_zinb's CountHeads (the training path), or the three
-    heads multiplied out: the pre-activations logit pi, log mu and log
-    theta, each shaped like the counts (the dense reference). From
-    CountHeads the gradients are the latent's, then each MLP layer's weight
-    and bias, then the three head weights (pi, mu, theta); from dense heads
-    they are the three heads'. The likelihood is computed in log space: a
-    zero count scores logaddexp(log pi, log(1-pi) + log NB(0)) with log
-    NB(0) = theta log(theta/(theta+mu)); a positive count scores log(1-pi)
-    plus the log NB pmf. The matrix is worked through in blocks of whole rows, about
+    `heads` is decode_zinb's CountHeads. The gradients are the latent's,
+    then each MLP layer's weight and bias, then the three head weights (pi,
+    mu, theta). The likelihood is computed in log space: a zero count
+    scores logaddexp(log pi, log(1-pi) + log NB(0)) with log NB(0) = theta
+    log(theta/(theta+mu)); a positive count scores log(1-pi) plus the log
+    NB pmf. The matrix is worked through in blocks of whole rows, about
     ZINB_BLOCK_ENTRIES entries each, and one kernel scores every block:
     within a block the zero and positive entries are gathered apart and
     only they are activated: pi = clip(sigmoid, PI_CLAMP), mu and theta =
@@ -197,30 +194,22 @@ def loss_zinb(raw_counts, heads, count_rows=None) -> tuple[float, list[np.ndarra
 
     Each block writes the sum of each of its rows, taken in gene order,
     into one n-vector, and the mean is that vector's sum over the entries:
-    the same values added in the same order whatever the block size and
-    whichever form the heads take. The forms differ only in how a block's
-    heads are formed and where its gradients go. From CountHeads, each
+    the same values added in the same order whatever the block size. Each
     block runs the decoder MLP on its latent rows z_b up to the last hidden
     layer H_b, multiplies H_b by the three head weights (a NaN raises
-    NonFiniteOutputError naming its head), and after scoring folds its
+    NonFiniteLossError naming its head), and after scoring folds its
     per-entry gradients G_k into dW_k += H_b^T G_k and dH_b = sum_k G_k
     W_k^T, which it carries back through the MLP into dz_b and the MLP's
     weight and bias gradients (summed over the blocks). Only dz (n x d) and
     the parameter gradients are returned; no activation, head or dH
-    outlives its block. From dense heads, the three n x g head gradients
-    are returned. The two forms agree bitwise with the dense reference
-    (CountHeads.hidden times the head weights) when the matrix is one block.
+    outlives its block. With the matrix as one block the result is bitwise
+    the dense reference's: CountHeads.hidden times the head weights.
     """
     counts = np.asarray(raw_counts)
     if count_rows is not None:
         count_rows = np.asarray(count_rows, dtype=np.intp)
-    factored = isinstance(heads, CountHeads)
-    if factored:
-        latent, layers, weights = heads.latent, heads.layers, heads.weights
-        head_shapes = [(latent.shape[0], w.shape[1]) for w in weights]
-    else:
-        heads = [np.asarray(h, dtype=np.float64) for h in heads]
-        head_shapes = [h.shape for h in heads]
+    latent, layers, weights = heads.latent, heads.layers, heads.weights
+    head_shapes = [(latent.shape[0], w.shape[1]) for w in weights]
     shape = counts.shape if count_rows is None else (count_rows.size, *counts.shape[1:])
     if counts.ndim != 2 or len(head_shapes) != 3 or any(s != shape for s in head_shapes):
         raise nm.ShapeMismatchError(f"loss_zinb: counts {shape} vs heads {head_shapes}")
@@ -228,32 +217,22 @@ def loss_zinb(raw_counts, heads, count_rows=None) -> tuple[float, list[np.ndarra
     size = n * g
     step = max(1, ZINB_BLOCK_ENTRIES // max(1, g))  # rows per block
     scale = -1.0 / size
-    if factored:
-        # dz, then the MLP's weight and bias gradients, then the three dW
-        grads = [np.empty_like(latent)] + [None] * (2 * len(layers) + 3)
-    else:
-        grads = [np.empty(shape) for _ in range(3)]
+    # dz, then the MLP's weight and bias gradients, then the three dW
+    grads = [np.empty_like(latent)] + [None] * (2 * len(layers) + 3)
     row_sums = np.empty(n)
     for start in range(0, n, step):
         rows = slice(start, start + step)
-        if factored:
-            acts = mlp_forward(latent[rows], layers)
-            h_b = acts[-1]
-            blocks = [h_b @ w for w in weights]
-            for name, b in zip(("pi", "mu", "theta"), blocks):
-                if np.isnan(b).any():
-                    raise NonFiniteOutputError(f"non-finite values in the {name} head")
-        else:
-            blocks = [h[rows] for h in heads]
+        acts = mlp_forward(latent[rows], layers)
+        h_b = acts[-1]
+        blocks = [h_b @ w for w in weights]
+        for name, b in zip(("pi", "mu", "theta"), blocks):
+            if np.isnan(b).any():
+                raise NonFiniteLossError(f"non-finite values in the {name} head")
         x_rows = rows if count_rows is None else count_rows[rows]
         x = np.asarray(counts[x_rows], dtype=np.float64).reshape(-1)
         loglik, g_b = _score_block(x, [b.reshape(-1) for b in blocks], scale)
         row_sums[rows] = loglik.reshape(blocks[0].shape).sum(axis=1)
         g_b = [gk.reshape(blocks[0].shape) for gk in g_b]
-        if not factored:
-            for o, gk in zip(grads, g_b):
-                o[rows] = gk
-            continue
         # dH summed over the heads in pi, mu, theta order, in place: fresh
         # sums made the criterion 5-14% slower at 80-300 cells
         d_h = g_b[0] @ weights[0].T

@@ -41,7 +41,8 @@ def contingency_table(true_labels, pred_labels) -> ContingencyTable:
         )
     _, t_idx = np.unique(true_labels, return_inverse=True)
     _, p_idx = np.unique(pred_labels, return_inverse=True)
-    counts = np.zeros((t_idx.max() + 1, p_idx.max() + 1), dtype=np.int64)
+    # initial=-1: empty labels give a 0 x 0 table, which ari and nmi reject
+    counts = np.zeros((t_idx.max(initial=-1) + 1, p_idx.max(initial=-1) + 1), dtype=np.int64)
     np.add.at(counts, (t_idx, p_idx), 1)
     return ContingencyTable(
         counts=counts,

@@ -11,12 +11,13 @@ plain float64 arrays in an immutable ModelParams. encode returns its
 output with the encoder's backward written out in closed form (a
 numerics.Tensor); the trainer calls it once per epoch with the latent
 gradient of all three criteria. The count decoder is a record of its
-parameters: losses.loss_zinb runs its MLP (mlp_forward and mlp_backward)
-and heads one row block at a time, forward and backward, and its `.hidden`
-gives the MLP over every cell with its backward, the dense reference. The
-adjacency decoder and the soft assignment are plain numpy, and the
-clustering criterion (losses.loss_cls) differentiates the assignment
-itself.
+parameters, the one input losses.loss_zinb takes: it runs the record's MLP
+(mlp_forward and mlp_backward) and heads one row block at a time, forward
+and backward, and raises losses.NonFiniteLossError naming a head that
+holds a NaN. The record's `.hidden` gives the MLP over every cell with its
+backward, the dense reference. The adjacency decoder and the soft
+assignment are plain numpy, and the clustering criterion (losses.loss_cls)
+differentiates the assignment itself.
 """
 
 from __future__ import annotations
@@ -30,9 +31,6 @@ from .cellgraph import CellGraph
 from .numerics import Tensor, special
 
 ZINB_HIDDEN_DIMS = (128, 256, 512)
-
-class NonFiniteOutputError(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -310,7 +308,7 @@ def decode_zinb(z: np.ndarray, params: ModelParams) -> CountHeads:
     and the dropout, mean and dispersion head weights, as a record that
     computes nothing. losses.loss_zinb runs the MLP one row block at a time,
     multiplies out that block's heads, applies the clamped sigmoid and exps
-    and raises NonFiniteOutputError naming a head that holds a NaN
+    and raises losses.NonFiniteLossError naming a head that holds a NaN
     (infinities are left for the clamps), so no n_cells x 512 activation
     and no n_cells x n_genes head exists. The record's `.hidden` builds the
     MLP's last layer over every cell. With no hidden layers H is z."""

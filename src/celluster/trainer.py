@@ -51,7 +51,6 @@ from .losses import (
 from .model import (
     ZINB_HIDDEN_DIMS,
     ModelParams,
-    NonFiniteOutputError,
     chebyshev_basis,
     decode_zinb,
     encode,
@@ -315,7 +314,7 @@ def _train_step(
         rec = loss_rec(adjacency, latent)
         zinb = loss_zinb(counts, decode_zinb(latent, params), count_rows)
         cls = None if target is None else loss_cls(target, latent, params.cluster_centers)
-    except (NonFiniteLossError, NonFiniteOutputError) as err:
+    except NonFiniteLossError as err:
         raise NonFiniteLossError(
             f"{state.phase} phase diverged at epoch {epoch}: {err}", epoch=epoch, state=state
         ) from err

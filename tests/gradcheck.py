@@ -5,7 +5,9 @@ of the gradients it is used to check. `gradient_error` checks a function
 that returns (value, gradients), as the training criteria do;
 `backward_error` checks a Tensor's backward under a weighted sum of its
 values; `step_gradient_error` checks the parameter gradients that one
-training step hands to Adam against the total it logs.
+training step hands to Adam against the total it logs. `dense_heads` and
+`zinb_on_heads` feed the count likelihood its three head pre-activations
+directly.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 import pytest
 
-from celluster import model, trainer
+from celluster import losses, model, trainer
 from celluster.numerics import AdamState
 
 
@@ -79,6 +81,21 @@ def backward_error(forward, arrays, weights, h: float = 1e-5) -> float:
         return float((out.values * w).sum()), out.backward(w)
 
     return gradient_error(fn, arrays, h)
+
+
+def dense_heads(pi_logit, log_mu, log_theta) -> model.CountHeads:
+    """The head pre-activations (logit pi, log mu, log theta), n x g each,
+    as a count decoder: an identity latent and no MLP layers, so each head
+    weight is its head and the weight's gradient is the head's."""
+    heads = tuple(np.asarray(h, dtype=np.float64) for h in (pi_logit, log_mu, log_theta))
+    return model.CountHeads(np.eye(len(heads[0])), (), heads)
+
+
+def zinb_on_heads(counts, heads, count_rows=None):
+    """losses.loss_zinb on the three head pre-activations `heads`: its value
+    and its gradients in the three heads (the latent's dropped)."""
+    value, grads = losses.loss_zinb(counts, dense_heads(*heads), count_rows)
+    return value, grads[1:]
 
 
 def with_arrays(params: model.ModelParams, names, arrays) -> model.ModelParams:

@@ -17,7 +17,14 @@ from celluster.cellgraph import _from_adjacency
 from celluster.cli import main as cli_main
 from celluster.ingest import SynthesisSpec, synthesize
 from celluster.trainer import TrainConfig
-from gradcheck import backward_error, gradient_error, step_gradient_error, with_arrays
+from gradcheck import (
+    backward_error,
+    dense_heads,
+    gradient_error,
+    step_gradient_error,
+    with_arrays,
+    zinb_on_heads,
+)
 
 
 def _pass(criterion: int, message: str) -> None:
@@ -63,7 +70,8 @@ def test_criterion_1_gradient_correctness():
 
     # the three losses; the likelihood also on all-zero counts (its logaddexp
     # branch) and on all-positive counts (its log-gamma branch) alone, in its
-    # pre-activations (logit pi, log mu, log theta)
+    # pre-activations (logit pi, log mu, log theta), the head weights of a
+    # decoder with an identity latent
     zinb_counts = {
         "loss_zinb": lambda rng: rng.integers(0, 8, size=(2, 3)),
         "loss_zinb_zero_counts": lambda rng: np.zeros((2, 3)),
@@ -84,7 +92,7 @@ def test_criterion_1_gradient_correctness():
             th0 = rng.uniform(0.8, 4.0, size=(2, 3))
             errs[name].append(
                 gradient_error(
-                    lambda a: losses.loss_zinb(x, a),
+                    lambda a: zinb_on_heads(x, a),
                     [np.log(pi0 / (1.0 - pi0)), np.log(mu0), np.log(th0)],
                 )
             )
@@ -168,7 +176,7 @@ def test_criterion_2_chebconv_dense_oracle():
 def test_criterion_3_zinb_pointwise():
     # fed as pre-activations: logit 0.5 = 0, log 1 = 0, logit 0.2 = log 0.25
     def zinb(pi_logit, log_mu, log_th):
-        return [np.array([[pi_logit]]), np.array([[log_mu]]), np.array([[log_th]])]
+        return dense_heads([[pi_logit]], [[log_mu]], [[log_th]])
 
     zero_case = losses.loss_zinb(np.array([[0.0]]), zinb(0.0, 0.0, 0.0))[0]
     assert abs(zero_case - 0.28768) < 1e-5
@@ -186,7 +194,7 @@ def test_criterion_3_zinb_pointwise():
     mu = rng.uniform(0.4, 9.0, size=(5, 6))
     th = rng.uniform(0.4, 5.0, size=(5, 6))
     floored = np.full((5, 6), -1000.0)  # sigmoid underflows: pi is held at its 1e-10 floor
-    got = losses.loss_zinb(x, [floored, np.log(mu), np.log(th)])[0]
+    got = losses.loss_zinb(x, dense_heads(floored, np.log(mu), np.log(th)))[0]
     nb = -(
         gammaln(x + th) - gammaln(x + 1.0) - gammaln(th)
         + th * np.log(th / (th + mu)) + x * np.log(mu / (th + mu))

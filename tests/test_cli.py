@@ -444,6 +444,13 @@ def test_train_rejects_bad_settings_before_training(tmp_path, capsys, config_ext
             {}, "", 2, "labels file not found: {tmp}/none.csv", id="no-pred-labels-file",
         ),
         pytest.param(
+            [
+                "evaluate", "--true-labels", "{tmp}/empty.csv",
+                "--pred-labels", "{tmp}/empty.csv", "--out", "{tmp}/m.json",
+            ],
+            {}, "", 1, "[evaluate] ARI needs at least 2 points", id="no-labelled-cells",
+        ),
+        pytest.param(
             ["prune-study", "{config}"], {"labels": None}, "", 1,
             "[prune-study] prune-study needs ground-truth labels", id="study-without-labels",
         ),
@@ -473,6 +480,7 @@ def test_each_rejected_run_exits_with_its_one_line_message(
 ):
     data_dir = tmp_path / "data"
     assert _run(*_synth_args(data_dir)) == 0
+    (tmp_path / "empty.csv").write_text("cell_id,label\n")
     config = tmp_path / "config.txt"
     places = {"tmp": tmp_path, "data": data_dir, "config": config}
     extra = {k: v if v is None else v.format(**places) for k, v in config_extra.items()}

@@ -1,6 +1,9 @@
+import re
+from pathlib import Path
+
 import pytest
 
-from celluster.config import ConfigError, RunConfig, parse_config, write_config
+from celluster.config import TRAIN_TYPES, ConfigError, RunConfig, parse_config, write_config
 from celluster.trainer import CHOICES, TrainConfig
 
 
@@ -124,3 +127,19 @@ def test_write_then_parse_reproduces_settings(tmp_path):
     assert back.strategies == ["hard", "easy"]
     assert back.alphas == [0.06, 0.11]
     assert back.seeds == [0, 1, 2]
+
+
+def test_readme_config_example_parses_to_the_defaults(tmp_path):
+    # the README documents the defaults through its one config example
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+    path = tmp_path / "c.txt"
+    path.write_text(block, encoding="utf-8")
+    parsed = parse_config(path).train
+    default = TrainConfig(n_clusters=3)
+    keys = [line.split("#", 1)[0].split("=", 1)[0].strip() for line in block.splitlines()]
+    keys = [key for key in keys if key in TRAIN_TYPES]
+    assert "t_hat" in keys and len(keys) > 10
+    for key in keys:
+        want = default.effective_t_hat if key == "t_hat" else getattr(default, key)
+        assert getattr(parsed, key) == want, key

@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -8,8 +7,9 @@ import pytest
 import scipy.sparse as sp
 
 from celluster import losses, model, trainer
+from celluster import numerics as nm
 from celluster.cellgraph import _from_adjacency
-from gradcheck import gradient_error
+from gradcheck import dense_heads, gradient_error, zinb_on_heads
 
 
 def _pre(pi, mu, theta):
@@ -68,8 +68,8 @@ def _zinb_on(x, heads, subset=None):
     """loss_zinb over the subset rows, gathered and scattered back the way
     the train step does."""
     if subset is None:
-        return losses.loss_zinb(x, heads)
-    value, grads = losses.loss_zinb(x[subset], [h[subset] for h in heads])
+        return zinb_on_heads(x, heads)
+    value, grads = zinb_on_heads(x[subset], [h[subset] for h in heads])
     return value, [_scatter(len(x), subset, g) for g in grads]
 
 
@@ -170,14 +170,14 @@ def test_loss_rec_holds_at_most_three_row_blocks():
 
 def test_loss_zinb_zero_count_hand_value():
     # x=0, pi=0.5, mu=theta=1: NLL = -log(0.5 + 0.5 * 0.5) = 0.28768...
-    got = losses.loss_zinb(np.array([[0.0]]), _pre([[0.5]], [[1.0]], [[1.0]]))[0]
+    got = losses.loss_zinb(np.array([[0.0]]), dense_heads(*_pre([[0.5]], [[1.0]], [[1.0]])))[0]
     assert got == pytest.approx(-math.log(0.75), abs=1e-12)
     assert got == pytest.approx(0.28768, abs=5e-6)
 
 
 def test_loss_zinb_positive_count_hand_value():
     # x=1, pi=0.2, mu=theta=1: NB pmf = 0.25, NLL = -log(0.8 * 0.25) = 1.60944...
-    got = losses.loss_zinb(np.array([[1.0]]), _pre([[0.2]], [[1.0]], [[1.0]]))[0]
+    got = losses.loss_zinb(np.array([[1.0]]), dense_heads(*_pre([[0.2]], [[1.0]], [[1.0]])))[0]
     assert got == pytest.approx(-math.log(0.2), abs=1e-12)
     assert got == pytest.approx(1.60944, abs=5e-6)
 
@@ -188,7 +188,7 @@ def test_loss_zinb_vanishing_dropout_matches_nb_oracle():
     mu = rng.uniform(0.5, 8.0, size=(6, 5))
     theta = rng.uniform(0.5, 4.0, size=(6, 5))
     pi = np.full((6, 5), 1e-10)
-    got = losses.loss_zinb(x, _pre(pi, mu, theta))[0]
+    got = losses.loss_zinb(x, dense_heads(*_pre(pi, mu, theta)))[0]
     want = float(np.mean(nb_nll_oracle(x, mu, theta)))
     assert got == pytest.approx(want, abs=1e-8)
 
@@ -201,7 +201,7 @@ def test_loss_zinb_dropout_below_the_floor_equals_clamped_oracle_tight():
     mu = rng.uniform(0.2, 10.0, size=(4, 7))
     theta = rng.uniform(0.3, 5.0, size=(4, 7))
     heads = [np.full((4, 7), -800.0), *_pre(0.5, mu, theta)[1:]]
-    got = losses.loss_zinb(x, heads)[0]
+    got = losses.loss_zinb(x, dense_heads(*heads))[0]
     floor = losses.PI_CLAMP[0]
     nb_zero = (theta / (theta + mu)) ** theta
     want = np.where(
@@ -221,7 +221,7 @@ def test_loss_zinb_row_mask_equals_sliced_computation():
         rng.uniform(0.5, 5.0, size=(6, 4)),
     )
     value, grads = _zinb_on(x, arrays, [1, 4])
-    assert value == losses.loss_zinb(x[[1, 4]], [a[[1, 4]] for a in arrays])[0]
+    assert value == zinb_on_heads(x[[1, 4]], [a[[1, 4]] for a in arrays])[0]
     assert not any(np.any(g[[0, 2, 3, 5]]) for g in grads)
 
 
@@ -234,7 +234,7 @@ def test_loss_zinb_gradients_match_finite_differences():
         rng.uniform(0.8, 4.0, size=(3, 4)),  # theta
     )
 
-    err = gradient_error(lambda a: losses.loss_zinb(x, a), arrays)
+    err = gradient_error(lambda a: zinb_on_heads(x, a), arrays)
     assert err < 1e-5, f"max relative error {err}"
 
 
@@ -281,7 +281,7 @@ def test_loss_zinb_matches_full_matrix_gammaln_formula():
     pi = rng.uniform(0.01, 0.95, size=x.shape)
     mu = rng.uniform(0.05, 20.0, size=x.shape)
     theta = rng.uniform(0.05, 20.0, size=x.shape)
-    got = losses.loss_zinb(x, _pre(pi, mu, theta))[0]
+    got = losses.loss_zinb(x, dense_heads(*_pre(pi, mu, theta)))[0]
     assert got == pytest.approx(_full_matrix_nll(x, pi, mu, theta), rel=1e-12)
 
 
@@ -312,35 +312,9 @@ def test_loss_zinb_with_an_empty_branch_matches_the_full_matrix_formula(count):
     mu = rng.uniform(0.2, 8.0, size=x.shape)
     theta = rng.uniform(0.2, 8.0, size=x.shape)
     arrays = _pre(pi, mu, theta)
-    value, _ = losses.loss_zinb(x, arrays)
+    value, _ = zinb_on_heads(x, arrays)
     assert value == pytest.approx(_full_matrix_nll(x, pi, mu, theta), rel=1e-12)
-    assert gradient_error(lambda a: losses.loss_zinb(x, a), arrays) < 1e-5
-
-
-def test_loss_zinb_frees_the_heads_once_the_caller_drops_them():
-    # what loss_zinb returns holds its three gradients in the heads, never
-    # the heads: the chain rule back to the latent and the decoder runs the
-    # same once the caller has dropped them
-    rng = np.random.default_rng(16)
-    params = model.init_params(n_genes=6, latent_dim=3, zinb_dims=(5, 4), seed=2)
-    z0 = rng.normal(size=(7, 3))
-    x = rng.poisson(1.0, size=(7, 6)).astype(float)
-
-    def gradients(keep_heads):
-        decoded = model.decode_zinb(z0, params)
-        hidden = decoded.hidden
-        heads = [hidden.values @ w for w in decoded.weights]
-        alive = [weakref.ref(h) for h in heads]
-        value, head_grads = losses.loss_zinb(x, heads)
-        if not keep_heads:
-            del heads
-            assert all(ref() is None for ref in alive)
-        return [value, *_dense_chain(hidden, decoded.weights, head_grads)]
-
-    kept, dropped = gradients(keep_heads=True), gradients(keep_heads=False)
-    assert len(kept) == 1 + 1 + 2 * 2 + 3  # the loss, z, two fc layers, three heads
-    for want, got in zip(kept, dropped):
-        assert np.array_equal(want, got)
+    assert gradient_error(lambda a: zinb_on_heads(x, a), arrays) < 1e-5
 
 
 @pytest.mark.parametrize("subset", [None, [12, 0, 2, 3, 4, 5, 9]], ids=["all", "subset"])
@@ -363,22 +337,6 @@ def test_loss_zinb_is_bitwise_the_same_for_any_block_size(monkeypatch, subset):
         assert np.array_equal(blocked, whole)
 
 
-def test_loss_zinb_holds_few_count_sized_arrays_through_backward():
-    # the three head gradients plus the per-entry log-likelihoods are
-    # count-sized; every other intermediate lives for one row block
-    rng = np.random.default_rng(22)
-    shape = (3000, 500)
-    x = np.where(rng.random(shape) < 2 / 3, 0.0, rng.poisson(3.0, shape) + 1.0)
-    heads = [rng.normal(size=shape) for _ in range(3)]
-    tracemalloc.start()
-    try:
-        losses.loss_zinb(x, heads)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 5 * x.nbytes
-
-
 def _count_criterion(x, z0, params, dense, count_rows=None):
     """The count criterion from the latent, through the dense reference or
     CountHeads: the loss, then the gradients of z and of every count
@@ -389,7 +347,7 @@ def _count_criterion(x, z0, params, dense, count_rows=None):
         return [value, *grads]
     hidden = decoded.hidden
     heads = [hidden.values @ w for w in decoded.weights]
-    value, head_grads = losses.loss_zinb(x, heads, count_rows)
+    value, head_grads = zinb_on_heads(x, heads, count_rows)
     return [value, *_dense_chain(hidden, decoded.weights, head_grads)]
 
 
@@ -423,8 +381,7 @@ def test_loss_zinb_node_matches_the_dense_heads_at_any_block_size(monkeypatch, z
                 assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(a))
 
 
-@pytest.mark.parametrize("dense", [False, True], ids=["node", "dense"])
-def test_loss_zinb_on_count_rows_equals_the_gathered_copy_bitwise(monkeypatch, dense):
+def test_loss_zinb_on_count_rows_equals_the_gathered_copy_bitwise(monkeypatch):
     # 13 unsorted rows of a 20-row matrix; 7 entries make 2-row blocks of
     # the 3 genes, so the selection spans seven blocks, the last a single row
     rng = np.random.default_rng(26)
@@ -436,8 +393,8 @@ def test_loss_zinb_on_count_rows_equals_the_gathered_copy_bitwise(monkeypatch, d
     z0 = rng.normal(scale=2.0, size=(rows.size, 4))
     for entries in (1 << 30, 7):
         monkeypatch.setattr(losses, "ZINB_BLOCK_ENTRIES", entries)
-        want = _count_criterion(x[rows], z0, params, dense)
-        got = _count_criterion(x, z0, params, dense, count_rows=rows)
+        want = _count_criterion(x[rows], z0, params, dense=False)
+        got = _count_criterion(x, z0, params, dense=False, count_rows=rows)
         assert len(got) == len(want)
         for a, b in zip(want, got):
             assert np.array_equal(a, b)
@@ -455,7 +412,7 @@ def test_loss_zinb_node_names_the_head_of_a_nan_block(monkeypatch):
     weights[2][0] = 0.0
     heads = model.CountHeads(hidden, (), tuple(weights))
     with np.errstate(invalid="ignore"), pytest.raises(
-        model.NonFiniteOutputError, match="non-finite values in the theta head"
+        losses.NonFiniteLossError, match="non-finite values in the theta head"
     ):
         losses.loss_zinb(rng.poisson(1.0, size=(13, 3)), heads)
 
@@ -505,7 +462,7 @@ def test_loss_zinb_gradient_is_zero_where_a_clamp_binds_on_a_slope(count):
     # (sigmoid' ~ 9e-14, exp' = exp), so only the clamp makes the gradient 0;
     # column 2 stays inside every clamp
     pre = np.array([[-30.0, 30.0, 0.4]] * 2)
-    _, grads = losses.loss_zinb(np.full((2, 3), count), [pre] * 3)
+    _, grads = zinb_on_heads(np.full((2, 3), count), [pre] * 3)
     for grad in grads:
         assert np.all(grad[:, :2] == 0.0)
         assert np.all(grad[:, 2] != 0.0)
@@ -516,10 +473,13 @@ def test_loss_zinb_non_finite_raises():
     x = np.array([[0.0, 3.0]])
     heads = _pre([[0.5, 0.5]], [[1.0, np.nan]], [[1.0, 1.0]])
     with np.errstate(invalid="ignore"), pytest.raises(losses.NonFiniteLossError):
-        losses.loss_zinb(x, heads)
+        losses.loss_zinb(x, dense_heads(*heads))
     infinite = [np.array([[np.inf, -np.inf]]), np.array([[np.inf, -np.inf]]),
                 np.array([[-np.inf, np.inf]])]
-    assert np.isfinite(losses.loss_zinb(x, infinite)[0])
+    # infinite head weights make the latent's gradient 0 * inf = NaN where a
+    # clamp binds; the value is what this checks
+    with np.errstate(invalid="ignore"):
+        assert np.isfinite(losses.loss_zinb(x, dense_heads(*infinite))[0])
 
 
 # -- target distribution ---------------------------------------------------------
@@ -678,3 +638,54 @@ def test_breakdown_total_is_exact_sum():
         assert logged.cls == 2.0 * losses.loss_cls(target, z.values, params.cluster_centers)[0]
         assert logged.total == logged.rec + logged.zinb + logged.cls == logged.as_row()[-1]
         assert logged.cls >= -1e-12
+
+
+# -- shape checks ------------------------------------------------------------------
+
+
+def _decoded(n, n_genes=3):
+    params = model.init_params(n_genes=n_genes, latent_dim=2, zinb_dims=(4,), seed=0)
+    return model.decode_zinb(np.zeros((n, 2)), params)
+
+
+@pytest.mark.parametrize(
+    "criterion, shapes",
+    [
+        pytest.param(
+            lambda: losses.loss_zinb(np.ones((4, 3)), _decoded(5)), ["(4, 3)", "(5, 3)"],
+            id="zinb-count-rows",
+        ),
+        pytest.param(
+            lambda: losses.loss_zinb(np.ones((6, 3)), _decoded(5), [0, 1, 2, 3]),
+            ["(4, 3)", "(5, 3)"], id="zinb-count-rows-selected",
+        ),
+        pytest.param(
+            lambda: losses.loss_zinb(np.ones((5, 4)), _decoded(5)), ["(5, 4)", "(5, 3)"],
+            id="zinb-genes",
+        ),
+        pytest.param(
+            lambda: losses.loss_zinb(np.ones(5), _decoded(5)), ["(5,)", "(5, 3)"],
+            id="zinb-1d-counts",
+        ),
+        pytest.param(
+            lambda: losses.loss_rec(np.zeros((4, 5)), np.zeros((4, 2))), ["(4, 5)", "(4, 2)"],
+            id="rec-non-square",
+        ),
+        pytest.param(
+            lambda: losses.loss_rec(np.zeros((5, 5)), np.zeros((4, 2))), ["(5, 5)", "(4, 2)"],
+            id="rec-mis-sized",
+        ),
+        pytest.param(
+            lambda: losses.loss_cls(np.full((3, 2), 0.5), np.zeros((4, 2)), np.zeros((2, 2))),
+            ["(3, 2)", "(4, 2)"], id="cls-rows",
+        ),
+        pytest.param(
+            lambda: losses.loss_cls(np.full((4, 2), 0.5), np.zeros((4, 3)), np.zeros((2, 2))),
+            ["dim 3", "dim 2"], id="cls-latent-dim",
+        ),
+    ],
+)
+def test_each_criterion_rejects_mismatched_shapes_naming_both(criterion, shapes):
+    with pytest.raises(nm.ShapeMismatchError) as err:
+        criterion()
+    assert all(s in str(err.value) for s in shapes), str(err.value)

@@ -65,9 +65,10 @@ def test_ari_trivial_partitions_convention():
     assert metrics.ari([0, 0, 0], [0, 0, 0]) == 1.0
 
 
-def test_ari_rejects_single_point():
-    with pytest.raises(metrics.SinglePointError):
-        metrics.ari([0], [0])
+@pytest.mark.parametrize("labels", [[0], []], ids=["single", "empty"])
+def test_ari_rejects_single_point(labels):
+    with pytest.raises(metrics.SinglePointError, match="ARI needs at least 2 points"):
+        metrics.ari(labels, labels)
 
 
 def test_nmi_identical_partitions():
@@ -88,6 +89,11 @@ def test_nmi_hand_case():
 
 def test_nmi_both_single_cluster_convention():
     assert metrics.nmi([0, 0], [0, 0]) == 1.0
+
+
+def test_nmi_rejects_empty_labels():
+    with pytest.raises(metrics.LengthMismatchError, match="NMI needs at least 1 point"):
+        metrics.nmi([], [])
 
 
 def test_length_mismatch():

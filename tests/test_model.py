@@ -248,7 +248,7 @@ def test_encode_rejects_a_basis_that_does_not_fit():
 def test_decode_zinb_nan_names_the_head():
     params = model.init_params(n_genes=4, latent_dim=3, seed=0)
     params.head_theta[1, 2] = np.nan
-    with pytest.raises(model.NonFiniteOutputError, match="theta head"):
+    with pytest.raises(losses.NonFiniteLossError, match="theta head"):
         losses.loss_zinb(np.ones((2, 4)), model.decode_zinb(np.ones((2, 3)), params))
 
 
