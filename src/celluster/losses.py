@@ -99,16 +99,13 @@ ZINB_BLOCK_ENTRIES = 1 << 16  # count entries loss_zinb works on at once (whole 
 
 
 def _activate(heads, entries):
-    """The gathered entries' activations, unclamped (their gradient masks
-    come from these) and clamped (the likelihood reads these)."""
-    a_pi, e_mu, e_theta = (h[entries] for h in heads)
-    s = special.sigmoid(a_pi)
+    """The gathered entries' clamped activations (pi, mu, theta)."""
+    a_pi, mu, theta = (h[entries] for h in heads)
     with np.errstate(over="ignore"):  # overflow lands on the clamp
-        np.exp(e_mu, out=e_mu)
-        np.exp(e_theta, out=e_theta)
-    unclamped = (s, e_mu, e_theta)
-    clamped = (np.clip(s, *PI_CLAMP), np.clip(e_mu, *RATE_CLAMP), np.clip(e_theta, *RATE_CLAMP))
-    return unclamped, clamped
+        np.exp(mu, out=mu)
+        np.exp(theta, out=theta)
+    pi = np.clip(special.sigmoid(a_pi, out=a_pi), *PI_CLAMP, out=a_pi)
+    return pi, np.clip(mu, *RATE_CLAMP, out=mu), np.clip(theta, *RATE_CLAMP, out=theta)
 
 
 def _score_block(x, heads, scale):
@@ -124,15 +121,17 @@ def _score_block(x, heads, scale):
     pos = np.flatnonzero(x != 0)
     loglik = np.empty(x.size)
 
-    act0, (pi0, mu0, th0) = _activate(heads, zero)
-    log_ratio0 = np.log(th0) - np.log(th0 + mu0)  # log(theta / (theta + mu))
+    act0 = pi0, mu0, th0 = _activate(heads, zero)
+    rate0 = th0 + mu0
+    log_ratio0 = np.log(th0) - np.log(rate0)  # log(theta / (theta + mu))
     log_nb0 = th0 * log_ratio0
     log_nb_mass0 = np.log(1.0 - pi0) + log_nb0
     ll0 = loglik[zero] = np.logaddexp(np.log(pi0), log_nb_mass0)
 
     xp = x[pos]
-    actp, (pip, mup, thp) = _activate(heads, pos)
-    log_rate = np.log(thp + mup)
+    actp = pip, mup, thp = _activate(heads, pos)
+    rate = thp + mup
+    log_rate = np.log(rate)
     log_ratio = np.log(thp) - log_rate
     loglik[pos] = (
         np.log(1.0 - pip)
@@ -145,13 +144,12 @@ def _score_block(x, heads, scale):
 
     # d nll / d (pi, mu, theta) per gathered entry: d loglik times scale
     w_nb = np.exp(log_nb_mass0 - ll0)  # share of the NB part in P(x = 0)
-    rate = thp + mup
     grads = tuple(np.empty(x.size) for _ in range(3))
-    for entries, (s, e_mu, e_theta), derivs in (
+    for entries, (pi, mu, theta), derivs in (
         (zero, act0, (
             -np.expm1(log_nb0) * np.exp(-ll0),
-            -w_nb * th0 / (th0 + mu0),
-            w_nb * (log_ratio0 + mu0 / (th0 + mu0)),
+            -w_nb * th0 / rate0,
+            w_nb * (log_ratio0 + mu0 / rate0),
         )),
         (pos, actp, (
             -1.0 / (1.0 - pip),
@@ -160,14 +158,11 @@ def _score_block(x, heads, scale):
         )),
     ):
         d_pi, d_mu, d_theta = (dk * scale for dk in derivs)
-        # clip passes a gradient only inside its bounds; then sigmoid' = s (1 - s)
-        gk = d_pi * ((s > PI_CLAMP[0]) & (s < PI_CLAMP[1]))
-        grads[0][entries] = gk * s * (1.0 - s)
-        for o, dk, e in ((grads[1], d_mu, e_mu), (grads[2], d_theta, e_theta)):
-            gk = dk * ((e > RATE_CLAMP[0]) & (e < RATE_CLAMP[1]))
-            # exp' = exp; a zero gradient stays 0 where exp overflowed (0 * inf)
-            with np.errstate(invalid="ignore"):
-                o[entries] = np.where(gk == 0.0, 0.0, gk * e)
+        # clip passes a gradient only where lo < v < hi, which is where
+        # lo < clip(v) < hi; there sigmoid' = pi (1 - pi) and exp' = exp
+        grads[0][entries] = d_pi * ((pi > PI_CLAMP[0]) & (pi < PI_CLAMP[1])) * pi * (1.0 - pi)
+        for o, d, e in ((grads[1], d_mu, mu), (grads[2], d_theta, theta)):
+            o[entries] = np.where((e > RATE_CLAMP[0]) & (e < RATE_CLAMP[1]), d * e, 0.0)
     return loglik, grads
 
 

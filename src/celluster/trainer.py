@@ -301,8 +301,8 @@ def _train_step(
     heads itself, one row block at a time, forward and backward, so the
     step holds no n x 512 activation and no n_genes-wide head. The step
     replaces state.params with a new ModelParams and writes no old array. A
-    non-finite loss raises NonFiniteLossError carrying the state as it was
-    before the step."""
+    non-finite loss or gradient raises NonFiniteLossError carrying the state
+    as it was before the step, so Adam never takes a non-finite gradient."""
     epoch, params = state.epoch, state.params
     try:
         latent, adjacency = z.values, graph.adjacency
@@ -328,6 +328,10 @@ def _train_step(
         )
     grads = _gradients(z, subset, cfg.loss_weights, rec, zinb, cls)
     named = params.named_parameters()
+    bad = [name for (name, _), g in zip(named, grads) if not np.isfinite(g).all()]
+    if bad:
+        message = f"{state.phase} gradient non-finite at epoch {epoch} in {', '.join(bad)}"
+        raise NonFiniteLossError(message, epoch=epoch, state=state)
     updated, _ = adam_step([array for _, array in named], grads, state.adam)
     by_name = {name: new for (name, _), new in zip(named, updated)}
     state.params = params.map_named(lambda name, _: by_name[name])

@@ -303,6 +303,89 @@ def test_score_block_gives_each_entry_the_full_matrix_log_likelihood():
     np.testing.assert_allclose(loglik, want, rtol=1e-12, atol=0.0)
 
 
+def _unclamped_mask_kernel(x, heads, scale):
+    """_score_block as first written: each branch's activations formed both
+    unclamped (the gradient masks and chains read these) and clamped (the
+    likelihood reads these), and the rate gradients guarded where a zero
+    meets an overflowed exp (0 * inf)."""
+    from scipy.special import digamma, gammaln
+
+    def activate(entries):
+        a_pi, e_mu, e_theta = (h[entries] for h in heads)
+        s = nm.special.sigmoid(a_pi)
+        with np.errstate(over="ignore"):
+            np.exp(e_mu, out=e_mu)
+            np.exp(e_theta, out=e_theta)
+        clamped = (np.clip(s, *losses.PI_CLAMP), np.clip(e_mu, *losses.RATE_CLAMP),
+                   np.clip(e_theta, *losses.RATE_CLAMP))
+        return (s, e_mu, e_theta), clamped
+
+    zero, pos = np.flatnonzero(x == 0), np.flatnonzero(x != 0)
+    loglik = np.empty(x.size)
+    act0, (pi0, mu0, th0) = activate(zero)
+    log_ratio0 = np.log(th0) - np.log(th0 + mu0)
+    log_nb0 = th0 * log_ratio0
+    log_nb_mass0 = np.log(1.0 - pi0) + log_nb0
+    ll0 = loglik[zero] = np.logaddexp(np.log(pi0), log_nb_mass0)
+    xp = x[pos]
+    actp, (pip, mup, thp) = activate(pos)
+    log_rate = np.log(thp + mup)
+    log_ratio = np.log(thp) - log_rate
+    loglik[pos] = (np.log(1.0 - pip) + gammaln(xp + thp) - gammaln(xp + 1.0) - gammaln(thp)
+                   + thp * log_ratio + xp * (np.log(mup) - log_rate))
+    w_nb = np.exp(log_nb_mass0 - ll0)
+    rate = thp + mup
+    grads = tuple(np.empty(x.size) for _ in range(3))
+    for entries, (s, e_mu, e_theta), derivs in (
+        (zero, act0, (-np.expm1(log_nb0) * np.exp(-ll0), -w_nb * th0 / (th0 + mu0),
+                      w_nb * (log_ratio0 + mu0 / (th0 + mu0)))),
+        (pos, actp, (-1.0 / (1.0 - pip), xp / mup - (thp + xp) / rate,
+                     digamma(xp + thp) - digamma(thp) + log_ratio + (mup - xp) / rate)),
+    ):
+        d_pi, d_mu, d_theta = (dk * scale for dk in derivs)
+        gk = d_pi * ((s > losses.PI_CLAMP[0]) & (s < losses.PI_CLAMP[1]))
+        grads[0][entries] = gk * s * (1.0 - s)
+        for o, dk, e in ((grads[1], d_mu, e_mu), (grads[2], d_theta, e_theta)):
+            gk = dk * ((e > losses.RATE_CLAMP[0]) & (e < losses.RATE_CLAMP[1]))
+            with np.errstate(invalid="ignore"):
+                o[entries] = np.where(gk == 0.0, 0.0, gk * e)
+    return loglik, grads
+
+
+def test_score_block_reads_its_masks_off_the_clamped_values_bit_for_bit():
+    # lo < clip(v) < hi holds exactly where lo < v < hi, and inside the
+    # bounds the clamped values are the unclamped ones. About a fifth of the
+    # pre-activations sit at an edge: sigmoid rounds to 0 or 1 (+-40, +-800,
+    # +-inf), exp overflows (800, inf) or underflows (-800, -inf), or the
+    # value lands just past a rate clamp (+-23.03) or just inside one
+    # (+-23.0258).
+    rng = np.random.default_rng(28)
+    edges = [800.0, -800.0, 40.0, -40.0, 23.03, -23.03, 23.0258, -23.0258, np.inf, -np.inf]
+    for trial in range(5):
+        x = rng.poisson(rng.uniform(0.3, 4.0), size=300 * 200).astype(float)
+        heads = rng.normal(scale=rng.uniform(1.0, 25.0), size=(3, x.size))
+        at_edge = rng.random(heads.shape) < 0.2
+        heads[at_edge] = rng.choice(edges, size=int(at_edge.sum()))
+        scale = -1.0 / x.size
+        got = losses._score_block(x, list(heads.copy()), scale)
+        want = _unclamped_mask_kernel(x, list(heads.copy()), scale)
+        for a, b in zip([got[0], *got[1]], [want[0], *want[1]]):
+            assert a.tobytes() == b.tobytes()  # zero signs included
+    # The one difference: a gradient that is exactly zero inside the clamps.
+    # At log mu = 0 and x = 1, d loglik / d mu is exactly +0.0, which the
+    # negative scale makes -0.0; the oracle's zero guard wrote +0.0 there,
+    # the kernel writes -0.0 * mu. Adam's first moment starts at +0.0, and
+    # +0.0 + -0.0 is +0.0, so no parameter can see the sign.
+    x, heads = np.array([1.0, 0.0, 2.0]), np.zeros((3, 3))
+    got = losses._score_block(x, list(heads.copy()), -1.0 / 3)
+    want = _unclamped_mask_kernel(x, list(heads.copy()), -1.0 / 3)
+    mu_grad = got[1][1]
+    assert mu_grad[0] == 0.0 and np.signbit(mu_grad[0]) and not np.signbit(want[1][1][0])
+    mu_grad[0] = 0.0
+    for a, b in zip([got[0], *got[1]], [want[0], *want[1]]):
+        assert a.tobytes() == b.tobytes()
+
+
 @pytest.mark.parametrize("count", [0.0, 3.0], ids=["all-zero", "all-positive"])
 def test_loss_zinb_with_an_empty_branch_matches_the_full_matrix_formula(count):
     # one branch gathers no entry; its activations and clamps see empty arrays

@@ -28,7 +28,7 @@ from celluster.losses import (
     target_distribution,
 )
 from celluster.metrics import ari
-from celluster.model import chebyshev_basis, decode_zinb, encode, soft_assign
+from celluster.model import chebyshev_basis, decode_zinb, encode, mlp_forward, soft_assign
 from celluster.numerics import AdamState, Tensor
 from celluster.preprocess import preprocess
 from celluster.trainer import TrainConfig
@@ -756,6 +756,37 @@ def test_nonfinite_loss_reports_epoch_and_carries_state(monkeypatch):
     assert err.value.epoch == 2
     assert (err.value.state.phase, err.value.state.epoch) == ("pretrain", 2)
     assert len(err.value.state.loss_history) == 2  # intact up to the failure
+
+
+def test_non_finite_gradient_raises_before_adam_moves_anything():
+    # An infinite mu head weight on a hidden unit that is positive in every
+    # cell: that gene's mu clamp binds, so the loss stays finite, but the
+    # clamp's zero gradient meets the weight in dH = G W^T as 0 * inf = NaN.
+    _, pre, graph, cfg = _small_setup(t1=1)
+    state = trainer.pretrain(pre, graph, cfg)  # one step, so Adam has moments
+    basis = chebyshev_basis(pre.normalized, graph, cfg.cheb_order)
+    latent = encode(basis, graph, state.params).values
+    hidden = mlp_forward(latent, state.params.zinb_fc)[-1]
+    unit = int(np.flatnonzero(hidden.min(axis=0) > 0.0)[0])
+    head_mu = state.params.head_mu.copy()
+    head_mu[unit, 0] = np.inf
+    state.params = replace(state.params, head_mu=head_mu)
+    params, adam = state.params, copy.deepcopy(state.adam)
+
+    z = encode(basis, graph, params)
+    with np.errstate(invalid="ignore"), pytest.raises(NonFiniteLossError) as err:
+        trainer._train_step(state, z, pre.raw.counts, graph, cfg)
+    message = str(err.value)
+    assert message.startswith("pretrain gradient non-finite at epoch 1 in enc0.theta0, ")
+    assert "zinb_fc0.weight" in message and "head_mu.weight" not in message
+    assert err.value.epoch == 1 and err.value.state is state
+    assert state.params is params and state.epoch == 1 and len(state.loss_history) == 1
+    assert state.adam.step == adam.step == 1
+    for got, want in zip(
+        state.adam.first_moment + state.adam.second_moment,
+        adam.first_moment + adam.second_moment,
+    ):
+        np.testing.assert_array_equal(got, want)
 
 
 # -- pruning edge cases (property tests) ------------------------------------------------
