@@ -19,9 +19,7 @@ from .metrics import ari, nmi
 from .model import (
     ChebLayerParams,
     ModelParams,
-    chebconv_forward,
     chebyshev_basis,
-    decode_adjacency,
     decode_zinb,
     encode,
     init_params,
@@ -56,10 +54,8 @@ __all__ = [
     "TrainConfig",
     "TrainState",
     "ari",
-    "chebconv_forward",
     "chebyshev_basis",
     "combine_and_rank",
-    "decode_adjacency",
     "decode_zinb",
     "encode",
     "formal_train",

@@ -198,7 +198,8 @@ def loss_zinb(raw_counts, heads, count_rows=None) -> tuple[float, list[np.ndarra
     weight and bias gradients (summed over the blocks). Only dz (n x d) and
     the parameter gradients are returned; no activation, head or dH
     outlives its block. With the matrix as one block the result is bitwise
-    the dense reference's: CountHeads.hidden times the head weights.
+    the dense reference's: the MLP run over every row at once
+    (tests/gradcheck.py's dense_hidden) times the head weights.
     """
     counts = np.asarray(raw_counts)
     if count_rows is not None:

@@ -9,15 +9,14 @@ connected count decoder with three heads (dropout, mean, dispersion), and a
 Student-t soft assignment against the cluster centers. Parameters are
 plain float64 arrays in an immutable ModelParams. encode returns its
 output with the encoder's backward written out in closed form (a
-numerics.Tensor); the trainer calls it once per epoch with the latent
-gradient of all three criteria. The count decoder is a record of its
-parameters, the one input losses.loss_zinb takes: it runs the record's MLP
-(mlp_forward and mlp_backward) and heads one row block at a time, forward
-and backward, and raises losses.NonFiniteLossError naming a head that
-holds a NaN. The record's `.hidden` gives the MLP over every cell with its
-backward, the dense reference. The adjacency decoder and the soft
-assignment are plain numpy, and the clustering criterion (losses.loss_cls)
-differentiates the assignment itself.
+numerics.Tensor; nothing else in the package makes one); the trainer calls
+it once per epoch with the latent gradient of all three criteria. The count
+decoder is a record of its parameters, the one input losses.loss_zinb
+takes: it runs the record's MLP (mlp_forward and mlp_backward) and heads
+one row block at a time, forward and backward, and raises
+losses.NonFiniteLossError naming a head that holds a NaN. The adjacency
+decoder and the soft assignment are plain numpy, and the clustering
+criterion (losses.loss_cls) differentiates the assignment itself.
 """
 
 from __future__ import annotations
@@ -185,25 +184,6 @@ def _layer_backward(g, basis, thetas, lhat_t, want_input: bool):
     return d1, grads
 
 
-def chebconv_forward(x, graph: CellGraph, layer: ChebLayerParams) -> Tensor:
-    """One Chebyshev convolution of x on `graph`, the dense reference of one
-    encoder layer; its backward gives x's gradient, then every theta_k's
-    and the bias's."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != layer.theta[0].shape[0]:
-        raise nm.ShapeMismatchError(
-            f"chebconv: input of shape {x.shape} vs weight fan-in {layer.theta[0].shape[0]}"
-        )
-    basis = chebyshev_basis(x, graph, layer.order)
-    lhat_t = graph.scaled_laplacian.T
-
-    def vjp(g):
-        d_input, grads = _layer_backward(g, basis, layer.theta, lhat_t, True)
-        return [d_input, *grads]
-
-    return Tensor(_weigh(basis, layer.theta, layer.bias), vjp)
-
-
 def encode(basis: list[np.ndarray], graph: CellGraph, params: ModelParams) -> Tensor:
     """Stacked convolutions, relu between hidden layers, linear final layer.
     The result's backward gives every encoder weight's and bias's gradient,
@@ -288,20 +268,6 @@ class CountHeads:
     layers: tuple[tuple[np.ndarray, np.ndarray], ...]
     weights: tuple[np.ndarray, np.ndarray, np.ndarray]  # pi, mu, theta
 
-    @property
-    def hidden(self) -> Tensor:
-        """H over every cell, built on each read; its backward gives the
-        latent's gradient, then every MLP weight's and bias's, and keeps
-        each layer's input and output. The dense reference: training never
-        reads it."""
-        acts = mlp_forward(self.latent, self.layers)
-
-        def vjp(g):
-            d_input, grads = mlp_backward(g, acts, self.layers)
-            return [d_input, *grads]
-
-        return Tensor(acts[-1], vjp)
-
 
 def decode_zinb(z: np.ndarray, params: ModelParams) -> CountHeads:
     """The count decoder on the latent: the MLP (relu after every layer)
@@ -310,8 +276,7 @@ def decode_zinb(z: np.ndarray, params: ModelParams) -> CountHeads:
     multiplies out that block's heads, applies the clamped sigmoid and exps
     and raises losses.NonFiniteLossError naming a head that holds a NaN
     (infinities are left for the clamps), so no n_cells x 512 activation
-    and no n_cells x n_genes head exists. The record's `.hidden` builds the
-    MLP's last layer over every cell. With no hidden layers H is z."""
+    and no n_cells x n_genes head exists. With no hidden layers H is z."""
     return CountHeads(
         np.asarray(z, dtype=np.float64),
         params.zinb_fc,

@@ -1,6 +1,6 @@
 """A forward result paired with its closed-form backward.
 
-A Tensor is what encode (and the dense test references in model) return:
+A Tensor is what encode, its one producer in the package, returns:
 the output values and the function that maps an upstream gradient of
 those values to the gradients in the computation's inputs. There is no
 tape: the trainer writes the chain rule out itself, and calls backward

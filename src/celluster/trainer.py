@@ -134,6 +134,12 @@ class TrainConfig:
             value = getattr(self, name)
             if value not in choices:
                 raise ValueError(f"{name} must be one of {choices}, got {value!r}")
+        if len(self.loss_weights) != 3:
+            raise ValueError(
+                f"loss_weights must hold 3 weights (rec, zinb, cls), got {len(self.loss_weights)}"
+            )
+        if not self.zinb_dims:
+            raise ValueError("zinb_dims must hold at least one layer width")
         for name in ("n_clusters", "latent_dim", "hidden_dim", "cheb_order", "n_hvg",
                      "k_neighbors", "zinb_dims", "target_update_interval"):
             if np.min(getattr(self, name)) < 1:

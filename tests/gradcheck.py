@@ -7,7 +7,9 @@ that returns (value, gradients), as the training criteria do;
 values; `step_gradient_error` checks the parameter gradients that one
 training step hands to Adam against the total it logs. `dense_heads` and
 `zinb_on_heads` feed the count likelihood its three head pre-activations
-directly.
+directly. `chebconv` (one Chebyshev layer) and `dense_hidden` (the count
+decoder's MLP over every row at once) are the dense references that
+model.encode and the likelihood's row blocks are checked against.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 import pytest
 
 from celluster import losses, model, trainer
-from celluster.numerics import AdamState
+from celluster.numerics import AdamState, Tensor
 
 
 def finite_difference_gradients(
@@ -81,6 +83,35 @@ def backward_error(forward, arrays, weights, h: float = 1e-5) -> float:
         return float((out.values * w).sum()), out.backward(w)
 
     return gradient_error(fn, arrays, h)
+
+
+def chebconv(x, graph, layer: model.ChebLayerParams) -> Tensor:
+    """One Chebyshev convolution of x on `graph` with the weights of
+    `layer`, no relu: the one-layer reference that encode's chaining of
+    layers is checked against. Its backward gives x's gradient, then every
+    theta_k's and the bias's."""
+    basis = model.chebyshev_basis(x, graph, layer.order)
+    lhat_t = graph.scaled_laplacian.T
+
+    def vjp(g):
+        d_input, grads = model._layer_backward(g, basis, layer.theta, lhat_t, True)
+        return [d_input, *grads]
+
+    return Tensor(model._weigh(basis, layer.theta, layer.bias), vjp)
+
+
+def dense_hidden(latent, layers) -> Tensor:
+    """The count decoder's MLP (the (weight, bias) chain `layers`) over
+    every row of the latent at once, its last hidden layer H: the dense
+    reference of the row blocks losses.loss_zinb runs. Its backward gives
+    the latent's gradient, then every layer's weight and bias gradient."""
+    acts = model.mlp_forward(latent, layers)
+
+    def vjp(g):
+        d_input, grads = model.mlp_backward(g, acts, layers)
+        return [d_input, *grads]
+
+    return Tensor(acts[-1], vjp)
 
 
 def dense_heads(pi_logit, log_mu, log_theta) -> model.CountHeads:

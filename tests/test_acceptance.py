@@ -7,6 +7,7 @@ each configuration trains exactly once.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from celluster.trainer import TrainConfig
 from gradcheck import (
     backward_error,
     dense_heads,
+    dense_hidden,
     gradient_error,
     step_gradient_error,
     with_arrays,
@@ -64,7 +66,7 @@ def test_criterion_1_gradient_correctness():
         # non-zero biases: no pre-activation sits on the relu kink
         mlp = [rng.uniform(-1.0, 1.0, size=t.shape) for pair in params.zinb_fc for t in pair]
         errs["decode_zinb_mlp"].append(backward_error(
-            lambda a: model.CountHeads(a[0], ((a[1], a[2]), (a[3], a[4])), ()).hidden, [z, *mlp], w
+            lambda a: dense_hidden(a[0], ((a[1], a[2]), (a[3], a[4]))), [z, *mlp], w
         ))
     worst.update({name: max(values) for name, values in errs.items()})
 
@@ -142,8 +144,11 @@ def test_criterion_1_gradient_correctness():
 
 
 def test_criterion_2_chebconv_dense_oracle():
+    # the subject is encode on a ModelParams whose encoder is the one drawn
+    # layer: the code path the pipeline runs
     start = time.time()
     worst = 0.0
+    template = model.init_params(n_genes=4, latent_dim=3, hidden_dim=3, zinb_dims=(1,))
     for trial in range(40):
         rng = np.random.default_rng(trial)
         n = int(rng.integers(3, 17))
@@ -154,7 +159,8 @@ def test_criterion_2_chebconv_dense_oracle():
         layer = model.ChebLayerParams(
             theta=tuple(rng.normal(size=(4, 3)) for _ in range(order)), bias=np.zeros(3)
         )
-        out = model.chebconv_forward(x, graph, layer).values
+        params = replace(template, encoder_layers=(layer,))
+        out = model.encode(model.chebyshev_basis(x, graph, order), graph, params).values
 
         lhat = graph.scaled_laplacian.toarray()
         polys = [np.eye(n)]

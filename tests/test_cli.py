@@ -654,14 +654,29 @@ def test_switch_flags_accept_only_their_choices(tmp_path, capsys):
         assert "invalid choice: 'gently'" in capsys.readouterr().err
 
 
-def test_importing_the_cli_leaves_scipy_special_unloaded():
+def test_importing_the_cli_leaves_scipy_special_unloaded(tmp_path):
     # scipy.special is imported by the likelihood when it first runs, so
-    # commands that do not train never pay for it.
+    # commands that do not train never pay for it. scipy.sparse.linalg is
+    # loaded by nothing, training included: importing it costs 8.8 MB of
+    # RSS, measured when its eigsh was tried for lambda_max (the benchmark's
+    # peak_rss_mb went 95.6 -> 104.0 MB at accept-300 and about 217 ->
+    # 226.5 MB at scale-3000, and setup_s about 0.31 -> 0.44 s).
     env = dict(os.environ)
     src = str(Path(trainer.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    code = "import sys, celluster.cli; print('scipy.special' in sys.modules)"
-    result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert result.stdout.strip() == "False"
+    loaded = "print('scipy.special' in sys.modules, 'scipy.sparse.linalg' in sys.modules)"
+
+    def run(code):
+        result = subprocess.run(
+            [sys.executable, "-c", f"{code}; {loaded}"],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        return result.stdout.split()[-2:]
+
+    assert run("import sys, celluster.cli") == ["False", "False"]
+    data = tmp_path / "data"
+    assert _run(*_synth_args(data, cells=60, genes=40, clusters=3)) == 0
+    config = tmp_path / "config.txt"
+    _write_config(config, data, tmp_path / "out", n_clusters=3, t1=2, t2=2, n_hvg=40)
+    train = f"import sys; from celluster.cli import main; assert main(['train', '{config}']) == 0"
+    assert run(train) == ["True", "False"]

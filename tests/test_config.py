@@ -103,6 +103,18 @@ def test_train_config_rejects_a_switch_outside_its_choices(name):
         TrainConfig(n_clusters=2, **{name: "dense"})
 
 
+def test_train_config_rejects_loss_weights_that_are_not_three():
+    # two weights used to construct, then fail at the first training step
+    with pytest.raises(ValueError, match=r"loss_weights must hold 3 weights \(.*\), got 2"):
+        TrainConfig(n_clusters=3, loss_weights=(1.0, 1.0))
+
+
+def test_train_config_rejects_an_empty_zinb_dims():
+    # numpy's min over the empty tuple used to raise its own message
+    with pytest.raises(ValueError, match="zinb_dims must hold at least one layer width"):
+        TrainConfig(n_clusters=3, zinb_dims=())
+
+
 def test_write_then_parse_reproduces_settings(tmp_path):
     cfg = RunConfig(
         train=TrainConfig(

@@ -9,7 +9,7 @@ import scipy.sparse as sp
 from celluster import losses, model, trainer
 from celluster import numerics as nm
 from celluster.cellgraph import _from_adjacency
-from gradcheck import dense_heads, gradient_error, zinb_on_heads
+from gradcheck import dense_heads, dense_hidden, gradient_error, zinb_on_heads
 
 
 def _pre(pi, mu, theta):
@@ -428,7 +428,7 @@ def _count_criterion(x, z0, params, dense, count_rows=None):
     if not dense:
         value, grads = losses.loss_zinb(x, decoded, count_rows)
         return [value, *grads]
-    hidden = decoded.hidden
+    hidden = dense_hidden(decoded.latent, decoded.layers)
     heads = [hidden.values @ w for w in decoded.weights]
     value, head_grads = zinb_on_heads(x, heads, count_rows)
     return [value, *_dense_chain(hidden, decoded.weights, head_grads)]
@@ -437,8 +437,8 @@ def _count_criterion(x, z0, params, dense, count_rows=None):
 @pytest.mark.parametrize("zinb_dims", [(), (5, 4)], ids=["hidden-is-z", "mlp"])
 def test_loss_zinb_node_matches_the_dense_heads_at_any_block_size(monkeypatch, zinb_dims):
     # The block loop (the MLP, the heads and both backward passes per row
-    # block) against the dense reference: the MLP node over every row
-    # (CountHeads.hidden) times the head weights. 7 entries make 2-row blocks
+    # block) against the dense reference: the MLP over every row at once
+    # (gradcheck's dense_hidden) times the head weights. 7 entries make 2-row blocks
     # of this 3-gene matrix: rows 2-3 are all zero, rows 4-5 all positive,
     # and the last block holds a single row. With no hidden layer the
     # decoder's H is the latent itself, so z's gradient is dH; with one, it

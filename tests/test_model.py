@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,14 +8,14 @@ import scipy.sparse as sp
 from celluster import losses, model
 from celluster import numerics as nm
 from celluster.cellgraph import _from_adjacency
-from gradcheck import backward_error, with_arrays
+from gradcheck import backward_error, chebconv, dense_hidden, with_arrays
 
 
 def _head(z, weight, layers):
     """One head H W over the latent z, H the MLP `layers` over every row,
     with its backward: z's gradient, W's, then each MLP layer's weight and
     bias gradients. The dense reference path."""
-    hidden = model.CountHeads(z, layers, ()).hidden
+    hidden = dense_hidden(z, layers)
 
     def vjp(g):
         d_z, *d_layers = hidden.backward(g @ weight.T)
@@ -41,6 +42,16 @@ def _layer(rng, in_dim, out_dim, order):
     )
 
 
+def _convolve(x, graph, layer):
+    """encode on a ModelParams whose encoder is the one layer `layer`: a
+    single Chebyshev convolution of x, on the code path the pipeline runs."""
+    params = replace(
+        model.init_params(n_genes=1, latent_dim=1, hidden_dim=1, zinb_dims=(1,)),
+        encoder_layers=(layer,),
+    )
+    return model.encode(model.chebyshev_basis(x, graph, layer.order), graph, params)
+
+
 def _cheb_polynomials(lhat: np.ndarray, order: int) -> list[np.ndarray]:
     """Dense T_0 .. T_{order-1} built explicitly from the recurrence."""
     n = lhat.shape[0]
@@ -57,7 +68,7 @@ def test_chebconv_order_one_ignores_the_graph():
     graph = _random_graph(rng, 6)
     x = rng.normal(size=(6, 4))
     layer = _layer(rng, 4, 3, order=1)
-    out = model.chebconv_forward(x, graph, layer)
+    out = _convolve(x, graph, layer)
     np.testing.assert_allclose(out.values, x @ layer.theta[0], atol=1e-14)
 
 
@@ -66,7 +77,7 @@ def test_chebconv_zero_operator_reduces_to_first_term():
     graph = _from_adjacency(sp.csr_matrix((5, 5)), "sym_normalized")  # Lhat = 0
     x = rng.normal(size=(5, 4))
     layer = _layer(rng, 4, 2, order=2)
-    out = model.chebconv_forward(x, graph, layer)
+    out = _convolve(x, graph, layer)
     np.testing.assert_allclose(out.values, x @ layer.theta[0], atol=1e-14)
 
 
@@ -79,7 +90,7 @@ def test_chebconv_matches_dense_polynomial_oracle(order):
         graph = _random_graph(rng, n, kind=["sym_normalized", "combinatorial"][seed % 2])
         x = rng.normal(size=(n, 5))
         layer = _layer(rng, 5, 3, order=order)
-        out = model.chebconv_forward(x, graph, layer)
+        out = _convolve(x, graph, layer)
         lhat = graph.scaled_laplacian.toarray()
         expected = sum(
             poly @ x @ theta
@@ -93,9 +104,9 @@ def test_chebconv_shape_mismatch():
     graph = _random_graph(rng, 6)
     layer = _layer(rng, 4, 3, order=2)
     with pytest.raises(nm.ShapeMismatchError):
-        model.chebconv_forward(np.zeros((5, 4)), graph, layer)
+        _convolve(np.zeros((5, 4)), graph, layer)  # one row short of the graph
     with pytest.raises(nm.ShapeMismatchError):
-        model.chebconv_forward(np.zeros((6, 7)), graph, layer)
+        _convolve(np.zeros((6, 7)), graph, layer)  # wider than the weights' fan-in
 
 
 @pytest.mark.parametrize("kind", ["sym_normalized", "combinatorial"])
@@ -124,29 +135,31 @@ def test_encode_gradients_match_finite_differences(order, kind):
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
 def test_chebconv_gradients_match_finite_differences(order):
-    # in the input too, which encode never needs of its first layer
+    # the weight and bias gradients of one layer; encode never forms its
+    # first layer's input gradient, and the second layer's feeds the first
+    # in test_encode_gradients_match_finite_differences
     for seed in range(5):
         rng = np.random.default_rng(70 * order + seed)
         graph = _random_graph(rng, int(rng.integers(3, 12)), kind=("sym_normalized", "combinatorial")[seed % 2])
         layer = _layer(rng, 4, 3, order)
         x = rng.normal(size=(graph.n, 4))
         w = rng.normal(size=(graph.n, 3))
-        def forward(a):  # x, then the layer's theta_k and bias
-            layer = model.ChebLayerParams(tuple(a[1:-1]), a[-1])
-            return model.chebconv_forward(a[0], graph, layer)
 
-        err = backward_error(forward, [x, *layer.theta, layer.bias], w)
+        def forward(a):  # the layer's theta_k, then its bias
+            return _convolve(x, graph, model.ChebLayerParams(tuple(a[:-1]), a[-1]))
+
+        err = backward_error(forward, [*layer.theta, layer.bias], w)
         assert err < 1e-5, f"seed {seed}: max relative error {err}"
 
 
 def _chained_chebconv(x, graph, params):
-    """The encoder written as chained chebconv_forward layers with a relu
-    between them, its backward chained by hand: the oracle that encode must
-    reproduce bit for bit."""
+    """The encoder written as chained one-layer references (gradcheck's
+    chebconv) with a relu between them, its backward chained by hand: the
+    oracle that encode must reproduce bit for bit."""
     layers, outs = params.encoder_layers, []
     h = x
     for i, layer in enumerate(layers):
-        outs.append(model.chebconv_forward(h, graph, layer))
+        outs.append(chebconv(h, graph, layer))
         h = outs[-1].values if i == len(layers) - 1 else np.maximum(outs[-1].values, 0.0)
 
     def vjp(g):
@@ -164,7 +177,8 @@ def _chained_chebconv(x, graph, params):
 @pytest.mark.parametrize("kind", ["sym_normalized", "combinatorial"])
 @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
 def test_encode_on_the_basis_equals_chained_chebconv_bit_for_bit(order, kind):
-    # encode wires the layers, the relu mask and the gradients itself
+    # encode wires the layers, the relu mask and the gradients itself; with
+    # one layer it is the reference alone, the subject of criterion 2
     for seed in range(5):
         rng = np.random.default_rng(50 * order + seed)
         n = int(rng.integers(4, 15))
@@ -174,13 +188,15 @@ def test_encode_on_the_basis_equals_chained_chebconv_bit_for_bit(order, kind):
         params = model.init_params(n_genes=6, latent_dim=3, hidden_dim=5, cheb_order=order, seed=seed)
         x = rng.normal(size=(n, 6))
         weights = rng.normal(size=(n, 3))
-        want = _chained_chebconv(x, graph, params)
-        got = model.encode(model.chebyshev_basis(x, graph, order), graph, params)
-        assert np.array_equal(got.values, want.values)
-        names = [name for name, _ in params.named_parameters() if name.startswith("enc")]
-        grads = zip(names, got.backward(weights), want.backward(weights), strict=True)
-        for name, grad, want_grad in grads:
-            assert np.array_equal(grad, want_grad), name
+        one_layer = replace(params, encoder_layers=params.encoder_layers[:1])
+        for p, w in ((params, weights), (one_layer, rng.normal(size=(n, 5)))):
+            want = _chained_chebconv(x, graph, p)
+            got = model.encode(model.chebyshev_basis(x, graph, order), graph, p)
+            assert np.array_equal(got.values, want.values)
+            names = [name for name, _ in p.named_parameters() if name.startswith("enc")]
+            grads = zip(names, got.backward(w), want.backward(w), strict=True)
+            for name, grad, want_grad in grads:
+                assert np.array_equal(grad, want_grad), name
 
 
 def test_encode_frees_the_first_layer_products():
@@ -203,26 +219,18 @@ def test_encode_frees_the_first_layer_products():
     assert held < order * one_product + z.values.nbytes + one_product // 2
 
 
-@pytest.mark.parametrize("node", ["encode", "chebconv_forward", "decode_zinb"])
-def test_rebinding_parameters_before_backward_leaves_gradients_unchanged(node):
-    # each result keeps the weights it read: replacing the parameters, as a
-    # training step does, or the result's values before backward changes
-    # no gradient
+def test_rebinding_parameters_before_backward_leaves_gradients_unchanged():
+    # encode's result keeps the weights it read: replacing the parameters,
+    # as a training step does, or the result's values before backward
+    # changes no gradient
     rng = np.random.default_rng(33)
     graph = _random_graph(rng, 7)
     x = rng.normal(size=(7, 5))
     w = rng.normal(size=(7, 3))
 
     def run(rebind):
-        params = model.init_params(n_genes=5, latent_dim=3, hidden_dim=4, zinb_dims=(4, 3), seed=2)
-        forward = {
-            "encode": lambda: model.encode(model.chebyshev_basis(x, graph, 3), graph, params),
-            "chebconv_forward": lambda: model.chebconv_forward(
-                x[:, :4], graph, params.encoder_layers[1]
-            ),
-            "decode_zinb": lambda: model.decode_zinb(x[:, :3], params).hidden,
-        }[node]
-        out = forward()
+        params = model.init_params(n_genes=5, latent_dim=3, hidden_dim=4, seed=2)
+        out = model.encode(model.chebyshev_basis(x, graph, 3), graph, params)
         if rebind:
             params = params.map_named(lambda _, a: -7.0 * a)
             out.values = -7.0 * out.values
