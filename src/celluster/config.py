@@ -78,10 +78,13 @@ def scalar_type(tp):
 
 def _parse_value(tp, raw: str):
     """Parse one config value against its field annotation: comma-separated
-    for tuples (exact length) and lists, `none` or empty for optionals."""
+    for tuples (exact length; one or more for `tuple[X, ...]`) and lists,
+    `none` or empty for optionals."""
     args = get_args(tp)
     if get_origin(tp) is tuple:
         parts = raw.split(",")
+        if args[1:] == (Ellipsis,):
+            args = args[:1] * len(parts)
         if len(parts) != len(args):
             raise ValueError(f"needs {len(args)} comma-separated values, got {raw!r}")
         return tuple(_parse_value(a, p.strip()) for a, p in zip(args, parts))

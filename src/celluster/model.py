@@ -167,9 +167,14 @@ def _layer_backward(g, basis, thetas, lhat_t, want_input: bool):
     """The gradients of _weigh(chebyshev_basis(x), thetas, bias) under the
     upstream gradient g: x's (None unless `want_input`), then each theta_k's
     and the bias's. x's is carried down the recursion: with D_k the gradient
-    of the k-th basis term, D_k = g theta_k^T - D_{k+2} + Lhat^T (2 D_{k+1}),
+    of the k-th basis term, D_k = g theta_k^T - D_{k+2} + 2 Lhat^T D_{k+1},
     without the factor 2 for k = 0. The terms are added in exactly this
-    order: seeded runs depend on it bit for bit."""
+    order: seeded runs depend on it bit for bit.
+
+    At most three n x width arrays are alive at once: D_{k+2} is released
+    once subtracted, and the product Lhat^T D_{k+1} is doubled in place.
+    Doubling is exact, so that product has the bits of Lhat^T (2 D_{k+1})
+    unless one of its entries overflows or is subnormal."""
     grads = [z.T @ g for z in basis] + [g.sum(axis=0)]
     if not want_input:
         return None, grads
@@ -178,8 +183,13 @@ def _layer_backward(g, basis, thetas, lhat_t, want_input: bool):
         d = g @ thetas[k].T
         if d2 is not None:
             d -= d2
+            d2 = None
         if d1 is not None:
-            d += np.asarray(lhat_t @ (d1 * 2.0 if k else d1))
+            prod = np.asarray(lhat_t @ d1)
+            if k:
+                prod *= 2.0
+            d += prod
+            del prod
         d1, d2 = d, d1
     return d1, grads
 
@@ -191,7 +201,9 @@ def encode(basis: list[np.ndarray], graph: CellGraph, params: ModelParams) -> Te
 
     `basis` is chebyshev_basis(x, graph, order) of the input x: the first
     layer only weights and sums it. Backward keeps each later layer's basis
-    (its first term is the relu output, whose sign is the relu's mask).
+    (its first term is the relu output, whose sign is the relu's mask) and
+    applies that mask to the fresh input gradient in place, so it writes no
+    saved array and can run any number of times.
     """
     layers = params.encoder_layers
     want = (graph.n, layers[0].theta[0].shape[0])
@@ -214,7 +226,7 @@ def encode(basis: list[np.ndarray], graph: CellGraph, params: ModelParams) -> Te
             d_input, layer_grads = _layer_backward(g, bases[i], layers[i].theta, lhat_t, i > 0)
             grads[:0] = layer_grads
             if i:
-                g = d_input * (bases[i][0] > 0.0)
+                g = np.multiply(d_input, bases[i][0] > 0.0, out=d_input)
         return grads
 
     return Tensor(h, vjp)

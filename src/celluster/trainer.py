@@ -123,7 +123,7 @@ class TrainConfig:
     latent_dim: int = 32
     hidden_dim: int = 256
     cheb_order: int = 3
-    zinb_dims: tuple[int, int, int] = ZINB_HIDDEN_DIMS
+    zinb_dims: tuple[int, ...] = ZINB_HIDDEN_DIMS
     target_update_interval: int = 5
     seed: int = 0
     loss_weights: tuple[float, float, float] = (1.0, 1.0, 1.0)

@@ -9,7 +9,9 @@ training step hands to Adam against the total it logs. `dense_heads` and
 `zinb_on_heads` feed the count likelihood its three head pre-activations
 directly. `chebconv` (one Chebyshev layer) and `dense_hidden` (the count
 decoder's MLP over every row at once) are the dense references that
-model.encode and the likelihood's row blocks are checked against.
+model.encode and the likelihood's row blocks are checked against;
+`layer_backward_reference` is the plain Chebyshev recursion that
+model._layer_backward is checked against bit for bit.
 """
 
 from __future__ import annotations
@@ -83,6 +85,24 @@ def backward_error(forward, arrays, weights, h: float = 1e-5) -> float:
         return float((out.values * w).sum()), out.backward(w)
 
     return gradient_error(fn, arrays, h)
+
+
+def layer_backward_reference(g, basis, thetas, lhat_t, want_input: bool):
+    """model._layer_backward written plainly: each D_{k+1} is doubled into a
+    fresh array before the sparse product, and no gradient is released
+    early. Same results, same term order, so the same bits."""
+    grads = [z.T @ g for z in basis] + [g.sum(axis=0)]
+    if not want_input:
+        return None, grads
+    d1 = d2 = None  # the gradients of basis terms k + 1 and k + 2
+    for k in reversed(range(len(basis))):
+        d = g @ thetas[k].T
+        if d2 is not None:
+            d -= d2
+        if d1 is not None:
+            d += np.asarray(lhat_t @ (d1 * 2.0 if k else d1))
+        d1, d2 = d, d1
+    return d1, grads
 
 
 def chebconv(x, graph, layer: model.ChebLayerParams) -> Tensor:

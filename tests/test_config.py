@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from celluster.cli import main
 from celluster.config import TRAIN_TYPES, ConfigError, RunConfig, parse_config, write_config
 from celluster.trainer import CHOICES, TrainConfig
 
@@ -35,6 +36,30 @@ def test_parse_tuple_fields(tmp_path):
     cfg = parse_config(path)
     assert cfg.train.loss_weights == (1.0, 0.5, 2.0)
     assert cfg.train.zinb_dims == (16, 32, 64)
+
+
+@pytest.mark.parametrize("dims", [(8,), (4, 5, 6, 7)])
+def test_zinb_dims_of_any_length_round_trip(tmp_path, dims):
+    # the decoder takes any number of layers; a config file must say so
+    path = tmp_path / "echo.txt"
+    write_config(RunConfig(train=TrainConfig(n_clusters=3, zinb_dims=dims)), path)
+    assert parse_config(path).train.zinb_dims == dims
+
+
+def test_parse_zinb_dims_of_two_layers(tmp_path):
+    path = tmp_path / "c.txt"
+    path.write_text("n_clusters=2\nzinb_dims=16,32\n")
+    assert parse_config(path).train.zinb_dims == (16, 32)
+
+
+def test_parse_rejects_an_empty_zinb_dims_naming_the_key(tmp_path, capsys):
+    path = tmp_path / "c.txt"
+    path.write_text("n_clusters=2\nzinb_dims=\n")
+    with pytest.raises(ConfigError, match=r":2: bad value for 'zinb_dims'"):
+        parse_config(path)
+    assert main(["train", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [config] ") and "'zinb_dims'" in err
 
 
 def test_parse_rejects_duplicate_key(tmp_path):

@@ -7,8 +7,14 @@ import scipy.sparse as sp
 
 from celluster import losses, model
 from celluster import numerics as nm
-from celluster.cellgraph import _from_adjacency
-from gradcheck import backward_error, chebconv, dense_hidden, with_arrays
+from celluster.cellgraph import _from_adjacency, knn_graph
+from gradcheck import (
+    backward_error,
+    chebconv,
+    dense_hidden,
+    layer_backward_reference,
+    with_arrays,
+)
 
 
 def _head(z, weight, layers):
@@ -197,6 +203,49 @@ def test_encode_on_the_basis_equals_chained_chebconv_bit_for_bit(order, kind):
             grads = zip(names, got.backward(w), want.backward(w), strict=True)
             for name, grad, want_grad in grads:
                 assert np.array_equal(grad, want_grad), name
+
+
+@pytest.mark.parametrize("want_input", [True, False])
+@pytest.mark.parametrize("kind", ["sym_normalized", "combinatorial"])
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+def test_layer_backward_equals_the_plain_recursion_bit_for_bit(order, kind, want_input):
+    # the recursion's in-place doubling and early releases change no bit;
+    # the upstream gradients hold exact zeros and entries near 1e3
+    for seed in range(5):
+        rng = np.random.default_rng(70 * order + seed)
+        n = int(rng.integers(4, 30))
+        graph = _random_graph(rng, n, p=0.3, kind=kind)
+        layer = _layer(rng, 6, 4, order)
+        basis = model.chebyshev_basis(rng.normal(size=(n, 6)), graph, order)
+        g = rng.normal(scale=1e3, size=(n, 4)) * (rng.random((n, 4)) < 0.7)
+        lhat_t = graph.scaled_laplacian.T
+        got_input, got = model._layer_backward(g, basis, layer.theta, lhat_t, want_input)
+        want_input_grad, want = layer_backward_reference(g, basis, layer.theta, lhat_t, want_input)
+        if want_input:
+            assert got_input.tobytes() == want_input_grad.tobytes()
+        else:
+            assert got_input is None and want_input_grad is None
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+def test_encode_backward_holds_at_most_three_recursion_arrays():
+    # the second layer's input gradient is carried in D_{k+1}, D_k and one
+    # sparse product, and the relu mask is applied to it in place
+    n, hidden, order = 2000, 128, 3
+    rng = np.random.default_rng(29)
+    x = rng.normal(size=(n, 64))
+    graph = knn_graph(x, 10)
+    params = model.init_params(n_genes=64, latent_dim=16, hidden_dim=hidden, cheb_order=order, seed=5)
+    z = model.encode(model.chebyshev_basis(x, graph, order), graph, params)
+    g = rng.normal(size=z.values.shape)
+    tracemalloc.start()
+    try:
+        z.backward(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = n * hidden * 8
+    assert peak < 3.5 * block
 
 
 def test_encode_frees_the_first_layer_products():
