@@ -57,6 +57,9 @@ def knn_graph(features, k: int, laplacian_kind: str = "sym_normalized") -> CellG
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] < 1:
         raise ValueError(f"features must be a 2-d matrix, got shape {x.shape}")
+    bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
+    if bad.size:
+        raise ValueError(f"features row {bad[0]} holds a non-finite value")
     n = x.shape[0]
     if not 1 <= k < n:
         raise KRangeError(f"k_neighbors={k} outside 1..{n - 1} for {n} cells")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cellgraph import CellGraph, subgraph
+from .cellgraph import CellGraph
 
 LOCAL_MODES = ("literal", "dissimilarity")
 PRUNE_STRATEGIES = ("hard", "easy", "random")
@@ -191,17 +191,13 @@ def pacing_fraction(t: float, cfg: PacingConfig, alpha: float) -> float:
     """
     if t < 0:
         raise ValueError(f"epoch must be >= 0, got {t}")
+    if not 0.0 <= alpha < 1.0:
+        raise ValueError(f"alpha must be in [0, 1), got {alpha}")
     if t >= cfg.t_hat:
         return 1.0 - alpha
     exponent = np.log2(cfg.lambda0) * (1.0 - t / cfg.t_hat)
     fraction = min(1.0, 2.0**exponent)
     return min(fraction, 1.0 - alpha)
-
-
-def rebuild_after_prune(graph: CellGraph, result: PruneResult) -> tuple[CellGraph, np.ndarray]:
-    """Subgraph over kept nodes (original index order) plus the kept index map."""
-    kept_sorted = np.sort(result.kept)
-    return subgraph(graph, kept_sorted), kept_sorted
 
 
 def write_difficulty_csv(path, report: DifficultyReport, result: PruneResult | None = None) -> None:

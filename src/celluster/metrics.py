@@ -1,14 +1,13 @@
 """Clustering agreement metrics against ground truth.
 
-ARI uses pair counting with the hypergeometric expectation; NMI normalizes
-mutual information by the arithmetic mean of the two partition entropies
-(natural log). Degenerate zero-denominator cases return 1.0: two identical
-trivial partitions agree perfectly.
+Both read the contingency table, a plain int64 count matrix whose sums give
+the marginals and the total. ARI uses pair counting with the hypergeometric
+expectation; NMI normalizes mutual information by the arithmetic mean of the
+two partition entropies (natural log). Degenerate zero-denominator cases
+return 1.0: two identical trivial partitions agree perfectly.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,18 +20,9 @@ class SinglePointError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ContingencyTable:
-    counts: np.ndarray  # (n_true, n_pred)
-    row_marginals: np.ndarray
-    col_marginals: np.ndarray
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-
-def contingency_table(true_labels, pred_labels) -> ContingencyTable:
+def contingency_table(true_labels, pred_labels) -> np.ndarray:
+    """(n_true, n_pred) int64 counts of each (true, predicted) label pair,
+    labels in sorted order; its row and column sums are the marginals."""
     true_labels = np.asarray(true_labels)
     pred_labels = np.asarray(pred_labels)
     if true_labels.shape != pred_labels.shape or true_labels.ndim != 1:
@@ -44,11 +34,7 @@ def contingency_table(true_labels, pred_labels) -> ContingencyTable:
     # initial=-1: empty labels give a 0 x 0 table, which ari and nmi reject
     counts = np.zeros((t_idx.max(initial=-1) + 1, p_idx.max(initial=-1) + 1), dtype=np.int64)
     np.add.at(counts, (t_idx, p_idx), 1)
-    return ContingencyTable(
-        counts=counts,
-        row_marginals=counts.sum(axis=1),
-        col_marginals=counts.sum(axis=0),
-    )
+    return counts
 
 
 def _pairs(x) -> np.ndarray:
@@ -58,13 +44,14 @@ def _pairs(x) -> np.ndarray:
 
 def ari(true_labels, pred_labels) -> float:
     """Adjusted Rand index in [-1, 1]; 1.0 when both partitions are trivial."""
-    table = contingency_table(true_labels, pred_labels)
-    if table.total < 2:
+    counts = contingency_table(true_labels, pred_labels)
+    total = int(counts.sum())
+    if total < 2:
         raise SinglePointError("ARI needs at least 2 points")
-    index = _pairs(table.counts).sum()
-    sum_rows = _pairs(table.row_marginals).sum()
-    sum_cols = _pairs(table.col_marginals).sum()
-    total_pairs = _pairs(np.array([table.total]))[0]
+    index = _pairs(counts).sum()
+    sum_rows = _pairs(counts.sum(axis=1)).sum()
+    sum_cols = _pairs(counts.sum(axis=0)).sum()
+    total_pairs = _pairs(np.array([total]))[0]
     expected = sum_rows * sum_cols / total_pairs
     max_index = 0.5 * (sum_rows + sum_cols)
     if max_index == expected:
@@ -82,16 +69,16 @@ def nmi(true_labels, pred_labels) -> float:
 
     Two zero-entropy partitions score 1.0 by convention.
     """
-    table = contingency_table(true_labels, pred_labels)
-    if table.total < 1:
+    counts = contingency_table(true_labels, pred_labels)
+    n = int(counts.sum())
+    if n < 1:
         raise LengthMismatchError("NMI needs at least 1 point")
-    n = table.total
-    h_true = _entropy(table.row_marginals, n)
-    h_pred = _entropy(table.col_marginals, n)
+    rows, cols = counts.sum(axis=1), counts.sum(axis=0)
+    h_true, h_pred = _entropy(rows, n), _entropy(cols, n)
     if h_true == 0.0 and h_pred == 0.0:
         return 1.0
-    joint = table.counts / n
-    outer = np.outer(table.row_marginals, table.col_marginals) / (n * n)
+    joint = counts / n
+    outer = np.outer(rows, cols) / (n * n)
     positive = joint > 0
     mi = float(np.sum(joint[positive] * np.log(joint[positive] / outer[positive])))
     return float(mi / (0.5 * (h_true + h_pred)))

@@ -163,17 +163,18 @@ def _weigh(basis: list[np.ndarray], thetas: list[np.ndarray], bias: np.ndarray) 
     return out
 
 
-def _layer_backward(g, basis, thetas, lhat_t, want_input: bool):
+def _layer_backward(g, basis, thetas, lhat, want_input: bool):
     """The gradients of _weigh(chebyshev_basis(x), thetas, bias) under the
     upstream gradient g: x's (None unless `want_input`), then each theta_k's
     and the bias's. x's is carried down the recursion: with D_k the gradient
     of the k-th basis term, D_k = g theta_k^T - D_{k+2} + 2 Lhat^T D_{k+1},
-    without the factor 2 for k = 0. The terms are added in exactly this
-    order: seeded runs depend on it bit for bit.
+    without the factor 2 for k = 0. Lhat is exactly symmetric, so `lhat` is
+    the scaled Laplacian itself: Lhat^T D = Lhat D. The terms are added in
+    exactly this order: seeded runs depend on it bit for bit.
 
     At most three n x width arrays are alive at once: D_{k+2} is released
-    once subtracted, and the product Lhat^T D_{k+1} is doubled in place.
-    Doubling is exact, so that product has the bits of Lhat^T (2 D_{k+1})
+    once subtracted, and the product Lhat D_{k+1} is doubled in place.
+    Doubling is exact, so that product has the bits of Lhat (2 D_{k+1})
     unless one of its entries overflows or is subnormal."""
     grads = [z.T @ g for z in basis] + [g.sum(axis=0)]
     if not want_input:
@@ -185,7 +186,7 @@ def _layer_backward(g, basis, thetas, lhat_t, want_input: bool):
             d -= d2
             d2 = None
         if d1 is not None:
-            prod = np.asarray(lhat_t @ d1)
+            prod = np.asarray(lhat @ d1)
             if k:
                 prod *= 2.0
             d += prod
@@ -203,7 +204,8 @@ def encode(basis: list[np.ndarray], graph: CellGraph, params: ModelParams) -> Te
     layer only weights and sums it. Backward keeps each later layer's basis
     (its first term is the relu output, whose sign is the relu's mask) and
     applies that mask to the fresh input gradient in place, so it writes no
-    saved array and can run any number of times.
+    saved array and can run any number of times. It multiplies by Lhat, not
+    Lhat^T: the scaled Laplacian is exactly symmetric.
     """
     layers = params.encoder_layers
     want = (graph.n, layers[0].theta[0].shape[0])
@@ -218,12 +220,12 @@ def encode(basis: list[np.ndarray], graph: CellGraph, params: ModelParams) -> Te
     for layer in layers[1:]:
         bases.append(chebyshev_basis(np.maximum(h, 0.0), graph, layer.order))
         h = _weigh(bases[-1], layer.theta, layer.bias)
-    lhat_t = graph.scaled_laplacian.T
+    lhat = graph.scaled_laplacian
 
     def vjp(g):
         grads = []
         for i in reversed(range(len(layers))):
-            d_input, layer_grads = _layer_backward(g, bases[i], layers[i].theta, lhat_t, i > 0)
+            d_input, layer_grads = _layer_backward(g, bases[i], layers[i].theta, lhat, i > 0)
             grads[:0] = layer_grads
             if i:
                 g = np.multiply(d_input, bases[i][0] > 0.0, out=d_input)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import numerics as nm
-from .cellgraph import LAPLACIAN_KINDS, CellGraph, knn_graph
+from .cellgraph import LAPLACIAN_KINDS, CellGraph, knn_graph, subgraph
 from .curriculum import (
     LOCAL_MODES,
     PRUNE_STRATEGIES,
@@ -37,7 +37,6 @@ from .curriculum import (
     measure_difficulty,
     pacing_fraction,
     prune,
-    rebuild_after_prune,
 )
 from .ingest import ExpressionMatrix
 from .losses import (
@@ -566,28 +565,20 @@ def prune_and_cluster(pretrained: Pretrained, checkpoint_dir=None) -> PipelineRe
     state = replace(
         src, loss_history=list(src.loss_history), subset_sizes=list(src.subset_sizes)
     )
-    return _prune_and_cluster(
-        pretrained.cfg, pretrained.preprocessed, pretrained.graph, state,
-        pretrained.embedding, checkpoint_dir,
-    )
+    return _prune_and_cluster(pretrained, state, checkpoint_dir)
 
 
-def _prune_and_cluster(
-    cfg: TrainConfig,
-    pre: PreprocessedData,
-    graph: CellGraph,
-    state: TrainState,
-    embedding: np.ndarray,
-    checkpoint_dir,
-) -> PipelineResult:
-    """prune_and_cluster's stages, run on `state` itself."""
+def _prune_and_cluster(pretrained: Pretrained, state: TrainState, checkpoint_dir) -> PipelineResult:
+    """prune_and_cluster's stages, run on `state` itself; the rest is read from `pretrained`."""
+    cfg, pre, graph = pretrained.cfg, pretrained.preprocessed, pretrained.graph
     with stage("prune"):
         state.prune = prune(state.report, cfg.alpha, strategy=cfg.prune_strategy, seed=cfg.seed)
-        graph_pruned, kept_sorted = rebuild_after_prune(graph, state.prune)
+        kept_sorted = np.sort(state.prune.kept)
+        graph_pruned = subgraph(graph, kept_sorted)
     pruned_mask = np.zeros(pre.n_cells, dtype=bool)
     pruned_mask[state.prune.dropped] = True
     with stage("centers"):
-        centers = init_centers(embedding[kept_sorted], cfg.n_clusters, cfg.seed)
+        centers = init_centers(pretrained.embedding[kept_sorted], cfg.n_clusters, cfg.seed)
         state.params = state.params.with_centers(centers)
     with stage("formal"):
         state = formal_train(state, pre, graph_pruned, cfg)
@@ -603,4 +594,4 @@ def run_pipeline(data: ExpressionMatrix, cfg: TrainConfig, checkpoint_dir=None) 
     the first formal step replaces the pretrained parameters, which frees
     their arrays."""
     p = pretrain_and_score(data, cfg, checkpoint_dir)
-    return _prune_and_cluster(p.cfg, p.preprocessed, p.graph, p.state, p.embedding, checkpoint_dir)
+    return _prune_and_cluster(p, p.state, checkpoint_dir)

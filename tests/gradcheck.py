@@ -89,8 +89,9 @@ def backward_error(forward, arrays, weights, h: float = 1e-5) -> float:
 
 def layer_backward_reference(g, basis, thetas, lhat_t, want_input: bool):
     """model._layer_backward written plainly: each D_{k+1} is doubled into a
-    fresh array before the sparse product, and no gradient is released
-    early. Same results, same term order, so the same bits."""
+    fresh array before the sparse product with the transposed operator the
+    chain rule names, and no gradient is released early. Same results, same
+    term order, so the same bits."""
     grads = [z.T @ g for z in basis] + [g.sum(axis=0)]
     if not want_input:
         return None, grads
@@ -111,10 +112,9 @@ def chebconv(x, graph, layer: model.ChebLayerParams) -> Tensor:
     layers is checked against. Its backward gives x's gradient, then every
     theta_k's and the bias's."""
     basis = model.chebyshev_basis(x, graph, layer.order)
-    lhat_t = graph.scaled_laplacian.T
 
     def vjp(g):
-        d_input, grads = model._layer_backward(g, basis, layer.theta, lhat_t, True)
+        d_input, grads = model._layer_backward(g, basis, layer.theta, graph.scaled_laplacian, True)
         return [d_input, *grads]
 
     return Tensor(model._weigh(basis, layer.theta, layer.bias), vjp)

@@ -119,6 +119,18 @@ def test_knn_k_out_of_range():
         cellgraph.knn_graph(x, k=4)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_knn_rejects_non_finite_features_naming_the_row(value):
+    # a NaN row's distances are all NaN: none passes the k-th-distance cut
+    x = np.random.default_rng(8).normal(size=(8, 3))
+    x[5, 1] = value
+    with pytest.raises(ValueError, match="features row 5 holds a non-finite value"):
+        cellgraph.knn_graph(x, k=2)
+    x[2] = np.nan  # the first such row is named
+    with pytest.raises(ValueError, match="features row 2 holds a non-finite value"):
+        cellgraph.knn_graph(x, k=2)
+
+
 def test_path_graph_combinatorial_eigenvalues():
     # L of the 3-path has closed-form eigenvalues {0, 1, 3}
     graph = cellgraph.knn_graph(np.array([[0.0], [1.0], [3.0]]), k=1, laplacian_kind="combinatorial")
@@ -157,6 +169,33 @@ def test_scaled_operator_eigenvalues_in_unit_interval():
             eigs = np.linalg.eigvalsh(graph.scaled_laplacian.toarray())
             assert eigs.min() >= -1.0 - 1e-6
             assert eigs.max() <= 1.0 + 1e-6
+
+
+def _assert_exactly_symmetric(lhat):
+    assert lhat.format == "csr" and lhat.has_canonical_format
+    assert (lhat != lhat.T).nnz == 0
+
+
+@pytest.mark.parametrize("kind", cellgraph.LAPLACIAN_KINDS)
+def test_scaled_laplacian_is_canonical_and_exactly_symmetric(kind):
+    # model._layer_backward multiplies by Lhat where the chain rule has
+    # Lhat^T, which holds bit for bit only if Lhat equals its transpose
+    rng = np.random.default_rng(9)
+    x = rng.normal(size=(300, 8))
+    for k in (1, 5, 20):
+        graph = cellgraph.knn_graph(x, k, kind)
+        _assert_exactly_symmetric(graph.scaled_laplacian)
+        keep = np.sort(rng.choice(300, size=300 - 33, replace=False))  # a seeded prune
+        _assert_exactly_symmetric(cellgraph.subgraph(graph, keep).scaled_laplacian)
+    for n in (5, 17, 40):
+        adj = np.triu(rng.random((n, n)) < 0.2, k=1)
+        adj = (adj | adj.T).astype(float)
+        adj[:3] = adj[:, :3] = 0.0  # three isolated nodes
+        graph = cellgraph._from_adjacency(sp.csr_matrix(adj), kind)
+        assert (graph.degrees[:3] == 0).all()
+        _assert_exactly_symmetric(graph.scaled_laplacian)
+    edgeless = cellgraph._from_adjacency(sp.csr_matrix((6, 6)), kind)
+    _assert_exactly_symmetric(edgeless.scaled_laplacian)
 
 
 def test_adjacency_invariants_on_random_graphs():

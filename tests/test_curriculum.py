@@ -315,6 +315,17 @@ def test_pacing_monotone_and_reaches_cap_for_grid():
                 )
 
 
+@pytest.mark.parametrize("alpha", [-0.5, 1.0, 1.5, math.nan])
+def test_pacing_fraction_rejects_alpha_outside_the_unit_interval_as_prune_does(alpha):
+    # outside [0, 1) the cap 1 - alpha is not a fraction of the nodes
+    cfg = curriculum.PacingConfig(lambda0=0.25, t_hat=10)
+    with pytest.raises(ValueError) as pacing_err:
+        curriculum.pacing_fraction(10, cfg, alpha=alpha)
+    with pytest.raises(ValueError) as prune_err:
+        curriculum.prune(_report(10), alpha=alpha)
+    assert str(pacing_err.value) == str(prune_err.value) == f"alpha must be in [0, 1), got {alpha}"
+
+
 # -- report output ---------------------------------------------------------------------
 
 

@@ -209,8 +209,9 @@ def test_encode_on_the_basis_equals_chained_chebconv_bit_for_bit(order, kind):
 @pytest.mark.parametrize("kind", ["sym_normalized", "combinatorial"])
 @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
 def test_layer_backward_equals_the_plain_recursion_bit_for_bit(order, kind, want_input):
-    # the recursion's in-place doubling and early releases change no bit;
-    # the upstream gradients hold exact zeros and entries near 1e3
+    # the recursion's in-place doubling and early releases change no bit, nor
+    # does multiplying by Lhat where the reference takes Lhat^T; the upstream
+    # gradients hold exact zeros and entries near 1e3
     for seed in range(5):
         rng = np.random.default_rng(70 * order + seed)
         n = int(rng.integers(4, 30))
@@ -218,9 +219,9 @@ def test_layer_backward_equals_the_plain_recursion_bit_for_bit(order, kind, want
         layer = _layer(rng, 6, 4, order)
         basis = model.chebyshev_basis(rng.normal(size=(n, 6)), graph, order)
         g = rng.normal(scale=1e3, size=(n, 4)) * (rng.random((n, 4)) < 0.7)
-        lhat_t = graph.scaled_laplacian.T
-        got_input, got = model._layer_backward(g, basis, layer.theta, lhat_t, want_input)
-        want_input_grad, want = layer_backward_reference(g, basis, layer.theta, lhat_t, want_input)
+        lhat = graph.scaled_laplacian
+        got_input, got = model._layer_backward(g, basis, layer.theta, lhat, want_input)
+        want_input_grad, want = layer_backward_reference(g, basis, layer.theta, lhat.T, want_input)
         if want_input:
             assert got_input.tobytes() == want_input_grad.tobytes()
         else:

@@ -16,7 +16,6 @@ from celluster.curriculum import (
     PruneResult,
     measure_difficulty,
     prune,
-    rebuild_after_prune,
 )
 from celluster.ingest import SynthesisSpec, synthesize
 from celluster.losses import (
@@ -163,7 +162,8 @@ def _to_formal_ready(pre, graph, cfg):
     z = _encode(pre.normalized, graph, state.params).values
     state.report = measure_difficulty(z, graph, beta=cfg.beta)
     state.prune = prune(state.report, cfg.alpha, strategy="hard", seed=cfg.seed)
-    graph_pruned, kept_sorted = rebuild_after_prune(graph, state.prune)
+    kept_sorted = np.sort(state.prune.kept)
+    graph_pruned = subgraph(graph, kept_sorted)
     centers = trainer.init_centers(z[kept_sorted], cfg.n_clusters, seed=cfg.seed)
     state.params = state.params.with_centers(centers)
     return state, graph_pruned
@@ -321,7 +321,8 @@ def test_train_step_single_node_subset_on_an_isolated_node():
     dropped = graph.adjacency[0].indices
     kept = state.report.order[~np.isin(state.report.order, dropped)]  # easiest first
     state.prune = PruneResult(kept=kept, dropped=np.sort(dropped), alpha=cfg.alpha)
-    graph_pruned, kept_sorted = rebuild_after_prune(graph, state.prune)
+    kept_sorted = np.sort(state.prune.kept)
+    graph_pruned = subgraph(graph, kept_sorted)
     state.params = state.params.with_centers(
         trainer.init_centers(z_all[kept_sorted], cfg.n_clusters, seed=cfg.seed)
     )
