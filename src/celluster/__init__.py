@@ -19,7 +19,6 @@ from .metrics import ari, nmi
 from .model import (
     ChebLayerParams,
     ModelParams,
-    chebyshev_basis,
     decode_zinb,
     encode,
     init_params,
@@ -54,7 +53,6 @@ __all__ = [
     "TrainConfig",
     "TrainState",
     "ari",
-    "chebyshev_basis",
     "combine_and_rank",
     "decode_zinb",
     "encode",

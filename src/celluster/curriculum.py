@@ -59,7 +59,7 @@ class PacingConfig:
     def __post_init__(self):
         if not 0.0 < self.lambda0 <= 1.0:
             raise ValueError(f"lambda0 must be in (0, 1], got {self.lambda0}")
-        if self.t_hat < 1:
+        if not self.t_hat >= 1:  # also true for nan
             raise ValueError(f"t_hat must be >= 1, got {self.t_hat}")
 
 
@@ -189,7 +189,7 @@ def pacing_fraction(t: float, cfg: PacingConfig, alpha: float) -> float:
     never decreases. From t_hat on it returns the cap without the power,
     which would overflow once t >> t_hat.
     """
-    if t < 0:
+    if not t >= 0:  # also true for nan
         raise ValueError(f"epoch must be >= 0, got {t}")
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must be in [0, 1), got {alpha}")

@@ -1,9 +1,11 @@
 """The graph-convolutional autoencoder and its three decoding heads.
 
-Encoder: stacked Chebyshev graph convolutions (recursion Z1 = X, Z2 = Lhat X,
-Zk = 2 Lhat Z_{k-1} - Z_{k-2}; output sum_k Zk Theta_k + bias), relu between
-hidden layers, linear final layer. The first layer's input is constant, so
-its recursion (the Chebyshev basis) is built once per graph and passed in.
+Encoder: stacked Chebyshev graph convolutions, each the filter
+sum_k T_k(Lhat) X Theta_k + bias of its input X, relu between hidden layers,
+linear final layer. Each layer forms X Theta_k first and sums the
+polynomial by Clenshaw's recurrence on those products, so the sparse
+products run on the layer's output width and no Chebyshev basis of the
+input is stored: only each layer's input is kept for the backward.
 Decoders: inner-product adjacency (sigmoid of the cell Gram matrix), a fully
 connected count decoder with three heads (dropout, mean, dispersion), and a
 Student-t soft assignment against the cluster centers. Parameters are
@@ -136,99 +138,100 @@ def init_params(
     )
 
 
-def chebyshev_basis(x, graph: CellGraph, order: int) -> list[np.ndarray]:
-    """[x, Lhat x, 2 Lhat (Lhat x) - x, ...]: the first `order` terms of the
-    Chebyshev recursion on x, the one recursion of both encoder layers. The
-    first layer's input is constant: build its basis once per graph."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] != graph.n:
-        raise nm.ShapeMismatchError(
-            f"chebyshev_basis: input of shape {x.shape} for a graph of {graph.n} nodes"
-        )
-    lhat = graph.scaled_laplacian
-    basis = [x]
-    if order >= 2:
-        basis.append(np.asarray(lhat @ x))
-    for _ in range(2, order):
-        basis.append(2.0 * np.asarray(lhat @ basis[-1]) - basis[-2])
-    return basis
-
-
-def _weigh(basis: list[np.ndarray], thetas: list[np.ndarray], bias: np.ndarray) -> np.ndarray:
-    """sum_k basis[k] theta_k + bias, added up in recursion order."""
-    out = basis[0] @ thetas[0]
-    for z, theta in zip(basis[1:], thetas[1:]):
-        out += z @ theta
-    out += bias
-    return out
-
-
-def _layer_backward(g, basis, thetas, lhat, want_input: bool):
-    """The gradients of _weigh(chebyshev_basis(x), thetas, bias) under the
-    upstream gradient g: x's (None unless `want_input`), then each theta_k's
-    and the bias's. x's is carried down the recursion: with D_k the gradient
-    of the k-th basis term, D_k = g theta_k^T - D_{k+2} + 2 Lhat^T D_{k+1},
-    without the factor 2 for k = 0. Lhat is exactly symmetric, so `lhat` is
-    the scaled Laplacian itself: Lhat^T D = Lhat D. The terms are added in
-    exactly this order: seeded runs depend on it bit for bit.
-
-    At most three n x width arrays are alive at once: D_{k+2} is released
-    once subtracted, and the product Lhat D_{k+1} is doubled in place.
-    Doubling is exact, so that product has the bits of Lhat (2 D_{k+1})
-    unless one of its entries overflows or is subnormal."""
-    grads = [z.T @ g for z in basis] + [g.sum(axis=0)]
-    if not want_input:
-        return None, grads
-    d1 = d2 = None  # the gradients of basis terms k + 1 and k + 2
-    for k in reversed(range(len(basis))):
-        d = g @ thetas[k].T
-        if d2 is not None:
-            d -= d2
-            d2 = None
-        if d1 is not None:
-            prod = np.asarray(lhat @ d1)
+def _clenshaw(x, thetas, lhat) -> np.ndarray:
+    """sum_k T_k(Lhat) x theta_k, the Chebyshev filter of x, on the output
+    side: with Y_k = x theta_k, Clenshaw's recurrence b_k = 2 Lhat b_{k+1}
+    - b_{k+2} + Y_k runs down from the last order, and the sum is Lhat b_1
+    - b_2 + Y_0, each added up in that order. That is K - 1 sparse products
+    on n x out_dim arrays, and at most three of them are alive at once:
+    b_{k+2} is released once subtracted, before Y_k is formed, and the
+    product Lhat b_{k+1} is doubled in place."""
+    b1 = b2 = None
+    for k in reversed(range(len(thetas))):
+        if b1 is None:
+            b = x @ thetas[k]
+        else:
+            b = np.asarray(lhat @ b1)
             if k:
-                prod *= 2.0
-            d += prod
-            del prod
-        d1, d2 = d, d1
-    return d1, grads
+                b *= 2.0
+            if b2 is not None:
+                b -= b2
+                b2 = None
+            b += x @ thetas[k]
+        b1, b2 = b, b1
+    return b1
 
 
-def encode(basis: list[np.ndarray], graph: CellGraph, params: ModelParams) -> Tensor:
-    """Stacked convolutions, relu between hidden layers, linear final layer.
-    The result's backward gives every encoder weight's and bias's gradient,
-    in named_parameters order.
+def _clenshaw_backward(g, x, thetas, lhat, want_input: bool):
+    """The gradients of _clenshaw(x, thetas, lhat) + bias under the
+    upstream gradient g: x's (None unless `want_input`), then each
+    theta_k's and the bias's. The forward recursion runs on g: U_0 = g,
+    U_1 = Lhat g, U_k = 2 Lhat U_{k-1} - U_{k-2}, so U_k = T_k(Lhat) g and
+    theta_k's gradient is x^T U_k, and x's is sum_k U_k theta_k^T. Lhat is
+    exactly symmetric, so T_k(Lhat)^T = T_k(Lhat). Each term is formed as
+    its U_k appears, in order of k: seeded runs depend on it bit for bit.
 
-    `basis` is chebyshev_basis(x, graph, order) of the input x: the first
-    layer only weights and sums it. Backward keeps each later layer's basis
-    (its first term is the relu output, whose sign is the relu's mask) and
-    applies that mask to the fresh input gradient in place, so it writes no
-    saved array and can run any number of times. It multiplies by Lhat, not
-    Lhat^T: the scaled Laplacian is exactly symmetric.
+    At most three n x out_dim arrays of the recursion are alive at once:
+    U_{k-2} is released once subtracted, and the product Lhat U_{k-1} is
+    doubled in place. Doubling is exact, so U_k has the bits of
+    Lhat (2 U_{k-1}) - U_{k-2} unless one of its entries overflows or is
+    subnormal."""
+    grads, d_input = [], None
+    u1 = u2 = None  # U_{k-1} and U_{k-2}
+    for k, theta in enumerate(thetas):
+        if k == 0:
+            u = g
+        else:
+            u = np.asarray(lhat @ u1)
+            if k > 1:
+                u *= 2.0
+                u -= u2
+        u1, u2 = u, u1
+        grads.append(x.T @ u)
+        if want_input:
+            if d_input is None:
+                d_input = u @ theta.T
+            else:
+                d_input += u @ theta.T
+    return d_input, grads + [g.sum(axis=0)]
+
+
+def encode(x, graph: CellGraph, params: ModelParams) -> Tensor:
+    """Stacked Chebyshev convolutions of the input x (n_cells, n_genes) on
+    `graph`, relu between hidden layers, linear final layer. The result's
+    backward gives every encoder weight's and bias's gradient, in
+    named_parameters order.
+
+    Each layer multiplies its input by every theta_k first and runs the
+    polynomial in Lhat on those products (_clenshaw): K - 1 sparse products
+    on n x out_dim arrays per layer, forward and backward alike. The
+    result keeps only each layer's input: x itself (not copied) and the
+    relu output of every hidden layer, whose sign is the relu's mask.
+    Backward applies that mask to the fresh input gradient in place, so
+    it writes no saved array and can run any number of times. It
+    multiplies by Lhat, not Lhat^T: the scaled Laplacian is exactly
+    symmetric.
     """
+    x = np.asarray(x, dtype=np.float64)
     layers = params.encoder_layers
     want = (graph.n, layers[0].theta[0].shape[0])
-    shapes = {np.shape(z) for z in basis}
-    if len(basis) != layers[0].order or shapes != {want}:
-        raise nm.ShapeMismatchError(
-            f"encode: basis of {len(basis)} terms shaped {sorted(shapes)} "
-            f"vs {layers[0].order} terms of shape {want}"
-        )
-    bases = [basis]
-    h = _weigh(basis, layers[0].theta, layers[0].bias)
-    for layer in layers[1:]:
-        bases.append(chebyshev_basis(np.maximum(h, 0.0), graph, layer.order))
-        h = _weigh(bases[-1], layer.theta, layer.bias)
+    if x.shape != want:
+        raise nm.ShapeMismatchError(f"encode: input of shape {x.shape}, expected {want}")
     lhat = graph.scaled_laplacian
+    inputs = [x]
+    for i, layer in enumerate(layers):
+        h = _clenshaw(inputs[-1], layer.theta, lhat)
+        h += layer.bias
+        if i < len(layers) - 1:
+            inputs.append(np.maximum(h, 0.0, out=h))
 
     def vjp(g):
         grads = []
         for i in reversed(range(len(layers))):
-            d_input, layer_grads = _layer_backward(g, bases[i], layers[i].theta, lhat, i > 0)
+            d_input, layer_grads = _clenshaw_backward(g, inputs[i], layers[i].theta, lhat, i > 0)
             grads[:0] = layer_grads
             if i:
-                g = np.multiply(d_input, bases[i][0] > 0.0, out=d_input)
+                g = np.multiply(d_input, inputs[i] > 0.0, out=d_input)
         return grads
 
     return Tensor(h, vjp)

@@ -7,8 +7,10 @@ graph rebuilt, and cluster centers are seeded with k-means on the kept
 embeddings. Phase 2 re-initializes Adam at its own learning rate and adds
 the self-training clustering term; each epoch encodes the kept graph once
 for the target refresh and the step, which fits all three losses to the
-easiest paced subset. Prediction labels every original cell (pruned ones
-included, flagged downstream). The stages run straight through: each phase
+easiest paced subset. Every encode takes the normalized expression
+itself (the kept cells' rows in phase 2) and runs each layer's polynomial
+on its projected features, so nothing is precomputed per graph. Prediction
+labels every original cell (pruned ones included, flagged downstream). The stages run straight through: each phase
 starts fresh, and the pipeline writes each phase's final state as a
 checkpoint that nothing loads back.
 
@@ -50,7 +52,6 @@ from .losses import (
 from .model import (
     ZINB_HIDDEN_DIMS,
     ModelParams,
-    chebyshev_basis,
     decode_zinb,
     encode,
     init_params,
@@ -157,7 +158,7 @@ class TrainConfig:
             raise ValueError("beta must lie in [0, 1]")
         if not 0.0 < self.lambda0 <= 1.0:
             raise ValueError("lambda0 must lie in (0, 1]")
-        if self.t_hat is not None and self.t_hat < 1:
+        if self.t_hat is not None and not self.t_hat >= 1:  # also true for nan
             raise ValueError("t_hat must be >= 1")
 
     @property
@@ -344,18 +345,10 @@ def _train_step(
     state.epoch += 1
 
 
-def pretrain(
-    pre: PreprocessedData,
-    graph: CellGraph,
-    cfg: TrainConfig,
-    basis: list[np.ndarray] | None = None,
-) -> TrainState:
+def pretrain(pre: PreprocessedData, graph: CellGraph, cfg: TrainConfig) -> TrainState:
     """Full-batch reconstruction + likelihood training from fresh parameters
-    for cfg.t1 epochs, one encode per epoch from `basis`, the Chebyshev
-    basis of pre.normalized on `graph` (built here when not given); writes
-    no checkpoint."""
-    if basis is None:
-        basis = chebyshev_basis(pre.normalized, graph, cfg.cheb_order)
+    for cfg.t1 epochs, one encode of pre.normalized on `graph` per epoch;
+    writes no checkpoint."""
     # no local keeps the initial parameters: the first step frees them
     state = TrainState(
         phase="pretrain",
@@ -371,7 +364,7 @@ def pretrain(
         adam=AdamState(learning_rate=cfg.lr_pretrain),
     )
     while state.epoch < cfg.t1:
-        _train_step(state, encode(basis, graph, state.params), pre.raw.counts, graph, cfg)
+        _train_step(state, encode(pre.normalized, graph, state.params), pre.raw.counts, graph, cfg)
     return state
 
 
@@ -405,14 +398,14 @@ def formal_train(
 
     kept_sorted = np.sort(state.prune.kept)
     easiest_first = np.searchsorted(kept_sorted, state.prune.kept)
-    basis = chebyshev_basis(pre.normalized[kept_sorted], graph_pruned, cfg.cheb_order)
+    x = pre.normalized[kept_sorted]
     n_original = state.report.n
     pacing = PacingConfig(lambda0=cfg.lambda0, t_hat=cfg.effective_t_hat)
 
     state.stop_reason = "max_epochs"
     while state.epoch < cfg.t2:
         t = state.epoch
-        z = encode(basis, graph_pruned, state.params)
+        z = encode(x, graph_pruned, state.params)
         if t % cfg.target_update_interval == 0:
             q = soft_assign(z.values, state.params.cluster_centers)
             labels_now = q.argmax(axis=1)
@@ -451,8 +444,7 @@ def predict(state: TrainState, pre: PreprocessedData, graph: CellGraph) -> np.nd
         raise NotTrainedError(f"predict called in phase {state.phase!r}")
     if state.params.cluster_centers is None:
         raise NotTrainedError("no cluster centers; was formal training run?")
-    basis = chebyshev_basis(pre.normalized, graph, state.params.encoder_layers[0].order)
-    z = encode(basis, graph, state.params)
+    z = encode(pre.normalized, graph, state.params)
     q = soft_assign(z.values, state.params.cluster_centers)
     return q.argmax(axis=1).astype(np.int64)
 
@@ -542,14 +534,13 @@ def pretrain_and_score(
     with stage("graph"):
         graph = knn_graph(pre.normalized, cfg.k_neighbors, cfg.laplacian_kind)
     with stage("pretrain"):
-        basis = chebyshev_basis(pre.normalized, graph, cfg.cheb_order)
-        state = pretrain(pre, graph, cfg, basis=basis)
+        state = pretrain(pre, graph, cfg)
         if checkpoint_dir is not None:
             save_state(state, f"{checkpoint_dir}/pretrain_final.ckpt")
         # every tail starts a fresh optimizer, so the moments are dead weight
         state.adam.first_moment, state.adam.second_moment = [], []
     with stage("difficulty"):
-        z = encode(basis, graph, state.params).values
+        z = encode(pre.normalized, graph, state.params).values
         state.report = measure_difficulty(z, graph, beta=cfg.beta, local_mode=cfg.local_mode)
     return Pretrained(cfg, pre, graph, state, z)
 

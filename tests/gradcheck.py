@@ -8,10 +8,11 @@ values; `step_gradient_error` checks the parameter gradients that one
 training step hands to Adam against the total it logs. `dense_heads` and
 `zinb_on_heads` feed the count likelihood its three head pre-activations
 directly. `chebconv` (one Chebyshev layer) and `dense_hidden` (the count
-decoder's MLP over every row at once) are the dense references that
+decoder's MLP over every row at once) are the references that
 model.encode and the likelihood's row blocks are checked against;
-`layer_backward_reference` is the plain Chebyshev recursion that
-model._layer_backward is checked against bit for bit.
+`chebyshev_basis` forms the terms T_k(Lhat) x that encode never stores,
+and `layer_backward_reference` is the plain Chebyshev recursion that
+model._clenshaw_backward is checked against bit for bit.
 """
 
 from __future__ import annotations
@@ -87,23 +88,37 @@ def backward_error(forward, arrays, weights, h: float = 1e-5) -> float:
     return gradient_error(fn, arrays, h)
 
 
-def layer_backward_reference(g, basis, thetas, lhat_t, want_input: bool):
-    """model._layer_backward written plainly: each D_{k+1} is doubled into a
-    fresh array before the sparse product with the transposed operator the
-    chain rule names, and no gradient is released early. Same results, same
-    term order, so the same bits."""
-    grads = [z.T @ g for z in basis] + [g.sum(axis=0)]
+def chebyshev_basis(x, graph, order: int) -> list[np.ndarray]:
+    """[x, Lhat x, 2 Lhat (Lhat x) - x, ...]: the first `order` terms of the
+    Chebyshev recursion on x, T_k(Lhat) x, each formed and kept: the
+    input-side oracle of the filter model.encode sums on the output side."""
+    lhat = graph.scaled_laplacian
+    basis = [np.asarray(x, dtype=np.float64)]
+    if order >= 2:
+        basis.append(np.asarray(lhat @ basis[0]))
+    for _ in range(2, order):
+        basis.append(2.0 * np.asarray(lhat @ basis[-1]) - basis[-2])
+    return basis
+
+
+def layer_backward_reference(g, x, thetas, lhat_t, want_input: bool):
+    """model._clenshaw_backward written plainly: every U_k = T_k(Lhat^T) g
+    is formed and kept, each U_{k-1} is doubled into a fresh array before
+    the sparse product with the transposed operator the chain rule names,
+    and x's gradient is summed after the recursion. Same terms in the same
+    order, so the same bits."""
+    u = [g]
+    if len(thetas) >= 2:
+        u.append(np.asarray(lhat_t @ g))
+    for _ in range(2, len(thetas)):
+        u.append(np.asarray(lhat_t @ (u[-1] * 2.0)) - u[-2])
+    grads = [x.T @ uk for uk in u] + [g.sum(axis=0)]
     if not want_input:
         return None, grads
-    d1 = d2 = None  # the gradients of basis terms k + 1 and k + 2
-    for k in reversed(range(len(basis))):
-        d = g @ thetas[k].T
-        if d2 is not None:
-            d -= d2
-        if d1 is not None:
-            d += np.asarray(lhat_t @ (d1 * 2.0 if k else d1))
-        d1, d2 = d, d1
-    return d1, grads
+    d_input = u[0] @ thetas[0].T
+    for uk, theta in zip(u[1:], thetas[1:]):
+        d_input += uk @ theta.T
+    return d_input, grads
 
 
 def chebconv(x, graph, layer: model.ChebLayerParams) -> Tensor:
@@ -111,13 +126,15 @@ def chebconv(x, graph, layer: model.ChebLayerParams) -> Tensor:
     `layer`, no relu: the one-layer reference that encode's chaining of
     layers is checked against. Its backward gives x's gradient, then every
     theta_k's and the bias's."""
-    basis = model.chebyshev_basis(x, graph, layer.order)
+    lhat = graph.scaled_laplacian
+    out = model._clenshaw(x, layer.theta, lhat)
+    out += layer.bias
 
     def vjp(g):
-        d_input, grads = model._layer_backward(g, basis, layer.theta, graph.scaled_laplacian, True)
+        d_input, grads = model._clenshaw_backward(g, x, layer.theta, lhat, True)
         return [d_input, *grads]
 
-    return Tensor(model._weigh(basis, layer.theta, layer.bias), vjp)
+    return Tensor(out, vjp)
 
 
 def dense_hidden(latent, layers) -> Tensor:
@@ -156,16 +173,15 @@ def with_arrays(params: model.ModelParams, names, arrays) -> model.ModelParams:
 
 
 def step_gradient_error(
-    params, basis, graph, counts, cfg, h: float = 1e-5, rng=None, **step
+    params, x, graph, counts, cfg, h: float = 1e-5, rng=None, **step
 ) -> float:
     """Max relative error of the parameter gradients that one formal
     trainer._train_step hands to Adam, against central differences of the
     breakdown total it logs, in every entry of every array of `params`.
     With `rng`, each array is checked along one direction drawn from it
     instead: the central difference of the total along the direction
-    against the gradient's inner product with it. `basis` is the Chebyshev
-    basis of the nodes' input on `graph`; `step` holds the step's subset,
-    target and count_rows."""
+    against the gradient's inner product with it. `x` is the nodes' input
+    on `graph`; `step` holds the step's subset, target and count_rows."""
     handed = []
 
     def record(arrays, grads, adam):
@@ -177,7 +193,7 @@ def step_gradient_error(
     def total(arrays):
         trial = with_arrays(params, names, arrays)
         state = trainer.TrainState("formal", 0, trial, AdamState(learning_rate=1e-3))
-        trainer._train_step(state, model.encode(basis, graph, trial), counts, graph, cfg, **step)
+        trainer._train_step(state, model.encode(x, graph, trial), counts, graph, cfg, **step)
         return state.loss_history[-1].total
 
     arrays = [array for _, array in params.named_parameters()]

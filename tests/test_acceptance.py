@@ -54,12 +54,12 @@ def test_criterion_1_gradient_correctness():
         rng = np.random.default_rng(1000 + seed)
         graph = _random_graph(rng, 5, kind=("sym_normalized", "combinatorial")[seed % 2])
         params = model.init_params(n_genes=3, latent_dim=2, hidden_dim=3, zinb_dims=(3, 4), seed=seed)
-        basis = model.chebyshev_basis(rng.normal(size=(5, 3)), graph, 3)
+        x = rng.normal(size=(5, 3))
         w = rng.uniform(-1, 1, size=(5, 2))
         names = [name for name, _ in params.named_parameters() if name.startswith("enc")]
         encoder = [array for name, array in params.named_parameters() if name in names]
         errs["encode"].append(backward_error(
-            lambda a: model.encode(basis, graph, with_arrays(params, names, a)), encoder, w
+            lambda a: model.encode(x, graph, with_arrays(params, names, a)), encoder, w
         ))
         z = rng.uniform(-1.0, 1.0, size=(4, 2))
         w = rng.uniform(-1, 1, size=(4, 4))
@@ -121,12 +121,12 @@ def test_criterion_1_gradient_correctness():
         params = params.map_named(
             lambda name, a: rng.uniform(-1.0, 1.0, size=a.shape) if name.endswith("bias") else a
         )
-        basis = model.chebyshev_basis(rng.normal(size=(6, 3)), graph, 3)
+        x = rng.normal(size=(6, 3))
         target = rng.random((6, 2))
         target /= target.sum(axis=1, keepdims=True)
         cfg = TrainConfig(n_clusters=2, loss_weights=tuple(rng.uniform(0.5, 2.0, size=3)))
         errs.append(step_gradient_error(
-            params, basis, graph, rng.poisson(1.0, size=(9, 3)), cfg,
+            params, x, graph, rng.poisson(1.0, size=(9, 3)), cfg,
             rng=rng, subset=np.array([0, 2, 3, 5]), target=target,
             count_rows=rng.permutation(9)[:4],
         ))
@@ -160,7 +160,7 @@ def test_criterion_2_chebconv_dense_oracle():
             theta=tuple(rng.normal(size=(4, 3)) for _ in range(order)), bias=np.zeros(3)
         )
         params = replace(template, encoder_layers=(layer,))
-        out = model.encode(model.chebyshev_basis(x, graph, order), graph, params).values
+        out = model.encode(x, graph, params).values
 
         lhat = graph.scaled_laplacian.toarray()
         polys = [np.eye(n)]

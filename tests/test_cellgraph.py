@@ -178,7 +178,7 @@ def _assert_exactly_symmetric(lhat):
 
 @pytest.mark.parametrize("kind", cellgraph.LAPLACIAN_KINDS)
 def test_scaled_laplacian_is_canonical_and_exactly_symmetric(kind):
-    # model._layer_backward multiplies by Lhat where the chain rule has
+    # model._clenshaw_backward multiplies by Lhat where the chain rule has
     # Lhat^T, which holds bit for bit only if Lhat equals its transpose
     rng = np.random.default_rng(9)
     x = rng.normal(size=(300, 8))

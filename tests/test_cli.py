@@ -369,8 +369,8 @@ def test_prune_study_keeps_a_failed_seed_only_as_its_message(tmp_path, capsys, m
     diverged, alive_at_formal = [], []
     pretrain, formal_train = trainer.pretrain, trainer.formal_train
 
-    def diverging(pre, graph, cfg, basis=None):
-        state = pretrain(pre, graph, cfg, basis)
+    def diverging(pre, graph, cfg):
+        state = pretrain(pre, graph, cfg)
         if cfg.seed == 1:
             diverged.append(weakref.ref(state))
             raise NonFiniteLossError("pretrain phase diverged", epoch=cfg.t1, state=state)

@@ -315,6 +315,18 @@ def test_pacing_monotone_and_reaches_cap_for_grid():
                 )
 
 
+def test_pacing_config_rejects_a_nan_ramp_length():
+    # a nan t_hat would skip the ramp: every epoch compares false to it
+    with pytest.raises(ValueError, match="t_hat must be >= 1, got nan"):
+        curriculum.PacingConfig(lambda0=0.25, t_hat=math.nan)
+
+
+def test_pacing_fraction_rejects_a_nan_epoch():
+    cfg = curriculum.PacingConfig(lambda0=0.25, t_hat=10)
+    with pytest.raises(ValueError, match="epoch must be >= 0, got nan"):
+        curriculum.pacing_fraction(math.nan, cfg, alpha=0.11)
+
+
 @pytest.mark.parametrize("alpha", [-0.5, 1.0, 1.5, math.nan])
 def test_pacing_fraction_rejects_alpha_outside_the_unit_interval_as_prune_does(alpha):
     # outside [0, 1) the cap 1 - alpha is not a fraction of the nodes

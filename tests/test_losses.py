@@ -711,7 +711,7 @@ def test_breakdown_total_is_exact_sum():
         target = rng.random((6, 2))
         target /= target.sum(axis=1, keepdims=True)
         cfg = trainer.TrainConfig(n_clusters=2, loss_weights=(1.0, 0.5, 2.0))
-        z = model.encode(model.chebyshev_basis(rng.normal(size=(6, 4)), graph, 3), graph, params)
+        z = model.encode(rng.normal(size=(6, 4)), graph, params)
         state = trainer.TrainState("formal", 0, params, AdamState(learning_rate=1e-3))
         trainer._train_step(state, z, counts, graph, cfg, target=target)
         logged = state.loss_history[-1]

@@ -11,6 +11,7 @@ from celluster.cellgraph import _from_adjacency, knn_graph
 from gradcheck import (
     backward_error,
     chebconv,
+    chebyshev_basis,
     dense_hidden,
     layer_backward_reference,
     with_arrays,
@@ -55,7 +56,7 @@ def _convolve(x, graph, layer):
         model.init_params(n_genes=1, latent_dim=1, hidden_dim=1, zinb_dims=(1,)),
         encoder_layers=(layer,),
     )
-    return model.encode(model.chebyshev_basis(x, graph, layer.order), graph, params)
+    return model.encode(x, graph, params)
 
 
 def _cheb_polynomials(lhat: np.ndarray, order: int) -> list[np.ndarray]:
@@ -105,6 +106,44 @@ def test_chebconv_matches_dense_polynomial_oracle(order):
         assert np.max(np.abs(out.values - expected)) < 1e-10
 
 
+@pytest.mark.parametrize("kind", ["sym_normalized", "combinatorial"])
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+def test_encode_matches_the_two_layer_dense_polynomial_oracle(order, kind):
+    # both layers, the relu between them and non-zero biases, against
+    # explicitly built Chebyshev polynomials of Lhat
+    for seed in range(5):
+        rng = np.random.default_rng(90 * order + seed)
+        n = int(rng.integers(3, 17))
+        graph = _random_graph(rng, n, kind=kind)
+        params = model.init_params(n_genes=5, latent_dim=3, hidden_dim=4, cheb_order=order, seed=seed)
+        params = params.map_named(
+            lambda name, a: rng.normal(size=a.shape) if name.endswith("bias") else a
+        )
+        x = rng.normal(size=(n, 5))
+        polys = _cheb_polynomials(graph.scaled_laplacian.toarray(), order)
+        h = x
+        for i, layer in enumerate(params.encoder_layers):
+            h = sum(poly @ h @ theta for poly, theta in zip(polys, layer.theta)) + layer.bias
+            if i == 0:
+                h = np.maximum(h, 0.0)
+        got = model.encode(x, graph, params).values
+        assert np.max(np.abs(got - h)) < 1e-10
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 5])
+def test_encode_equals_the_input_side_basis_sum(order):
+    # the output-side recurrence and the stored basis sum_k (T_k(Lhat) x) theta_k
+    # are one polynomial; on a kNN graph at the accept-300 width they agree
+    # to rounding
+    rng = np.random.default_rng(order)
+    x = rng.normal(size=(300, 200))
+    graph = knn_graph(x, 20)
+    layer = _layer(rng, 200, 32, order)
+    want = sum(z @ theta for z, theta in zip(chebyshev_basis(x, graph, order), layer.theta))
+    got = _convolve(x, graph, layer).values
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_chebconv_shape_mismatch():
     rng = np.random.default_rng(2)
     graph = _random_graph(rng, 6)
@@ -128,13 +167,11 @@ def test_encode_gradients_match_finite_differences(order, kind):
         assert graph.degrees[0] == 0
         params = model.init_params(n_genes=6, latent_dim=3, hidden_dim=5, cheb_order=order, seed=seed)
         x = rng.normal(size=(n, 6))
-        basis = model.chebyshev_basis(x, graph, order)
-        assert len(basis) == order and np.array_equal(basis[0], x)
         w = rng.normal(size=(n, 3))
         names = [name for name, _ in params.named_parameters() if name.startswith("enc")]
         encoder = [a for name, a in params.named_parameters() if name in names]
         err = backward_error(
-            lambda a: model.encode(basis, graph, with_arrays(params, names, a)), encoder, w
+            lambda a: model.encode(x, graph, with_arrays(params, names, a)), encoder, w
         )
         assert err < 1e-5, f"seed {seed}: max relative error {err}"
 
@@ -197,7 +234,7 @@ def test_encode_on_the_basis_equals_chained_chebconv_bit_for_bit(order, kind):
         one_layer = replace(params, encoder_layers=params.encoder_layers[:1])
         for p, w in ((params, weights), (one_layer, rng.normal(size=(n, 5)))):
             want = _chained_chebconv(x, graph, p)
-            got = model.encode(model.chebyshev_basis(x, graph, order), graph, p)
+            got = model.encode(x, graph, p)
             assert np.array_equal(got.values, want.values)
             names = [name for name, _ in p.named_parameters() if name.startswith("enc")]
             grads = zip(names, got.backward(w), want.backward(w), strict=True)
@@ -217,11 +254,11 @@ def test_layer_backward_equals_the_plain_recursion_bit_for_bit(order, kind, want
         n = int(rng.integers(4, 30))
         graph = _random_graph(rng, n, p=0.3, kind=kind)
         layer = _layer(rng, 6, 4, order)
-        basis = model.chebyshev_basis(rng.normal(size=(n, 6)), graph, order)
+        x = rng.normal(size=(n, 6))
         g = rng.normal(scale=1e3, size=(n, 4)) * (rng.random((n, 4)) < 0.7)
         lhat = graph.scaled_laplacian
-        got_input, got = model._layer_backward(g, basis, layer.theta, lhat, want_input)
-        want_input_grad, want = layer_backward_reference(g, basis, layer.theta, lhat.T, want_input)
+        got_input, got = model._clenshaw_backward(g, x, layer.theta, lhat, want_input)
+        want_input_grad, want = layer_backward_reference(g, x, layer.theta, lhat.T, want_input)
         if want_input:
             assert got_input.tobytes() == want_input_grad.tobytes()
         else:
@@ -237,7 +274,7 @@ def test_encode_backward_holds_at_most_three_recursion_arrays():
     x = rng.normal(size=(n, 64))
     graph = knn_graph(x, 10)
     params = model.init_params(n_genes=64, latent_dim=16, hidden_dim=hidden, cheb_order=order, seed=5)
-    z = model.encode(model.chebyshev_basis(x, graph, order), graph, params)
+    z = model.encode(x, graph, params)
     g = rng.normal(size=z.values.shape)
     tracemalloc.start()
     try:
@@ -250,23 +287,40 @@ def test_encode_backward_holds_at_most_three_recursion_arrays():
 
 
 def test_encode_frees_the_first_layer_products():
-    # basis[k] @ theta_k only feeds the first layer's sum, so once encode
-    # returns nothing holds the products: what stays allocated is the output
-    # and the second layer's basis (the relu output and its recursion),
-    # which backward reads
+    # x theta_k and the recursion on it only feed the first layer's sum, so
+    # once encode returns nothing holds them: what stays allocated is the
+    # output and the second layer's input (the relu output), which backward
+    # reads
     rng = np.random.default_rng(17)
     n, hidden, order = 400, 64, 3
     graph = _random_graph(rng, n, p=0.02)
     params = model.init_params(n_genes=50, latent_dim=8, hidden_dim=hidden, cheb_order=order, seed=4)
-    basis = model.chebyshev_basis(rng.normal(size=(n, 50)), graph, order)
+    x = rng.normal(size=(n, 50))
     tracemalloc.start()
     try:
-        z = model.encode(basis, graph, params)
+        z = model.encode(x, graph, params)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
     one_product = n * hidden * 8
-    assert held < order * one_product + z.values.nbytes + one_product // 2
+    assert held < one_product + z.values.nbytes + one_product // 2
+
+
+def test_encode_holds_no_term_of_the_input_width():
+    # at the scale point's width the result keeps the output and the one
+    # n x hidden relu output; any n x 500 term would be 8 MB more
+    n, genes, hidden = 2000, 500, 64
+    rng = np.random.default_rng(31)
+    x = rng.normal(size=(n, genes))
+    graph = knn_graph(x, 10)
+    params = model.init_params(n_genes=genes, latent_dim=16, hidden_dim=hidden, seed=6)
+    tracemalloc.start()
+    try:
+        z = model.encode(x, graph, params)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= z.values.nbytes + n * hidden * 8 + 4096
 
 
 def test_rebinding_parameters_before_backward_leaves_gradients_unchanged():
@@ -280,7 +334,7 @@ def test_rebinding_parameters_before_backward_leaves_gradients_unchanged():
 
     def run(rebind):
         params = model.init_params(n_genes=5, latent_dim=3, hidden_dim=4, seed=2)
-        out = model.encode(model.chebyshev_basis(x, graph, 3), graph, params)
+        out = model.encode(x, graph, params)
         if rebind:
             params = params.map_named(lambda _, a: -7.0 * a)
             out.values = -7.0 * out.values
@@ -296,11 +350,11 @@ def test_encode_rejects_a_basis_that_does_not_fit():
     params = model.init_params(n_genes=4, latent_dim=2, hidden_dim=3, cheb_order=3, seed=0)
     x = rng.normal(size=(6, 4))
     with pytest.raises(nm.ShapeMismatchError):
-        model.encode(model.chebyshev_basis(x, graph, 2), graph, params)  # too few terms
+        model.encode(x[:, :3], graph, params)  # too narrow
     with pytest.raises(nm.ShapeMismatchError):
-        model.encode(model.chebyshev_basis(x[:, :3], graph, 3), graph, params)  # too narrow
+        model.encode(x[:5], graph, params)  # one row short of the graph
     with pytest.raises(nm.ShapeMismatchError):
-        model.chebyshev_basis(x[:5], graph, 3)  # one row short of the graph
+        model.encode(x[:, :, None], graph, params)  # not a matrix
 
 
 def test_decode_zinb_nan_names_the_head():
@@ -314,7 +368,7 @@ def test_encode_zero_input_zero_bias_gives_zero_embedding():
     rng = np.random.default_rng(3)
     graph = _random_graph(rng, 8)
     params = model.init_params(n_genes=10, latent_dim=4, hidden_dim=6, seed=0)
-    z = model.encode(model.chebyshev_basis(np.zeros((8, 10)), graph, 3), graph, params)
+    z = model.encode(np.zeros((8, 10)), graph, params)
     np.testing.assert_array_equal(z.values, np.zeros((8, 4)))
 
 
@@ -323,8 +377,8 @@ def test_encode_is_deterministic():
     graph = _random_graph(rng, 8)
     params = model.init_params(n_genes=10, latent_dim=4, hidden_dim=6, seed=1)
     x = rng.normal(size=(8, 10))
-    za = model.encode(model.chebyshev_basis(x, graph, 3), graph, params)
-    zb = model.encode(model.chebyshev_basis(x, graph, 3), graph, params)
+    za = model.encode(x, graph, params)
+    zb = model.encode(x, graph, params)
     assert np.array_equal(za.values, zb.values)
 
 
@@ -339,8 +393,8 @@ def test_full_forward_is_node_permutation_equivariant():
     adj_p = graph.adjacency.toarray()[np.ix_(perm, perm)]
     graph_p = _from_adjacency(sp.csr_matrix(adj_p), graph.laplacian_kind)
 
-    z = model.encode(model.chebyshev_basis(x, graph, 3), graph, params)
-    z_p = model.encode(model.chebyshev_basis(x[perm], graph_p, 3), graph_p, params)
+    z = model.encode(x, graph, params)
+    z_p = model.encode(x[perm], graph_p, params)
     np.testing.assert_allclose(z_p.values, z.values[perm], atol=1e-9)
 
     a_rec = model.decode_adjacency(z.values)

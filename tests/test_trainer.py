@@ -27,7 +27,7 @@ from celluster.losses import (
     target_distribution,
 )
 from celluster.metrics import ari
-from celluster.model import chebyshev_basis, decode_zinb, encode, mlp_forward, soft_assign
+from celluster.model import decode_zinb, encode, mlp_forward, soft_assign
 from celluster.numerics import AdamState, Tensor
 from celluster.preprocess import preprocess
 from celluster.trainer import TrainConfig
@@ -36,11 +36,6 @@ from celluster.trainer import TrainConfig
 def _read_checkpoint(path) -> dict[str, np.ndarray]:
     with np.load(path) as f:
         return dict(f)
-
-
-def _encode(x, graph, params):
-    """encode on the Chebyshev basis of `x`, built the way the trainer does."""
-    return encode(chebyshev_basis(x, graph, params.encoder_layers[0].order), graph, params)
 
 
 def _small_setup(seed=0, n_cells=40, n_genes=20, n_clusters=2, **cfg_kwargs):
@@ -159,7 +154,7 @@ def test_init_centers_rejects_points_that_all_coincide():
 
 def _to_formal_ready(pre, graph, cfg):
     state = trainer.pretrain(pre, graph, cfg)
-    z = _encode(pre.normalized, graph, state.params).values
+    z = encode(pre.normalized, graph, state.params).values
     state.report = measure_difficulty(z, graph, beta=cfg.beta)
     state.prune = prune(state.report, cfg.alpha, strategy="hard", seed=cfg.seed)
     kept_sorted = np.sort(state.prune.kept)
@@ -286,7 +281,7 @@ def _formal_step(state, pre, graph_pruned, cfg, subset):
     assignment's target; returns the copy and that target."""
     state = copy.deepcopy(state)
     kept_sorted = np.sort(state.prune.kept)
-    z = _encode(pre.normalized[kept_sorted], graph_pruned, state.params)
+    z = encode(pre.normalized[kept_sorted], graph_pruned, state.params)
     target = target_distribution(soft_assign(z.values, state.params.cluster_centers))
     state.phase, state.epoch = "formal", 0
     state.adam = AdamState(learning_rate=cfg.lr_formal)
@@ -316,7 +311,7 @@ def test_train_step_single_node_subset_on_an_isolated_node():
     # a one-node subset then sees a 1 x 1 zero adjacency
     _, pre, graph, cfg = _small_setup(t1=3, t2=1)
     state = trainer.pretrain(pre, graph, cfg)
-    z_all = _encode(pre.normalized, graph, state.params).values
+    z_all = encode(pre.normalized, graph, state.params).values
     state.report = measure_difficulty(z_all, graph, beta=cfg.beta)
     dropped = graph.adjacency[0].indices
     kept = state.report.order[~np.isin(state.report.order, dropped)]  # easiest first
@@ -330,7 +325,7 @@ def test_train_step_single_node_subset_on_an_isolated_node():
     assert graph_pruned.degrees[node] == 0
 
     stepped, target = _formal_step(state, pre, graph_pruned, cfg, np.array([node]))
-    z = _encode(pre.normalized[kept_sorted], graph_pruned, state.params).values[[node]]
+    z = encode(pre.normalized[kept_sorted], graph_pruned, state.params).values[[node]]
     rec = (1.0 / (1.0 + np.exp(-float(z[0] @ z[0])))) ** 2  # A = 0: (0 - sigmoid(z.z))^2
     zinb = loss_zinb(pre.raw.counts[[0]], decode_zinb(z, state.params))[0]
     cls = loss_cls(target[[node]], z, state.params.cluster_centers)[0]
@@ -354,7 +349,7 @@ def test_latent_gradient_sums_every_criterion_in_a_fixed_order():
     graph = _from_adjacency(sp.csr_matrix((upper | upper.T).astype(float)), "sym_normalized")
     params = init_params(n_genes=4, latent_dim=2, hidden_dim=3, zinb_dims=(3,), seed=8)
     params = params.with_centers(rng.normal(size=(2, 2)))
-    z = encode(chebyshev_basis(rng.normal(size=(8, 4)), graph, 3), graph, params)
+    z = encode(rng.normal(size=(8, 4)), graph, params)
     counts = rng.poisson(1.0, size=(8, 4))
     target = target_distribution(soft_assign(z.values, params.cluster_centers))
     subset = np.array([5, 0, 3, 6])
@@ -406,10 +401,10 @@ def test_step_gradients_match_finite_differences(with_cls):
             params = params.with_centers(rng.normal(size=(2, 2)))
             target = rng.random((5, 2))
             target /= target.sum(axis=1, keepdims=True)
-        basis = chebyshev_basis(rng.normal(size=(5, 3)), graph, 3)
+        x = rng.normal(size=(5, 3))
         cfg = TrainConfig(n_clusters=2, loss_weights=tuple(rng.uniform(0.5, 2.0, size=3)))
         counts = rng.poisson(1.0, size=(5, 3))
-        err = step_gradient_error(params, basis, graph, counts, cfg, rng=rng, target=target)
+        err = step_gradient_error(params, x, graph, counts, cfg, rng=rng, target=target)
         assert err < 1e-5, f"seed {seed}: max relative error {err}"
 
 
@@ -509,9 +504,8 @@ def test_pretrain_checkpoint_resume_is_bitwise(tmp_path):
     trainer.save_state(half, path)
     resumed = _rebuilt_from(path, like=half)
     assert resumed.adam.first_moment  # the moments came back from the file
-    basis = chebyshev_basis(pre.normalized, graph, cfg.cheb_order)
     while resumed.epoch < cfg.t1:
-        z = encode(basis, graph, resumed.params)
+        z = encode(pre.normalized, graph, resumed.params)
         trainer._train_step(resumed, z, pre.raw.counts, graph, cfg)
 
     _assert_same_run(resumed, straight)
@@ -734,7 +728,7 @@ def test_pipeline_predicts_kmeans_consistent_labels():
         target_update_interval=2,
     )
     result = trainer.run_pipeline(data, cfg)
-    z = _encode(result.preprocessed.normalized, result.graph, result.state.params).values
+    z = encode(result.preprocessed.normalized, result.graph, result.state.params).values
     km_centers = trainer.init_centers(z, 3, seed=11)
     km_labels = ((z[:, None, :] - km_centers[None]) ** 2).sum(axis=2).argmin(axis=1)
     assert ari(km_labels, result.labels) >= 0.95
@@ -765,8 +759,7 @@ def test_non_finite_gradient_raises_before_adam_moves_anything():
     # clamp's zero gradient meets the weight in dH = G W^T as 0 * inf = NaN.
     _, pre, graph, cfg = _small_setup(t1=1)
     state = trainer.pretrain(pre, graph, cfg)  # one step, so Adam has moments
-    basis = chebyshev_basis(pre.normalized, graph, cfg.cheb_order)
-    latent = encode(basis, graph, state.params).values
+    latent = encode(pre.normalized, graph, state.params).values
     hidden = mlp_forward(latent, state.params.zinb_fc)[-1]
     unit = int(np.flatnonzero(hidden.min(axis=0) > 0.0)[0])
     head_mu = state.params.head_mu.copy()
@@ -774,7 +767,7 @@ def test_non_finite_gradient_raises_before_adam_moves_anything():
     state.params = replace(state.params, head_mu=head_mu)
     params, adam = state.params, copy.deepcopy(state.adam)
 
-    z = encode(basis, graph, params)
+    z = encode(pre.normalized, graph, params)
     with np.errstate(invalid="ignore"), pytest.raises(NonFiniteLossError) as err:
         trainer._train_step(state, z, pre.raw.counts, graph, cfg)
     message = str(err.value)
