@@ -171,9 +171,9 @@ def _clenshaw_backward(g, x, thetas, lhat, want_input: bool):
     exactly symmetric, so T_k(Lhat)^T = T_k(Lhat). Each term is formed as
     its U_k appears, in order of k: seeded runs depend on it bit for bit.
 
-    At most three n x out_dim arrays of the recursion are alive at once:
-    U_{k-2} is released once subtracted, and the product Lhat U_{k-1} is
-    doubled in place. Doubling is exact, so U_k has the bits of
+    Besides g, at most three n x out_dim arrays of the recursion are alive
+    at once: U_{k-2} is released once subtracted, and the product
+    Lhat U_{k-1} is doubled in place. Doubling is exact, so U_k has the bits of
     Lhat (2 U_{k-1}) - U_{k-2} unless one of its entries overflows or is
     subnormal."""
     grads, d_input = [], None

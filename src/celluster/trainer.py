@@ -10,9 +10,9 @@ for the target refresh and the step, which fits all three losses to the
 easiest paced subset. Every encode takes the normalized expression
 itself (the kept cells' rows in phase 2) and runs each layer's polynomial
 on its projected features, so nothing is precomputed per graph. Prediction
-labels every original cell (pruned ones included, flagged downstream). The stages run straight through: each phase
-starts fresh, and the pipeline writes each phase's final state as a
-checkpoint that nothing loads back.
+labels every original cell (pruned ones included, flagged downstream). The
+stages run straight through: each phase starts fresh, and the pipeline
+writes each phase's final state as a checkpoint that nothing loads back.
 
 Each step writes ChebAE's chain rule out (_gradients): the criteria return
 their gradients in the latent (and in the count decoder and the centers),
@@ -158,7 +158,7 @@ class TrainConfig:
             raise ValueError("beta must lie in [0, 1]")
         if not 0.0 < self.lambda0 <= 1.0:
             raise ValueError("lambda0 must lie in (0, 1]")
-        if self.t_hat is not None and not self.t_hat >= 1:  # also true for nan
+        if self.t_hat is not None and self.t_hat < 1:
             raise ValueError("t_hat must be >= 1")
 
     @property
