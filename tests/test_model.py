@@ -154,10 +154,17 @@ def test_chebconv_shape_mismatch():
         _convolve(np.zeros((6, 7)), graph, layer)  # wider than the weights' fan-in
 
 
+# Draws with a bipartite component, so lambda_max = 2 under sym_normalized.
+# Read about 1e-12 below 2, it left the isolated node a near-zero
+# Lhat_00 = 2/lambda_max - 1 that central differences cannot resolve, and
+# the check failed at up to 8.8e-5.
+_BIPARTITE_DRAWS = {(4, "sym_normalized"): (100015, 100027), (5, "sym_normalized"): (100026,)}
+
+
 @pytest.mark.parametrize("kind", ["sym_normalized", "combinatorial"])
 @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
 def test_encode_gradients_match_finite_differences(order, kind):
-    for seed in range(5):
+    for seed in (*range(5), *_BIPARTITE_DRAWS.get((order, kind), ())):
         rng = np.random.default_rng(50 * order + seed)
         n = int(rng.integers(4, 15))
         upper = np.triu(rng.random((n, n)) < 0.4, k=1)
