@@ -151,9 +151,7 @@ def cmd_train(args) -> int:
     result = trainer.run_pipeline(data, run_cfg.train, checkpoint_dir=str(outdir))
     with stage("write"):
         save_edge_list(result.graph, outdir / "graph_edges.txt")
-        curriculum.write_difficulty_csv(
-            outdir / "difficulty.csv", result.state.report, result.state.prune
-        )
+        curriculum.write_difficulty_csv(outdir / "difficulty.csv", result.report, result.prune)
         _write_training_log(outdir / "training_log.csv", result.state.loss_history)
         _write_labels_csv(
             outdir / "labels.csv", data.cell_ids, result.labels, result.pruned_mask
@@ -175,7 +173,7 @@ def cmd_train(args) -> int:
 def cmd_difficulty(args) -> int:
     run_cfg, data, outdir = _prepare_run(args)
     cfg = run_cfg.train
-    report = trainer.pretrain_and_score(data, cfg).state.report
+    report = trainer.pretrain_and_score(data, cfg).report
     with stage("prune"):
         pruned = curriculum.prune(report, cfg.alpha, strategy=cfg.prune_strategy, seed=cfg.seed)
     path = outdir / "difficulty.csv"

@@ -37,7 +37,6 @@ class DifficultyReport:
     global_: np.ndarray  # (n,)
     combined: np.ndarray  # (n,) = beta * local_norm + (1 - beta) * global_norm
     order: np.ndarray  # node indices, ascending difficulty, ties to lower index
-    beta: float
 
     @property
     def n(self) -> int:
@@ -48,7 +47,6 @@ class DifficultyReport:
 class PruneResult:
     kept: np.ndarray  # ascending-difficulty order
     dropped: np.ndarray
-    alpha: float
 
 
 @dataclass(frozen=True)
@@ -142,9 +140,7 @@ def combine_and_rank(local, global_, beta: float) -> DifficultyReport:
         raise ValueError(f"beta must be in [0, 1], got {beta}")
     combined = beta * _min_max(local) + (1.0 - beta) * _min_max(global_)
     order = np.argsort(combined, kind="stable")  # ties resolve to the lower index
-    return DifficultyReport(
-        local=local, global_=global_, combined=combined, order=order, beta=beta
-    )
+    return DifficultyReport(local=local, global_=global_, combined=combined, order=order)
 
 
 def measure_difficulty(
@@ -179,7 +175,7 @@ def prune(
         mask = np.zeros(n, dtype=bool)
         mask[positions] = True
         kept, dropped = order[~mask[order]], order[mask[order]]
-    return PruneResult(kept=kept.copy(), dropped=dropped.copy(), alpha=alpha)
+    return PruneResult(kept=kept.copy(), dropped=dropped.copy())
 
 
 def pacing_fraction(t: float, cfg: PacingConfig, alpha: float) -> float:
@@ -198,6 +194,22 @@ def pacing_fraction(t: float, cfg: PacingConfig, alpha: float) -> float:
     exponent = np.log2(cfg.lambda0) * (1.0 - t / cfg.t_hat)
     fraction = min(1.0, 2.0**exponent)
     return min(fraction, 1.0 - alpha)
+
+
+def paced_count(t: int, cfg: PacingConfig, alpha: float, n: int, n_kept: int) -> int:
+    """How many of the n_kept easiest kept nodes epoch t trains on: the
+    pacing fraction of the ORIGINAL node count n, floored, and every kept
+    node once the fraction reaches its cap 1 - alpha (floor((1 - alpha) * n)
+    can be one less than the n - floor(alpha * n) nodes pruning keeps). A
+    schedule that selects no node is an error."""
+    fraction = pacing_fraction(t, cfg, alpha)
+    count = n_kept if fraction >= 1.0 - alpha else min(int(np.floor(fraction * n)), n_kept)
+    if count == 0:
+        raise ValueError(
+            f"pacing selects zero nodes at epoch {t} "
+            f"(lambda0={cfg.lambda0}, {n} nodes); raise lambda0"
+        )
+    return count
 
 
 def write_difficulty_csv(path, report: DifficultyReport, result: PruneResult | None = None) -> None:

@@ -12,7 +12,10 @@ itself (the kept cells' rows in phase 2) and runs each layer's polynomial
 on its projected features, so nothing is precomputed per graph. Prediction
 labels every original cell (pruned ones included, flagged downstream). The
 stages run straight through: each phase starts fresh, and the pipeline
-writes each phase's final state as a checkpoint that nothing loads back.
+writes each phase's final TrainState as a checkpoint that nothing loads
+back. A TrainState is the training state only; the difficulty report and
+the pruning are the pipeline's records (Pretrained.report,
+PipelineResult.prune), and the formal phase's target lives for one call.
 
 Each step writes ChebAE's chain rule out (_gradients): the criteria return
 their gradients in the latent (and in the count decoder and the centers),
@@ -37,7 +40,7 @@ from .curriculum import (
     PacingConfig,
     PruneResult,
     measure_difficulty,
-    pacing_fraction,
+    paced_count,
     prune,
 )
 from .ingest import ExpressionMatrix
@@ -173,10 +176,6 @@ class TrainState:
     params: ModelParams
     adam: AdamState
     loss_history: list[LossBreakdown] = field(default_factory=list)
-    report: DifficultyReport | None = None
-    prune: PruneResult | None = None
-    target: np.ndarray | None = None
-    labels_prev: np.ndarray | None = None
     subset_sizes: list[int] = field(default_factory=list)  # per formal epoch
     stop_reason: str | None = None  # why formal_train ended: "converged" | "max_epochs"
 
@@ -372,35 +371,35 @@ def formal_train(
     state: TrainState,
     pre: PreprocessedData,
     graph_pruned: CellGraph,
+    kept: np.ndarray,
     cfg: TrainConfig,
 ) -> TrainState:
-    """Paced self-training phase over the pruned graph, from a fresh
-    optimizer at cfg.lr_formal for up to cfg.t2 epochs; leaves `state` in
-    phase "done", with state.stop_reason saying why the phase ended.
+    """Paced self-training phase over `graph_pruned`, the subgraph of the
+    cells `kept` (easiest first, as PruneResult.kept) in ascending cell
+    order, from a fresh optimizer at cfg.lr_formal for up to cfg.t2 epochs;
+    leaves `state` in phase "done", with state.stop_reason saying why the
+    phase ended.
 
     Each epoch encodes the kept graph once. Every cfg.target_update_interval
     epochs that latent refreshes the target, and the phase ends (no step,
-    "converged") once the churn between consecutive refreshes falls below
-    cfg.convergence_tol, or else after cfg.t2 epochs ("max_epochs"). The
-    step then trains on the same latent, over the easiest kept nodes: the
-    pacing fraction of the ORIGINAL node count, floored, and every kept
-    node once the fraction reaches its cap 1 - alpha (floor((1 - alpha) * n)
-    can be one less than the n - floor(alpha * n) nodes pruning keeps).
+    "converged") once the churn between consecutive refreshes of this call
+    falls below cfg.convergence_tol, or else after cfg.t2 epochs
+    ("max_epochs"). The step then trains on the same latent, over the
+    paced_count easiest kept nodes of the pre.n_cells original cells. The
+    target and the labels of the last refresh live only for the call.
     Writes no checkpoint.
     """
-    if state.report is None or state.prune is None:
-        raise NotTrainedError("formal training needs difficulty and pruning results")
     if state.params.cluster_centers is None:
         raise NotTrainedError("formal training needs initialized cluster centers")
     state.phase = "formal"
     state.epoch = 0
     state.adam = AdamState(learning_rate=cfg.lr_formal)  # fresh optimizer per phase
 
-    kept_sorted = np.sort(state.prune.kept)
-    easiest_first = np.searchsorted(kept_sorted, state.prune.kept)
+    kept_sorted = np.sort(kept)
+    easiest_first = np.searchsorted(kept_sorted, kept)
     x = pre.normalized[kept_sorted]
-    n_original = state.report.n
     pacing = PacingConfig(lambda0=cfg.lambda0, t_hat=cfg.effective_t_hat)
+    target = last_labels = None
 
     state.stop_reason = "max_epochs"
     while state.epoch < cfg.t2:
@@ -409,28 +408,18 @@ def formal_train(
         if t % cfg.target_update_interval == 0:
             q = soft_assign(z.values, state.params.cluster_centers)
             labels_now = q.argmax(axis=1)
-            churn = None if state.labels_prev is None else np.mean(labels_now != state.labels_prev)
-            state.labels_prev = labels_now
-            if churn is not None and churn < cfg.convergence_tol:
+            if last_labels is not None and np.mean(labels_now != last_labels) < cfg.convergence_tol:
                 state.stop_reason = "converged"
                 break
-            state.target = target_distribution(q)
+            last_labels = labels_now
+            target = target_distribution(q)
 
-        fraction = pacing_fraction(t, pacing, cfg.alpha)
-        if fraction < 1.0 - cfg.alpha:
-            count = min(int(np.floor(fraction * n_original)), kept_sorted.size)
-        else:
-            count = kept_sorted.size
-        if count == 0:
-            raise ValueError(
-                f"pacing selects zero nodes at epoch {t} "
-                f"(lambda0={cfg.lambda0}, {n_original} nodes); raise lambda0"
-            )
+        count = paced_count(t, pacing, cfg.alpha, pre.n_cells, kept.size)
         subset = np.sort(easiest_first[:count])
         state.subset_sizes.append(count)
         _train_step(
             state, z, pre.raw.counts, graph_pruned, cfg,
-            subset=subset, target=state.target, count_rows=kept_sorted[subset],
+            subset=subset, target=target, count_rows=kept_sorted[subset],
         )
         del z  # frees this epoch's encoder backward before the next forward
     state.phase = "done"
@@ -474,20 +463,6 @@ def save_state(state: TrainState, path) -> None:
         arrays[f"adam.v{i}"] = v
     if state.loss_history:
         arrays["history"] = np.array([b.as_row() for b in state.loss_history])
-    if state.report is not None:
-        arrays["report.local"] = state.report.local
-        arrays["report.global"] = state.report.global_
-        arrays["report.combined"] = state.report.combined
-        arrays["report.order"] = state.report.order.astype(np.float64)
-        arrays["report.beta"] = np.array(state.report.beta)
-    if state.prune is not None:
-        arrays["prune.kept"] = state.prune.kept.astype(np.float64)
-        arrays["prune.dropped"] = state.prune.dropped.astype(np.float64)
-        arrays["prune.alpha"] = np.array(state.prune.alpha)
-    if state.target is not None:
-        arrays["target"] = state.target
-    if state.labels_prev is not None:
-        arrays["labels_prev"] = state.labels_prev.astype(np.float64)
     if state.subset_sizes:
         arrays["subset_sizes"] = np.array(state.subset_sizes, dtype=np.float64)
     nm.save_checkpoint(path, arrays)
@@ -498,7 +473,8 @@ def save_state(state: TrainState, path) -> None:
 
 @dataclass
 class Pretrained:
-    """What the stages before pruning produce. None of it depends on
+    """What the stages before pruning produce: the pretrained state and the
+    difficulty report scored on its embedding. None of it depends on
     cfg.alpha or cfg.prune_strategy, so one value serves any number of
     tails, each called with a cfg that carries its grid cell's pair. No
     tail changes it: training replaces the parameters, never writes them."""
@@ -506,17 +482,26 @@ class Pretrained:
     cfg: TrainConfig
     preprocessed: PreprocessedData
     graph: CellGraph
-    state: TrainState  # pretrained, with the difficulty report; no Adam moments
+    state: TrainState  # pretrained; no Adam moments
+    report: DifficultyReport
     embedding: np.ndarray  # pretrained latent vector of every cell
 
 
 @dataclass
 class PipelineResult:
+    """A finished run; `report` and `prune` are what difficulty.csv holds."""
+
     state: TrainState
     preprocessed: PreprocessedData
     graph: CellGraph
     labels: np.ndarray  # every original cell
-    pruned_mask: np.ndarray  # True where the cell was pruned before phase 2
+    report: DifficultyReport
+    prune: PruneResult
+
+    @property
+    def pruned_mask(self) -> np.ndarray:
+        """True where the cell was pruned before phase 2."""
+        return np.isin(np.arange(self.preprocessed.n_cells), self.prune.dropped)
 
 
 def pretrain_and_score(
@@ -541,8 +526,8 @@ def pretrain_and_score(
         state.adam.first_moment, state.adam.second_moment = [], []
     with stage("difficulty"):
         z = encode(pre.normalized, graph, state.params).values
-        state.report = measure_difficulty(z, graph, beta=cfg.beta, local_mode=cfg.local_mode)
-    return Pretrained(cfg, pre, graph, state, z)
+        report = measure_difficulty(z, graph, beta=cfg.beta, local_mode=cfg.local_mode)
+    return Pretrained(cfg, pre, graph, state, report, z)
 
 
 def prune_and_cluster(pretrained: Pretrained, checkpoint_dir=None) -> PipelineResult:
@@ -563,26 +548,29 @@ def _prune_and_cluster(pretrained: Pretrained, state: TrainState, checkpoint_dir
     """prune_and_cluster's stages, run on `state` itself; the rest is read from `pretrained`."""
     cfg, pre, graph = pretrained.cfg, pretrained.preprocessed, pretrained.graph
     with stage("prune"):
-        state.prune = prune(state.report, cfg.alpha, strategy=cfg.prune_strategy, seed=cfg.seed)
-        kept_sorted = np.sort(state.prune.kept)
+        pruned = prune(pretrained.report, cfg.alpha, strategy=cfg.prune_strategy, seed=cfg.seed)
+        kept_sorted = np.sort(pruned.kept)
         graph_pruned = subgraph(graph, kept_sorted)
-    pruned_mask = np.zeros(pre.n_cells, dtype=bool)
-    pruned_mask[state.prune.dropped] = True
     with stage("centers"):
         centers = init_centers(pretrained.embedding[kept_sorted], cfg.n_clusters, cfg.seed)
         state.params = state.params.with_centers(centers)
     with stage("formal"):
-        state = formal_train(state, pre, graph_pruned, cfg)
+        state = formal_train(state, pre, graph_pruned, pruned.kept, cfg)
         if checkpoint_dir is not None:
             save_state(state, f"{checkpoint_dir}/formal_final.ckpt")
     with stage("predict"):
         labels = predict(state, pre, graph)
-    return PipelineResult(state, pre, graph, labels, pruned_mask)
+    return PipelineResult(state, pre, graph, labels, pretrained.report, pruned)
 
 
 def run_pipeline(data: ExpressionMatrix, cfg: TrainConfig, checkpoint_dir=None) -> PipelineResult:
     """pretrain_and_score, then its only tail on the pretrained state itself:
     the first formal step replaces the pretrained parameters, which frees
-    their arrays."""
+    their arrays. A pacing that selects no node at epoch 0 fails first, as
+    [formal], before any training."""
+    with stage("formal"):
+        n = data.n_cells
+        pacing = PacingConfig(lambda0=cfg.lambda0, t_hat=cfg.effective_t_hat)
+        paced_count(0, pacing, cfg.alpha, n, n - int(np.floor(cfg.alpha * n)))
     p = pretrain_and_score(data, cfg, checkpoint_dir)
     return _prune_and_cluster(p, p.state, checkpoint_dir)

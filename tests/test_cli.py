@@ -330,6 +330,23 @@ def test_more_clusters_than_cells_fails_before_training_from_every_command(
     assert pretrained == []
 
 
+def test_a_pacing_that_selects_no_node_fails_train_before_pretraining(
+    tmp_path, capsys, monkeypatch
+):
+    # 30 cells at lambda0 = 0.01: floor(0.3) = 0 nodes at epoch 0
+    data_dir = tmp_path / "data"
+    assert _run(*_synth_args(data_dir, cells=30, genes=12, seed=3)) == 0
+    config = tmp_path / "config.txt"
+    run_dir = tmp_path / "out"
+    _write_config(config, data_dir, run_dir, t1=3, t2=4, n_hvg=12, lambda0=0.01)
+    pretrained = []
+    monkeypatch.setattr(trainer, "pretrain", lambda *args, **kwargs: pretrained.append(args))
+    assert _run("train", config) == 1
+    want = "[formal] pacing selects zero nodes at epoch 0 (lambda0=0.01, 30 nodes); raise lambda0"
+    assert f"error: {want}" in capsys.readouterr().err
+    assert pretrained == [] and not list(run_dir.glob("*.ckpt"))
+
+
 def test_prune_study_frees_each_cell_before_the_next_trains(tmp_path, monkeypatch):
     # the seed's pretrained prefix serves every cell; what a cell trains on
     # top of it (parameters and formal Adam moments) must be gone by the

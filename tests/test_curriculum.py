@@ -338,6 +338,32 @@ def test_pacing_fraction_rejects_alpha_outside_the_unit_interval_as_prune_does(a
     assert str(pacing_err.value) == str(prune_err.value) == f"alpha must be in [0, 1), got {alpha}"
 
 
+@pytest.mark.parametrize(
+    "t, n_kept, want",
+    [
+        (0, 27, 7),  # floor(0.25 * 30)
+        (2, 27, 15),  # floor(0.5 * 30)
+        (3, 27, 21),  # floor(2^-0.5 * 30) = floor(21.2)
+        (4, 27, 27),  # at the cap every kept node, not floor(0.89 * 30) = 26
+        (100, 27, 27),
+        (0, 5, 5),  # a kept set smaller than the paced count is taken whole
+    ],
+)
+def test_paced_count_hand_values(t, n_kept, want):
+    # n = 30, alpha = 0.11: pruning keeps 30 - floor(3.3) = 27 nodes
+    cfg = curriculum.PacingConfig(lambda0=0.25, t_hat=4)
+    assert curriculum.paced_count(t, cfg, 0.11, 30, n_kept) == want
+
+
+def test_paced_count_rejects_a_schedule_that_selects_no_node():
+    cfg = curriculum.PacingConfig(lambda0=0.01, t_hat=2)
+    want = "pacing selects zero nodes at epoch 0 (lambda0=0.01, 30 nodes); raise lambda0"
+    with pytest.raises(ValueError) as err:
+        curriculum.paced_count(0, cfg, 0.0, 30, 30)
+    assert str(err.value) == want
+    assert curriculum.paced_count(2, cfg, 0.0, 30, 30) == 30  # the ramp's end
+
+
 # -- report output ---------------------------------------------------------------------
 
 

@@ -10,13 +10,7 @@ from hypothesis import strategies as st
 
 from celluster import trainer
 from celluster.cellgraph import LAPLACIAN_KINDS, knn_graph, subgraph
-from celluster.curriculum import (
-    PRUNE_STRATEGIES,
-    DifficultyReport,
-    PruneResult,
-    measure_difficulty,
-    prune,
-)
+from celluster.curriculum import PRUNE_STRATEGIES, PruneResult, measure_difficulty, prune
 from celluster.ingest import SynthesisSpec, synthesize
 from celluster.losses import (
     LossBreakdown,
@@ -155,21 +149,21 @@ def test_init_centers_rejects_points_that_all_coincide():
 def _to_formal_ready(pre, graph, cfg):
     state = trainer.pretrain(pre, graph, cfg)
     z = encode(pre.normalized, graph, state.params).values
-    state.report = measure_difficulty(z, graph, beta=cfg.beta)
-    state.prune = prune(state.report, cfg.alpha, strategy="hard", seed=cfg.seed)
-    kept_sorted = np.sort(state.prune.kept)
+    report = measure_difficulty(z, graph, beta=cfg.beta)
+    pruned = prune(report, cfg.alpha, strategy="hard", seed=cfg.seed)
+    kept_sorted = np.sort(pruned.kept)
     graph_pruned = subgraph(graph, kept_sorted)
     centers = trainer.init_centers(z[kept_sorted], cfg.n_clusters, seed=cfg.seed)
     state.params = state.params.with_centers(centers)
-    return state, graph_pruned
+    return state, graph_pruned, pruned.kept
 
 
 def test_formal_subset_sizes_follow_pacing():
     _, pre, graph, cfg = _small_setup(t1=4, t2=8, alpha=0.1, lambda0=0.25, t_hat=4)
-    state, graph_pruned = _to_formal_ready(pre, graph, cfg)
+    state, graph_pruned, kept = _to_formal_ready(pre, graph, cfg)
     n = pre.n_cells
 
-    trainer.formal_train(state, pre, graph_pruned, cfg)
+    trainer.formal_train(state, pre, graph_pruned, kept, cfg)
     assert state.phase == "done"
     sizes = state.subset_sizes
     assert sizes  # at least one paced epoch ran
@@ -177,15 +171,15 @@ def test_formal_subset_sizes_follow_pacing():
     assert sizes[0] == int(np.floor(cfg.lambda0 * n))
     # sizes never decrease and never exceed the kept count
     assert all(b >= a for a, b in zip(sizes, sizes[1:]))
-    assert max(sizes) <= state.prune.kept.size
+    assert max(sizes) <= kept.size
 
     from celluster.curriculum import PacingConfig, pacing_fraction
 
     pacing = PacingConfig(lambda0=cfg.lambda0, t_hat=cfg.effective_t_hat)
     fractions = [pacing_fraction(t, pacing, cfg.alpha) for t in range(len(sizes))]
     expected = [
-        min(int(np.floor(f * n)), state.prune.kept.size) if f < 1 - cfg.alpha
-        else state.prune.kept.size
+        min(int(np.floor(f * n)), kept.size) if f < 1 - cfg.alpha
+        else kept.size
         for f in fractions
     ]
     assert sizes == expected
@@ -200,7 +194,7 @@ def test_paced_subset_at_the_cap_is_every_kept_node():
         target_update_interval=100,
     )
     result = trainer.run_pipeline(data, cfg)
-    assert result.state.prune.kept.size == 36
+    assert result.prune.kept.size == 36
     assert result.state.subset_sizes == [10, 20, 36, 36, 36, 36]
 
 
@@ -209,7 +203,7 @@ def test_formal_train_encodes_the_kept_graph_once_per_epoch(monkeypatch, seed, e
     # the target refresh reuses the latent the step trains on; seed 0 stops
     # on zero churn at the epoch-4 refresh, whose forward has no step
     _, pre, graph, cfg = _small_setup(seed=seed, t2=6, convergence_tol=1e-12)
-    state, graph_pruned = _to_formal_ready(pre, graph, cfg)
+    state, graph_pruned, kept = _to_formal_ready(pre, graph, cfg)
     graphs = []
 
     def counting_encode(*args):
@@ -217,7 +211,7 @@ def test_formal_train_encodes_the_kept_graph_once_per_epoch(monkeypatch, seed, e
         return encode(*args)
 
     monkeypatch.setattr(trainer, "encode", counting_encode)
-    trainer.formal_train(state, pre, graph_pruned, cfg)
+    trainer.formal_train(state, pre, graph_pruned, kept, cfg)
     assert state.phase == "done" and state.epoch == epochs
     assert len(graphs) == calls
     assert all(g is graph_pruned for g in graphs)
@@ -251,9 +245,9 @@ def test_formal_train_records_why_it_stopped(seed, epochs, reason):
     # the two cases of the test above: seed 1 trains all t2 = 6 epochs, seed 0
     # stops on zero churn at the epoch-4 refresh
     _, pre, graph, cfg = _small_setup(seed=seed, t2=6, convergence_tol=1e-12)
-    state, graph_pruned = _to_formal_ready(pre, graph, cfg)
+    state, graph_pruned, kept = _to_formal_ready(pre, graph, cfg)
     assert state.stop_reason is None
-    trainer.formal_train(state, pre, graph_pruned, cfg)
+    trainer.formal_train(state, pre, graph_pruned, kept, cfg)
     assert (state.stop_reason, state.epoch, len(state.subset_sizes)) == (reason, epochs, epochs)
 
 
@@ -269,18 +263,28 @@ def test_formal_final_checkpoint_records_why_it_stopped(tmp_path, seed, epochs, 
     assert trainer._STOP_REASONS[int(formal["meta.stop_reason"])] == reason
 
 
-def test_formal_requires_difficulty_and_centers():
+def test_formal_requires_centers():
     _, pre, graph, cfg = _small_setup(t1=2)
     state = trainer.pretrain(pre, graph, cfg)
     with pytest.raises(trainer.NotTrainedError):
-        trainer.formal_train(state, pre, graph, cfg)
+        trainer.formal_train(state, pre, graph, np.arange(graph.n), cfg)
 
 
-def _formal_step(state, pre, graph_pruned, cfg, subset):
+def test_a_second_formal_train_call_trains_from_its_own_first_refresh():
+    # the target and the last refresh's labels belong to one call: the
+    # second call's first refresh is compared with nothing, so it trains
+    _, pre, graph, cfg = _small_setup(seed=1, t1=4, t2=6)
+    state, graph_pruned, kept = _to_formal_ready(pre, graph, cfg)
+    trainer.formal_train(state, pre, graph_pruned, kept, cfg)
+    assert (state.epoch, state.stop_reason) == (4, "converged")
+    trainer.formal_train(state, pre, graph_pruned, kept, cfg)
+    assert state.epoch >= 1 and state.phase == "done"
+
+
+def _formal_step(state, pre, graph_pruned, kept_sorted, cfg, subset):
     """One formal _train_step on a copy of `state` against the current soft
     assignment's target; returns the copy and that target."""
     state = copy.deepcopy(state)
-    kept_sorted = np.sort(state.prune.kept)
     z = encode(pre.normalized[kept_sorted], graph_pruned, state.params)
     target = target_distribution(soft_assign(z.values, state.params.cluster_centers))
     state.phase, state.epoch = "formal", 0
@@ -293,11 +297,12 @@ def _formal_step(state, pre, graph_pruned, cfg, subset):
 def test_train_step_subset_of_every_node_equals_no_subset():
     # gathering every node must change no bit of the losses or the update
     _, pre, graph, cfg = _small_setup(t1=3, t2=1)
-    state, graph_pruned = _to_formal_ready(pre, graph, cfg)
-    assert state.prune.dropped.size > 0
+    state, graph_pruned, kept = _to_formal_ready(pre, graph, cfg)
+    assert kept.size < graph.n
     every = np.arange(graph_pruned.n)
-    gathered, _ = _formal_step(state, pre, graph_pruned, cfg, every)
-    whole, _ = _formal_step(state, pre, graph_pruned, cfg, None)
+    kept_sorted = np.sort(kept)
+    gathered, _ = _formal_step(state, pre, graph_pruned, kept_sorted, cfg, every)
+    whole, _ = _formal_step(state, pre, graph_pruned, kept_sorted, cfg, None)
     assert gathered.loss_history == whole.loss_history
     assert whole.loss_history[-1].cls > 0.0
     for (name, a), (_, b) in zip(
@@ -312,11 +317,8 @@ def test_train_step_single_node_subset_on_an_isolated_node():
     _, pre, graph, cfg = _small_setup(t1=3, t2=1)
     state = trainer.pretrain(pre, graph, cfg)
     z_all = encode(pre.normalized, graph, state.params).values
-    state.report = measure_difficulty(z_all, graph, beta=cfg.beta)
     dropped = graph.adjacency[0].indices
-    kept = state.report.order[~np.isin(state.report.order, dropped)]  # easiest first
-    state.prune = PruneResult(kept=kept, dropped=np.sort(dropped), alpha=cfg.alpha)
-    kept_sorted = np.sort(state.prune.kept)
+    kept_sorted = np.setdiff1d(np.arange(graph.n), dropped)
     graph_pruned = subgraph(graph, kept_sorted)
     state.params = state.params.with_centers(
         trainer.init_centers(z_all[kept_sorted], cfg.n_clusters, seed=cfg.seed)
@@ -324,7 +326,7 @@ def test_train_step_single_node_subset_on_an_isolated_node():
     node = int(np.searchsorted(kept_sorted, 0))
     assert graph_pruned.degrees[node] == 0
 
-    stepped, target = _formal_step(state, pre, graph_pruned, cfg, np.array([node]))
+    stepped, target = _formal_step(state, pre, graph_pruned, kept_sorted, cfg, np.array([node]))
     z = encode(pre.normalized[kept_sorted], graph_pruned, state.params).values[[node]]
     rec = (1.0 / (1.0 + np.exp(-float(z[0] @ z[0])))) ** 2  # A = 0: (0 - sigmoid(z.z))^2
     zinb = loss_zinb(pre.raw.counts[[0]], decode_zinb(z, state.params))[0]
@@ -411,16 +413,16 @@ def test_step_gradients_match_finite_differences(with_cls):
 def test_formal_convergence_stops_early():
     _, pre, graph, cfg = _small_setup(t1=30, t2=50, convergence_tol=1.1)
     # a tolerance above 1 means any refresh after the first "converges"
-    state, graph_pruned = _to_formal_ready(pre, graph, cfg)
-    trainer.formal_train(state, pre, graph_pruned, cfg)
+    state, graph_pruned, kept = _to_formal_ready(pre, graph, cfg)
+    trainer.formal_train(state, pre, graph_pruned, kept, cfg)
     assert state.phase == "done"
     assert len(state.loss_history) < cfg.t1 + cfg.t2
 
 
 def test_predict_all_nodes_with_single_cluster():
     _, pre, graph, cfg = _small_setup(n_clusters=1, t1=2, t2=2)
-    state, graph_pruned = _to_formal_ready(pre, graph, cfg)
-    trainer.formal_train(state, pre, graph_pruned, cfg)
+    state, graph_pruned, kept = _to_formal_ready(pre, graph, cfg)
+    trainer.formal_train(state, pre, graph_pruned, kept, cfg)
     labels = trainer.predict(state, pre, graph)
     assert labels.shape == (pre.n_cells,)
     assert set(labels.tolist()) == {0}
@@ -429,8 +431,8 @@ def test_predict_all_nodes_with_single_cluster():
 def test_predict_labels_are_permutation_stable():
     # relabeling clusters (permuting center rows) permutes the output labels
     _, pre, graph, cfg = _small_setup(n_clusters=2, t1=4, t2=2)
-    state, graph_pruned = _to_formal_ready(pre, graph, cfg)
-    trainer.formal_train(state, pre, graph_pruned, cfg)
+    state, graph_pruned, kept = _to_formal_ready(pre, graph, cfg)
+    trainer.formal_train(state, pre, graph_pruned, kept, cfg)
     base = trainer.predict(state, pre, graph)
     perm = np.array([1, 0])
     state.params = state.params.with_centers(state.params.cluster_centers[perm])
@@ -464,24 +466,6 @@ def _rebuilt_from(path, like):
         LossBreakdown(rec=row[0], zinb=row[1], cls=row[2])
         for row in arrays.get("history", np.empty((0, 4)))
     ]
-    state.report = None
-    if "report.order" in arrays:
-        state.report = DifficultyReport(
-            local=arrays["report.local"],
-            global_=arrays["report.global"],
-            combined=arrays["report.combined"],
-            order=arrays["report.order"].astype(np.intp),
-            beta=float(arrays["report.beta"]),
-        )
-    state.prune = None
-    if "prune.kept" in arrays:
-        state.prune = PruneResult(
-            kept=arrays["prune.kept"].astype(np.intp),
-            dropped=arrays["prune.dropped"].astype(np.intp),
-            alpha=float(arrays["prune.alpha"]),
-        )
-    state.target = arrays.get("target")
-    state.labels_prev = arrays["labels_prev"].astype(np.int64) if "labels_prev" in arrays else None
     state.subset_sizes = arrays.get("subset_sizes", np.empty(0)).astype(int).tolist()
     return state
 
@@ -512,20 +496,19 @@ def test_pretrain_checkpoint_resume_is_bitwise(tmp_path):
 
 
 def test_formal_checkpoint_resume_is_bitwise(tmp_path):
-    # a checkpoint of a state ready for the formal phase (centers, difficulty
-    # report and pruning included) trains to the same end as the state itself
+    # a checkpoint of a state ready for the formal phase (centers included)
+    # trains to the same end as the state itself
     _, pre, graph, cfg = _small_setup(t1=4, t2=6, convergence_tol=1e-12)
-    state, graph_pruned = _to_formal_ready(pre, graph, cfg)
+    state, graph_pruned, kept = _to_formal_ready(pre, graph, cfg)
     path = tmp_path / "formal_ready.ckpt"
     trainer.save_state(state, path)
     loaded = _rebuilt_from(path, like=state)
 
-    trainer.formal_train(state, pre, graph_pruned, cfg)
-    trainer.formal_train(loaded, pre, graph_pruned, cfg)
+    trainer.formal_train(state, pre, graph_pruned, kept, cfg)
+    trainer.formal_train(loaded, pre, graph_pruned, kept, cfg)
 
     _assert_same_run(loaded, state)
     assert loaded.subset_sizes == state.subset_sizes
-    np.testing.assert_array_equal(loaded.labels_prev, state.labels_prev)
 
 
 # -- full pipeline ---------------------------------------------------------------------
@@ -567,7 +550,7 @@ def test_pipeline_is_bit_reproducible():
     assert [x.as_row() for x in a.state.loss_history] == [
         y.as_row() for y in b.state.loss_history
     ]
-    np.testing.assert_array_equal(a.state.report.combined, b.state.report.combined)
+    np.testing.assert_array_equal(a.report.combined, b.report.combined)
 
 
 def test_pretrained_state_drops_its_adam_moments_once_checkpointed(tmp_path):
@@ -636,7 +619,7 @@ def test_one_pretrained_value_serves_two_tails_in_either_order():
         assert a is array, name
         np.testing.assert_array_equal(a, want, err_msg=name)
     state = pretrained.state
-    assert (state.phase, state.epoch, state.prune, state.stop_reason) == ("pretrain", cfg.t1, None, None)
+    assert (state.phase, state.epoch, state.stop_reason) == ("pretrain", cfg.t1, None)
     assert len(state.loss_history) == cfg.t1 and state.subset_sizes == []
 
 
@@ -710,8 +693,13 @@ def test_pipeline_checkpoints_hold_each_phase_final_state(tmp_path):
     assert [k for k in formal if k.startswith("param.")] == [f"param.{n}" for n, _ in named]
     for name, array in named:
         assert np.array_equal(formal[f"param.{name}"], array), name
-    dropped = np.sort(formal["prune.dropped"])
-    np.testing.assert_array_equal(dropped, np.flatnonzero(result.pruned_mask))
+    # a checkpoint is the phase's training state: the difficulty report and
+    # the pruning are the result's (and difficulty.csv's), not the file's
+    kinds = {"meta", "param", "adam", "history"}
+    assert {key.split(".")[0] for key in pretrained} == kinds
+    assert {key.split(".")[0] for key in formal} == kinds | {"subset_sizes"}
+    np.testing.assert_array_equal(np.sort(result.prune.dropped), np.flatnonzero(result.pruned_mask))
+    assert result.prune.dropped.size == int(np.floor(cfg.alpha * data.n_cells))
 
 
 def test_pipeline_predicts_kmeans_consistent_labels():
@@ -828,12 +816,12 @@ def test_pruning_that_isolates_a_node_keeps_finite_operators_and_trains(tiny_pre
         assert sub.degrees[isolated] == 0
         assert np.isfinite(sub.lambda_max) and np.isfinite(sub.scaled_laplacian.data).all()
 
-    order = tiny_pretrained.state.report.order
+    order = tiny_pretrained.report.order
     in_kept = np.isin(order, kept)
-    result = PruneResult(order[in_kept], order[~in_kept], alpha=1.0 - kept.size / graph.n)
+    result = PruneResult(order[in_kept], order[~in_kept])
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(trainer, "prune", lambda *args, **kwargs: result)
-        cfg = replace(tiny_pretrained.cfg, alpha=result.alpha)
+        cfg = replace(tiny_pretrained.cfg, alpha=1.0 - kept.size / graph.n)
         pruned = trainer.prune_and_cluster(replace(tiny_pretrained, cfg=cfg))
         _assert_trained(pruned, n_clusters=2)
 
