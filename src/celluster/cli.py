@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import itertools
 import json
 import sys
 from dataclasses import MISSING, fields, replace
@@ -201,44 +200,37 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _score_cell(
-    prefix: trainer.Pretrained, strategy: str, alpha: float, truth: np.ndarray
-) -> tuple[float, float]:
-    """ARI and NMI of one grid cell's tail on `prefix`. Everything else the
-    tail makes (its trained state, Adam moments and labels) is freed on
-    return, so the grid holds one cell's trained state at a time."""
-    cell_cfg = replace(prefix.cfg, alpha=alpha, prune_strategy=strategy)
-    labels = trainer.prune_and_cluster(replace(prefix, cfg=cell_cfg)).labels
-    return metrics.ari(truth, labels), metrics.nmi(truth, labels)
-
-
 def cmd_prune_study(args) -> int:
     run_cfg, data, outdir = _prepare_run(args)
     if data.labels is None:
         raise StageError("prune-study", ValueError("prune-study needs ground-truth labels"))
+    cells = run_cfg.cells()
+    for cell in cells:
+        trainer.check_pacing(cell, data.n_cells)
 
     # Pretraining and difficulty depend on the seed only: each seed's prefix
     # runs once and serves (or fails) all of that seed's grid cells. A failed
-    # seed keeps only its message, not the error's cause and frames.
+    # seed keeps only its message, not the error's cause and frames. A cell's
+    # result is dropped once it is scored, so the grid holds one cell's
+    # trained state (parameters and formal Adam moments) at a time.
     pretrained: dict[int, trainer.Pretrained | str] = {}
     report_path = outdir / "prune_study.csv"
     failures = 0
     with open(report_path, "w", newline="") as fh:
         fh.write("strategy,alpha,seed,ari,nmi\n")
-        grid = itertools.product(run_cfg.strategies, run_cfg.alphas, run_cfg.seeds)
-        for strategy, alpha, seed in grid:
+        for cell in cells:
+            strategy, alpha, seed = cell.prune_strategy, cell.alpha, cell.seed
             if seed not in pretrained:
                 try:
-                    pretrained[seed] = trainer.pretrain_and_score(
-                        data, replace(run_cfg.train, seed=seed)
-                    )
+                    pretrained[seed] = trainer.pretrain_and_score(data, cell)
                 except Exception as err:  # reported by every grid cell of this seed
                     pretrained[seed] = str(err)
             prefix = pretrained[seed]
             try:
                 if isinstance(prefix, str):
                     raise RuntimeError(prefix)
-                a, n = _score_cell(prefix, strategy, alpha, data.labels)
+                labels = trainer.prune_and_cluster(replace(prefix, cfg=cell)).labels
+                a, n = metrics.ari(data.labels, labels), metrics.nmi(data.labels, labels)
                 fh.write(f"{strategy},{alpha!r},{seed},{a!r},{n!r}\n")
                 fh.flush()
                 print(f"{strategy} alpha={alpha} seed={seed}: ARI={a:.4f} NMI={n:.4f}")

@@ -9,11 +9,11 @@ outputs reloads to an identical run.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
-from .curriculum import PRUNE_STRATEGIES
 from .ingest import FORMATS, ParseError, read_text
 from .trainer import TrainConfig
 
@@ -38,24 +38,24 @@ class RunConfig:
         if self.input_format not in FORMATS:
             raise ConfigError(f"input_format must be one of {FORMATS}, got {self.input_format!r}")
         for key in ("strategies", "alphas", "seeds"):
-            if not getattr(self, key):
-                raise ConfigError(f"{key!r} must list at least one entry")
-        for strategy in self.strategies:
-            if strategy not in PRUNE_STRATEGIES:
-                raise ConfigError(f"unknown strategy {strategy!r} in strategies")
-        if min(self.seeds) < 0:
-            raise ConfigError(f"seeds must be >= 0, got {min(self.seeds)}")
-        for alpha in self.alphas:
-            if not 0.0 <= alpha < 1.0:  # NaN fails too
-                raise ConfigError(f"alphas must lie in [0, 1), got {alpha!r}")
-        for key in ("strategies", "alphas", "seeds"):
             entries = getattr(self, key)
+            if not entries:
+                raise ConfigError(f"{key!r} must list at least one entry")
             for i, value in enumerate(entries):
                 if value in entries[:i]:
                     raise ConfigError(
                         f"duplicate entry {value!r} in {key!r} "
                         f"(first given as entry {entries.index(value) + 1})"
                     )
+        try:  # TrainConfig checks each cell's strategy, alpha and seed
+            self.cells()
+        except ValueError as err:
+            raise ConfigError(f"prune-study grid: {err}") from None
+
+    def cells(self) -> list[TrainConfig]:
+        """The prune-study grid: `train` with each (strategy, alpha, seed), in row order."""
+        grid = itertools.product(self.strategies, self.alphas, self.seeds)
+        return [replace(self.train, prune_strategy=s, alpha=a, seed=seed) for s, a, seed in grid]
 
 
 def _field_types(cls) -> dict[str, object]:

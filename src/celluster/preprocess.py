@@ -38,12 +38,15 @@ class PreprocessedData:
         return self.raw.n_genes
 
 
-def _size_factors(data: ExpressionMatrix) -> np.ndarray:
+def _size_factors(data: ExpressionMatrix, selected: bool = False) -> np.ndarray:
     totals = data.counts.sum(axis=1).astype(np.float64)
     zero = np.flatnonzero(totals == 0)
     if zero.size:
+        where = f" in the {data.n_genes} selected genes" if selected else ""
+        hint = " (raising n_hvg may help)" if selected else ""
         raise AllZeroCellError(
-            f"cell {data.cell_ids[zero[0]]!r} has no counts; cannot compute a size factor"
+            f"cell {data.cell_ids[zero[0]]!r} has no counts{where}; "
+            f"cannot compute a size factor{hint}"
         )
     return totals / np.median(totals)
 
@@ -62,8 +65,9 @@ def select_hvg(data: ExpressionMatrix, n_hvg: int) -> np.ndarray:
 
 
 def normalize(data: ExpressionMatrix, selected_gene_indices=None) -> PreprocessedData:
-    """Median-ratio size factors and log1p scaling; raw counts pass through."""
-    size_factors = _size_factors(data)
+    """Median-ratio size factors and log1p scaling; raw counts pass through.
+    With `selected_gene_indices`, `data` holds only those genes."""
+    size_factors = _size_factors(data, selected=selected_gene_indices is not None)
     normalized = np.log1p(data.counts / size_factors[:, None])
     if selected_gene_indices is None:
         selected_gene_indices = np.arange(data.n_genes, dtype=np.intp)

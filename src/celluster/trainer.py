@@ -149,14 +149,14 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= 1")
         for name in ("t1", "t2", "seed"):
             if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
         for name in ("lr_pretrain", "lr_formal", "convergence_tol"):
             if not 0.0 < getattr(self, name) < np.inf:  # also false for nan
                 raise ValueError(f"{name} must be positive and finite")
         if not all(0.0 <= w < np.inf for w in self.loss_weights):
             raise ValueError("loss_weights must be non-negative and finite")
         if not 0.0 <= self.alpha < 1.0:
-            raise ValueError("alpha must lie in [0, 1)")
+            raise ValueError(f"alpha must lie in [0, 1), got {self.alpha!r}")
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError("beta must lie in [0, 1]")
         if not 0.0 < self.lambda0 <= 1.0:
@@ -563,14 +563,17 @@ def _prune_and_cluster(pretrained: Pretrained, state: TrainState, checkpoint_dir
     return PipelineResult(state, pre, graph, labels, pretrained.report, pruned)
 
 
-def run_pipeline(data: ExpressionMatrix, cfg: TrainConfig, checkpoint_dir=None) -> PipelineResult:
-    """pretrain_and_score, then its only tail on the pretrained state itself:
-    the first formal step replaces the pretrained parameters, which frees
-    their arrays. A pacing that selects no node at epoch 0 fails first, as
-    [formal], before any training."""
+def check_pacing(cfg: TrainConfig, n_cells: int) -> None:
+    """Fail as [formal] if cfg's pacing selects no node of `n_cells` at epoch 0."""
     with stage("formal"):
-        n = data.n_cells
         pacing = PacingConfig(lambda0=cfg.lambda0, t_hat=cfg.effective_t_hat)
-        paced_count(0, pacing, cfg.alpha, n, n - int(np.floor(cfg.alpha * n)))
+        paced_count(0, pacing, cfg.alpha, n_cells, n_cells - int(np.floor(cfg.alpha * n_cells)))
+
+
+def run_pipeline(data: ExpressionMatrix, cfg: TrainConfig, checkpoint_dir=None) -> PipelineResult:
+    """check_pacing, pretrain_and_score, then its only tail on the
+    pretrained state itself: the first formal step replaces the pretrained
+    parameters, which frees their arrays."""
+    check_pacing(cfg, data.n_cells)
     p = pretrain_and_score(data, cfg, checkpoint_dir)
     return _prune_and_cluster(p, p.state, checkpoint_dir)

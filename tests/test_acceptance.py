@@ -2,7 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -s` to see the pass lines. The
 three benchmark criteria share one grid of pipeline runs (arms x seeds) so
-each configuration trains exactly once.
+each configuration trains exactly once, and each seed pretrains once for
+all of its arms.
 """
 
 import math
@@ -269,27 +270,38 @@ def test_criterion_5_pacing_schedule():
 
 BENCH_SEEDS = (0, 1, 2, 3, 4)
 _BENCH_CACHE: dict = {}
+_BENCH_PREFIXES: dict = {}
 
 
 def _bench_run(arm: str, seed: int):
-    """One benchmark pipeline run; cached so each configuration trains once."""
+    """One benchmark arm on one seed; cached so each configuration trains
+    once. A seed's arms differ only in prune_strategy, alpha and lambda0,
+    which pretrain_and_score does not read, so they share one pretrained
+    prefix and each runs its own tail on it, as prune-study's grid cells
+    do. An arm's elapsed is its seed's prefix time plus its own tail time:
+    what one full pipeline run costs."""
     key = (arm, seed)
     if key in _BENCH_CACHE:
         return _BENCH_CACHE[key]
-    data = synthesize(
-        SynthesisSpec(
-            n_cells=300, n_genes=200, n_clusters=3,
-            dropout_rate=0.5, dispersion=1.5, mean_scale=1.8, seed=1000 + seed,
-        )
-    )
     overrides = dict(alpha=0.0, lambda0=1.0) if arm == "off" else {}
     strategy = arm if arm in ("hard", "random", "easy") else "hard"
     cfg = TrainConfig(
         n_clusters=3, t1=200, t2=100, n_hvg=200, seed=seed, prune_strategy=strategy, **overrides
     )
+    if seed not in _BENCH_PREFIXES:
+        data = synthesize(
+            SynthesisSpec(
+                n_cells=300, n_genes=200, n_clusters=3,
+                dropout_rate=0.5, dispersion=1.5, mean_scale=1.8, seed=1000 + seed,
+            )
+        )
+        start = time.time()
+        prefix = trainer.pretrain_and_score(data, cfg)
+        _BENCH_PREFIXES[seed] = data, prefix, time.time() - start
+    data, prefix, prefix_elapsed = _BENCH_PREFIXES[seed]
     start = time.time()
-    result = trainer.run_pipeline(data, cfg)
-    elapsed = time.time() - start
+    result = trainer.prune_and_cluster(replace(prefix, cfg=cfg))
+    elapsed = prefix_elapsed + time.time() - start
     scores = (
         metrics.ari(data.labels, result.labels),
         metrics.nmi(data.labels, result.labels),

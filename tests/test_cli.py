@@ -264,9 +264,9 @@ def test_prune_study_rejects_a_negative_seed_before_any_stage(tmp_path, capsys):
 @pytest.mark.parametrize(
     "grid, problem",
     [
-        ({"alphas": "0.11,1.5"}, "alphas must lie in [0, 1), got 1.5"),
-        ({"alphas": "-0.05,0.11"}, "alphas must lie in [0, 1), got -0.05"),
-        ({"alphas": "0.11,nan"}, "alphas must lie in [0, 1), got nan"),
+        ({"alphas": "0.11,1.5"}, "prune-study grid: alpha must lie in [0, 1), got 1.5"),
+        ({"alphas": "-0.05,0.11"}, "prune-study grid: alpha must lie in [0, 1), got -0.05"),
+        ({"alphas": "0.11,nan"}, "prune-study grid: alpha must lie in [0, 1), got nan"),
         ({"seeds": "0,1,1"}, "duplicate entry 1 in 'seeds' (first given as entry 2)"),
         ({"alphas": "0.11,0.21,0.110"}, "duplicate entry 0.11 in 'alphas' (first given as entry 1)"),
         (
@@ -345,6 +345,26 @@ def test_a_pacing_that_selects_no_node_fails_train_before_pretraining(
     want = "[formal] pacing selects zero nodes at epoch 0 (lambda0=0.01, 30 nodes); raise lambda0"
     assert f"error: {want}" in capsys.readouterr().err
     assert pretrained == [] and not list(run_dir.glob("*.ckpt"))
+
+
+def test_a_pacing_that_selects_no_node_fails_prune_study_before_pretraining(
+    tmp_path, capsys, monkeypatch
+):
+    # every grid cell paces 30 cells at lambda0 = 0.01: floor(0.3) = 0 nodes
+    data_dir = tmp_path / "data"
+    assert _run(*_synth_args(data_dir, cells=30, genes=12, seed=3)) == 0
+    config = tmp_path / "study.txt"
+    out = tmp_path / "study"
+    _write_config(
+        config, data_dir, out, t1=3, t2=4, n_hvg=12, lambda0=0.01,
+        strategies="hard,easy", alphas="0.06,0.11", seeds="1,2",
+    )
+    pretrained = []
+    monkeypatch.setattr(trainer, "pretrain", lambda *args, **kwargs: pretrained.append(args))
+    assert _run("prune-study", config) == 1
+    want = "[formal] pacing selects zero nodes at epoch 0 (lambda0=0.01, 30 nodes); raise lambda0"
+    assert capsys.readouterr().err.splitlines() == [f"error: {want}"]
+    assert pretrained == [] and not (out / "prune_study.csv").exists()
 
 
 def test_prune_study_frees_each_cell_before_the_next_trains(tmp_path, monkeypatch):
@@ -478,7 +498,9 @@ def test_train_rejects_bad_settings_before_training(tmp_path, capsys, config_ext
         ),
         pytest.param(
             ["prune-study", "{config}"], {"strategies": "hard,medium"}, "", 1,
-            "[config] {config}: unknown strategy 'medium' in strategies", id="strategy",
+            "[config] {config}: prune-study grid: prune_strategy must be one of "
+            "('hard', 'easy', 'random'), got 'medium'",
+            id="strategy",
         ),
         pytest.param(
             ["train", "{config}"], {"loss_weights": "1,1"}, "", 1,

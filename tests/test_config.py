@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -164,6 +165,30 @@ def test_write_then_parse_reproduces_settings(tmp_path):
     assert back.strategies == ["hard", "easy"]
     assert back.alphas == [0.06, 0.11]
     assert back.seeds == [0, 1, 2]
+
+
+def test_run_config_cells_are_the_grid_in_row_order():
+    train = TrainConfig(n_clusters=3, t1=7, alpha=0.3, prune_strategy="random", seed=9)
+    cfg = RunConfig(train=train, strategies=["hard", "easy"], alphas=[0.06, 0.11], seeds=[2, 1])
+    cells = cfg.cells()
+    assert [(c.prune_strategy, c.alpha, c.seed) for c in cells] == [
+        (s, a, seed) for s in ("hard", "easy") for a in (0.06, 0.11) for seed in (2, 1)
+    ]
+    rest = {"prune_strategy": "random", "alpha": 0.3, "seed": 9}
+    assert all(replace(c, **rest) == train for c in cells)
+
+
+@pytest.mark.parametrize(
+    "grid, problem",
+    [
+        ({"strategies": ["hard", "medium"]}, "prune_strategy must be one of"),
+        ({"alphas": [0.11, 1.5]}, "alpha must lie in [0, 1), got 1.5"),
+        ({"seeds": [0, -2]}, "seed must be >= 0, got -2"),
+    ],
+)
+def test_run_config_rejects_a_bad_grid_cell_as_its_train_config_does(grid, problem):
+    with pytest.raises(ConfigError, match=re.escape(f"prune-study grid: {problem}")):
+        RunConfig(train=TrainConfig(n_clusters=3), **grid)
 
 
 def test_readme_config_example_parses_to_the_defaults(tmp_path):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,20 @@ def test_all_zero_cell_names_the_cell():
     em = ExpressionMatrix(np.array([[1, 2], [0, 0]]), ["keep", "empty"], ["g0", "g1"])
     with pytest.raises(preprocess.AllZeroCellError, match="empty"):
         preprocess.normalize(em)
+
+
+def test_a_cell_without_counts_in_the_selected_genes_says_so():
+    # c0's only count lies in gene 4, which n_hvg=4 leaves out
+    counts = [[0, 60, 0, 60, 0], [60, 0, 60, 0, 0]] * 4
+    counts[0] = [0, 0, 0, 0, 1]
+    em = _matrix(counts)
+    assert preprocess.select_hvg(em, 4).tolist() == [0, 1, 2, 3]
+    want = (
+        "cell 'c0' has no counts in the 4 selected genes; "
+        "cannot compute a size factor (raising n_hvg may help)"
+    )
+    with pytest.raises(preprocess.AllZeroCellError, match=re.escape(want)):
+        preprocess.preprocess(em, 4)
 
 
 def test_scaling_one_cell_is_absorbed_by_its_size_factor():
